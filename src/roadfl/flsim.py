@@ -4,9 +4,10 @@ The learning task is linear regression with mean-squared-error loss
 under the 0.5*||.||^2 convention: convex, with a computable optimum, so
 grid sweeps over schedules stay cheap and every claim about the loss is
 checkable. Each arriving vehicle receives a fixed-size sample of the
-global pool. Rounds follow the same timing rules as mcsim; the vehicles
-that succeed in a round have their locally trained models averaged by
-dataset size, rounds with no success leave the global model unchanged.
+global pool. Each round's winners are read from mcsim's attempt table,
+so training follows exactly the timing rules of the Monte Carlo replay;
+the winners' locally trained models are averaged by dataset size, and
+rounds with no success leave the global model unchanged.
 
 The headline metric of a run is the running minimum of the validation
 loss over round boundaries, evaluated up to the training horizon.
@@ -22,7 +23,9 @@ import numpy as np
 from scipy import stats
 
 from . import analytic
-from .mcsim import _arrival_times, sample_computing_delay
+from .mcsim import arrival_times, attempts
+# perfbench/tracer.py counts delay draws by patching this name
+from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
 from .types import (
     DivergenceError,
@@ -145,20 +148,24 @@ def mse_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return x.T @ (x @ weights - y) / y.size
 
 
-def local_sgd(state: ModelState, x: np.ndarray, y: np.ndarray, h_steps: int,
-              cfg: FLConfig, rng: np.random.Generator) -> ModelState:
+def local_sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+              shift: np.ndarray | None, h_steps: int, cfg: FLConfig,
+              rng: np.random.Generator) -> ModelState:
     """Run h_steps mini-batch SGD steps from the given model.
 
-    Each step samples a fresh batch uniformly without replacement.
+    The local dataset is x[rows], y[rows], with shift (if not None) added
+    to every feature but the trailing ones column. Each step samples a
+    fresh batch uniformly without replacement and gathers only its rows.
     h_steps = 0 returns the model unchanged. Non-finite weights raise
     DivergenceError.
     """
     w = state.weights.copy()
-    n = y.size
     for _ in range(h_steps):
-        idx = rng.choice(n, size=cfg.batch_size, replace=False)
-        r = x[idx] @ w - y[idx]
-        w -= cfg.eta * (x[idx].T @ r) / cfg.batch_size
+        batch = rows[rng.choice(rows.size, size=cfg.batch_size, replace=False)]
+        xb = x[batch]
+        if shift is not None:
+            xb[:, :-1] += shift
+        w -= cfg.eta * (xb.T @ (xb @ w - y[batch])) / cfg.batch_size
     if not np.all(np.isfinite(w)):
         raise DivergenceError(
             f"local training diverged after {h_steps} steps (eta={cfg.eta})")
@@ -222,9 +229,10 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
 
     task = generate_task(cfg, substream(cfg.seed, "task"))
     tag = f"{sched.h}:{sched.t:.9g}"
-    arrivals = _arrival_times(params, rounds_total * sched.t,
-                              substream(cfg.seed, "arrivals", tag))
-    delay_rng = substream(cfg.seed, "delays", tag)
+    arrivals = arrival_times(params, rounds_total * sched.t,
+                             substream(cfg.seed, "arrivals", tag))
+    table = attempts(params, sched, arrivals, 0, rounds_total,
+                     substream(cfg.seed, "delays", tag))
     data_rng = substream(cfg.seed, "data", tag)
     sgd_rng = substream(cfg.seed, "sgd", tag)
 
@@ -236,32 +244,19 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
             if cfg.vehicle_shift_std > 0 else None
         datasets.append((idx, shift))
 
-    t, h = sched.t, sched.h
-    t0 = params.dwell_time
+    winners = table.vehicle[table.success]
+    bounds = np.searchsorted(table.round[table.success], np.arange(rounds_total + 1))
     w = np.zeros(cfg.feature_dim + 1)
     losses = [mse_loss(w, task.x_val, task.y_val)]
     rounds_valid = 0
 
     for k in range(rounds_total):
-        i0 = int(np.searchsorted(arrivals, k * t - t0, side="right"))
-        i1 = int(np.searchsorted(arrivals, (k + 1) * t, side="left"))
-        winners = []
-        for m in range(i0, i1):
-            z = arrivals[m]
-            tau_cp = float(sample_computing_delay(params, h, delay_rng))
-            completion = max(k * t, z) + params.tau_down + tau_cp + params.tau_up
-            if completion <= min(z + t0, (k + 1) * t):
-                winners.append(m)
-        if winners:
-            trained = []
-            for m in winners:
-                idx, shift = datasets[m]
-                x_m = task.x_pool[idx]  # fancy indexing copies
-                if shift is not None:
-                    x_m[:, :-1] += shift
-                state = local_sgd(ModelState(w, k), x_m, task.y_pool[idx],
-                                  h, cfg, sgd_rng)
-                trained.append((state, cfg.samples_per_vehicle))
+        round_winners = winners[bounds[k]:bounds[k + 1]]
+        if round_winners.size:
+            trained = [(local_sgd(ModelState(w, k), task.x_pool, task.y_pool,
+                                  *datasets[m], sched.h, cfg, sgd_rng),
+                        cfg.samples_per_vehicle)
+                       for m in round_winners]
             w = aggregate(trained).weights
             rounds_valid += 1
         losses.append(mse_loss(w, task.x_val, task.y_val))
@@ -269,7 +264,7 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     losses_arr = np.asarray(losses)
     return FLRunResult(
         schedule=sched,
-        times=np.arange(rounds_total + 1) * t,
+        times=np.arange(rounds_total + 1) * sched.t,
         losses=losses_arr,
         l_min_curve=np.minimum.accumulate(losses_arr),
         rounds_total=rounds_total,

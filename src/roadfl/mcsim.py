@@ -3,7 +3,10 @@
 Replays the exact event timeline the closed-form model describes:
 Poisson arrivals over the road section, per-round participant sets,
 fresh shifted-exponential computing delays for every (vehicle, round)
-attempt, and the success rule completion <= deadline. The per-round
+attempt, and the success rule completion <= deadline. All of it lives
+in one round-major attempt table (attempts), which simulate_rounds
+aggregates block by block, subinterval_success_counts reads for pinned
+arrivals and flsim reads for each round's winners. The per-round
 success counts feed a goodness-of-fit report against the analytic
 Poisson law.
 
@@ -19,26 +22,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
 
 from .rng import substream
-from .types import (
-    InvalidParameterError,
-    RoundRecord,
-    Schedule,
-    SystemParams,
-    UploadAttempt,
-    VehicleTrace,
-)
+from .types import InvalidParameterError, Schedule, SystemParams
 
 __all__ = [
-    "SimConfig", "SimSummary", "PoissonFit",
-    "sample_computing_delay", "generate_arrivals", "simulate_rounds",
+    "SimConfig", "SimSummary", "PoissonFit", "Attempts",
+    "sample_computing_delay", "arrival_times", "attempts", "simulate_rounds",
     "compare_to_poisson", "subinterval_success_counts",
 ]
+
+# expected rows per attempt-table block in simulate_rounds: small blocks
+# bound memory and stay cache-resident, and any value gives the same
+# bytes, since delays are drawn sequentially
+ATTEMPTS_PER_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,6 @@ class SimSummary:
 
     histogram[k] is the number of recorded rounds with exactly k
     successes; participants/successes hold the per-round counts.
-    rounds carries full RoundRecord detail only when requested.
     """
 
     num_rounds: int
@@ -71,7 +71,6 @@ class SimSummary:
     successes: np.ndarray
     empirical_mean_msuc: float
     empirical_p_positive: float
-    rounds: tuple[RoundRecord, ...] = ()
 
     def frequencies(self) -> np.ndarray:
         return self.histogram / self.num_rounds
@@ -94,23 +93,23 @@ class PoissonFit:
 
 
 def sample_computing_delay(params: SystemParams, h: int, rng: np.random.Generator,
-                           size: int | None = None):
-    """Draw computing delays alpha*h - beta*h*ln(1 - U), U uniform [0,1).
+                           size: int) -> np.ndarray:
+    """Draw size computing delays alpha*h - beta*h*ln(1 - U), U uniform [0,1).
 
-    Support is [alpha*h, inf) with mean alpha*h + beta*h. Returns a
-    float when size is None, else an array.
+    Support is [alpha*h, inf) with mean alpha*h + beta*h.
     """
-    u = rng.random() if size is None else rng.random(size)
-    return params.alpha * h + params.beta * h * (-np.log1p(-u))
+    return params.alpha * h + params.beta * h * (-np.log1p(-rng.random(size)))
 
 
-def _arrival_times(params: SystemParams, horizon: float,
-                   rng: np.random.Generator) -> np.ndarray:
+def arrival_times(params: SystemParams, horizon: float,
+                  rng: np.random.Generator) -> np.ndarray:
     """Poisson arrival instants on (-t0, horizon), strictly increasing.
 
     Starting a dwell time before zero populates round 0's participant
     window correctly.
     """
+    if horizon <= 0:
+        raise InvalidParameterError("horizon must be positive")
     rate = params.arrival_rate
     if rate == 0:
         return np.empty(0)
@@ -130,130 +129,79 @@ def _arrival_times(params: SystemParams, horizon: float,
     return np.concatenate(pieces)
 
 
-def generate_arrivals(params: SystemParams, horizon: float,
-                      rng: np.random.Generator) -> list[VehicleTrace]:
-    """Vehicle traces for every arrival in (-t0, horizon)."""
-    if horizon <= 0:
-        raise InvalidParameterError("horizon must be positive")
-    times = _arrival_times(params, horizon, rng)
-    dwell = params.dwell_time
-    return [VehicleTrace.from_arrival(i, float(z), dwell)
-            for i, z in enumerate(times)]
+class Attempts(NamedTuple):
+    """One row per (vehicle, round) upload attempt, ordered by round and
+    then by arrival. vehicle indexes the arrival array."""
+
+    vehicle: np.ndarray
+    round: np.ndarray
+    start: np.ndarray
+    tau_cp: np.ndarray
+    completion: np.ndarray
+    deadline: np.ndarray
+    success: np.ndarray
 
 
-LinkDelaySampler = Callable[[np.random.Generator, int],
-                            tuple[np.ndarray, np.ndarray]]
+def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
+             k_begin: int, k_end: int, delay_rng: np.random.Generator) -> Attempts:
+    """Attempt table of rounds k_begin <= k < k_end.
 
-
-def _attempt_table(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
-                   k_total: int, delay_rng: np.random.Generator,
-                   link_rng: np.random.Generator | None = None,
-                   link_delays: LinkDelaySampler | None = None):
-    """Expand arrivals into one row per (vehicle, round) attempt.
-
-    A vehicle arriving at z participates in every round k with
-    k*t - t0 < z < (k+1)*t, i.e. k in the open interval
-    (z/t - 1, (z + t0)/t), clipped to the simulated range.
-
-    Returns (vehicle index, round index, arrival, computing delay,
-    completion, deadline, success) arrays.
+    Round k's participants are the vehicles with arrival z in
+    (k*t - t0, (k+1)*t). Each draws a fresh computing delay, finishes at
+    max(k*t, z) + tau_down + tau_cp + tau_up and succeeds iff that is no
+    later than min(z + t0, (k+1)*t). Delays are drawn in row order, so
+    building consecutive blocks consumes delay_rng exactly as one table
+    over their union would.
     """
-    h, t = sched.h, sched.t
-    t0 = params.dwell_time
-    k_lo = np.floor(arrivals / t - 1.0).astype(np.int64) + 1
-    k_hi = np.ceil((arrivals + t0) / t).astype(np.int64) - 1
-    np.clip(k_lo, 0, None, out=k_lo)
-    np.clip(k_hi, None, k_total - 1, out=k_hi)
-    counts = k_hi - k_lo + 1
-    live = counts > 0
-    z = arrivals[live]
-    vehicle_ids = np.nonzero(live)[0]
-    counts = counts[live]
-    k_lo = k_lo[live]
-
-    total = int(counts.sum())
-    rows = np.repeat(np.arange(z.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = k_lo[rows] + offsets
-
-    tau_cp = sample_computing_delay(params, h, delay_rng, size=total)
-    if link_delays is None:
-        tau_down = params.tau_down
-        tau_up = params.tau_up
-    else:
-        tau_down, tau_up = link_delays(link_rng, total)
-    zr = z[rows]
-    start = np.maximum(k * t, zr)
-    completion = start + tau_down + tau_cp + tau_up
-    deadline = np.minimum(zr + t0, (k + 1) * t)
-    success = completion <= deadline
-    return (vehicle_ids[rows], k, zr, start, tau_cp, completion, deadline, success)
+    t, t0 = sched.t, params.dwell_time
+    k = np.arange(k_begin, k_end)
+    first = np.searchsorted(arrivals, k * t - t0, side="right")
+    counts = np.searchsorted(arrivals, (k + 1) * t, side="left") - first
+    rnd = np.repeat(k, counts)
+    vehicle = np.arange(rnd.size) + np.repeat(first - (np.cumsum(counts) - counts),
+                                              counts)
+    z = arrivals[vehicle]
+    start = np.maximum(rnd * t, z)
+    tau_cp = sample_computing_delay(params, sched.h, delay_rng, rnd.size)
+    completion = start + params.tau_down + tau_cp + params.tau_up
+    deadline = np.minimum(z + t0, (rnd + 1) * t)
+    return Attempts(vehicle, rnd, start, tau_cp, completion, deadline,
+                    completion <= deadline)
 
 
-def simulate_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig,
-                    keep_attempts: bool = False,
-                    link_delays: LinkDelaySampler | None = None) -> SimSummary:
+def simulate_rounds(params: SystemParams, sched: Schedule,
+                    cfg: SimConfig) -> SimSummary:
     """Simulate warmup + num_rounds rounds and aggregate success counts.
 
-    Per round k: participants are the vehicles with arrival in
-    (k*t - t0, (k+1)*t); each draws a fresh computing delay, finishes at
-    max(k*t, arrival) + tau_down + tau_cp + tau_up and succeeds iff that
-    is no later than min(arrival + t0, (k+1)*t). Only rounds after the
-    warmup are recorded.
-
-    link_delays optionally replaces the constant download/upload delays
-    with per-attempt draws: a callable (rng, n) -> (down, up). Off by
-    default; the analytic model assumes constants.
+    The attempt table (see attempts) is built in blocks of rounds holding
+    about ATTEMPTS_PER_BLOCK rows each, so memory stays bounded whatever
+    num_rounds is. Warm-up rounds only shape the arrival stream; they
+    are neither recorded nor given delays.
     """
     k_total = cfg.warmup_rounds + cfg.num_rounds
-    horizon = k_total * sched.t
-    arrivals = _arrival_times(params, horizon, substream(cfg.seed, "arrivals"))
+    arrivals = arrival_times(params, k_total * sched.t,
+                             substream(cfg.seed, "arrivals"))
+    delay_rng = substream(cfg.seed, "delays")
+    per_round = params.arrival_rate * (sched.t + params.dwell_time)
+    block = max(1, int(ATTEMPTS_PER_BLOCK / max(per_round, 1.0)))
 
-    if arrivals.size == 0:
-        hist = np.zeros(1, dtype=np.int64)
-        hist[0] = cfg.num_rounds
-        zero = np.zeros(cfg.num_rounds, dtype=np.int64)
-        rounds = tuple(RoundRecord(k, 0, 0) for k in range(cfg.num_rounds)) \
-            if keep_attempts else ()
-        return SimSummary(cfg.num_rounds, hist, zero, zero.copy(), 0.0, 0.0, rounds)
-
-    vids, k, zr, start, tau_cp, completion, deadline, success = _attempt_table(
-        params, sched, arrivals, k_total, substream(cfg.seed, "delays"),
-        substream(cfg.seed, "links"), link_delays)
-
-    recorded = k >= cfg.warmup_rounds
-    k_rec = k[recorded] - cfg.warmup_rounds
-    m_k = np.bincount(k_rec, minlength=cfg.num_rounds)
-    m_suc = np.bincount(k_rec[success[recorded]], minlength=cfg.num_rounds)
-    hist = np.bincount(m_suc)
-
-    rounds: tuple[RoundRecord, ...] = ()
-    if keep_attempts:
-        per_round: dict[int, list[UploadAttempt]] = {}
-        for i in np.nonzero(recorded)[0]:
-            idx = int(k[i]) - cfg.warmup_rounds
-            per_round.setdefault(idx, []).append(UploadAttempt(
-                round_index=idx,
-                vehicle_id=int(vids[i]),
-                start_time=float(start[i]),
-                computing_delay=float(tau_cp[i]),
-                completion=float(completion[i]),
-                deadline=float(deadline[i]),
-                success=bool(success[i]),
-            ))
-        rounds = tuple(
-            RoundRecord(idx, int(m_k[idx]), int(m_suc[idx]),
-                        tuple(per_round.get(idx, ())))
-            for idx in range(cfg.num_rounds))
+    m_k = np.zeros(cfg.num_rounds, dtype=np.int64)
+    m_suc = np.zeros(cfg.num_rounds, dtype=np.int64)
+    for k_begin in range(cfg.warmup_rounds, k_total, block):
+        k_end = min(k_begin + block, k_total)
+        table = attempts(params, sched, arrivals, k_begin, k_end, delay_rng)
+        rel = table.round - k_begin
+        rows = slice(k_begin - cfg.warmup_rounds, k_end - cfg.warmup_rounds)
+        m_k[rows] = np.bincount(rel, minlength=k_end - k_begin)
+        m_suc[rows] = np.bincount(rel[table.success], minlength=k_end - k_begin)
 
     return SimSummary(
         num_rounds=cfg.num_rounds,
-        histogram=hist,
+        histogram=np.bincount(m_suc),
         participants=m_k,
         successes=m_suc,
         empirical_mean_msuc=float(m_suc.mean()),
         empirical_p_positive=float((m_suc > 0).mean()),
-        rounds=rounds,
     )
 
 
@@ -308,22 +256,18 @@ def subinterval_success_counts(params: SystemParams, sched: Schedule,
     """Empirical success counts for arrivals pinned to each sub-interval.
 
     Draws n_per_interval round-0 arrivals uniformly inside each of the
-    three sub-intervals of the participant window (-t0, t) and plays the
-    success rule. Conditioning a Poisson process on a sub-interval makes
+    three sub-intervals of the participant window (-t0, t) and reads
+    their round-0 rows of the attempt table. Conditioning a Poisson process on a sub-interval makes
     arrivals uniform there, so counts/n estimates the per-sub-interval
     success probabilities.
     """
-    t, h = sched.t, sched.h
-    t0 = params.dwell_time
+    t, t0 = sched.t, params.dwell_time
     if t >= t0:
         bounds = [(-t0, 0.0), (0.0, t - t0), (t - t0, t)]
     else:
         bounds = [(-t0, t - t0), (t - t0, 0.0), (0.0, t)]
     out = np.zeros(3, dtype=np.int64)
     for i, (a, b) in enumerate(bounds):
-        z = a + (b - a) * rng.random(n_per_interval)
-        tau_cp = sample_computing_delay(params, h, rng, size=n_per_interval)
-        completion = np.maximum(0.0, z) + params.tau_down + tau_cp + params.tau_up
-        deadline = np.minimum(z + t0, t)
-        out[i] = int((completion <= deadline).sum())
+        z = np.sort(a + (b - a) * rng.random(n_per_interval))
+        out[i] = int(attempts(params, sched, z, 0, 1, rng).success.sum())
     return out

@@ -3,16 +3,15 @@
 All times are seconds held as 64-bit floats, all counts are plain ints.
 Every type validates its invariants at construction, so the numeric
 modules never re-check inputs. Instances are frozen and may be shared
-freely across threads.
+freely across threads. Per-attempt simulation data is not a type here:
+it lives as arrays in mcsim's attempt table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
-
-DEFAULT_SAMPLES_PER_VEHICLE = 1024
 
 
 class InvalidParameterError(ValueError):
@@ -142,64 +141,3 @@ class AnalyticSnapshot:
         if self.xi <= 0:
             _require(self.lam == 0 and self.g == 0,
                      "infeasible schedule must have zero mean and zero frequency")
-
-
-@dataclass(frozen=True)
-class VehicleTrace:
-    """One vehicle: arrival, departure and local dataset size."""
-
-    id: int
-    arrival_time: float
-    departure_time: float
-    dataset_size: int = DEFAULT_SAMPLES_PER_VEHICLE
-
-    def __post_init__(self) -> None:
-        _require(self.departure_time > self.arrival_time,
-                 "departure must come after arrival")
-        _require(self.dataset_size >= 1, "dataset size must be positive")
-
-    @classmethod
-    def from_arrival(cls, id: int, arrival_time: float, dwell_time: float,
-                     dataset_size: int = DEFAULT_SAMPLES_PER_VEHICLE) -> "VehicleTrace":
-        return cls(id, arrival_time, arrival_time + dwell_time, dataset_size)
-
-
-@dataclass(frozen=True)
-class UploadAttempt:
-    """One vehicle's attempt to deliver its model within one round.
-
-    completion is the instant the upload would finish; deadline is the
-    earlier of round end and the vehicle's departure.
-    """
-
-    round_index: int
-    vehicle_id: int
-    start_time: float
-    computing_delay: float
-    completion: float
-    deadline: float
-    success: bool
-
-    def __post_init__(self) -> None:
-        _require(self.computing_delay >= 0, "computing delay must be non-negative")
-        _require(self.success == (self.completion <= self.deadline),
-                 "success flag must match completion <= deadline")
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Participant and success counts of one simulated round."""
-
-    round_index: int
-    participants: int
-    successes: int
-    attempts: tuple[UploadAttempt, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        _require(0 <= self.successes <= self.participants,
-                 "successes must lie between 0 and the participant count")
-        if self.attempts:
-            _require(len(self.attempts) == self.participants,
-                     "attempt list must cover every participant")
-            _require(sum(1 for a in self.attempts if a.success) == self.successes,
-                     "success count must match the attempt list")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roadfl import analytic as an
-from roadfl import flsim
+from roadfl import flsim, mcsim
 from roadfl.rng import substream
 from roadfl.types import InvalidParameterError, Schedule, SystemParams
 
@@ -74,7 +74,8 @@ class TestLocalSgd:
         cfg = small_cfg()
         task = flsim.generate_task(cfg, substream(8, "task"))
         w0 = flsim.ModelState(np.full(cfg.feature_dim + 1, 0.5))
-        out = flsim.local_sgd(w0, task.x_pool, task.y_pool, 0, cfg,
+        out = flsim.local_sgd(w0, task.x_pool, task.y_pool,
+                              np.arange(cfg.global_pool_size), None, 0, cfg,
                               substream(8, "sgd"))
         assert np.array_equal(out.weights, w0.weights)
 
@@ -93,10 +94,30 @@ class TestLocalSgd:
         losses = [flsim.mse_loss(state.weights, x, y)]
         rng_sgd = substream(9, "sgd")
         for _ in range(25):
-            state = flsim.local_sgd(state, x, y, 1, cfg, rng_sgd)
+            state = flsim.local_sgd(state, x, y, np.arange(64), None, 1, cfg,
+                                    rng_sgd)
             losses.append(flsim.mse_loss(state.weights, x, y))
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-3 * losses[0]
+
+    def test_rows_and_shift_match_shifted_copy(self):
+        # gathering and shifting only the batch rows is bitwise the same
+        # as training on a shifted copy of the vehicle's dataset
+        cfg = small_cfg()
+        task = flsim.generate_task(cfg, substream(12, "task"))
+        rng = substream(12, "data")
+        rows = rng.choice(cfg.global_pool_size, size=cfg.samples_per_vehicle,
+                          replace=False)
+        shift = 0.3 * rng.standard_normal(cfg.feature_dim)
+        x_copy = task.x_pool[rows]
+        x_copy[:, :-1] += shift
+        w0 = flsim.ModelState(np.zeros(cfg.feature_dim + 1))
+        gathered = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, shift, 12,
+                                   cfg, substream(12, "sgd"))
+        copied = flsim.local_sgd(w0, x_copy, task.y_pool[rows],
+                                 np.arange(rows.size), None, 12, cfg,
+                                 substream(12, "sgd"))
+        assert np.array_equal(gathered.weights, copied.weights)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
@@ -109,7 +130,8 @@ class TestLocalSgd:
         state = flsim.ModelState(np.zeros(5))
         with pytest.raises(flsim.DivergenceError):
             for _ in range(400):
-                state = flsim.local_sgd(state, x, y, 10, cfg, rng)
+                state = flsim.local_sgd(state, x, y, np.arange(64), None, 10,
+                                        cfg, rng)
 
 
 class TestAggregate:
@@ -183,6 +205,30 @@ class TestRunFl:
         b = flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
         assert np.array_equal(a.losses, b.losses)
         assert a.rounds_valid == b.rounds_valid
+
+    def test_rounds_valid_matches_attempt_table(self, reference_params):
+        sched = Schedule(16, 9.0)
+        cfg = small_cfg()
+        res = flsim.run_fl(reference_params, sched, cfg)
+        tag = f"{sched.h}:{sched.t:.9g}"
+        arrivals = mcsim.arrival_times(reference_params, res.rounds_total * sched.t,
+                                       substream(cfg.seed, "arrivals", tag))
+        table = mcsim.attempts(reference_params, sched, arrivals, 0, res.rounds_total,
+                               substream(cfg.seed, "delays", tag))
+        won = np.unique(table.round[table.success])
+        assert res.rounds_valid == won.size > 0
+        # the global model moves only in rounds with a success
+        assert set(np.flatnonzero(np.diff(res.losses) != 0)) <= set(won.tolist())
+
+    def test_infeasible_schedule_never_trains(self, reference_params, monkeypatch):
+        # t = 6 s is below t_min(24) = 6.8 s: no upload can arrive in time
+        def refuse(*args, **kwargs):
+            raise AssertionError("local_sgd called for an infeasible schedule")
+
+        monkeypatch.setattr(flsim, "local_sgd", refuse)
+        res = flsim.run_fl(reference_params, Schedule(24, 6.0), small_cfg())
+        assert res.rounds_valid == 0
+        assert np.all(res.losses == res.losses[0])
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):

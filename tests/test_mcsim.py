@@ -38,45 +38,59 @@ class TestComputingDelay:
         frac = float((draws <= median).mean())
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
-    def test_scalar_draw(self, reference_params):
-        value = mcsim.sample_computing_delay(reference_params, 24, substream(4, "x"))
-        assert isinstance(float(value), float)
-        assert value >= reference_params.alpha * 24
-
 
 class TestArrivals:
     def test_no_traffic(self, reference_params):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        assert mcsim.generate_arrivals(p, 100.0, substream(1, "a")) == []
+        assert mcsim.arrival_times(p, 100.0, substream(1, "a")).size == 0
 
     def test_count_confidence_interval(self, reference_params):
         horizon = 1e5
-        traces = mcsim.generate_arrivals(reference_params, horizon, substream(5, "a"))
+        times = mcsim.arrival_times(reference_params, horizon, substream(5, "a"))
         expected = reference_params.arrival_rate * (horizon + reference_params.dwell_time)
-        assert abs(len(traces) - expected) <= 3 * math.sqrt(expected)
+        assert abs(times.size - expected) <= 3 * math.sqrt(expected)
 
     def test_strictly_increasing_and_window(self, reference_params):
-        traces = mcsim.generate_arrivals(reference_params, 500.0, substream(6, "a"))
-        times = [tr.arrival_time for tr in traces]
-        assert all(a < b for a, b in zip(times, times[1:]))
+        times = mcsim.arrival_times(reference_params, 500.0, substream(6, "a"))
+        assert np.all(np.diff(times) > 0)
         assert times[0] > -reference_params.dwell_time
         assert times[-1] < 500.0
 
     def test_dwell_duration(self, reference_params):
-        traces = mcsim.generate_arrivals(reference_params, 200.0, substream(7, "a"))
+        # a vehicle attempts in exactly the rounds its dwell (z, z + t0)
+        # overlaps, and every attempt lies inside that dwell
+        sched = Schedule(8, 7.0)
+        times = mcsim.arrival_times(reference_params, 210.0, substream(7, "a"))
+        table = mcsim.attempts(reference_params, sched, times, 0, 30,
+                               substream(7, "d"))
         t0 = reference_params.dwell_time
-        for tr in traces:
-            assert tr.departure_time - tr.arrival_time == pytest.approx(t0, rel=1e-12)
+        z = times[table.vehicle]
+        assert np.all(table.start >= z)
+        assert np.all(table.deadline <= z + t0)
+        for m, zm in enumerate(times):
+            rounds = table.round[table.vehicle == m].tolist()
+            assert rounds == [k for k in range(30)
+                              if k * sched.t < zm + t0 and (k + 1) * sched.t > zm]
 
     def test_deterministic(self, reference_params):
-        a = mcsim.generate_arrivals(reference_params, 300.0, substream(8, "a"))
-        b = mcsim.generate_arrivals(reference_params, 300.0, substream(8, "a"))
-        assert a == b
+        a = mcsim.arrival_times(reference_params, 300.0, substream(8, "a"))
+        b = mcsim.arrival_times(reference_params, 300.0, substream(8, "a"))
+        assert np.array_equal(a, b)
 
     def test_bad_horizon(self, reference_params):
         with pytest.raises(InvalidParameterError):
-            mcsim.generate_arrivals(reference_params, 0.0, substream(9, "a"))
+            mcsim.arrival_times(reference_params, 0.0, substream(9, "a"))
+
+
+def recorded_table(params, sched, cfg):
+    """The attempt table simulate_rounds aggregates, built in one piece."""
+    k_total = cfg.warmup_rounds + cfg.num_rounds
+    arrivals = mcsim.arrival_times(params, k_total * sched.t,
+                                   substream(cfg.seed, "arrivals"))
+    table = mcsim.attempts(params, sched, arrivals, cfg.warmup_rounds, k_total,
+                           substream(cfg.seed, "delays"))
+    return arrivals, table
 
 
 class TestSimulateRounds:
@@ -114,43 +128,57 @@ class TestSimulateRounds:
     def test_attempt_invariants(self, reference_params):
         sched = Schedule(24, 11.8)
         cfg = mcsim.SimConfig(seed=4, num_rounds=200)
-        summary = mcsim.simulate_rounds(reference_params, sched, cfg,
-                                        keep_attempts=True)
-        floor = reference_params.alpha * sched.h
-        t0 = reference_params.dwell_time
-        seen_attempts = 0
-        for record in summary.rounds:
-            k = record.round_index + cfg.warmup_rounds
-            for a in record.attempts:
-                seen_attempts += 1
-                assert a.success == (a.completion <= a.deadline)
-                assert a.computing_delay >= floor
-                assert a.deadline <= (k + 1) * sched.t
-                assert a.deadline <= a.start_time + t0  # departure cap
-                assert a.start_time >= k * sched.t
-                assert a.completion == pytest.approx(
-                    a.start_time + reference_params.tau_down
-                    + a.computing_delay + reference_params.tau_up, rel=1e-12)
-        assert seen_attempts == summary.participants.sum()
+        summary = mcsim.simulate_rounds(reference_params, sched, cfg)
+        arrivals, a = recorded_table(reference_params, sched, cfg)
+        t, t0 = sched.t, reference_params.dwell_time
+        z = arrivals[a.vehicle]
+        assert np.array_equal(a.success, a.completion <= a.deadline)
+        assert np.all(a.tau_cp >= reference_params.alpha * sched.h)
+        assert np.all(a.deadline <= (a.round + 1) * t)
+        assert np.all(a.deadline <= z + t0)  # departure cap
+        assert np.all(a.start >= a.round * t)
+        assert np.all(a.start >= z)
+        assert a.completion == pytest.approx(
+            a.start + reference_params.tau_down + a.tau_cp
+            + reference_params.tau_up, rel=1e-12)
+        # round-major, then by arrival, and exactly the window's vehicles
+        expected = [np.flatnonzero((arrivals > k * t - t0) & (arrivals < (k + 1) * t))
+                    for k in range(cfg.warmup_rounds, cfg.warmup_rounds + cfg.num_rounds)]
+        assert np.array_equal(a.vehicle, np.concatenate(expected))
+        assert np.all(np.diff(a.round) >= 0)
+        # per-round counts are the summary's
+        k_rec = a.round - cfg.warmup_rounds
+        assert np.array_equal(np.bincount(k_rec, minlength=cfg.num_rounds),
+                              summary.participants)
+        assert np.array_equal(np.bincount(k_rec[a.success], minlength=cfg.num_rounds),
+                              summary.successes)
+        assert np.all(summary.successes <= summary.participants)
         hist = np.bincount(summary.successes)
         assert np.array_equal(hist, summary.histogram)
 
     def test_vehicles_span_multiple_short_rounds(self, reference_params):
         # t < t0: each vehicle sits in several round windows
         sched = Schedule(8, 5.0)
-        summary = mcsim.simulate_rounds(reference_params, sched,
-                                        mcsim.SimConfig(seed=5, num_rounds=400),
-                                        keep_attempts=True)
-        per_vehicle: dict[int, int] = {}
-        for record in summary.rounds:
-            for a in record.attempts:
-                per_vehicle[a.vehicle_id] = per_vehicle.get(a.vehicle_id, 0) + 1
-        spans = np.array(sorted(per_vehicle.values()))
+        _, table = recorded_table(reference_params, sched,
+                                  mcsim.SimConfig(seed=5, num_rounds=400))
+        per_vehicle = np.bincount(table.vehicle)
+        spans = np.sort(per_vehicle[per_vehicle > 0])
         expected = reference_params.dwell_time / sched.t  # about 4 windows each
         assert spans.max() >= math.floor(expected)
         # interior vehicles appear in floor(t0/t) or +1 consecutive rounds
         interior = spans[10:-10]
         assert set(interior.tolist()) <= {4, 5}
+
+    def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
+        sched = Schedule(8, 10.0)
+        cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
+        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 50)
+        small = mcsim.simulate_rounds(reference_params, sched, cfg)
+        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
+        whole = mcsim.simulate_rounds(reference_params, sched, cfg)
+        assert np.array_equal(small.histogram, whole.histogram)
+        assert np.array_equal(small.successes, whole.successes)
+        assert np.array_equal(small.participants, whole.participants)
 
 
 class TestPoissonFit:
@@ -191,33 +219,6 @@ class TestPoissonFit:
         fit = mcsim.compare_to_poisson(s, lam)
         assert fit.tv_distance < 0.02
         assert fit.mean_rel_error < 0.03
-
-
-class TestLinkDelayHook:
-    def test_constant_sampler_reproduces_default(self, reference_params):
-        cfg = mcsim.SimConfig(seed=12, num_rounds=500)
-        sched = Schedule(24, 11.8)
-        base = mcsim.simulate_rounds(reference_params, sched, cfg)
-
-        def constants(rng, n):
-            return (np.full(n, reference_params.tau_down),
-                    np.full(n, reference_params.tau_up))
-
-        hooked = mcsim.simulate_rounds(reference_params, sched, cfg,
-                                       link_delays=constants)
-        assert np.array_equal(base.successes, hooked.successes)
-
-    def test_slow_links_reduce_successes(self, reference_params):
-        cfg = mcsim.SimConfig(seed=13, num_rounds=2000)
-        sched = Schedule(24, 11.8)
-        base = mcsim.simulate_rounds(reference_params, sched, cfg)
-
-        def congested(rng, n):
-            return 1.0 + 2.0 * rng.random(n), 1.0 + 2.0 * rng.random(n)
-
-        hooked = mcsim.simulate_rounds(reference_params, sched, cfg,
-                                       link_delays=congested)
-        assert hooked.empirical_mean_msuc < base.empirical_mean_msuc
 
 
 def test_subinterval_rates_match_probabilities(reference_params):

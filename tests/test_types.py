@@ -5,11 +5,8 @@ import pytest
 
 from roadfl.types import (
     InvalidParameterError,
-    RoundRecord,
     Schedule,
     SystemParams,
-    UploadAttempt,
-    VehicleTrace,
     validate_params,
 )
 
@@ -99,31 +96,3 @@ def test_bad_schedules_rejected(h, t):
 def test_schedule_accepts_integral_duration():
     assert Schedule(24, 12).t == 12.0
 
-
-def test_vehicle_trace_dwell():
-    trace = VehicleTrace.from_arrival(3, 17.25, 20.0, dataset_size=64)
-    assert trace.departure_time == pytest.approx(trace.arrival_time + 20.0, rel=1e-12)
-    with pytest.raises(InvalidParameterError):
-        VehicleTrace(0, 5.0, 4.0)
-    with pytest.raises(InvalidParameterError):
-        VehicleTrace(0, 5.0, 6.0, dataset_size=0)
-
-
-def test_upload_attempt_flag_must_match_times():
-    UploadAttempt(0, 1, 0.0, 2.0, 4.0, 5.0, True)
-    with pytest.raises(InvalidParameterError):
-        UploadAttempt(0, 1, 0.0, 2.0, 4.0, 5.0, False)
-    with pytest.raises(InvalidParameterError):
-        UploadAttempt(0, 1, 0.0, 2.0, 6.0, 5.0, True)
-
-
-def test_round_record_counts():
-    ok = UploadAttempt(0, 1, 0.0, 2.0, 4.0, 5.0, True)
-    late = UploadAttempt(0, 2, 0.0, 2.0, 7.0, 5.0, False)
-    RoundRecord(0, 2, 1, (ok, late))
-    with pytest.raises(InvalidParameterError):
-        RoundRecord(0, 2, 3)
-    with pytest.raises(InvalidParameterError):
-        RoundRecord(0, 2, 2, (ok, late))
-    with pytest.raises(InvalidParameterError):
-        RoundRecord(0, 1, 1, (ok, late))
