@@ -1,19 +1,15 @@
 """Round scheduling, analysis and simulation for federated learning with
 vehicles passing a roadside base station."""
 
-from .types import (
-    Schedule,
-    SystemParams,
-    validate_params,
-)
-from .analytic import g, lambda_param, snapshot, success_probability
+from .types import Schedule, SystemParams
+from .analytic import g, lambda_param, success_probability
 from .optimizer import OptimizerConfig, brute_force_argmax, optimize_schedule
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Schedule", "SystemParams", "validate_params",
-    "g", "lambda_param", "snapshot", "success_probability",
+    "Schedule", "SystemParams",
+    "g", "lambda_param", "success_probability",
     "OptimizerConfig", "optimize_schedule", "brute_force_argmax",
     "__version__",
 ]

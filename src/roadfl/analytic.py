@@ -24,78 +24,61 @@ g is extended by zero wherever xi <= 0 so the optimizer sees a total
 objective. 1 - exp(-x) is evaluated via expm1 throughout to keep
 precision when the slack is small.
 
-Scalar entry points take a Schedule; the *_curve variants accept a
-vector of round lengths for one h, which the optimizer and the sweep
-command use.
+Every function takes the iteration count h and, where it depends on
+it, the round length t as scalars or arrays, and broadcasts them
+against each other with numpy's rules: the optimizer passes one lane
+per h, the sweep command an (h, 1) column against a (1, t) row.
+Scalar inputs give numpy scalars. An array result is bitwise equal to
+evaluating each element on its own.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .types import (
-    AnalyticSnapshot,
-    InfeasibleScheduleError,
-    Schedule,
-    SystemParams,
-    UnboundedSearchError,
-)
+from .types import InfeasibleScheduleError, SystemParams, UnboundedSearchError
 
 __all__ = [
     "t_min", "xi", "lambda_param", "success_probability", "subinterval_probs",
-    "g", "dg_dt", "c0_c1", "t_max", "snapshot",
-    "lambda_curve", "g_curve", "dg_dt_curve",
+    "g", "dg_dt", "c0_c1", "t_max",
 ]
 
 
-def t_min(params: SystemParams, h: int) -> float:
+def t_min(params: SystemParams, h):
     """Fastest possible download + h-iteration compute + upload pipeline."""
-    return params.alpha * h + params.tau_down + params.tau_up
+    return (params.alpha * np.asarray(h, dtype=float)
+            + params.tau_down + params.tau_up)[()]
 
 
-def _xi_curve(params: SystemParams, h: int, t: np.ndarray) -> np.ndarray:
-    return np.minimum(t, params.dwell_time) - t_min(params, h)
-
-
-def xi(params: SystemParams, sched: Schedule) -> float:
+def xi(params: SystemParams, h, t):
     """Success slack min(t, t0) - t_min(h). May be <= 0 (infeasible)."""
-    return float(_xi_curve(params, sched.h, np.asarray(sched.t, dtype=float)))
+    return (np.minimum(np.asarray(t, dtype=float), params.dwell_time)
+            - t_min(params, h))[()]
 
 
-def lambda_curve(params: SystemParams, h: int, t) -> np.ndarray:
+def lambda_param(params: SystemParams, h, t):
     """Poisson mean of the per-round success count, 0 where xi <= 0."""
     t = np.asarray(t, dtype=float)
-    bh = params.beta * h
-    xi_v = _xi_curve(params, h, t)
+    bh = params.beta * np.asarray(h, dtype=float)
+    xi_v = xi(params, h, t)
     ramp = -np.expm1(-np.maximum(xi_v, 0.0) / bh)
     lam = 2.0 * params.arrival_rate * xi_v \
         + params.arrival_rate * ramp * (np.abs(t - params.dwell_time) - 2.0 * bh)
-    return np.where(xi_v > 0.0, lam, 0.0)
+    return np.where(xi_v > 0.0, lam, 0.0)[()]
 
 
-def lambda_param(params: SystemParams, sched: Schedule) -> float:
-    return float(lambda_curve(params, sched.h, sched.t))
-
-
-def success_probability(params: SystemParams, sched: Schedule) -> float:
+def success_probability(params: SystemParams, h, t):
     """Probability that at least one vehicle succeeds in a round."""
-    return float(-math.expm1(-lambda_param(params, sched)))
+    return (-np.expm1(-lambda_param(params, h, t)))[()]
 
 
-def g_curve(params: SystemParams, h: int, t) -> np.ndarray:
+def g(params: SystemParams, h, t):
     """Valid-update frequency (h/t) * P(at least one success)."""
-    t = np.asarray(t, dtype=float)
-    lam = lambda_curve(params, h, t)
-    return (h / t) * (-np.expm1(-lam))
+    return (np.asarray(h, dtype=float) / np.asarray(t, dtype=float)
+            * success_probability(params, h, t))[()]
 
 
-def g(params: SystemParams, sched: Schedule) -> float:
-    return float(g_curve(params, sched.h, sched.t))
-
-
-def dg_dt_curve(params: SystemParams, h: int, t) -> np.ndarray:
+def dg_dt(params: SystemParams, h, t):
     """Exact partial derivative of g with respect to the round length.
 
     d(lam)/dt is piecewise: for t >= t0 the slack saturates at t0 - t_min
@@ -108,31 +91,27 @@ def dg_dt_curve(params: SystemParams, h: int, t) -> np.ndarray:
     The two branches agree in the limit t -> t0, so the derivative is
     continuous there. Requires xi > 0 everywhere.
     """
+    h = np.asarray(h, dtype=float)
     t = np.asarray(t, dtype=float)
     t0 = params.dwell_time
     tmin = t_min(params, h)
     bh = params.beta * h
     rate = params.arrival_rate
 
-    xi_v = _xi_curve(params, h, t)
-    if np.any(xi_v <= 0.0):
+    if np.any(xi(params, h, t) <= 0.0):
         raise InfeasibleScheduleError(
             "derivative undefined: schedule leaves no success window (xi <= 0)")
 
-    c0 = -math.expm1(-(t0 - tmin) / bh)
+    c0, _ = c0_c1(params, h)
     x = (t - tmin) / bh
     below = rate * (2.0 + ((t0 - t - 2.0 * bh) / bh) * np.exp(-x) + np.expm1(-x))
     dlam = np.where(t >= t0, rate * c0, below)
 
-    lam = lambda_curve(params, h, t)
-    return h * (np.exp(-lam) * dlam / t - (-np.expm1(-lam)) / (t * t))
+    lam = lambda_param(params, h, t)
+    return (h * (np.exp(-lam) * dlam / t - (-np.expm1(-lam)) / (t * t)))[()]
 
 
-def dg_dt(params: SystemParams, sched: Schedule) -> float:
-    return float(dg_dt_curve(params, sched.h, sched.t))
-
-
-def subinterval_probs(params: SystemParams, sched: Schedule) -> tuple[float, float, float]:
+def subinterval_probs(params: SystemParams, h, t):
     """Success probability conditioned on where in the round window the
     vehicle arrives.
 
@@ -151,35 +130,36 @@ def subinterval_probs(params: SystemParams, sched: Schedule) -> tuple[float, flo
     and the identity
         rate * min(t,t0) * (p1 + p3) + rate * |t - t0| * p2 == lam(h, t).
     """
-    xi_v = xi(params, sched)
-    if xi_v <= 0:
+    xi_v = xi(params, h, t)
+    if np.any(xi_v <= 0):
         raise InfeasibleScheduleError(
             "sub-interval probabilities undefined: no success window (xi <= 0)")
-    bh = params.beta * sched.h
-    p2 = -math.expm1(-xi_v / bh)
-    span = min(sched.t, params.dwell_time)
-    p13 = (xi_v - bh * p2) / span
+    bh = params.beta * np.asarray(h, dtype=float)
+    p2 = (-np.expm1(-xi_v / bh))[()]
+    p13 = ((xi_v - bh * p2) / np.minimum(np.asarray(t, dtype=float),
+                                         params.dwell_time))[()]
     return p13, p2, p13
 
 
-def c0_c1(params: SystemParams, h: int) -> tuple[float, float]:
+def c0_c1(params: SystemParams, h):
     """Saturated-slack coefficients used by the search upper bound.
 
     c0 = 1 - exp(-(t0 - t_min)/(beta*h)), in (0, 1);
     c1 = 2*(t0 - t_min) - (t0 + 2*beta*h) * c0, sign decides whether the
     per-h optimum can lie beyond t0. Defined only when t_min(h) < t0.
     """
+    h = np.asarray(h, dtype=float)
     gap = params.dwell_time - t_min(params, h)
-    if gap <= 0:
+    if np.any(gap <= 0):
         raise InfeasibleScheduleError(
-            f"iteration count {h} cannot fit inside the dwell time")
+            f"iteration count {h[gap <= 0][0]:g} cannot fit inside the dwell time")
     bh = params.beta * h
-    c0 = -math.expm1(-gap / bh)
+    c0 = -np.expm1(-gap / bh)
     c1 = 2.0 * gap - (params.dwell_time + 2.0 * bh) * c0
-    return c0, c1
+    return c0[()], c1[()]
 
 
-def t_max(params: SystemParams, h: int) -> float:
+def t_max(params: SystemParams, h):
     """Upper end of the per-h search interval for the round length.
 
     Beyond this point the derivative of g in t is provably negative:
@@ -188,35 +168,12 @@ def t_max(params: SystemParams, h: int) -> float:
     the interval is unbounded and the caller must decide policy.
     """
     c0, c1 = c0_c1(params, h)
-    if c1 >= 0:
-        return params.dwell_time
-    if params.arrival_rate == 0:
+    rate = params.arrival_rate
+    beyond = c1 < 0
+    if rate == 0 and np.any(beyond):
         raise UnboundedSearchError(
             "search interval unbounded: no arrivals and c1 < 0")
-    return params.dwell_time + (1.0 - 12.0 * params.arrival_rate * c1) \
-        / (4.0 * params.arrival_rate * c0)
-
-
-def snapshot(params: SystemParams, sched: Schedule) -> AnalyticSnapshot:
-    """Evaluate every closed-form quantity for one (params, schedule)."""
-    xi_v = xi(params, sched)
-    feasible_h = t_min(params, sched.h) < params.dwell_time
-    if feasible_h:
-        c0, c1 = c0_c1(params, sched.h)
-        try:
-            tmax = t_max(params, sched.h)
-        except UnboundedSearchError:
-            tmax = math.inf
-    else:
-        c0 = c1 = tmax = math.nan
-    return AnalyticSnapshot(
-        t0=params.dwell_time,
-        t_min=t_min(params, sched.h),
-        xi=xi_v,
-        lam=lambda_param(params, sched),
-        c0=c0,
-        c1=c1,
-        t_max=tmax,
-        g=g(params, sched),
-        dg_dt=dg_dt(params, sched) if xi_v > 0 else math.nan,
-    )
+    # t0 + 0.0 is exactly t0, so the c1 >= 0 lanes keep the dwell time
+    excess = np.divide(1.0 - 12.0 * rate * c1, 4.0 * rate * c0,
+                       out=np.zeros_like(c1), where=beyond)
+    return (params.dwell_time + excess)[()]

@@ -31,6 +31,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import analytic, optimizer
 from .flsim import FLConfig, proxy_correlation, run_fl
 from .mcsim import SimConfig, compare_to_poisson, simulate_rounds
@@ -48,6 +50,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERIC = 3
+
+# A sweep's (h, t) points are held in memory at once; this caps them.
+MAX_SWEEP_POINTS = 2**20
 
 
 class ConfigError(ValueError):
@@ -254,7 +259,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
     summary = simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
-    lam = analytic.lambda_param(cfg.system, cfg.schedule)
+    lam = analytic.lambda_param(cfg.system, cfg.schedule.h, cfg.schedule.t)
     fit = compare_to_poisson(summary, lam)
     out = cfg.output_dir
     _write_rows(out / "poisson_fit.csv",
@@ -280,22 +285,24 @@ def _parse_h_list(text: str) -> list[int]:
     return hs
 
 
-def _parse_t_grid(text: str) -> list[float]:
+def _parse_t_grid(text: str) -> np.ndarray:
+    """Round lengths start + k*step for k = 0, 1, ... up to stop."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ConfigError(f"t grid {text!r} must be start:stop:step")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"t grid {text!r} must have finite start, stop and step")
     if step <= 0 or start <= 0:
         raise ConfigError("t grid needs positive start and step")
-    ts = []
-    k = 0
-    while True:
-        t = start + k * step
-        if t > stop + 1e-12:
-            break
-        ts.append(t)
-        k += 1
-    if not ts:
+    limit = stop + 1e-12
+    span = (limit - start) / step
+    if span >= MAX_SWEEP_POINTS:
+        raise ConfigError(f"t grid {text!r} has more than {MAX_SWEEP_POINTS} points")
+    # one spare point absorbs rounding in span; the filter drops it
+    ts = start + step * np.arange(max(math.floor(span), -1) + 2)
+    ts = ts[ts <= limit]
+    if ts.size == 0:
         raise ConfigError("t grid is empty")
     return ts
 
@@ -303,26 +310,29 @@ def _parse_t_grid(text: str) -> list[float]:
 def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
     hs = _parse_h_list(h_list)
     ts = _parse_t_grid(t_grid)
-    rows = []
-    for h in hs:
-        lam = analytic.lambda_curve(cfg.system, h, ts)
-        g = analytic.g_curve(cfg.system, h, ts)
-        for t, lam_v, g_v in zip(ts, lam, g):
-            rows.append((h, t, float(g_v), float(lam_v), -math.expm1(-float(lam_v))))
+    points = len(hs) * ts.size
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep has {points} (h, t) points, "
+                          f"more than {MAX_SWEEP_POINTS}")
+    h_col = np.array(hs, dtype=float)[:, None]
+    t_row = ts[None, :]
+    rows = zip([h for h in hs for _ in range(ts.size)],
+               np.tile(ts, len(hs)).tolist(),
+               analytic.g(cfg.system, h_col, t_row).ravel().tolist(),
+               analytic.lambda_param(cfg.system, h_col, t_row).ravel().tolist(),
+               analytic.success_probability(cfg.system, h_col, t_row).ravel().tolist())
     _write_rows(cfg.output_dir / "surface.csv",
                 ("h", "t_s", "g", "lambda", "p_success"), rows)
-    print(f"surface: {len(rows)} points")
+    print(f"surface: {points} points")
     return EXIT_OK
 
 
 def _default_fl_grid(cfg: ExperimentConfig) -> list[Schedule]:
     """Per-h optimum scaled by {0.6, 1.0, 1.6} for h in {8, 16, 24, 40}."""
-    schedules = []
-    for h in (8, 16, 24, 40):
-        t_opt, _, _ = optimizer.optimize_round_length(cfg.system, h, cfg.optimizer)
-        for factor in (0.6, 1.0, 1.6):
-            schedules.append(Schedule(h, factor * t_opt))
-    return schedules
+    hs = (8, 16, 24, 40)
+    t_opt, _, _ = optimizer.optimize_round_lengths(cfg.system, hs, cfg.optimizer)
+    return [Schedule(h, factor * t) for h, t in zip(hs, t_opt.tolist())
+            for factor in (0.6, 1.0, 1.6)]
 
 
 def _parse_schedules(text: str) -> list[Schedule]:

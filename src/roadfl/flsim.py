@@ -252,13 +252,16 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
 
     for k in range(rounds_total):
         round_winners = winners[bounds[k]:bounds[k + 1]]
-        if round_winners.size:
-            trained = [(local_sgd(ModelState(w, k), task.x_pool, task.y_pool,
-                                  *datasets[m], sched.h, cfg, sgd_rng),
-                        cfg.samples_per_vehicle)
-                       for m in round_winners]
-            w = aggregate(trained).weights
-            rounds_valid += 1
+        if round_winners.size == 0:
+            # no upload: the model and hence its loss are unchanged
+            losses.append(losses[-1])
+            continue
+        trained = [(local_sgd(ModelState(w, k), task.x_pool, task.y_pool,
+                              *datasets[m], sched.h, cfg, sgd_rng),
+                    cfg.samples_per_vehicle)
+                   for m in round_winners]
+        w = aggregate(trained).weights
+        rounds_valid += 1
         losses.append(mse_loss(w, task.x_val, task.y_val))
 
     losses_arr = np.asarray(losses)
@@ -290,7 +293,8 @@ def proxy_correlation(results: Sequence[FLRunResult],
     if len(results) < 8:
         raise InvalidParameterError(
             "need at least 8 schedules for a rank correlation")
-    g_vals = np.array([analytic.g(params, r.schedule) for r in results])
+    g_vals = analytic.g(params, [r.schedule.h for r in results],
+                        [r.schedule.t for r in results])
     score = np.array([-r.l_min for r in results])
     if np.all(g_vals == g_vals[0]) or np.all(score == score[0]):
         return CorrelationReport(math.nan, True, len(results))

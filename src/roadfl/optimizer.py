@@ -2,9 +2,11 @@
 
 For each feasible h the objective g(h, .) is unimodal on
 (t_min(h), t_max(h)], so the per-h optimum is located by bisection on
-the sign of dg/dt until the bracket is narrower than gamma. The outer
-loop takes the argmax over h = 1 .. h_max. A dense-grid brute-force
-scan over the same domain serves as an independent oracle.
+the sign of dg/dt until the bracket is narrower than gamma. The
+bisection runs across all h = 1 .. h_max at once, one array lane per
+h with its own bracket and stop rule, and the argmax over h follows. A
+dense-grid brute-force scan over the same domain, one h at a time,
+serves as an independent oracle.
 
 Ties are broken toward the smaller h and then the smaller t; this is a
 determinism choice, both searches apply it.
@@ -22,13 +24,12 @@ from .types import (
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
     InvalidParameterError,
-    Schedule,
     SystemParams,
 )
 
 __all__ = [
     "OptimizerConfig", "OptimizationResult", "h_max",
-    "optimize_round_length", "optimize_schedule", "brute_force_argmax",
+    "optimize_round_lengths", "optimize_schedule", "brute_force_argmax",
     "scan_round_lengths",
 ]
 
@@ -97,46 +98,53 @@ def h_max(params: SystemParams) -> int:
     return h
 
 
-def optimize_round_length(params: SystemParams, h: int,
-                          cfg: OptimizerConfig) -> tuple[float, float, int]:
-    """Bisection on the sign of dg/dt over (t_min(h), t_max(h)].
+def optimize_round_lengths(params: SystemParams, hs,
+                           cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisection on the sign of dg/dt over (t_min(h), t_max(h)], one lane
+    per entry of the 1-d sequence hs, all lanes at once.
 
-    Returns (round length, g value, evaluation count). The result is
+    Each lane keeps its own bracket and stops on its own rule; a step
+    evaluates dg/dt only on the lanes still open. Returns per-lane
+    arrays (round length, g value, evaluation count). Each result is
     within gamma of the true per-h optimum because g is unimodal in t.
     """
-    lo = analytic.t_min(params, h)
-    hi = analytic.t_max(params, h)
-    if not hi > lo:
+    hs = np.asarray(hs)
+    lo = analytic.t_min(params, hs)
+    hi = analytic.t_max(params, hs)
+    empty = ~(hi > lo)
+    if empty.any():
         raise InfeasibleScheduleError(
-            f"empty search interval for h={h}: t_max <= t_min")
+            f"empty search interval for h={hs[empty][0]}: t_max <= t_min")
     # The left endpoint itself has xi = 0; probes stay this far inside.
     eps = max(cfg.gamma / 10.0, 1e-9)
     floor = lo + eps
     t = 0.5 * (lo + hi)
-    steps = 0
-    while hi - lo > cfg.gamma and lo < t < hi:
-        steps += 1
-        if analytic.dg_dt(params, Schedule(h, max(t, floor))) > 0:
-            lo = t
-        else:
-            hi = t
-        t = 0.5 * (lo + hi)
-    g_val = analytic.g(params, Schedule(h, t))
-    return t, g_val, steps + 1
+    steps = np.zeros(lo.shape, dtype=np.int64)
+    lanes = np.arange(lo.size)
+    while True:
+        lanes = lanes[(hi[lanes] - lo[lanes] > cfg.gamma)
+                      & (lo[lanes] < t[lanes]) & (t[lanes] < hi[lanes])]
+        if lanes.size == 0:
+            break
+        steps[lanes] += 1
+        probe = t[lanes]
+        rising = analytic.dg_dt(params, hs[lanes],
+                                np.maximum(probe, floor[lanes])) > 0
+        lo[lanes] = np.where(rising, probe, lo[lanes])
+        hi[lanes] = np.where(rising, hi[lanes], probe)
+        t[lanes] = 0.5 * (lo[lanes] + hi[lanes])
+    return t, analytic.g(params, hs, t), steps + 1
 
 
 def optimize_schedule(params: SystemParams,
                       cfg: OptimizerConfig) -> OptimizationResult:
-    """Per-h bisection plus argmax over h = 1 .. h_max."""
+    """Lane-wise bisection over h = 1 .. h_max, then argmax over h."""
     _check_environment(params)
-    table = []
-    steps = 0
-    for h in range(1, h_max(params) + 1):
-        t_h, g_h, used = optimize_round_length(params, h, cfg)
-        table.append((h, t_h, g_h))
-        steps += used
+    hs = np.arange(1, h_max(params) + 1)
+    ts, gs, steps = optimize_round_lengths(params, hs, cfg)
+    table = tuple(zip(hs.tolist(), ts.tolist(), gs.tolist()))
     h_star, t_star, g_star = _argmax_table(table)
-    return OptimizationResult(h_star, t_star, g_star, tuple(table), steps)
+    return OptimizationResult(h_star, t_star, g_star, table, int(steps.sum()))
 
 
 def scan_round_lengths(params: SystemParams, h: int,
@@ -153,7 +161,7 @@ def scan_round_lengths(params: SystemParams, h: int,
     ts = ts[ts <= hi]
     if ts.size == 0:
         return ts, ts
-    return ts, analytic.g_curve(params, h, ts)
+    return ts, analytic.g(params, h, ts)
 
 
 def brute_force_argmax(params: SystemParams,

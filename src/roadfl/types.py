@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 
 class InvalidParameterError(ValueError):
@@ -87,19 +86,6 @@ class SystemParams:
         return self.length / self.speed
 
 
-def validate_params(raw: Mapping[str, object]) -> SystemParams:
-    """Build SystemParams from a mapping, rejecting unknown or missing keys.
-
-    Raises InvalidParameterError naming the violated constraint.
-    """
-    fields = ("length", "speed", "arrival_rate", "tau_down", "tau_up", "alpha", "beta")
-    unknown = sorted(set(raw) - set(fields))
-    _require(not unknown, f"unknown parameter(s): {', '.join(unknown)}")
-    missing = sorted(set(fields) - set(raw))
-    _require(not missing, f"missing parameter(s): {', '.join(missing)}")
-    return SystemParams(**{name: raw[name] for name in fields})  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
 class Schedule:
     """One scheduling decision: local iteration count h and round length t."""
@@ -114,30 +100,3 @@ class Schedule:
         t = _finite_float(self.t, "round duration")
         _require(t > 0, "round duration must be positive")
         object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True)
-class AnalyticSnapshot:
-    """All closed-form quantities for one (params, schedule) pair.
-
-    Fields that only exist under feasibility (c0, c1, t_max when the
-    iteration count fits inside the dwell time, dg_dt when xi > 0) hold
-    NaN when undefined.
-    """
-
-    t0: float
-    t_min: float
-    xi: float
-    lam: float
-    c0: float
-    c1: float
-    t_max: float
-    g: float
-    dg_dt: float
-
-    def __post_init__(self) -> None:
-        _require(self.lam >= 0, "expected success count must be non-negative")
-        _require(self.g >= 0, "update frequency must be non-negative")
-        if self.xi <= 0:
-            _require(self.lam == 0 and self.g == 0,
-                     "infeasible schedule must have zero mean and zero frequency")

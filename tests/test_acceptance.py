@@ -58,7 +58,7 @@ def test_c01_headline_schedule():
 def test_c02_poisson_law_fidelity(h, t, seed):
     """100k-round histogram within TV < 0.01 and mean within 2%."""
     sched = Schedule(h, t)
-    lam = an.lambda_param(REFERENCE, sched)
+    lam = an.lambda_param(REFERENCE, sched.h, sched.t)
     started = time.perf_counter()
     summary = simulate_rounds(REFERENCE, sched,
                               SimConfig(seed=seed, num_rounds=100_000,
@@ -81,16 +81,15 @@ def test_c03_subinterval_consistency():
         params, hm = random_feasible_params(rng)
         h = int(rng.integers(1, hm + 1))
         t = float(params.dwell_time + rng.uniform(0, 60))
-        sched = Schedule(h, t)
-        p1, p2, p3 = an.subinterval_probs(params, sched)
-        lam = an.lambda_param(params, sched)
+        p1, p2, p3 = an.subinterval_probs(params, h, t)
+        lam = an.lambda_param(params, h, t)
         ident = params.arrival_rate * (
             min(t, params.dwell_time) * (p1 + p3)
             + abs(t - params.dwell_time) * p2)
         worst = max(worst, abs(ident - lam) / lam)
 
     sched = Schedule(24, 25.0)
-    expected = an.subinterval_probs(REFERENCE, sched)
+    expected = an.subinterval_probs(REFERENCE, sched.h, sched.t)
     n = 33_334  # three intervals, about 1e5 vehicles in total
     counts = subinterval_success_counts(REFERENCE, sched, n,
                                         substream(10, "subintervals"))
@@ -116,9 +115,9 @@ def test_c04_derivative_matches_finite_differences():
             continue
         checked += 1
         step = 1e-6 * t
-        fd = (an.g(params, Schedule(h, t + step))
-              - an.g(params, Schedule(h, t - step))) / (2 * step)
-        val = an.dg_dt(params, Schedule(h, t))
+        fd = (an.g(params, h, t + step)
+              - an.g(params, h, t - step)) / (2 * step)
+        val = an.dg_dt(params, h, t)
         worst = max(worst, abs(val - fd) / max(abs(val), abs(fd)))
     ok = worst <= 1e-6
     report("C04 derivative vs finite differences", ok,
@@ -135,7 +134,7 @@ def test_c05_unimodality():
         tmin = an.t_min(params, h)
         tmax = an.t_max(params, h)
         ts = np.linspace(tmin, 3 * tmax, 10_001)[1:]
-        signs = np.sign(an.dg_dt_curve(params, h, ts))
+        signs = np.sign(an.dg_dt(params, h, ts))
         signs = signs[signs != 0]
         flips = np.diff(signs)
         if (flips == -2).sum() > 1 or (flips == 2).sum() > 0:
@@ -153,7 +152,7 @@ def test_c06_upper_bound_certificate():
         h = int(rng.integers(1, hm + 1))
         tmax = an.t_max(params, h)
         ts = tmax + 2 * tmax * rng.random(50)
-        worst = max(worst, float(an.dg_dt_curve(params, h, ts).max()))
+        worst = max(worst, float(an.dg_dt(params, h, ts).max()))
     report("C06 negative slope beyond t_max", worst < 0,
            f"max dg/dt={worst:.2e}")
 
@@ -161,11 +160,10 @@ def test_c06_upper_bound_certificate():
 def test_c07_update_frequency_predicts_training():
     """Spearman(g, -l_min) >= 0.6 on the 12-point grid, stable over seeds."""
     ocfg = opt.OptimizerConfig(gamma=1e-3, grid_step=0.01)
-    schedules = []
-    for h in (8, 16, 24, 40):
-        t_opt, _, _ = opt.optimize_round_length(REFERENCE, h, ocfg)
-        for factor in (0.6, 1.0, 1.6):
-            schedules.append(Schedule(h, factor * t_opt))
+    hs = (8, 16, 24, 40)
+    t_opt, _, _ = opt.optimize_round_lengths(REFERENCE, hs, ocfg)
+    schedules = [Schedule(h, factor * t) for h, t in zip(hs, t_opt.tolist())
+                 for factor in (0.6, 1.0, 1.6)]
     assert len(schedules) == 12
 
     started = time.perf_counter()
@@ -198,7 +196,7 @@ def test_c08_fl_mechanics():
     cfg = FLConfig(seed=5, horizon=2400.0)
     res = run_fl(REFERENCE, sched, cfg)
     monotone = bool(np.all(np.diff(res.l_min_curve) <= 0))
-    p_pos = an.success_probability(REFERENCE, sched)
+    p_pos = an.success_probability(REFERENCE, sched.h, sched.t)
     n = res.rounds_total
     sigma = math.sqrt(p_pos * (1 - p_pos) / n)
     rate_ok = n >= 200 and abs(res.rounds_valid / n - p_pos) <= 3 * sigma

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import random_feasible_params
@@ -43,35 +45,35 @@ class TestPipelineFloor:
 
 class TestSlack:
     def test_reference_point(self, reference_params):
-        assert an.xi(reference_params, Schedule(24, 11.8)) == pytest.approx(5.0, rel=1e-12)
+        assert an.xi(reference_params, 24, 11.8) == pytest.approx(5.0, rel=1e-12)
 
     def test_saturates_for_long_rounds(self, reference_params):
-        wide = an.xi(reference_params, Schedule(24, 1e9))
+        wide = an.xi(reference_params, 24, 1e9)
         assert wide == pytest.approx(20.0 - 6.8, rel=1e-12)
 
     def test_boundary_is_zero_not_error(self, reference_params):
-        assert an.xi(reference_params, Schedule(90, 25)) == pytest.approx(0.0, abs=1e-12)
+        assert an.xi(reference_params, 90, 25) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPoissonMean:
     def test_reference_short_round(self, reference_params):
-        lam = an.lambda_param(reference_params, Schedule(24, 11.8))
+        lam = an.lambda_param(reference_params, 24, 11.8)
         assert lam == pytest.approx(direct_lambda(reference_params, 24, 11.8), rel=1e-12)
         assert lam == pytest.approx(0.9094, abs=5e-5)
 
     def test_reference_long_round(self, reference_params):
-        lam = an.lambda_param(reference_params, Schedule(24, 25))
+        lam = an.lambda_param(reference_params, 24, 25)
         assert lam == pytest.approx(direct_lambda(reference_params, 24, 25), rel=1e-12)
         assert lam == pytest.approx(2.2094, abs=5e-5)
 
     def test_no_arrivals(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        assert an.lambda_param(p, Schedule(24, 11.8)) == 0.0
+        assert an.lambda_param(p, 24, 11.8) == 0.0
 
     def test_zero_when_infeasible(self, reference_params):
-        assert an.lambda_param(reference_params, Schedule(24, 6.0)) == 0.0
-        assert an.lambda_param(reference_params, Schedule(90, 25)) == 0.0
+        assert an.lambda_param(reference_params, 24, 6.0) == 0.0
+        assert an.lambda_param(reference_params, 90, 25) == 0.0
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(31)
@@ -79,15 +81,15 @@ class TestPoissonMean:
             params, hm = random_feasible_params(rng)
             h = int(rng.integers(1, 2 * hm))
             t = float(rng.uniform(0.05, 4 * params.dwell_time))
-            assert an.lambda_param(params, Schedule(h, t)) >= 0.0
+            assert an.lambda_param(params, h, t) >= 0.0
 
 
 class TestSuccessProbability:
     def test_zero_mean(self, reference_params):
-        assert an.success_probability(reference_params, Schedule(24, 6.0)) == 0.0
+        assert an.success_probability(reference_params, 24, 6.0) == 0.0
 
     def test_reference_point(self, reference_params):
-        p = an.success_probability(reference_params, Schedule(24, 11.8))
+        p = an.success_probability(reference_params, 24, 11.8)
         expected = 1 - math.exp(-direct_lambda(reference_params, 24, 11.8))
         assert p == pytest.approx(expected, rel=1e-12)
         assert p == pytest.approx(0.5972, abs=5e-5)
@@ -106,8 +108,8 @@ class TestSuccessProbability:
                                   arrival_rate=float(rate),
                                   tau_down=params.tau_down, tau_up=params.tau_up,
                                   alpha=params.alpha, beta=params.beta)
-                probs.append(an.success_probability(p2, Schedule(h, t)))
-                means.append(an.lambda_param(p2, Schedule(h, t)))
+                probs.append(an.success_probability(p2, h, t))
+                means.append(an.lambda_param(p2, h, t))
             assert all(a < b for a, b in zip(means, means[1:]))
             # strict until the probability saturates at 1 in floats
             assert all(a < b or b > 1 - 1e-12
@@ -117,7 +119,7 @@ class TestSuccessProbability:
 
 class TestSubintervalProbs:
     def test_reference_long_round(self, reference_params):
-        p1, p2, p3 = an.subinterval_probs(reference_params, Schedule(24, 25))
+        p1, p2, p3 = an.subinterval_probs(reference_params, 24, 25)
         assert p2 == pytest.approx(0.9361, abs=5e-5)
         assert p1 == pytest.approx(0.4353, abs=5e-5)
         assert p1 == p3
@@ -146,7 +148,7 @@ class TestSubintervalProbs:
             for a, b, span in zip(cuts, cuts[1:], spans):
                 mass, _ = integrate.quad(p_given_arrival, a, b, limit=200)
                 expected.append(mass / span)
-            got = an.subinterval_probs(params, sched)
+            got = an.subinterval_probs(params, sched.h, sched.t)
             assert got == pytest.approx(expected, rel=1e-8)
 
     def test_mean_identity(self):
@@ -155,9 +157,8 @@ class TestSubintervalProbs:
             params, hm = random_feasible_params(rng)
             h = int(rng.integers(1, hm + 1))
             t = float(params.dwell_time + rng.uniform(0, 60))
-            sched = Schedule(h, t)
-            p1, p2, p3 = an.subinterval_probs(params, sched)
-            lam = an.lambda_param(params, sched)
+            p1, p2, p3 = an.subinterval_probs(params, h, t)
+            lam = an.lambda_param(params, h, t)
             ident = params.arrival_rate * (
                 min(t, params.dwell_time) * (p1 + p3)
                 + abs(t - params.dwell_time) * p2)
@@ -166,27 +167,26 @@ class TestSubintervalProbs:
     def test_vanishing_window(self, reference_params):
         # xi -> 0+: all three probabilities vanish
         t = an.t_min(reference_params, 24) + 1e-7
-        probs = an.subinterval_probs(reference_params, Schedule(24, t))
+        probs = an.subinterval_probs(reference_params, 24, t)
         assert max(probs) < 1e-6
 
     def test_deterministic_delay_limit(self):
         # beta*h -> 0 with fixed slack: p2 -> 1 and p1 -> xi / t0
         p = SystemParams(length=400, speed=20, arrival_rate=0.1,
                          tau_down=1, tau_up=1, alpha=0.2, beta=1e-9)
-        sched = Schedule(24, 25)
-        p1, p2, _ = an.subinterval_probs(p, sched)
-        xi = an.xi(p, sched)
+        p1, p2, _ = an.subinterval_probs(p, 24, 25)
+        xi = an.xi(p, 24, 25)
         assert p2 == pytest.approx(1.0, abs=1e-12)
         assert p1 == pytest.approx(xi / 20.0, rel=1e-6)
 
     def test_infeasible_raises(self, reference_params):
         with pytest.raises(InfeasibleScheduleError):
-            an.subinterval_probs(reference_params, Schedule(24, 6.0))
+            an.subinterval_probs(reference_params, 24, 6.0)
 
 
 class TestUpdateFrequency:
     def test_reference_point(self, reference_params):
-        val = an.g(reference_params, Schedule(24, 11.8))
+        val = an.g(reference_params, 24, 11.8)
         expected = (24 / 11.8) * (1 - math.exp(-direct_lambda(reference_params, 24, 11.8)))
         assert val == pytest.approx(expected, rel=1e-12)
         assert val == pytest.approx(1.2147, abs=5e-5)
@@ -195,32 +195,32 @@ class TestUpdateFrequency:
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         for t in (5.0, 11.8, 25.0, 100.0):
-            assert an.g(p, Schedule(24, t)) == 0.0
+            assert an.g(p, 24, t) == 0.0
 
     def test_decays_for_long_rounds(self, reference_params):
-        vals = [an.g(reference_params, Schedule(24, t))
+        vals = [an.g(reference_params, 24, t)
                 for t in (1e2, 1e3, 1e4, 1e5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-2
 
     def test_zero_and_continuous_at_feasibility_boundary(self, reference_params):
         tmin = an.t_min(reference_params, 24)
-        assert an.g(reference_params, Schedule(24, tmin)) == 0.0
-        assert an.g(reference_params, Schedule(24, tmin - 0.5)) == 0.0
+        assert an.g(reference_params, 24, tmin) == 0.0
+        assert an.g(reference_params, 24, tmin - 0.5) == 0.0
         for delta, cap in ((1e-3, 1e-2), (1e-6, 1e-5), (1e-9, 1e-8)):
-            assert 0 < an.g(reference_params, Schedule(24, tmin + delta)) < cap
+            assert 0 < an.g(reference_params, 24, tmin + delta) < cap
 
 
 class TestDerivative:
     def test_positive_near_lower_end(self, reference_params):
         t = an.t_min(reference_params, 24) + 0.01
-        assert an.dg_dt(reference_params, Schedule(24, t)) > 0
+        assert an.dg_dt(reference_params, 24, t) > 0
 
     def test_negative_beyond_upper_bound(self, reference_params):
         tmax = an.t_max(reference_params, 24)
         rng = np.random.default_rng(9)
         ts = tmax + (3 * tmax - tmax) * rng.random(50)
-        assert np.all(an.dg_dt_curve(reference_params, 24, ts) < 0)
+        assert np.all(an.dg_dt(reference_params, 24, ts) < 0)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)
@@ -235,21 +235,21 @@ class TestDerivative:
                 continue
             checked += 1
             step = 1e-6 * t
-            fd = (an.g(params, Schedule(h, t + step))
-                  - an.g(params, Schedule(h, t - step))) / (2 * step)
-            val = an.dg_dt(params, Schedule(h, t))
+            fd = (an.g(params, h, t + step)
+                  - an.g(params, h, t - step)) / (2 * step)
+            val = an.dg_dt(params, h, t)
             assert abs(val - fd) <= 1e-6 * max(abs(val), abs(fd))
 
     def test_continuous_across_dwell_time(self, reference_params):
         t0 = reference_params.dwell_time
         for h in (8, 24, 40):
-            below = an.dg_dt(reference_params, Schedule(h, t0 * (1 - 1e-9)))
-            at = an.dg_dt(reference_params, Schedule(h, t0))
+            below = an.dg_dt(reference_params, h, t0 * (1 - 1e-9))
+            at = an.dg_dt(reference_params, h, t0)
             assert below == pytest.approx(at, rel=1e-6)
 
     def test_infeasible_raises(self, reference_params):
         with pytest.raises(InfeasibleScheduleError):
-            an.dg_dt(reference_params, Schedule(24, 6.0))
+            an.dg_dt(reference_params, 24, 6.0)
 
 
 class TestSearchBoundCoefficients:
@@ -311,21 +311,40 @@ class TestSearchUpperBound:
             an.t_max(p, 24)
 
 
-class TestSnapshot:
-    def test_consistent_with_operations(self, reference_params):
-        sched = Schedule(24, 11.8)
-        snap = an.snapshot(reference_params, sched)
-        assert snap.t0 == reference_params.dwell_time
-        assert snap.t_min == an.t_min(reference_params, 24)
-        assert snap.xi == an.xi(reference_params, sched)
-        assert snap.lam == an.lambda_param(reference_params, sched)
-        assert snap.g == an.g(reference_params, sched)
-        assert snap.dg_dt == an.dg_dt(reference_params, sched)
-        assert snap.t_max == an.t_max(reference_params, 24)
+@st.composite
+def kernel_inputs(draw):
+    """Feasible params, iteration counts in 1..h_max, any positive round
+    lengths, and round lengths beyond every drawn h's pipeline floor."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    params, hm = random_feasible_params(np.random.default_rng(seed))
+    hs = np.array(draw(st.lists(st.integers(1, hm), min_size=1, max_size=5)))
+    t0 = params.dwell_time
+    ts_any = np.array(draw(st.lists(st.floats(0.05, 4 * t0), min_size=1, max_size=5)))
+    gaps = np.array(draw(st.lists(st.floats(1e-6, 4 * t0), min_size=1, max_size=5)))
+    return params, hs, ts_any, an.t_min(params, int(hs.max())) + gaps
 
-    def test_infeasible_points_hold_nan(self, reference_params):
-        snap = an.snapshot(reference_params, Schedule(24, 5.0))
-        assert snap.lam == 0.0 and snap.g == 0.0
-        assert math.isnan(snap.dg_dt)
-        snap90 = an.snapshot(reference_params, Schedule(90, 25.0))
-        assert math.isnan(snap90.c0) and math.isnan(snap90.t_max)
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs())
+def test_broadcast_matches_elementwise_bitwise(inputs):
+    params, hs, ts_any, ts = inputs
+
+    def check(fn, t_row=None):
+        if t_row is None:
+            got = fn(params, hs)
+            want = [fn(params, int(h)) for h in hs]
+        else:
+            got = fn(params, hs[:, None], t_row[None, :])
+            want = [[fn(params, int(h), float(t)) for t in t_row] for h in hs]
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.array(want).tobytes()
+
+    for fn in (an.xi, an.lambda_param, an.success_probability, an.g):
+        check(fn, ts_any)
+    check(an.dg_dt, ts)
+    check(lambda p, h, t: an.subinterval_probs(p, h, t)[0], ts)
+    check(lambda p, h, t: an.subinterval_probs(p, h, t)[1], ts)
+    check(an.t_min)
+    check(an.t_max)
+    check(lambda p, h: an.c0_c1(p, h)[0])
+    check(lambda p, h: an.c0_c1(p, h)[1])

@@ -166,6 +166,29 @@ class TestSweepCommand:
                        "--h-list", "24", "--t-grid", "20:10:1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("h_list,t_grid", [
+        ("24", "1:nan:0.1"), ("24", "1:inf:1"), ("24", "nan:10:1"),
+        ("24", "1:10:nan"), ("24", "1:10:-inf"),
+        ("24", "1:1e300:1"), ("24", "1:2:1e-300"),
+        ("1,2,3,4,5", "1:300000:1"),
+    ])
+    def test_unbounded_or_oversized_grid_is_error(self, tmp_path, capsys, h_list, t_grid):
+        rc = cli.main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path),
+                       "--h-list", h_list, "--t-grid", t_grid])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: t grid") or "sweep has" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "surface.csv").exists()
+
+    def test_grid_matches_start_plus_k_steps(self):
+        for text in ("7:26:0.1", "5:25:0.5", "1:401:4", "0.3:0.9:0.1", "11.8:11.8:1"):
+            start, stop, step = (float(p) for p in text.split(":"))
+            expected = []
+            while start + len(expected) * step <= stop + 1e-12:
+                expected.append(start + len(expected) * step)
+            assert cli._parse_t_grid(text).tolist() == expected
+
 
 class TestFlCommand:
     def test_small_grid_outputs(self, tmp_path):

@@ -193,7 +193,7 @@ class TestRunFl:
         sched = Schedule(24, 11.8)
         cfg = small_cfg(horizon=2400.0, seed=5)
         res = flsim.run_fl(reference_params, sched, cfg)
-        p_pos = an.success_probability(reference_params, sched)
+        p_pos = an.success_probability(reference_params, sched.h, sched.t)
         n = res.rounds_total
         assert n >= 200
         sigma = math.sqrt(p_pos * (1 - p_pos) / n)
@@ -229,6 +229,20 @@ class TestRunFl:
         res = flsim.run_fl(reference_params, Schedule(24, 6.0), small_cfg())
         assert res.rounds_valid == 0
         assert np.all(res.losses == res.losses[0])
+
+    def test_loss_evaluated_only_after_training(self, reference_params, monkeypatch):
+        # rounds without an upload leave the model, hence its loss, unchanged
+        calls = []
+        real = flsim.mse_loss
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(flsim, "mse_loss", counting)
+        res = flsim.run_fl(reference_params, Schedule(24, 9.0), small_cfg(horizon=400.0))
+        assert 0 < res.rounds_valid < res.rounds_total
+        assert len(calls) == 1 + res.rounds_valid
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):

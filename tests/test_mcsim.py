@@ -111,7 +111,7 @@ class TestSimulateRounds:
 
     def test_matches_poisson_mean(self, reference_params):
         sched = Schedule(24, 11.8)
-        lam = an.lambda_param(reference_params, sched)
+        lam = an.lambda_param(reference_params, sched.h, sched.t)
         s = mcsim.simulate_rounds(reference_params, sched,
                                   mcsim.SimConfig(seed=3, num_rounds=20_000))
         sigma = math.sqrt(lam / 20_000)
@@ -213,7 +213,7 @@ class TestPoissonFit:
 
     def test_poisson_fit_on_reference(self, reference_params):
         sched = Schedule(24, 25.0)
-        lam = an.lambda_param(reference_params, sched)
+        lam = an.lambda_param(reference_params, sched.h, sched.t)
         s = mcsim.simulate_rounds(reference_params, sched,
                                   mcsim.SimConfig(seed=6, num_rounds=20_000))
         fit = mcsim.compare_to_poisson(s, lam)
@@ -223,7 +223,7 @@ class TestPoissonFit:
 
 def test_subinterval_rates_match_probabilities(reference_params):
     sched = Schedule(24, 25.0)
-    expected = an.subinterval_probs(reference_params, sched)
+    expected = an.subinterval_probs(reference_params, sched.h, sched.t)
     n = 20_000
     counts = mcsim.subinterval_success_counts(reference_params, sched, n,
                                               substream(10, "subintervals"))

@@ -8,6 +8,7 @@ from roadfl import analytic as an
 from roadfl import optimizer as opt
 from roadfl.types import (
     InfeasibleEnvironmentError,
+    InfeasibleScheduleError,
     InvalidParameterError,
     SystemParams,
 )
@@ -37,16 +38,36 @@ def test_config_validation():
         opt.OptimizerConfig(grid_step=-1)
 
 
+def scalar_bisection(params, h, cfg):
+    """Reference: the per-h scalar bisection that the lane-wise search
+    runs for every h at once. Same bracket, eps floor, midpoint and stop
+    rule, one h and one probe at a time."""
+    lo = an.t_min(params, h)
+    hi = an.t_max(params, h)
+    eps = max(cfg.gamma / 10.0, 1e-9)
+    floor = lo + eps
+    t = 0.5 * (lo + hi)
+    steps = 0
+    while hi - lo > cfg.gamma and lo < t < hi:
+        steps += 1
+        if an.dg_dt(params, h, max(t, floor)) > 0:
+            lo = t
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
+    return t, an.g(params, h, t), steps + 1
+
+
 class TestPerIterationSearch:
     def test_reference_h24_matches_reported_optimum(self, reference_params):
         cfg = opt.OptimizerConfig(gamma=1e-3)
-        t, g_val, _ = opt.optimize_round_length(reference_params, 24, cfg)
+        (t,), (g_val,), _ = opt.optimize_round_lengths(reference_params, [24], cfg)
         assert abs(t - 11.8) <= 0.1
-        assert g_val == pytest.approx(an.g(reference_params, opt.Schedule(24, t)))
+        assert g_val == pytest.approx(an.g(reference_params, 24, t))
 
     def test_matches_dense_scan(self, reference_params):
         cfg = opt.OptimizerConfig(gamma=1e-3, grid_step=1e-3)
-        t, _, _ = opt.optimize_round_length(reference_params, 24, cfg)
+        (t,), _, _ = opt.optimize_round_lengths(reference_params, [24], cfg)
         ts, gs = opt.scan_round_lengths(reference_params, 24, cfg)
         t_grid = ts[int(np.argmax(gs))]
         assert abs(t - t_grid) <= cfg.gamma + cfg.grid_step
@@ -55,9 +76,40 @@ class TestPerIterationSearch:
         lo = an.t_min(reference_params, 24)
         hi = an.t_max(reference_params, 24)
         cfg = opt.OptimizerConfig(gamma=2 * (hi - lo))
-        t, _, steps = opt.optimize_round_length(reference_params, 24, cfg)
+        (t,), _, (steps,) = opt.optimize_round_lengths(reference_params, [24], cfg)
         assert t == 0.5 * (lo + hi)
         assert steps == 1  # only the final objective evaluation
+
+    @pytest.mark.parametrize("seed", [None, 88])
+    def test_lanes_match_scalar_bisection_bitwise(self, reference_params, seed):
+        # reference environment, then 10 random ones
+        if seed is None:
+            cases = [reference_params]
+        else:
+            rng = np.random.default_rng(seed)
+            cases = [random_feasible_params(rng)[0] for _ in range(10)]
+        cfg = opt.OptimizerConfig(gamma=1e-3)
+        for params in cases:
+            res = opt.optimize_schedule(params, cfg)
+            table, steps = [], 0
+            for h in range(1, opt.h_max(params) + 1):
+                t, g_val, used = scalar_bisection(params, h, cfg)
+                table.append((h, float(t).hex(), float(g_val).hex()))
+                steps += used
+            assert [(h, t.hex(), g_val.hex()) for h, t, g_val in res.per_h_table] == table
+            assert res.search_steps == steps
+
+    def test_lanes_are_independent(self, reference_params):
+        # a lane's result does not depend on which other lanes run with it
+        cfg = opt.OptimizerConfig(gamma=1e-3)
+        ts, gs, steps = opt.optimize_round_lengths(reference_params, [40, 8, 24, 8], cfg)
+        for i, h in enumerate((40, 8, 24, 8)):
+            (t,), (g_val,), (used,) = opt.optimize_round_lengths(reference_params, [h], cfg)
+            assert (ts[i], gs[i], steps[i]) == (t, g_val, used)
+
+    def test_empty_interval_raises(self, reference_params):
+        with pytest.raises(InfeasibleScheduleError):
+            opt.optimize_round_lengths(reference_params, [24, 90], opt.OptimizerConfig())
 
 
 class TestJointSearch:

@@ -7,7 +7,6 @@ from roadfl.types import (
     InvalidParameterError,
     Schedule,
     SystemParams,
-    validate_params,
 )
 
 
@@ -70,20 +69,6 @@ def test_randomized_invalid_inputs_rejected():
 def test_params_are_immutable(reference_params):
     with pytest.raises(AttributeError):
         reference_params.speed = 5
-
-
-def test_validate_params_mapping_roundtrip():
-    params = validate_params(dict(length=400, speed=20, arrival_rate=0.1,
-                                  tau_down=1, tau_up=1, alpha=0.2, beta=0.2))
-    assert params.dwell_time == 20.0
-
-
-def test_validate_params_unknown_and_missing_keys():
-    with pytest.raises(InvalidParameterError, match="unknown parameter"):
-        validate_params(dict(length=400, speed=20, arrival_rate=0.1,
-                             tau_down=1, tau_up=1, alpha=0.2, beta=0.2, bogus=1))
-    with pytest.raises(InvalidParameterError, match="missing parameter"):
-        validate_params(dict(length=400))
 
 
 @pytest.mark.parametrize("h,t", [(0, 10.0), (-3, 10.0), (5, 0.0), (5, -1.0),
