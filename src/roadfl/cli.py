@@ -282,6 +282,8 @@ def _parse_h_list(text: str) -> list[int]:
         raise ConfigError(f"cannot parse h list {text!r}")
     if not hs or any(h < 1 for h in hs):
         raise ConfigError("h list must contain positive integers")
+    if max(hs) > sys.float_info.max:
+        raise ConfigError("h list holds a value too large for a float")
     return hs
 
 

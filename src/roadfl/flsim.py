@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import analytic
 from .mcsim import arrival_times, attempts
@@ -282,6 +281,13 @@ class CorrelationReport:
     n_schedules: int
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    return (first + 1 + (counts - 1) / 2)[inverse]
+
+
 def proxy_correlation(results: Sequence[FLRunResult],
                       params: SystemParams) -> CorrelationReport:
     """Spearman rank correlation between g(h, t) and -l_min across runs.
@@ -298,5 +304,6 @@ def proxy_correlation(results: Sequence[FLRunResult],
     score = np.array([-r.l_min for r in results])
     if np.all(g_vals == g_vals[0]) or np.all(score == score[0]):
         return CorrelationReport(math.nan, True, len(results))
-    rho = float(stats.spearmanr(g_vals, score).statistic)
+    # Spearman's rho: the Pearson correlation of average ranks
+    rho = float(np.corrcoef(_average_ranks(g_vals), _average_ranks(score))[1, 0])
     return CorrelationReport(rho, not math.isfinite(rho), len(results))

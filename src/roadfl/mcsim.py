@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .rng import substream
 from .types import InvalidParameterError, Schedule, SystemParams
@@ -41,6 +40,11 @@ __all__ = [
 # bytes, since delays are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 16
 
+# simulate_rounds keeps all arrivals and two int64 counts per recorded
+# round, so memory grows with the number of rounds; this caps warm-up
+# plus recorded rounds (about 160 MB of counts at the cap)
+MAX_ROUNDS = 10 ** 7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -53,6 +57,9 @@ class SimConfig:
             raise InvalidParameterError("number of rounds must be a positive integer")
         if not (isinstance(self.warmup_rounds, int) and self.warmup_rounds >= 0):
             raise InvalidParameterError("warmup rounds must be non-negative")
+        if self.num_rounds + self.warmup_rounds > MAX_ROUNDS:
+            raise InvalidParameterError(
+                f"number of rounds plus warmup rounds exceeds {MAX_ROUNDS}")
         if not isinstance(self.seed, int):
             raise InvalidParameterError("seed must be an integer")
 
@@ -205,6 +212,12 @@ def simulate_rounds(params: SystemParams, sched: Schedule,
     )
 
 
+def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
+    """Poisson(lam) pmf at the integers k, lam > 0, as exp of the log-pmf."""
+    log_fact = np.array([math.lgamma(i + 1.0) for i in k.tolist()])
+    return np.exp(k * math.log(lam) - log_fact - lam)
+
+
 def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFit:
     """Goodness of fit between the empirical histogram and Poisson(lam).
 
@@ -215,13 +228,15 @@ def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFi
         raise InvalidParameterError("summary holds no rounds")
     n_emp = summary.histogram.size - 1
     if lambda_analytic > 0:
-        tail = int(stats.poisson.ppf(1.0 - 1e-12, lambda_analytic)) + 2
+        # lam + 10 sqrt(lam) + 40 lies beyond the 1 - 1e-12 quantile for
+        # every lam (Bernstein bound), so the cumulative sum reaches the tail
+        reach = int(lambda_analytic + 10 * math.sqrt(lambda_analytic)) + 40
+        pmf = _poisson_pmf(np.arange(max(n_emp, reach) + 1), lambda_analytic)
+        tail = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-12)) + 2
+        pmf = pmf[:max(n_emp, tail) + 1]
     else:
-        tail = 0
-    top = max(n_emp, tail)
-    support = np.arange(top + 1)
-    pmf = stats.poisson.pmf(support, lambda_analytic) if lambda_analytic > 0 \
-        else (support == 0).astype(float)
+        pmf = (np.arange(n_emp + 1) == 0).astype(float)
+    support = np.arange(pmf.size)
     mask = pmf >= 1e-9
     mask[:n_emp + 1] = True
     support = support[mask]

@@ -124,6 +124,19 @@ class TestValidateCommand:
         assert rep_a["p_pos_analytic"] == rep_b["p_pos_analytic"]
         assert rep_a["mean_empirical"] != rep_b["mean_empirical"]
 
+    def test_round_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("simulated past the round cap")
+
+        monkeypatch.setattr(cli, "simulate_rounds", must_not_run)
+        rc = cli.main(["validate", "--config", str(BASELINE),
+                       "--out", str(tmp_path), "--sim.num_rounds=1000000000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: number of rounds")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "poisson_fit.csv").exists()
+
     def test_requires_schedule(self, tmp_path):
         rc = cli.main(["validate", "--config", str(BASELINE),
                        "--out", str(tmp_path), "--sim.h=24",
@@ -181,6 +194,15 @@ class TestSweepCommand:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "surface.csv").exists()
 
+    def test_h_too_large_for_float_is_error(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path),
+                       "--h-list", "24,1" + "0" * 400, "--t-grid", "7:8:1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: h list")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "surface.csv").exists()
+
     def test_grid_matches_start_plus_k_steps(self):
         for text in ("7:26:0.1", "5:25:0.5", "1:401:4", "0.3:0.9:0.1", "11.8:11.8:1"):
             start, stop, step = (float(p) for p in text.split(":"))
@@ -231,3 +253,17 @@ def test_unknown_cli_token_rejected(tmp_path):
     proc = run_cli(["optimize", "--config", str(BASELINE),
                     "--out", str(tmp_path), "--bogus"])
     assert proc.returncode != 0
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """The package runs on numpy alone; scipy is a test-only oracle."""
+    code = ("import sys, roadfl.cli\n"
+            f"roadfl.cli.main(['validate', '--config', {str(BASELINE)!r}, "
+            f"'--out', {str(tmp_path)!r}, '--sim.num_rounds=100'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
@@ -285,3 +286,27 @@ class TestProxyCorrelation:
         report = flsim.proxy_correlation(results, reference_params)
         assert not report.degenerate
         assert report.rho > 0
+
+    @pytest.mark.parametrize("case", ["ties", "no_ties", "reversed"])
+    def test_rho_matches_scipy_spearman(self, reference_params, case):
+        ts = [7.0, 7.5, 8.0, 8.5, 9.0, 9.5, 10.0, 10.5, 11.0]
+        schedules = [Schedule(24, t) for t in ts]
+        g = an.g(reference_params, 24, np.array(ts))
+        assert np.all(np.diff(g) > 0)
+        if case == "ties":
+            # a repeated schedule ties g; repeated losses tie the score
+            schedules.append(Schedule(24, 8.0))
+            l_min = [3.0, 1.0, 2.0, 2.0, 5.0, 1.0, 0.5, 2.0, 0.25, 4.0]
+        elif case == "no_ties":
+            l_min = [3.0, 1.0, 2.5, 2.0, 5.0, 1.5, 0.5, 0.75, 0.25]
+        else:
+            l_min = list(g)
+        results = [flsim.FLRunResult(s, np.zeros(1), np.array([l]), np.array([l]), 0, 0)
+                   for s, l in zip(schedules, l_min)]
+        report = flsim.proxy_correlation(results, reference_params)
+        g_all = an.g(reference_params, [s.h for s in schedules], [s.t for s in schedules])
+        expected = stats.spearmanr(g_all, -np.array(l_min)).statistic
+        assert not report.degenerate
+        assert report.rho == pytest.approx(expected, rel=1e-12)
+        if case == "reversed":
+            assert report.rho == pytest.approx(-1.0, rel=1e-12)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from roadfl import analytic as an
 from roadfl import mcsim
@@ -14,6 +15,14 @@ def test_sim_config_validation():
         mcsim.SimConfig(num_rounds=0)
     with pytest.raises(InvalidParameterError):
         mcsim.SimConfig(warmup_rounds=-1)
+
+
+def test_round_cap_counts_warmup():
+    mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS - 1, warmup_rounds=1)
+    with pytest.raises(InvalidParameterError, match="exceeds"):
+        mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS, warmup_rounds=1)
+    with pytest.raises(InvalidParameterError, match="exceeds"):
+        mcsim.SimConfig(num_rounds=1, warmup_rounds=mcsim.MAX_ROUNDS)
 
 
 class TestComputingDelay:
@@ -181,6 +190,11 @@ class TestSimulateRounds:
         assert np.array_equal(small.participants, whole.participants)
 
 
+# Poisson means checked against scipy.stats.poisson, from nearly empty
+# rounds to far more successes per round than any shipped environment
+ORACLE_LAMBDAS = np.logspace(-6, math.log10(500), 40).tolist() + [1.0, 100.0]
+
+
 class TestPoissonFit:
     def test_point_mass_at_zero(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
@@ -210,6 +224,29 @@ class TestPoissonFit:
                                 zip([0.5, 0.3, 0.2] + [0.0] * (len(pmf) - 3), pmf))
         assert fit.tv_distance == pytest.approx(expected_tv, rel=1e-12)
         assert fit.p_pos_analytic == pytest.approx(1 - math.exp(-0.7), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids="{:.3g}".format)
+    def test_pmf_matches_scipy(self, lam):
+        k = np.arange(int(lam + 10 * math.sqrt(lam)) + 41)
+        np.testing.assert_allclose(mcsim._poisson_pmf(k, lam),
+                                   stats.poisson.pmf(k, lam), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids="{:.3g}".format)
+    def test_support_matches_scipy_tail(self, lam):
+        """The support is the scipy-derived one: every k up to ppf(1 - 1e-12) + 2
+        where the pmf reaches 1e-9, plus the empirical range."""
+        summary = mcsim.SimSummary(
+            num_rounds=1, histogram=np.array([1]),
+            participants=np.zeros(1, dtype=np.int64),
+            successes=np.zeros(1, dtype=np.int64),
+            empirical_mean_msuc=0.0, empirical_p_positive=0.0)
+        fit = mcsim.compare_to_poisson(summary, lam)
+        k = np.arange(int(stats.poisson.ppf(1.0 - 1e-12, lam)) + 3)
+        pmf = stats.poisson.pmf(k, lam)
+        expected = k[(pmf >= 1e-9) | (k == 0)]
+        assert fit.support.tolist() == expected.tolist()
+        np.testing.assert_allclose(fit.pmf, stats.poisson.pmf(expected, lam),
+                                   rtol=1e-12, atol=0)
 
     def test_poisson_fit_on_reference(self, reference_params):
         sched = Schedule(24, 25.0)
