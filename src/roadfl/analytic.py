@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import InfeasibleScheduleError, SystemParams, UnboundedSearchError
+from .types import InfeasibleEnvironmentError, InfeasibleScheduleError, SystemParams
 
 __all__ = [
     "t_min", "xi", "lambda_param", "success_probability", "subinterval_probs",
@@ -164,15 +164,14 @@ def t_max(params: SystemParams, h):
 
     Beyond this point the derivative of g in t is provably negative:
     t0 itself when c1 >= 0, otherwise
-    t0 + (1 - 12*rate*c1) / (4*rate*c0). With no arrivals and c1 < 0
-    the interval is unbounded and the caller must decide policy.
+    t0 + (1 - 12*rate*c1) / (4*rate*c0). With no arrivals g is zero for
+    every t, so there is no optimum to bracket.
     """
     c0, c1 = c0_c1(params, h)
     rate = params.arrival_rate
+    if rate == 0:
+        raise InfeasibleEnvironmentError("no arrivals")
     beyond = c1 < 0
-    if rate == 0 and np.any(beyond):
-        raise UnboundedSearchError(
-            "search interval unbounded: no arrivals and c1 < 0")
     # t0 + 0.0 is exactly t0, so the c1 >= 0 lanes keep the dwell time
     excess = np.divide(1.0 - 12.0 * rate * c1, 4.0 * rate * c0,
                        out=np.zeros_like(c1), where=beyond)

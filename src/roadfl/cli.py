@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -59,44 +60,31 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> (type, required, default)
-_SCHEMA: dict[str, dict[str, tuple[type, bool, object]]] = {
-    "system": {
-        "length_m": (float, True, None),
-        "speed_mps": (float, True, None),
-        "arrival_rate_per_s": (float, True, None),
-        "tau_down_s": (float, True, None),
-        "tau_up_s": (float, True, None),
-        "alpha_s": (float, True, None),
-        "beta_s": (float, True, None),
-    },
-    "optimizer": {
-        "gamma_s": (float, False, 1e-3),
-        "grid_step_s": (float, False, 0.01),
-    },
-    "sim": {
-        "seed": (int, False, 12345),
-        "num_rounds": (int, False, 100_000),
-        "warmup_rounds": (int, False, 1),
-        "h": (int, False, None),
-        "t_s": (float, False, None),
-    },
-    "fl": {
-        "eta": (float, False, 0.1),
-        "batch_size": (int, False, 64),
-        "samples_per_vehicle": (int, False, 1024),
-        "feature_dim": (int, False, 512),
-        "global_pool_size": (int, False, 1024),
-        "validation_size": (int, False, 1024),
-        "horizon_s": (float, False, 2000.0),
-        "seed": (int, False, 1),
-        "noise_std": (float, False, 0.0),
-        "vehicle_shift_std": (float, False, 0.0),
-    },
-    "output": {
-        "dir": (str, False, "out"),
-    },
-}
+# INI section -> the config dataclass it builds. Each field is read from
+# the key of its name plus its unit suffix, with the field's type; a
+# field without a default is a required key.
+_SECTIONS = {"system": SystemParams, "optimizer": OptimizerConfig,
+             "sim": SimConfig, "fl": FLConfig}
+_UNITS = {"length": "_m", "speed": "_mps", "arrival_rate": "_per_s",
+          "tau_down": "_s", "tau_up": "_s", "alpha": "_s", "beta": "_s",
+          "gamma": "_s", "horizon": "_s"}
+
+
+def _keys() -> dict[str, dict[str, tuple[str, type, bool]]]:
+    """section -> INI key -> (field, type, required)."""
+    keys = {}
+    for section, cls in _SECTIONS.items():
+        hints = get_type_hints(cls)
+        keys[section] = {f.name + _UNITS.get(f.name, ""):
+                         (f.name, hints[f.name], f.default is MISSING)
+                         for f in fields(cls)}
+    # the schedule validate simulates, and where outputs go
+    keys["sim"].update(h=("h", int, False), t_s=("t", float, False))
+    keys["output"] = {"dir": ("dir", str, False)}
+    return keys
+
+
+_KEYS = _keys()
 
 
 @dataclass(frozen=True)
@@ -109,14 +97,16 @@ class ExperimentConfig:
     output_dir: Path
 
 
-def _coerce(section: str, key: str, raw: str):
-    typ = _SCHEMA[section][key][0]
+def _set_value(values: dict[str, dict[str, object]], section: str, key: str,
+               raw: str) -> None:
+    """Parse raw as the type of the field that section.key sets; store it
+    under that field's name."""
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        field, typ, _ = _KEYS[section][key]
+    except KeyError:
+        raise ConfigError(f"unknown config key {section}.{key}")
+    try:
+        values[section][field] = typ(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {typ.__name__}")
 
@@ -128,7 +118,7 @@ def parse_config(path: str | Path | None,
     Unknown sections or keys are hard errors; missing required keys are
     reported all at once.
     """
-    values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
+    values: dict[str, dict[str, object]] = {s: {} for s in _KEYS}
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -136,12 +126,10 @@ def parse_config(path: str | Path | None,
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in _KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser[section].items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                values[section][key] = _coerce(section, key, raw)
+                _set_value(values, section, key, raw)
 
     for item in overrides:
         if "=" not in item:
@@ -149,55 +137,24 @@ def parse_config(path: str | Path | None,
         dotted, raw = item.split("=", 1)
         if "." not in dotted:
             raise ConfigError(f"override key {dotted!r} must be section.key")
-        section, key = dotted.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown config key {section}.{key}")
-        values[section][key] = _coerce(section, key, raw)
+        _set_value(values, *dotted.split(".", 1), raw)
 
-    missing = [f"{s}.{k}" for s, keys in _SCHEMA.items()
-               for k, (_, required, _) in keys.items()
-               if required and k not in values[s]]
+    missing = [f"{s}.{k}" for s, keys in _KEYS.items()
+               for k, (field, _, required) in keys.items()
+               if required and field not in values[s]]
     if missing:
         raise ConfigError("missing required config key(s): " + ", ".join(missing))
 
-    def lookup(section: str, key: str):
-        return values[section].get(key, _SCHEMA[section][key][2])
-
+    h = values["sim"].pop("h", None)
+    t = values["sim"].pop("t", None)
     try:
-        system = SystemParams(
-            length=lookup("system", "length_m"),
-            speed=lookup("system", "speed_mps"),
-            arrival_rate=lookup("system", "arrival_rate_per_s"),
-            tau_down=lookup("system", "tau_down_s"),
-            tau_up=lookup("system", "tau_up_s"),
-            alpha=lookup("system", "alpha_s"),
-            beta=lookup("system", "beta_s"),
-        )
-        opt = OptimizerConfig(gamma=lookup("optimizer", "gamma_s"),
-                              grid_step=lookup("optimizer", "grid_step_s"))
-        sim = SimConfig(seed=lookup("sim", "seed"),
-                        num_rounds=lookup("sim", "num_rounds"),
-                        warmup_rounds=lookup("sim", "warmup_rounds"))
-        fl = FLConfig(
-            eta=lookup("fl", "eta"),
-            batch_size=lookup("fl", "batch_size"),
-            samples_per_vehicle=lookup("fl", "samples_per_vehicle"),
-            feature_dim=lookup("fl", "feature_dim"),
-            global_pool_size=lookup("fl", "global_pool_size"),
-            validation_size=lookup("fl", "validation_size"),
-            horizon=lookup("fl", "horizon_s"),
-            seed=lookup("fl", "seed"),
-            noise_std=lookup("fl", "noise_std"),
-            vehicle_shift_std=lookup("fl", "vehicle_shift_std"),
-        )
-        h = lookup("sim", "h")
-        t_s = lookup("sim", "t_s")
-        schedule = Schedule(h, t_s) if h is not None and t_s is not None else None
+        sections = {s: cls(**values[s]) for s, cls in _SECTIONS.items()}
+        schedule = Schedule(h, t) if h is not None and t is not None else None
     except InvalidParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return ExperimentConfig(system, opt, sim, fl, schedule,
-                            Path(str(lookup("output", "dir"))))
+    return ExperimentConfig(**sections, schedule=schedule,
+                            output_dir=Path(values["output"].get("dir", "out")))
 
 
 def _fmt(value) -> str:
@@ -212,33 +169,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write lines atomically: temp file in the target dir, then rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_rows(path: Path, header: Sequence[str], rows) -> None:
-    """Write CSV atomically: temp file in the target dir, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write a CSV file, streaming the rows."""
+    _write_lines(path, itertools.chain(
+        [",".join(header) + "\n"],
+        (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
 
 
 def cmd_optimize(cfg: ExperimentConfig) -> int:
@@ -380,16 +329,15 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     if len(results) >= 8:
         report = proxy_correlation(results, cfg.system)
         if report.degenerate:
-            body = "spearman_rho=nan (degenerate: constant ranks)\n"
+            rho_line = "spearman_rho=nan (degenerate: constant ranks)"
         else:
-            body = f"spearman_rho={_fmt(report.rho)}\n"
-        body += f"n_schedules={report.n_schedules}\n"
+            rho_line = f"spearman_rho={_fmt(report.rho)}"
     else:
-        body = "spearman_rho=nan (fewer than 8 completed runs)\n"
-        body += f"n_schedules={len(results)}\n"
-    body += f"grid={grid_desc}\nhorizon_s={_fmt(cfg.fl.horizon)}\nseed={cfg.fl.seed}\n"
-    _write_text(cfg.output_dir / "correlation.txt", body)
-    print(body.splitlines()[0])
+        rho_line = "spearman_rho=nan (fewer than 8 completed runs)"
+    lines = (rho_line, f"n_schedules={len(results)}", f"grid={grid_desc}",
+             f"horizon_s={_fmt(cfg.fl.horizon)}", f"seed={cfg.fl.seed}")
+    _write_lines(cfg.output_dir / "correlation.txt", (line + "\n" for line in lines))
+    print(rho_line)
     return EXIT_OK
 
 

@@ -31,6 +31,9 @@ from .types import (
     InvalidParameterError,
     Schedule,
     SystemParams,
+    _finite_float,
+    _positive_int,
+    _require,
 )
 
 __all__ = [
@@ -66,29 +69,21 @@ class FLConfig:
     vehicle_shift_std: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.eta, (int, float)) and self.eta > 0):
-            raise InvalidParameterError("learning rate must be positive")
+        _require(_finite_float(self.eta, "eta") > 0, "learning rate must be positive")
         for name in ("batch_size", "samples_per_vehicle", "feature_dim",
                      "global_pool_size", "validation_size"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise InvalidParameterError(f"{name} must be a positive integer")
-        if self.batch_size > self.samples_per_vehicle:
-            raise InvalidParameterError(
-                "batch size cannot exceed the per-vehicle sample count")
-        if self.samples_per_vehicle > self.global_pool_size:
-            raise InvalidParameterError(
-                "per-vehicle sample count cannot exceed the global pool")
-        if not (isinstance(self.horizon, (int, float)) and self.horizon > 0
-                and math.isfinite(self.horizon)):
-            raise InvalidParameterError("training horizon must be positive")
-        if not (isinstance(self.noise_std, (int, float)) and self.noise_std >= 0):
-            raise InvalidParameterError("noise level must be non-negative")
-        if not (isinstance(self.vehicle_shift_std, (int, float))
-                and self.vehicle_shift_std >= 0):
-            raise InvalidParameterError("vehicle shift scale must be non-negative")
-        if not isinstance(self.seed, int):
-            raise InvalidParameterError("seed must be an integer")
+            _positive_int(getattr(self, name), name)
+        _require(self.batch_size <= self.samples_per_vehicle,
+                 "batch size cannot exceed the per-vehicle sample count")
+        _require(self.samples_per_vehicle <= self.global_pool_size,
+                 "per-vehicle sample count cannot exceed the global pool")
+        _require(_finite_float(self.horizon, "horizon") > 0,
+                 "training horizon must be positive")
+        _require(_finite_float(self.noise_std, "noise_std") >= 0,
+                 "noise level must be non-negative")
+        _require(_finite_float(self.vehicle_shift_std, "vehicle_shift_std") >= 0,
+                 "vehicle shift scale must be non-negative")
+        _require(isinstance(self.seed, int), "seed must be an integer")
 
 
 @dataclass(frozen=True)

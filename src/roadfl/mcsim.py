@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import substream
-from .types import InvalidParameterError, Schedule, SystemParams
+from .types import InvalidParameterError, Schedule, SystemParams, _positive_int, _require
 
 __all__ = [
     "SimConfig", "SimSummary", "PoissonFit", "Attempts",
@@ -45,6 +45,10 @@ ATTEMPTS_PER_BLOCK = 2 ** 16
 # plus recorded rounds (about 160 MB of counts at the cap)
 MAX_ROUNDS = 10 ** 7
 
+# arrival_times holds every arrival of a run at once; this caps the
+# expected count (about 270 MB of float64)
+MAX_ARRIVALS = 2 ** 25
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -53,15 +57,12 @@ class SimConfig:
     warmup_rounds: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.num_rounds, int) and self.num_rounds >= 1):
-            raise InvalidParameterError("number of rounds must be a positive integer")
-        if not (isinstance(self.warmup_rounds, int) and self.warmup_rounds >= 0):
-            raise InvalidParameterError("warmup rounds must be non-negative")
-        if self.num_rounds + self.warmup_rounds > MAX_ROUNDS:
-            raise InvalidParameterError(
-                f"number of rounds plus warmup rounds exceeds {MAX_ROUNDS}")
-        if not isinstance(self.seed, int):
-            raise InvalidParameterError("seed must be an integer")
+        _positive_int(self.num_rounds, "number of rounds")
+        _require(isinstance(self.warmup_rounds, int) and self.warmup_rounds >= 0,
+                 "warmup rounds must be non-negative")
+        _require(self.num_rounds + self.warmup_rounds <= MAX_ROUNDS,
+                 f"number of rounds plus warmup rounds exceeds {MAX_ROUNDS}")
+        _require(isinstance(self.seed, int), "seed must be an integer")
 
 
 @dataclass(frozen=True)
@@ -113,15 +114,17 @@ def arrival_times(params: SystemParams, horizon: float,
     """Poisson arrival instants on (-t0, horizon), strictly increasing.
 
     Starting a dwell time before zero populates round 0's participant
-    window correctly.
+    window correctly. More than MAX_ARRIVALS expected arrivals is an
+    InvalidParameterError, raised before anything is drawn.
     """
-    if horizon <= 0:
-        raise InvalidParameterError("horizon must be positive")
+    _require(horizon > 0, "horizon must be positive")
     rate = params.arrival_rate
     if rate == 0:
         return np.empty(0)
     start = -params.dwell_time
     span = horizon - start
+    _require(rate * span <= MAX_ARRIVALS,
+             f"{rate * span:.3g} expected arrivals, more than {MAX_ARRIVALS}")
     chunk = max(256, int(rate * span * 1.1) + 64)
     pieces = []
     current = start

@@ -25,6 +25,8 @@ from .types import (
     InfeasibleScheduleError,
     InvalidParameterError,
     SystemParams,
+    _finite_float,
+    _require,
 )
 
 __all__ = [
@@ -33,22 +35,20 @@ __all__ = [
     "scan_round_lengths",
 ]
 
+# optimize_schedule holds one bisection lane per h = 1 .. h_max, so its
+# time and memory grow with h_max; this caps h_max (the long-section
+# benchmark environment has 7,959 lanes)
+MAX_LANES = 2**20
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """gamma: bisection bracket width threshold, seconds.
-    grid_step: spacing of the brute-force oracle grid, seconds."""
+    """gamma: bisection bracket width threshold, seconds."""
 
     gamma: float = 1e-3
-    grid_step: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.gamma, (int, float)) and self.gamma > 0
-                and math.isfinite(self.gamma)):
-            raise InvalidParameterError("gamma must be a positive finite number")
-        if not (isinstance(self.grid_step, (int, float)) and self.grid_step > 0
-                and math.isfinite(self.grid_step)):
-            raise InvalidParameterError("grid step must be a positive finite number")
+        _require(_finite_float(self.gamma, "gamma") > 0, "gamma must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,16 @@ def h_max(params: SystemParams) -> int:
 
     floor((t0 - tau_down - tau_up) / alpha), trimmed down while
     t_min(h) >= t0 so feasibility stays strict. 0 means no vehicle can
-    ever succeed, whatever the schedule.
+    ever succeed, whatever the schedule. More than MAX_LANES iteration
+    counts is an InvalidParameterError.
     """
     budget = params.dwell_time - params.tau_down - params.tau_up
     if budget <= 0:
         return 0
-    h = int(math.floor(budget / params.alpha))
+    lanes = budget / params.alpha
+    _require(lanes <= MAX_LANES,
+             f"{lanes:.3g} local iterations fit the dwell time, more than {MAX_LANES}")
+    h = int(math.floor(lanes))
     while h > 0 and analytic.t_min(params, h) >= params.dwell_time:
         h -= 1
     return h
@@ -148,16 +152,17 @@ def optimize_schedule(params: SystemParams,
 
 
 def scan_round_lengths(params: SystemParams, h: int,
-                       cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+                       grid_step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
     """Dense grid of round lengths for one h and g evaluated on it.
 
     Grid points are t_min + k*grid_step for k >= 1, up to t_max. May be
     empty when the interval is narrower than the step.
     """
+    _require(_finite_float(grid_step, "grid step") > 0, "grid step must be positive")
     lo = analytic.t_min(params, h)
     hi = analytic.t_max(params, h)
-    n = int(math.floor((hi - lo) / cfg.grid_step + 1e-12))
-    ts = lo + cfg.grid_step * np.arange(1, n + 1)
+    n = int(math.floor((hi - lo) / grid_step + 1e-12))
+    ts = lo + grid_step * np.arange(1, n + 1)
     ts = ts[ts <= hi]
     if ts.size == 0:
         return ts, ts
@@ -165,14 +170,15 @@ def scan_round_lengths(params: SystemParams, h: int,
 
 
 def brute_force_argmax(params: SystemParams,
-                       cfg: OptimizerConfig) -> OptimizationResult:
-    """Exhaustive scan over h and a dense t grid; oracle for the bisection
-    search. Deterministic; first grid maximum wins within each h."""
+                       grid_step: float = 0.01) -> OptimizationResult:
+    """Exhaustive scan over h and a grid of t spaced grid_step seconds;
+    oracle for the bisection search. Deterministic; first grid maximum
+    wins within each h."""
     _check_environment(params)
     table = []
     steps = 0
     for h in range(1, h_max(params) + 1):
-        ts, gs = scan_round_lengths(params, h, cfg)
+        ts, gs = scan_round_lengths(params, h, grid_step)
         if ts.size == 0:
             continue
         steps += ts.size

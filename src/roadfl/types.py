@@ -25,10 +25,6 @@ class InfeasibleEnvironmentError(ValueError):
     """No schedule at all can produce a successful upload here."""
 
 
-class UnboundedSearchError(ValueError):
-    """The round-length search interval has no finite upper bound."""
-
-
 class DivergenceError(RuntimeError):
     """Training produced non-finite model weights."""
 
@@ -44,6 +40,11 @@ def _finite_float(value: object, name: str) -> float:
     value = float(value)
     _require(math.isfinite(value), f"{name} must be finite")
     return value
+
+
+def _positive_int(value: object, name: str) -> None:
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+             f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class SystemParams:
         _require(self.tau_up >= 0, "upload delay must be non-negative")
         _require(self.alpha > 0, "alpha must be positive")
         _require(self.beta > 0, "beta must be positive")
+        _require(math.isfinite(self.dwell_time), "dwell time length / speed must be finite")
 
     @property
     def dwell_time(self) -> float:
@@ -94,9 +96,7 @@ class Schedule:
     t: float
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.h, int) and not isinstance(self.h, bool),
-                 "local iteration count must be an integer")
-        _require(self.h >= 1, "local iteration count must be at least 1")
+        _positive_int(self.h, "local iteration count")
         t = _finite_float(self.t, "round duration")
         _require(t > 0, "round duration must be positive")
         object.__setattr__(self, "t", t)

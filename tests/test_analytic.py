@@ -9,10 +9,10 @@ from scipy import integrate
 from conftest import random_feasible_params
 from roadfl import analytic as an
 from roadfl.types import (
+    InfeasibleEnvironmentError,
     InfeasibleScheduleError,
     Schedule,
     SystemParams,
-    UnboundedSearchError,
 )
 
 
@@ -307,7 +307,7 @@ class TestSearchUpperBound:
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         _, c1 = an.c0_c1(p, 24)
         assert c1 < 0
-        with pytest.raises(UnboundedSearchError):
+        with pytest.raises(InfeasibleEnvironmentError):
             an.t_max(p, 24)
 
 

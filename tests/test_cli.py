@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from roadfl import cli
+from roadfl.flsim import FLConfig
+from roadfl.mcsim import SimConfig
+from roadfl.optimizer import OptimizerConfig
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline.cfg"
@@ -17,11 +20,12 @@ def read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def run_cli(args, cwd=REPO):
+def run_cli(args, cwd=REPO, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     return subprocess.run([sys.executable, "-m", "roadfl.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=timeout)
 
 
 class TestParseConfig:
@@ -53,8 +57,18 @@ class TestParseConfig:
         bad.write_text("[system]\nwarp_factor = 9\n")
         with pytest.raises(cli.ConfigError, match="unknown config key"):
             cli.parse_config(bad)
-        with pytest.raises(cli.ConfigError, match="unknown config key"):
-            cli.parse_config(BASELINE, ["system.turbo=1"])
+        for override in ("system.turbo=1", "optimizer.grid_step_s=0.01"):
+            with pytest.raises(cli.ConfigError, match="unknown config key"):
+                cli.parse_config(BASELINE, [override])
+
+    def test_defaults_are_the_dataclass_defaults(self, tmp_path):
+        system_only = tmp_path / "system.cfg"
+        system_only.write_text(BASELINE.read_text().split("[optimizer]")[0])
+        cfg = cli.parse_config(system_only)
+        assert cfg.optimizer == OptimizerConfig()
+        assert cfg.sim == SimConfig()
+        assert cfg.fl == FLConfig()
+        assert cfg.schedule is None
 
     def test_type_mismatch(self):
         with pytest.raises(cli.ConfigError, match="cannot parse"):
@@ -247,6 +261,27 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(out_b)]).returncode == 0
         for name in ("poisson_fit.csv", "fit_report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("code,args", [
+    (1, ["optimize", "--system.length_m=1e300"]),
+    (1, ["optimize", "--system.alpha_s=1e-300"]),
+    (1, ["optimize", "--system.length_m=1e300", "--system.speed_mps=1e-300"]),
+    (1, ["validate", "--system.arrival_rate_per_s=1000"]),
+    (1, ["validate", "--sim.t_s=1e300", "--sim.num_rounds=10"]),
+    (1, ["fl", "--fl.horizon_s=1e300"]),
+    (1, ["fl", "--fl.eta=inf"]),
+    (2, ["fl", "--system.arrival_rate_per_s=0"]),
+])
+def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
+    """Inputs that hung, or died in a traceback, end in a one-line error."""
+    out = tmp_path / "out"
+    proc = run_cli([*args, "--config", str(BASELINE), "--out", str(out)],
+                   timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_unknown_cli_token_rejected(tmp_path):

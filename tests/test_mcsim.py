@@ -54,6 +54,15 @@ class TestArrivals:
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         assert mcsim.arrival_times(p, 100.0, substream(1, "a")).size == 0
 
+    def test_expected_count_cap(self, reference_params, monkeypatch):
+        # expected count is rate * (horizon + t0) = 0.1 * (horizon + 20)
+        monkeypatch.setattr(mcsim, "MAX_ARRIVALS", 100)
+        assert mcsim.arrival_times(reference_params, 980.0, substream(4, "a")).size > 0
+        rng = substream(4, "a")
+        with pytest.raises(InvalidParameterError, match="expected arrivals"):
+            mcsim.arrival_times(reference_params, 990.0, rng)
+        assert rng.random() == substream(4, "a").random()  # nothing drawn
+
     def test_count_confidence_interval(self, reference_params):
         horizon = 1e5
         times = mcsim.arrival_times(reference_params, horizon, substream(5, "a"))

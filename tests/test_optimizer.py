@@ -31,11 +31,22 @@ def test_h_max_zero_when_links_eat_dwell():
     assert opt.h_max(p) == 0
 
 
-def test_config_validation():
+def test_h_max_lane_cap():
+    # budget 18 s over alpha = 18 / 2**20 s is exactly MAX_LANES lanes
+    p = SystemParams(length=400, speed=20, arrival_rate=0.1,
+                     tau_down=1, tau_up=1, alpha=18 / opt.MAX_LANES, beta=0.2)
+    assert opt.h_max(p) == opt.MAX_LANES - 1  # t_min(MAX_LANES) == t0
+    p = SystemParams(length=400, speed=20, arrival_rate=0.1,
+                     tau_down=1, tau_up=1, alpha=9 / opt.MAX_LANES, beta=0.2)
+    with pytest.raises(InvalidParameterError, match="local iterations"):
+        opt.h_max(p)
+
+
+def test_config_validation(reference_params):
     with pytest.raises(InvalidParameterError):
         opt.OptimizerConfig(gamma=0)
     with pytest.raises(InvalidParameterError):
-        opt.OptimizerConfig(grid_step=-1)
+        opt.scan_round_lengths(reference_params, 24, grid_step=-1)
 
 
 def scalar_bisection(params, h, cfg):
@@ -66,11 +77,11 @@ class TestPerIterationSearch:
         assert g_val == pytest.approx(an.g(reference_params, 24, t))
 
     def test_matches_dense_scan(self, reference_params):
-        cfg = opt.OptimizerConfig(gamma=1e-3, grid_step=1e-3)
+        cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 1e-3
         (t,), _, _ = opt.optimize_round_lengths(reference_params, [24], cfg)
-        ts, gs = opt.scan_round_lengths(reference_params, 24, cfg)
+        ts, gs = opt.scan_round_lengths(reference_params, 24, grid_step)
         t_grid = ts[int(np.argmax(gs))]
-        assert abs(t - t_grid) <= cfg.gamma + cfg.grid_step
+        assert abs(t - t_grid) <= cfg.gamma + grid_step
 
     def test_degenerate_threshold_returns_midpoint(self, reference_params):
         lo = an.t_min(reference_params, 24)
@@ -131,7 +142,7 @@ class TestJointSearch:
         with pytest.raises(InfeasibleEnvironmentError, match="no arrivals"):
             opt.optimize_schedule(p, opt.OptimizerConfig())
         with pytest.raises(InfeasibleEnvironmentError):
-            opt.brute_force_argmax(p, opt.OptimizerConfig())
+            opt.brute_force_argmax(p)
 
     def test_blocked_environment_is_infeasible(self):
         p = SystemParams(length=100, speed=20, arrival_rate=0.1,
@@ -147,29 +158,28 @@ class TestJointSearch:
 
 class TestBruteForceOracle:
     def test_agrees_with_bisection_on_reference(self, reference_params):
-        cfg = opt.OptimizerConfig(gamma=1e-3, grid_step=0.01)
+        cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 0.01
         fast = opt.optimize_schedule(reference_params, cfg)
-        slow = opt.brute_force_argmax(reference_params, cfg)
+        slow = opt.brute_force_argmax(reference_params, grid_step)
         assert fast.h_star == slow.h_star
-        assert abs(fast.t_star - slow.t_star) <= cfg.gamma + cfg.grid_step
+        assert abs(fast.t_star - slow.t_star) <= cfg.gamma + grid_step
 
     def test_agrees_on_random_environments(self):
         rng = np.random.default_rng(88)
-        cfg = opt.OptimizerConfig(gamma=1e-3, grid_step=0.01)
+        cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 0.01
         for _ in range(10):
             params, _ = random_feasible_params(rng)
             fast = opt.optimize_schedule(params, cfg)
-            slow = opt.brute_force_argmax(params, cfg)
+            slow = opt.brute_force_argmax(params, grid_step)
             assert fast.h_star == slow.h_star
-            assert abs(fast.t_star - slow.t_star) <= cfg.gamma + cfg.grid_step
+            assert abs(fast.t_star - slow.t_star) <= cfg.gamma + grid_step
 
     def test_monotone_decreasing_g_returns_leftmost_point(self):
         # dense traffic pushes the optimum against the lower end, so the
         # scan maximum is its first grid point
         p = SystemParams(length=400, speed=20, arrival_rate=50.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        cfg = opt.OptimizerConfig(grid_step=0.05)
-        ts, gs = opt.scan_round_lengths(p, 24, cfg)
+        ts, gs = opt.scan_round_lengths(p, 24, grid_step=0.05)
         assert np.all(np.diff(gs) < 0)
         assert int(np.argmax(gs)) == 0
 
