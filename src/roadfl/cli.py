@@ -52,8 +52,9 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERIC = 3
 
-# A sweep's (h, t) points are held in memory at once; this caps them.
-MAX_SWEEP_POINTS = 2**20
+# A sweep's (h, t) points and an fl run's rows are held in memory at
+# once; this caps the rows of surface.csv and fl_runs.csv.
+MAX_ROWS = 2**20
 
 
 class ConfigError(ValueError):
@@ -248,8 +249,8 @@ def _parse_t_grid(text: str) -> np.ndarray:
         raise ConfigError("t grid needs positive start and step")
     limit = stop + 1e-12
     span = (limit - start) / step
-    if span >= MAX_SWEEP_POINTS:
-        raise ConfigError(f"t grid {text!r} has more than {MAX_SWEEP_POINTS} points")
+    if span >= MAX_ROWS:
+        raise ConfigError(f"t grid {text!r} has more than {MAX_ROWS} points")
     # one spare point absorbs rounding in span; the filter drops it
     ts = start + step * np.arange(max(math.floor(span), -1) + 2)
     ts = ts[ts <= limit]
@@ -262,9 +263,9 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
     hs = _parse_h_list(h_list)
     ts = _parse_t_grid(t_grid)
     points = len(hs) * ts.size
-    if points > MAX_SWEEP_POINTS:
+    if points > MAX_ROWS:
         raise ConfigError(f"sweep has {points} (h, t) points, "
-                          f"more than {MAX_SWEEP_POINTS}")
+                          f"more than {MAX_ROWS}")
     h_col = np.array(hs, dtype=float)[:, None]
     t_row = ts[None, :]
     rows = zip([h for h in hs for _ in range(ts.size)],
@@ -307,6 +308,10 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
         schedules = _default_fl_grid(cfg)
     else:
         schedules = _parse_schedules(schedules_arg)
+    # one row per round boundary of each run; min keeps the floor finite
+    n_rows = sum(math.floor(min(cfg.fl.horizon / s.t, MAX_ROWS)) + 1 for s in schedules)
+    if n_rows > MAX_ROWS:
+        raise ConfigError(f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
 
     rows = []
     results = []

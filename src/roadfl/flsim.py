@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytic
-from .mcsim import arrival_times, attempts
+from .mcsim import arrival_times, attempt_blocks
 # perfbench/tracer.py counts delay draws by patching this name
 from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
@@ -37,10 +37,14 @@ from .types import (
 )
 
 __all__ = [
-    "FLConfig", "ModelState", "LinearTask", "FLRunResult", "CorrelationReport",
+    "FLConfig", "LinearTask", "FLRunResult", "CorrelationReport",
     "generate_task", "mse_loss", "mse_gradient", "local_sgd", "aggregate",
     "run_fl", "proxy_correlation",
 ]
+
+# run_fl holds the task and every arriving vehicle's sample indices and
+# shift at once; this caps the values of each (about 270 MB of float64)
+MAX_VALUES = 2**25
 
 
 @dataclass(frozen=True)
@@ -84,18 +88,9 @@ class FLConfig:
         _require(_finite_float(self.vehicle_shift_std, "vehicle_shift_std") >= 0,
                  "vehicle shift scale must be non-negative")
         _require(isinstance(self.seed, int), "seed must be an integer")
-
-
-@dataclass(frozen=True)
-class ModelState:
-    """Weight vector (bias folded in as the last component) plus round index."""
-
-    weights: np.ndarray
-    round_index: int = 0
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.weights)):
-            raise DivergenceError("model weights are not finite")
+        values = (self.global_pool_size + self.validation_size) * (self.feature_dim + 1)
+        _require(values <= MAX_VALUES,
+                 f"the task holds {values} feature values, more than {MAX_VALUES}")
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,11 @@ def mse_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return x.T @ (x @ weights - y) / y.size
 
 
-def local_sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
+def local_sgd(w: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
               shift: np.ndarray | None, h_steps: int, cfg: FLConfig,
-              rng: np.random.Generator) -> ModelState:
-    """Run h_steps mini-batch SGD steps from the given model.
+              rng: np.random.Generator) -> np.ndarray:
+    """Run h_steps mini-batch SGD steps from the weights w (bias folded in
+    as the last component) and return the new weights.
 
     The local dataset is x[rows], y[rows], with shift (if not None) added
     to every feature but the trailing ones column. Each step samples a
@@ -153,36 +149,39 @@ def local_sgd(state: ModelState, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
     h_steps = 0 returns the model unchanged. Non-finite weights raise
     DivergenceError.
     """
-    w = state.weights.copy()
+    w = w.copy()
     for _ in range(h_steps):
         batch = rows[rng.choice(rows.size, size=cfg.batch_size, replace=False)]
         xb = x[batch]
         if shift is not None:
             xb[:, :-1] += shift
-        w -= cfg.eta * (xb.T @ (xb @ w - y[batch])) / cfg.batch_size
+        w -= cfg.eta * mse_gradient(w, xb, y[batch])
     if not np.all(np.isfinite(w)):
         raise DivergenceError(
             f"local training diverged after {h_steps} steps (eta={cfg.eta})")
-    return ModelState(w, state.round_index)
+    return w
 
 
-def aggregate(models: Sequence[tuple[ModelState, int]]) -> ModelState:
-    """Average models weighted by their dataset sizes.
+def aggregate(models: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Average weight vectors weighted by their dataset sizes.
 
     Computed as base + sum(frac_i * (w_i - base)), which returns a list
     of identical models exactly and keeps the weights summing to one.
-    Raises ValueError on an empty round.
+    Raises ValueError on an empty round and DivergenceError on a
+    non-finite average.
     """
     if not models:
         raise ValueError("cannot aggregate an empty round")
     total = sum(size for _, size in models)
     if total <= 0:
         raise ValueError("aggregation weights must be positive")
-    base = models[0][0].weights
+    base = models[0][0]
     out = base.copy()
-    for state, size in models:
-        out += (size / total) * (state.weights - base)
-    return ModelState(out, models[0][0].round_index)
+    for w, size in models:
+        out += (size / total) * (w - base)
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError("model weights are not finite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,7 +213,9 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     sampling get schedule-tagged streams so runs are independent yet
     reproducible. Local training always restarts from the current global
     model, and only the vehicles whose uploads would arrive in time are
-    trained, since no other model ever reaches the aggregator.
+    trained, since no other model ever reaches the aggregator. More than
+    MAX_VALUES sample indices and shifts over all arrivals is an
+    InvalidParameterError, raised before any dataset is drawn.
     """
     rounds_total = int(math.floor(cfg.horizon / sched.t))
     if rounds_total < 1:
@@ -225,8 +226,13 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     tag = f"{sched.h}:{sched.t:.9g}"
     arrivals = arrival_times(params, rounds_total * sched.t,
                              substream(cfg.seed, "arrivals", tag))
-    table = attempts(params, sched, arrivals, 0, rounds_total,
-                     substream(cfg.seed, "delays", tag))
+    values = arrivals.size * (cfg.samples_per_vehicle + cfg.feature_dim)
+    _require(values <= MAX_VALUES,
+             f"{arrivals.size} vehicles hold {values} sample values, more than {MAX_VALUES}")
+    # keep only each block's successful rows, so memory follows the winners
+    won = [(table.round[table.success], table.vehicle[table.success])
+           for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
+                                             substream(cfg.seed, "delays", tag))]
     data_rng = substream(cfg.seed, "data", tag)
     sgd_rng = substream(cfg.seed, "sgd", tag)
 
@@ -238,8 +244,9 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
             if cfg.vehicle_shift_std > 0 else None
         datasets.append((idx, shift))
 
-    winners = table.vehicle[table.success]
-    bounds = np.searchsorted(table.round[table.success], np.arange(rounds_total + 1))
+    winners = np.concatenate([vehicle for _, vehicle in won])
+    bounds = np.searchsorted(np.concatenate([rnd for rnd, _ in won]),
+                             np.arange(rounds_total + 1))
     w = np.zeros(cfg.feature_dim + 1)
     losses = [mse_loss(w, task.x_val, task.y_val)]
     rounds_valid = 0
@@ -250,11 +257,10 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
             # no upload: the model and hence its loss are unchanged
             losses.append(losses[-1])
             continue
-        trained = [(local_sgd(ModelState(w, k), task.x_pool, task.y_pool,
-                              *datasets[m], sched.h, cfg, sgd_rng),
-                    cfg.samples_per_vehicle)
-                   for m in round_winners]
-        w = aggregate(trained).weights
+        w = aggregate([(local_sgd(w, task.x_pool, task.y_pool, *datasets[m],
+                                  sched.h, cfg, sgd_rng),
+                        cfg.samples_per_vehicle)
+                       for m in round_winners])
         rounds_valid += 1
         losses.append(mse_loss(w, task.x_val, task.y_val))
 
@@ -273,7 +279,6 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
 class CorrelationReport:
     rho: float
     degenerate: bool
-    n_schedules: int
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -298,7 +303,7 @@ def proxy_correlation(results: Sequence[FLRunResult],
                         [r.schedule.t for r in results])
     score = np.array([-r.l_min for r in results])
     if np.all(g_vals == g_vals[0]) or np.all(score == score[0]):
-        return CorrelationReport(math.nan, True, len(results))
+        return CorrelationReport(math.nan, True)
     # Spearman's rho: the Pearson correlation of average ranks
     rho = float(np.corrcoef(_average_ranks(g_vals), _average_ranks(score))[1, 0])
-    return CorrelationReport(rho, not math.isfinite(rho), len(results))
+    return CorrelationReport(rho, not math.isfinite(rho))

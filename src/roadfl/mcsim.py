@@ -4,11 +4,10 @@ Replays the exact event timeline the closed-form model describes:
 Poisson arrivals over the road section, per-round participant sets,
 fresh shifted-exponential computing delays for every (vehicle, round)
 attempt, and the success rule completion <= deadline. All of it lives
-in one round-major attempt table (attempts), which simulate_rounds
-aggregates block by block, subinterval_success_counts reads for pinned
-arrivals and flsim reads for each round's winners. The per-round
-success counts feed a goodness-of-fit report against the analytic
-Poisson law.
+in one round-major attempt table (attempts), built in blocks of rounds
+(attempt_blocks), which simulate_rounds aggregates and flsim reads for
+each round's winners. The per-round success counts feed a
+goodness-of-fit report against the analytic Poisson law.
 
 A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,11 +30,11 @@ from .types import InvalidParameterError, Schedule, SystemParams, _positive_int,
 
 __all__ = [
     "SimConfig", "SimSummary", "PoissonFit", "Attempts",
-    "sample_computing_delay", "arrival_times", "attempts", "simulate_rounds",
-    "compare_to_poisson", "subinterval_success_counts",
+    "sample_computing_delay", "arrival_times", "attempts", "attempt_blocks",
+    "simulate_rounds", "compare_to_poisson",
 ]
 
-# expected rows per attempt-table block in simulate_rounds: small blocks
+# expected rows per attempt-table block in attempt_blocks: small blocks
 # bound memory and stay cache-resident, and any value gives the same
 # bytes, since delays are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 16
@@ -80,9 +79,6 @@ class SimSummary:
     empirical_mean_msuc: float
     empirical_p_positive: float
 
-    def frequencies(self) -> np.ndarray:
-        return self.histogram / self.num_rounds
-
 
 @dataclass(frozen=True)
 class PoissonFit:
@@ -94,7 +90,6 @@ class PoissonFit:
     tv_distance: float
     p_pos_analytic: float
     p_pos_empirical: float
-    p_pos_error: float
     support: np.ndarray
     empirical_freq: np.ndarray
     pmf: np.ndarray
@@ -179,27 +174,40 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
                     completion <= deadline)
 
 
+def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
+                   k_begin: int, k_end: int, delay_rng: np.random.Generator
+                   ) -> Iterator[tuple[int, int, Attempts]]:
+    """The attempt table of rounds k_begin <= k < k_end, in consecutive
+    blocks of rounds holding about ATTEMPTS_PER_BLOCK rows each.
+
+    Yields (block begin, block end, table of that block), so memory stays
+    bounded whatever the round count. The blocks draw delays exactly as
+    one table over all the rounds would.
+    """
+    per_round = params.arrival_rate * (sched.t + params.dwell_time)
+    block = max(1, int(ATTEMPTS_PER_BLOCK / max(per_round, 1.0)))
+    for begin in range(k_begin, k_end, block):
+        end = min(begin + block, k_end)
+        yield begin, end, attempts(params, sched, arrivals, begin, end, delay_rng)
+
+
 def simulate_rounds(params: SystemParams, sched: Schedule,
                     cfg: SimConfig) -> SimSummary:
     """Simulate warmup + num_rounds rounds and aggregate success counts.
 
-    The attempt table (see attempts) is built in blocks of rounds holding
-    about ATTEMPTS_PER_BLOCK rows each, so memory stays bounded whatever
-    num_rounds is. Warm-up rounds only shape the arrival stream; they
+    The attempt table is built and counted block by block (see
+    attempt_blocks). Warm-up rounds only shape the arrival stream; they
     are neither recorded nor given delays.
     """
     k_total = cfg.warmup_rounds + cfg.num_rounds
     arrivals = arrival_times(params, k_total * sched.t,
                              substream(cfg.seed, "arrivals"))
-    delay_rng = substream(cfg.seed, "delays")
-    per_round = params.arrival_rate * (sched.t + params.dwell_time)
-    block = max(1, int(ATTEMPTS_PER_BLOCK / max(per_round, 1.0)))
 
     m_k = np.zeros(cfg.num_rounds, dtype=np.int64)
     m_suc = np.zeros(cfg.num_rounds, dtype=np.int64)
-    for k_begin in range(cfg.warmup_rounds, k_total, block):
-        k_end = min(k_begin + block, k_total)
-        table = attempts(params, sched, arrivals, k_begin, k_end, delay_rng)
+    for k_begin, k_end, table in attempt_blocks(params, sched, arrivals,
+                                                cfg.warmup_rounds, k_total,
+                                                substream(cfg.seed, "delays")):
         rel = table.round - k_begin
         rows = slice(k_begin - cfg.warmup_rounds, k_end - cfg.warmup_rounds)
         m_k[rows] = np.bincount(rel, minlength=k_end - k_begin)
@@ -245,7 +253,7 @@ def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFi
     support = support[mask]
     pmf = pmf[mask]
     freq = np.zeros_like(pmf)
-    freq[:n_emp + 1] = summary.frequencies()
+    freq[:n_emp + 1] = summary.histogram / summary.num_rounds
 
     tv = 0.5 * float(np.abs(freq - pmf).sum())
     mean_emp = summary.empirical_mean_msuc
@@ -261,31 +269,8 @@ def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFi
         tv_distance=tv,
         p_pos_analytic=p_pos,
         p_pos_empirical=summary.empirical_p_positive,
-        p_pos_error=abs(summary.empirical_p_positive - p_pos),
         support=support,
         empirical_freq=freq,
         pmf=pmf,
     )
 
-
-def subinterval_success_counts(params: SystemParams, sched: Schedule,
-                               n_per_interval: int,
-                               rng: np.random.Generator) -> np.ndarray:
-    """Empirical success counts for arrivals pinned to each sub-interval.
-
-    Draws n_per_interval round-0 arrivals uniformly inside each of the
-    three sub-intervals of the participant window (-t0, t) and reads
-    their round-0 rows of the attempt table. Conditioning a Poisson process on a sub-interval makes
-    arrivals uniform there, so counts/n estimates the per-sub-interval
-    success probabilities.
-    """
-    t, t0 = sched.t, params.dwell_time
-    if t >= t0:
-        bounds = [(-t0, 0.0), (0.0, t - t0), (t - t0, t)]
-    else:
-        bounds = [(-t0, t - t0), (t - t0, 0.0), (0.0, t)]
-    out = np.zeros(3, dtype=np.int64)
-    for i, (a, b) in enumerate(bounds):
-        z = np.sort(a + (b - a) * rng.random(n_per_interval))
-        out[i] = int(attempts(params, sched, z, 0, 1, rng).success.sum())
-    return out

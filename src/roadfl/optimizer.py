@@ -4,12 +4,9 @@ For each feasible h the objective g(h, .) is unimodal on
 (t_min(h), t_max(h)], so the per-h optimum is located by bisection on
 the sign of dg/dt until the bracket is narrower than gamma. The
 bisection runs across all h = 1 .. h_max at once, one array lane per
-h with its own bracket and stop rule, and the argmax over h follows. A
-dense-grid brute-force scan over the same domain, one h at a time,
-serves as an independent oracle.
+h with its own bracket and stop rule, and the argmax over h follows.
 
-Ties are broken toward the smaller h and then the smaller t; this is a
-determinism choice, both searches apply it.
+Ties are broken toward the smaller h; this is a determinism choice.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from . import analytic
 from .types import (
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
-    InvalidParameterError,
     SystemParams,
     _finite_float,
     _require,
@@ -31,8 +27,7 @@ from .types import (
 
 __all__ = [
     "OptimizerConfig", "OptimizationResult", "h_max",
-    "optimize_round_lengths", "optimize_schedule", "brute_force_argmax",
-    "scan_round_lengths",
+    "optimize_round_lengths", "optimize_schedule",
 ]
 
 # optimize_schedule holds one bisection lane per h = 1 .. h_max, so its
@@ -64,22 +59,6 @@ class OptimizationResult:
     g_star: float
     per_h_table: tuple[tuple[int, float, float], ...]
     search_steps: int
-
-    def __post_init__(self) -> None:
-        best = _argmax_table(self.per_h_table)
-        if best != (self.h_star, self.t_star, self.g_star):
-            raise InvalidParameterError("result does not attain the table maximum")
-
-
-def _argmax_table(entries) -> tuple[int, float, float]:
-    """Pick the best (h, t, g) entry; ties go to smaller h, then smaller t."""
-    if not entries:
-        raise InvalidParameterError("empty search table")
-    best = entries[0]
-    for entry in entries[1:]:
-        if entry[2] > best[2]:
-            best = entry
-    return best
 
 
 def h_max(params: SystemParams) -> int:
@@ -143,57 +122,11 @@ def optimize_round_lengths(params: SystemParams, hs,
 def optimize_schedule(params: SystemParams,
                       cfg: OptimizerConfig) -> OptimizationResult:
     """Lane-wise bisection over h = 1 .. h_max, then argmax over h."""
-    _check_environment(params)
     hs = np.arange(1, h_max(params) + 1)
-    ts, gs, steps = optimize_round_lengths(params, hs, cfg)
-    table = tuple(zip(hs.tolist(), ts.tolist(), gs.tolist()))
-    h_star, t_star, g_star = _argmax_table(table)
-    return OptimizationResult(h_star, t_star, g_star, table, int(steps.sum()))
-
-
-def scan_round_lengths(params: SystemParams, h: int,
-                       grid_step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
-    """Dense grid of round lengths for one h and g evaluated on it.
-
-    Grid points are t_min + k*grid_step for k >= 1, up to t_max. May be
-    empty when the interval is narrower than the step.
-    """
-    _require(_finite_float(grid_step, "grid step") > 0, "grid step must be positive")
-    lo = analytic.t_min(params, h)
-    hi = analytic.t_max(params, h)
-    n = int(math.floor((hi - lo) / grid_step + 1e-12))
-    ts = lo + grid_step * np.arange(1, n + 1)
-    ts = ts[ts <= hi]
-    if ts.size == 0:
-        return ts, ts
-    return ts, analytic.g(params, h, ts)
-
-
-def brute_force_argmax(params: SystemParams,
-                       grid_step: float = 0.01) -> OptimizationResult:
-    """Exhaustive scan over h and a grid of t spaced grid_step seconds;
-    oracle for the bisection search. Deterministic; first grid maximum
-    wins within each h."""
-    _check_environment(params)
-    table = []
-    steps = 0
-    for h in range(1, h_max(params) + 1):
-        ts, gs = scan_round_lengths(params, h, grid_step)
-        if ts.size == 0:
-            continue
-        steps += ts.size
-        i = int(np.argmax(gs))
-        table.append((h, float(ts[i]), float(gs[i])))
-    if not table:
-        raise InfeasibleEnvironmentError(
-            "grid step larger than every feasible search interval")
-    h_star, t_star, g_star = _argmax_table(table)
-    return OptimizationResult(h_star, t_star, g_star, tuple(table), steps)
-
-
-def _check_environment(params: SystemParams) -> None:
-    if params.arrival_rate == 0:
-        raise InfeasibleEnvironmentError("no arrivals")
-    if h_max(params) == 0:
+    if hs.size == 0:
         raise InfeasibleEnvironmentError(
             "communication delays exceed the dwell time; no vehicle can finish")
+    ts, gs, steps = optimize_round_lengths(params, hs, cfg)
+    i = int(np.argmax(gs))  # the first maximum: ties go to the smaller h
+    table = tuple(zip(hs.tolist(), ts.tolist(), gs.tolist()))
+    return OptimizationResult(*table[i], table, int(steps.sum()))

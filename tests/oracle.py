@@ -1,0 +1,77 @@
+"""Independent references for the tests: a brute-force grid search for
+the optimizer and pinned-arrival success counts for the sub-interval
+law. No CLI path uses them."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from roadfl import analytic
+from roadfl.mcsim import attempts
+from roadfl.optimizer import OptimizationResult, h_max
+from roadfl.types import InfeasibleEnvironmentError, Schedule, SystemParams
+
+
+def scan_round_lengths(params: SystemParams, h: int,
+                       grid_step: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """Dense grid of round lengths for one h and g evaluated on it.
+
+    Grid points are t_min + k*grid_step for k >= 1, up to t_max. May be
+    empty when the interval is narrower than the step.
+    """
+    lo = analytic.t_min(params, h)
+    hi = analytic.t_max(params, h)
+    n = int(math.floor((hi - lo) / grid_step + 1e-12))
+    ts = lo + grid_step * np.arange(1, n + 1)
+    ts = ts[ts <= hi]
+    if ts.size == 0:
+        return ts, ts
+    return ts, analytic.g(params, h, ts)
+
+
+def brute_force_argmax(params: SystemParams,
+                       grid_step: float = 0.01) -> OptimizationResult:
+    """Exhaustive scan over h and a grid of t spaced grid_step seconds.
+
+    Deterministic: the first grid maximum wins within each h, and the
+    smallest h among equal maxima. search_steps counts grid points.
+    """
+    table = []
+    steps = 0
+    for h in range(1, h_max(params) + 1):
+        ts, gs = scan_round_lengths(params, h, grid_step)
+        if ts.size == 0:
+            continue
+        steps += ts.size
+        i = int(np.argmax(gs))
+        table.append((h, float(ts[i]), float(gs[i])))
+    if not table:
+        raise InfeasibleEnvironmentError(
+            "grid step larger than every feasible search interval")
+    best = max(table, key=lambda row: row[2])  # max keeps the first maximum
+    return OptimizationResult(*best, tuple(table), steps)
+
+
+def subinterval_success_counts(params: SystemParams, sched: Schedule,
+                               n_per_interval: int,
+                               rng: np.random.Generator) -> np.ndarray:
+    """Empirical success counts for arrivals pinned to each sub-interval.
+
+    Draws n_per_interval round-0 arrivals uniformly inside each of the
+    three sub-intervals of the participant window (-t0, t) and reads
+    their round-0 rows of the attempt table. Conditioning a Poisson process on a sub-interval makes
+    arrivals uniform there, so counts/n estimates the per-sub-interval
+    success probabilities.
+    """
+    t, t0 = sched.t, params.dwell_time
+    if t >= t0:
+        bounds = [(-t0, 0.0), (0.0, t - t0), (t - t0, t)]
+    else:
+        bounds = [(-t0, t - t0), (t - t0, 0.0), (0.0, t)]
+    out = np.zeros(3, dtype=np.int64)
+    for i, (a, b) in enumerate(bounds):
+        z = np.sort(a + (b - a) * rng.random(n_per_interval))
+        out[i] = int(attempts(params, sched, z, 0, 1, rng).success.sum())
+    return out

@@ -1,7 +1,9 @@
 import csv
 import os
+import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,12 +22,19 @@ def read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def run_cli(args, cwd=REPO, timeout=None):
+def run_cli(args, cwd=REPO, timeout=None, address_space=None):
+    """Run the CLI as a child process; address_space, in bytes, caps the
+    child's virtual memory (RLIMIT_AS) and leaves this process alone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "roadfl.cli", *args],
                           capture_output=True, text=True, env=env, cwd=cwd,
-                          timeout=timeout)
+                          timeout=timeout,
+                          preexec_fn=limit if address_space is not None else None)
 
 
 class TestParseConfig:
@@ -272,12 +281,19 @@ class TestDeterminism:
     (1, ["fl", "--fl.horizon_s=1e300"]),
     (1, ["fl", "--fl.eta=inf"]),
     (2, ["fl", "--system.arrival_rate_per_s=0"]),
+    (1, ["fl", "--schedules", "24:1e-6"]),
+    (1, ["fl", "--fl.horizon_s=1e300", "--schedules", "24:1e-300"]),
+    (1, ["fl", "--fl.horizon_s=1e7", "--schedules", "24:11.8"]),
+    (1, ["fl", "--fl.global_pool_size=100000000", "--fl.samples_per_vehicle=64"]),
+    (1, ["fl", "--fl.feature_dim=100000000"]),
+    (1, ["fl", "--fl.validation_size=1000000000"]),
 ])
 def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
-    """Inputs that hung, or died in a traceback, end in a one-line error."""
+    """Inputs that hung, or died in a traceback, end in a one-line error
+    within 20 s and 1.5 GiB of address space."""
     out = tmp_path / "out"
     proc = run_cli([*args, "--config", str(BASELINE), "--out", str(out)],
-                   timeout=20)
+                   timeout=20, address_space=3 * 2**29)
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
@@ -302,3 +318,30 @@ def test_runtime_imports_no_scipy(tmp_path):
                           text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_benchmark_tracer_still_installs(tmp_path):
+    """perfbench's --trace 1 wraps the public functions of five modules and
+    patches flsim's sample_computing_delay binding; a name it needs that
+    goes missing fails here before it fails a benchmark run."""
+    path = REPO / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    tracer.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    from roadfl import analytic, flsim, mcsim, optimizer
+    rec = tracer.Recorder()
+    undo = tracer.install(rec, {"cli": cli, "analytic": analytic, "optimizer": optimizer,
+                                "mcsim": mcsim, "flsim": flsim})
+    try:
+        base = ["--config", str(BASELINE), "--out", str(tmp_path)]
+        assert cli.main(["optimize", *base]) == 0
+        assert cli.main(["fl", *base, "--fl.horizon_s=60", "--fl.feature_dim=8",
+                         "--fl.global_pool_size=256", "--fl.validation_size=64",
+                         "--fl.samples_per_vehicle=128", "--fl.batch_size=32",
+                         "--schedules", "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18"]) == 0
+    finally:
+        for module, attr, original in undo:
+            setattr(module, attr, original)
+    recorded = {rec.names[i] for i in rec.name}
+    assert {"optimizer.optimize_schedule", "flsim.local_sgd",
+            "mcsim.sample_computing_delay"} <= recorded

@@ -28,6 +28,12 @@ def test_config_validation():
         flsim.FLConfig(horizon=0.0)
     with pytest.raises(InvalidParameterError):
         flsim.FLConfig(noise_std=-0.1)
+    # the task holds (pool + validation) x (feature_dim + 1) values, at
+    # most MAX_VALUES = 2 * 2**14 * 2**10
+    flsim.FLConfig(global_pool_size=2**14, validation_size=2**14, feature_dim=2**10 - 1)
+    with pytest.raises(InvalidParameterError, match="task holds"):
+        flsim.FLConfig(global_pool_size=2**14, validation_size=2**14 + 1,
+                       feature_dim=2**10 - 1)
 
 
 class TestTask:
@@ -71,14 +77,26 @@ class TestGradient:
 
 
 class TestLocalSgd:
+    def test_step_is_a_gradient_step(self):
+        cfg = small_cfg()
+        task = flsim.generate_task(cfg, substream(13, "task"))
+        rows = np.arange(cfg.samples_per_vehicle)
+        w0 = substream(13, "w").standard_normal(cfg.feature_dim + 1)
+        out = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, None, 1, cfg,
+                              substream(13, "sgd"))
+        batch = rows[substream(13, "sgd").choice(rows.size, size=cfg.batch_size,
+                                                 replace=False)]
+        step = cfg.eta * flsim.mse_gradient(w0, task.x_pool[batch], task.y_pool[batch])
+        assert np.array_equal(out, w0 - step)
+
     def test_zero_steps_is_identity(self):
         cfg = small_cfg()
         task = flsim.generate_task(cfg, substream(8, "task"))
-        w0 = flsim.ModelState(np.full(cfg.feature_dim + 1, 0.5))
+        w0 = np.full(cfg.feature_dim + 1, 0.5)
         out = flsim.local_sgd(w0, task.x_pool, task.y_pool,
                               np.arange(cfg.global_pool_size), None, 0, cfg,
                               substream(8, "sgd"))
-        assert np.array_equal(out.weights, w0.weights)
+        assert np.array_equal(out, w0)
 
     def test_full_batch_descent_is_monotone(self):
         # batch == dataset turns SGD into gradient descent; below 2/L the
@@ -91,13 +109,12 @@ class TestLocalSgd:
         cfg = flsim.FLConfig(eta=eta, batch_size=64, samples_per_vehicle=64,
                              feature_dim=4, global_pool_size=64,
                              validation_size=16, horizon=10.0, seed=0)
-        state = flsim.ModelState(np.zeros(5))
-        losses = [flsim.mse_loss(state.weights, x, y)]
+        w = np.zeros(5)
+        losses = [flsim.mse_loss(w, x, y)]
         rng_sgd = substream(9, "sgd")
         for _ in range(25):
-            state = flsim.local_sgd(state, x, y, np.arange(64), None, 1, cfg,
-                                    rng_sgd)
-            losses.append(flsim.mse_loss(state.weights, x, y))
+            w = flsim.local_sgd(w, x, y, np.arange(64), None, 1, cfg, rng_sgd)
+            losses.append(flsim.mse_loss(w, x, y))
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-3 * losses[0]
 
@@ -112,13 +129,13 @@ class TestLocalSgd:
         shift = 0.3 * rng.standard_normal(cfg.feature_dim)
         x_copy = task.x_pool[rows]
         x_copy[:, :-1] += shift
-        w0 = flsim.ModelState(np.zeros(cfg.feature_dim + 1))
+        w0 = np.zeros(cfg.feature_dim + 1)
         gathered = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, shift, 12,
                                    cfg, substream(12, "sgd"))
         copied = flsim.local_sgd(w0, x_copy, task.y_pool[rows],
                                  np.arange(rows.size), None, 12, cfg,
                                  substream(12, "sgd"))
-        assert np.array_equal(gathered.weights, copied.weights)
+        assert np.array_equal(gathered, copied)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
@@ -128,46 +145,51 @@ class TestLocalSgd:
         cfg = flsim.FLConfig(eta=1e6, batch_size=64, samples_per_vehicle=64,
                              feature_dim=4, global_pool_size=64,
                              validation_size=16, horizon=10.0, seed=0)
-        state = flsim.ModelState(np.zeros(5))
+        w = np.zeros(5)
         with pytest.raises(flsim.DivergenceError):
             for _ in range(400):
-                state = flsim.local_sgd(state, x, y, np.arange(64), None, 10,
-                                        cfg, rng)
+                w = flsim.local_sgd(w, x, y, np.arange(64), None, 10, cfg, rng)
 
 
 class TestAggregate:
     def test_plain_average(self):
-        a = flsim.ModelState(np.array([0.0]))
-        b = flsim.ModelState(np.array([4.0]))
-        assert flsim.aggregate([(a, 10), (b, 10)]).weights[0] == 2.0
+        a, b = np.array([0.0]), np.array([4.0])
+        assert flsim.aggregate([(a, 10), (b, 10)])[0] == 2.0
 
     def test_weighted_average(self):
-        a = flsim.ModelState(np.array([0.0]))
-        b = flsim.ModelState(np.array([4.0]))
-        assert flsim.aggregate([(a, 1), (b, 3)]).weights[0] == 3.0
+        a, b = np.array([0.0]), np.array([4.0])
+        assert flsim.aggregate([(a, 1), (b, 3)])[0] == 3.0
 
     def test_single_uploader_unchanged(self):
         w = np.array([1.25, -2.5, 0.75])
-        out = flsim.aggregate([(flsim.ModelState(w), 17)])
-        assert np.array_equal(out.weights, w)
+        out = flsim.aggregate([(w, 17)])
+        assert np.array_equal(out, w)
+        assert out is not w
 
     def test_identical_models_exact(self):
         w = np.array([0.1, 0.2, 0.3])
-        models = [(flsim.ModelState(w.copy()), int(d)) for d in (1, 7, 42)]
-        assert np.array_equal(flsim.aggregate(models).weights, w)
+        models = [(w.copy(), int(d)) for d in (1, 7, 42)]
+        assert np.array_equal(flsim.aggregate(models), w)
 
     def test_weights_sum_to_one(self):
         rng = substream(11, "agg")
-        models = [(flsim.ModelState(rng.standard_normal(6)), int(d))
+        models = [(rng.standard_normal(6), int(d))
                   for d in rng.integers(1, 100, size=5)]
         total = sum(d for _, d in models)
-        manual = sum((d / total) * m.weights for m, d in models)
+        manual = sum((d / total) * w for w, d in models)
         out = flsim.aggregate(models)
-        assert out.weights == pytest.approx(manual, rel=1e-12)
+        assert out == pytest.approx(manual, rel=1e-12)
 
     def test_empty_round_rejected(self):
         with pytest.raises(ValueError, match="empty round"):
             flsim.aggregate([])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_average_rejected(self):
+        # each model is finite; their weighted difference overflows
+        a, b = np.array([-1e308]), np.array([1e308])
+        with pytest.raises(flsim.DivergenceError):
+            flsim.aggregate([(a, 1), (b, 1)])
 
 
 class TestRunFl:
@@ -244,6 +266,42 @@ class TestRunFl:
         res = flsim.run_fl(reference_params, Schedule(24, 9.0), small_cfg(horizon=400.0))
         assert 0 < res.rounds_valid < res.rounds_total
         assert len(calls) == 1 + res.rounds_valid
+
+    def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
+        blocks = []
+        real = mcsim.attempts
+
+        def counting(*args):
+            blocks.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mcsim, "attempts", counting)
+        sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0)
+        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 50)
+        small = flsim.run_fl(reference_params, sched, cfg)
+        assert len(blocks) > 1
+        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
+        whole = flsim.run_fl(reference_params, sched, cfg)
+        assert np.array_equal(small.losses, whole.losses)
+        assert small.rounds_valid == whole.rounds_valid > 0
+
+    def test_sample_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
+        # 0.1 arrivals/s over 400 s + 20 s is about 42 vehicles of
+        # 128 + 8 values each
+        cfg = small_cfg(horizon=400.0)
+        monkeypatch.setattr(flsim, "MAX_VALUES", 100 * (128 + 8))
+        flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
+        monkeypatch.setattr(flsim, "MAX_VALUES", 10 * (128 + 8))
+        purposes = []
+
+        def recording(seed, purpose, *tags):
+            purposes.append(purpose)
+            return substream(seed, purpose, *tags)
+
+        monkeypatch.setattr(flsim, "substream", recording)
+        with pytest.raises(InvalidParameterError, match="sample values"):
+            flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
+        assert "arrivals" in purposes and "data" not in purposes
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):

