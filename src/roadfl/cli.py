@@ -35,7 +35,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from . import analytic, optimizer
-from .flsim import FLConfig, proxy_correlation, run_fl
+from .flsim import FLConfig, FLRunResult, proxy_correlation, run_fl
 from .mcsim import SimConfig, compare_to_poisson, simulate_rounds
 from .optimizer import OptimizerConfig
 from .types import (
@@ -55,6 +55,8 @@ EXIT_NUMERIC = 3
 # A sweep's (h, t) points and an fl run's rows are held in memory at
 # once; this caps the rows of surface.csv and fl_runs.csv.
 MAX_ROWS = 2**20
+# fl_runs.csv columns become Python floats this many rows at a time
+ROW_CHUNK = 2**14
 
 
 class ConfigError(ValueError):
@@ -303,6 +305,19 @@ def _parse_schedules(text: str) -> list[Schedule]:
     return schedules
 
 
+def _fl_rows(sched: Schedule, res: FLRunResult | None) -> Iterable[tuple]:
+    """The fl_runs.csv rows of one run, converted a chunk at a time as they
+    are written; a diverged run has one row of nan."""
+    if res is None:
+        yield sched.h, sched.t, math.nan, 0, math.nan, math.nan
+        return
+    for k in range(0, res.times.size, ROW_CHUNK):
+        part = slice(k, k + ROW_CHUNK)
+        yield from zip(itertools.repeat(sched.h), itertools.repeat(sched.t),
+                       res.times[part].tolist(), itertools.count(k),
+                       res.losses[part].tolist(), res.l_min_curve[part].tolist())
+
+
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     if schedules_arg is None:
         schedules = _default_fl_grid(cfg)
@@ -313,22 +328,18 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     if n_rows > MAX_ROWS:
         raise ConfigError(f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
 
-    rows = []
-    results = []
+    runs = []
     for sched in schedules:
         try:
-            res = run_fl(cfg.system, sched, cfg.fl)
+            runs.append((sched, run_fl(cfg.system, sched, cfg.fl)))
         except DivergenceError as exc:
             print(f"warning: run h={sched.h} t={_fmt(sched.t)} diverged: {exc}",
                   file=sys.stderr)
-            rows.append((sched.h, sched.t, math.nan, 0, math.nan, math.nan))
-            continue
-        results.append(res)
-        for k in range(res.times.size):
-            rows.append((sched.h, sched.t, float(res.times[k]), k,
-                         float(res.losses[k]), float(res.l_min_curve[k])))
+            runs.append((sched, None))
     _write_rows(cfg.output_dir / "fl_runs.csv",
-                ("h", "t_s", "time_s", "round", "val_loss", "l_min"), rows)
+                ("h", "t_s", "time_s", "round", "val_loss", "l_min"),
+                itertools.chain.from_iterable(_fl_rows(*run) for run in runs))
+    results = [res for _, res in runs if res is not None]
 
     grid_desc = ",".join(f"{s.h}:{_fmt(s.t)}" for s in schedules)
     if len(results) >= 8:

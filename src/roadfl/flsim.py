@@ -15,6 +15,7 @@ loss over round boundaries, evaluated up to the training horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,6 +46,11 @@ __all__ = [
 # run_fl holds the task and every arriving vehicle's sample indices and
 # shift at once; this caps the values of each (about 270 MB of float64)
 MAX_VALUES = 2**25
+# run_fl trains a round's winners in stacks; a stack holds its gathered
+# batches, W x batch_size x (feature_dim + 1) values, and the batch indices
+# drawn ahead of its steps, up to W x h x batch_size, so this caps
+# W x batch_size x (feature_dim + 1 + h), but a stack has at least one winner
+MAX_STACK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -134,32 +140,56 @@ def mse_loss(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def mse_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x.T @ (x @ weights - y) / y.size
+    """Gradient of mse_loss in weights. Leading axes of weights (..., d),
+    x (..., n, d) and y (..., n) stack independent problems."""
+    r = (x @ weights[..., None])[..., 0] - y
+    return (r[..., None, :] @ x)[..., 0, :] / y.shape[-1]
 
 
 def local_sgd(w: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
               shift: np.ndarray | None, h_steps: int, cfg: FLConfig,
               rng: np.random.Generator) -> np.ndarray:
     """Run h_steps mini-batch SGD steps from the weights w (bias folded in
-    as the last component) and return the new weights.
+    as the last component) for each of a stack of W vehicles, and return
+    their new weights as a (W, d + 1) array.
 
-    The local dataset is x[rows], y[rows], with shift (if not None) added
-    to every feature but the trailing ones column. Each step samples a
-    fresh batch uniformly without replacement and gathers only its rows.
-    h_steps = 0 returns the model unchanged. Non-finite weights raise
+    Vehicle i's local dataset is x[rows[i]], y[rows[i]] (rows is (W, n)),
+    with shift[i] (shift is (W, d) or None) added to every feature but
+    the trailing ones column. Each step samples a fresh batch per vehicle
+    uniformly without replacement and gathers only its rows. Batches are
+    drawn from rng vehicle by vehicle and then step by step, so a stack
+    trains bitwise as its vehicles would one at a time. All but the last
+    vehicle's batches are drawn ahead; the last vehicle's are drawn as the
+    steps run, so a stack of one holds no batch indices for later steps.
+    h_steps = 0 returns copies of w. Non-finite weights raise
     DivergenceError.
     """
-    w = w.copy()
-    for _ in range(h_steps):
-        batch = rows[rng.choice(rows.size, size=cfg.batch_size, replace=False)]
-        xb = x[batch]
+    n_stack, n_rows = rows.shape
+    b = cfg.batch_size
+
+    def draw(own_rows: np.ndarray) -> np.ndarray:
+        return own_rows[rng.choice(n_rows, size=b, replace=False)]
+
+    ahead = np.array([[draw(r) for _ in range(h_steps)] for r in rows[:-1]],
+                     dtype=rows.dtype).reshape(n_stack - 1, h_steps, b)
+    idx = np.empty((n_stack, b), dtype=rows.dtype)
+    xb = np.empty((n_stack, b, x.shape[1]), dtype=x.dtype)
+    if shift is not None:
+        # 1.0 + 0.0 is exact, so the ones column is left as it is
+        shift = np.pad(shift, [(0, 0), (0, 1)])[:, None, :]
+    ws = np.repeat(w[None], n_stack, axis=0)
+    for s in range(h_steps):
+        idx[:-1] = ahead[:, s]
+        idx[-1] = draw(rows[-1])
+        # mode="clip" lets take write into out without a temporary
+        np.take(x, idx, axis=0, out=xb, mode="clip")
         if shift is not None:
-            xb[:, :-1] += shift
-        w -= cfg.eta * mse_gradient(w, xb, y[batch])
-    if not np.all(np.isfinite(w)):
+            xb += shift
+        ws -= cfg.eta * mse_gradient(ws, xb, y[idx])
+    if not np.all(np.isfinite(ws)):
         raise DivergenceError(
             f"local training diverged after {h_steps} steps (eta={cfg.eta})")
-    return w
+    return ws
 
 
 def aggregate(models: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -205,6 +235,16 @@ class FLRunResult:
         return float(self.l_min_curve[-1])
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_task(cfg: FLConfig) -> LinearTask:
+    """The task of cfg, built once for all the schedules of a sweep. Its
+    arrays are read-only, since every run shares them."""
+    task = generate_task(cfg, substream(cfg.seed, "task"))
+    for values in vars(task).values():
+        values.flags.writeable = False
+    return task
+
+
 def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     """Train over floor(horizon / t) rounds of the simulated timeline.
 
@@ -213,8 +253,9 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     sampling get schedule-tagged streams so runs are independent yet
     reproducible. Local training always restarts from the current global
     model, and only the vehicles whose uploads would arrive in time are
-    trained, since no other model ever reaches the aggregator. More than
-    MAX_VALUES sample indices and shifts over all arrivals is an
+    trained, since no other model ever reaches the aggregator. A round's
+    winners train together in stacks of at most MAX_STACK_VALUES values.
+    More than MAX_VALUES sample indices and shifts over all arrivals is an
     InvalidParameterError, raised before any dataset is drawn.
     """
     rounds_total = int(math.floor(cfg.horizon / sched.t))
@@ -222,7 +263,7 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
         raise InvalidParameterError(
             "training horizon is shorter than a single round")
 
-    task = generate_task(cfg, substream(cfg.seed, "task"))
+    task = _shared_task(cfg)
     tag = f"{sched.h}:{sched.t:.9g}"
     arrivals = arrival_times(params, rounds_total * sched.t,
                              substream(cfg.seed, "arrivals", tag))
@@ -236,33 +277,42 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     data_rng = substream(cfg.seed, "data", tag)
     sgd_rng = substream(cfg.seed, "sgd", tag)
 
-    datasets = []
-    for _ in range(arrivals.size):
-        idx = data_rng.choice(cfg.global_pool_size, size=cfg.samples_per_vehicle,
-                              replace=False)
-        shift = cfg.vehicle_shift_std * data_rng.standard_normal(cfg.feature_dim) \
-            if cfg.vehicle_shift_std > 0 else None
-        datasets.append((idx, shift))
+    sample_rows = np.empty((arrivals.size, cfg.samples_per_vehicle), dtype=np.intp)
+    shifts = np.empty((arrivals.size, cfg.feature_dim)) \
+        if cfg.vehicle_shift_std > 0 else None
+    for m in range(arrivals.size):
+        sample_rows[m] = data_rng.choice(cfg.global_pool_size,
+                                         size=cfg.samples_per_vehicle, replace=False)
+        if shifts is not None:
+            shifts[m] = cfg.vehicle_shift_std * data_rng.standard_normal(cfg.feature_dim)
 
     winners = np.concatenate([vehicle for _, vehicle in won])
     bounds = np.searchsorted(np.concatenate([rnd for rnd, _ in won]),
                              np.arange(rounds_total + 1))
+    stack = max(1, MAX_STACK_VALUES
+                // (cfg.batch_size * (cfg.feature_dim + 1 + sched.h)))
     w = np.zeros(cfg.feature_dim + 1)
     losses = [mse_loss(w, task.x_val, task.y_val)]
     rounds_valid = 0
 
-    for k in range(rounds_total):
-        round_winners = winners[bounds[k]:bounds[k + 1]]
-        if round_winners.size == 0:
-            # no upload: the model and hence its loss are unchanged
-            losses.append(losses[-1])
-            continue
-        w = aggregate([(local_sgd(w, task.x_pool, task.y_pool, *datasets[m],
-                                  sched.h, cfg, sgd_rng),
-                        cfg.samples_per_vehicle)
-                       for m in round_winners])
-        rounds_valid += 1
-        losses.append(mse_loss(w, task.x_val, task.y_val))
+    # a diverging run shows as an infinite loss or a DivergenceError, so
+    # numpy's overflow warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rounds_total):
+            round_winners = winners[bounds[k]:bounds[k + 1]]
+            if round_winners.size == 0:
+                # no upload: the model and hence its loss are unchanged
+                losses.append(losses[-1])
+                continue
+            models = []
+            for i in range(0, round_winners.size, stack):
+                part = round_winners[i:i + stack]
+                models.extend(local_sgd(w, task.x_pool, task.y_pool, sample_rows[part],
+                                        None if shifts is None else shifts[part],
+                                        sched.h, cfg, sgd_rng))
+            w = aggregate([(wm, cfg.samples_per_vehicle) for wm in models])
+            rounds_valid += 1
+            losses.append(mse_loss(w, task.x_val, task.y_val))
 
     losses_arr = np.asarray(losses)
     return FLRunResult(

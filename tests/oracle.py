@@ -1,6 +1,7 @@
 """Independent references for the tests: a brute-force grid search for
-the optimizer and pinned-arrival success counts for the sub-interval
-law. No CLI path uses them."""
+the optimizer, pinned-arrival success counts for the sub-interval law
+and one-vehicle-at-a-time local training for the stacked SGD. No CLI
+path uses them."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 import numpy as np
 
 from roadfl import analytic
+from roadfl.flsim import FLConfig
 from roadfl.mcsim import attempts
 from roadfl.optimizer import OptimizationResult, h_max
 from roadfl.types import InfeasibleEnvironmentError, Schedule, SystemParams
@@ -75,3 +77,21 @@ def subinterval_success_counts(params: SystemParams, sched: Schedule,
         z = np.sort(a + (b - a) * rng.random(n_per_interval))
         out[i] = int(attempts(params, sched, z, 0, 1, rng).success.sum())
     return out
+
+
+def local_sgd_one_vehicle(w: np.ndarray, x: np.ndarray, y: np.ndarray,
+                          rows: np.ndarray, shift: np.ndarray | None,
+                          h_steps: int, cfg: FLConfig,
+                          rng: np.random.Generator) -> np.ndarray:
+    """flsim.local_sgd for a single vehicle, one step and one matrix-vector
+    gradient at a time: rows is (n,), shift (d,) or None, and the result
+    (d + 1,). Calling it for each vehicle of a stack in turn draws the
+    batches in the order the stacked version must reproduce."""
+    w = w.copy()
+    for _ in range(h_steps):
+        batch = rows[rng.choice(rows.size, size=cfg.batch_size, replace=False)]
+        xb = x[batch]
+        if shift is not None:
+            xb[:, :-1] += shift
+        w -= cfg.eta * (xb.T @ (xb @ w - y[batch]) / batch.size)
+    return w

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from roadfl import cli
+from roadfl import cli, flsim
 from roadfl.flsim import FLConfig
 from roadfl.mcsim import SimConfig
 from roadfl.optimizer import OptimizerConfig
@@ -255,6 +255,40 @@ class TestFlCommand:
         text = (tmp_path / "correlation.txt").read_text()
         assert text.startswith("spearman_rho=")
         assert "grid=" in text
+
+    def test_default_grid_builds_the_task_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = flsim.generate_task
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(flsim, "generate_task", counting)
+        flsim._shared_task.cache_clear()
+        overrides = ["--fl.horizon_s=60", "--fl.feature_dim=8", "--fl.global_pool_size=256",
+                     "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
+                     "--fl.batch_size=32"]
+        assert cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                         *overrides]) == 0
+        assert "n_schedules=12" in (tmp_path / "correlation.txt").read_text()
+        assert len(calls) == 1
+        # every run shares the cached task, so none may write to it
+        fl_cfg = cli.parse_config(BASELINE, [o[2:] for o in overrides]).fl
+        task = flsim._shared_task(fl_cfg)
+        assert len(calls) == 1
+        assert not any(values.flags.writeable for values in vars(task).values())
+
+    def test_diverging_run_warns_in_one_line(self, tmp_path):
+        # numpy's overflow warnings from a diverging run stay off stderr
+        proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                        "--fl.eta=50", "--fl.horizon_s=100", "--schedules", "8:8.5,24:11.8"],
+                       timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("warning: run h=") for line in lines)
 
     def test_zero_horizon_is_error(self, tmp_path):
         rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
