@@ -30,7 +30,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -52,11 +52,17 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERIC = 3
 
-# A sweep's (h, t) points and an fl run's rows are held in memory at
-# once; this caps the rows of surface.csv and fl_runs.csv.
+# A sweep's float64 (h, t) mesh and an fl run's loss arrays are held in
+# memory at once, though their rows are not; this caps the rows of
+# surface.csv and fl_runs.csv.
 MAX_ROWS = 2**20
-# fl_runs.csv columns become Python floats this many rows at a time
+# array columns become Python scalars this many rows at a time as their
+# CSV rows are written
 ROW_CHUNK = 2**14
+# printf codes of the CSV columns: integers in full, floats with 9
+# significant digits (nan and +-inf print as nan, inf and -inf)
+INT = "%d"
+FLOAT = "%.9g"
 
 
 class ConfigError(ValueError):
@@ -160,18 +166,6 @@ def parse_config(path: str | Path | None,
                             output_dir=Path(values["output"].get("dir", "out")))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """Write lines atomically: temp file in the target dir, then rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -186,24 +180,35 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         raise
 
 
-def _write_rows(path: Path, header: Sequence[str], rows) -> None:
-    """Write a CSV file, streaming the rows."""
-    _write_lines(path, itertools.chain(
-        [",".join(header) + "\n"],
-        (",".join(_fmt(v) for v in row) + "\n" for row in rows)))
+def _write_rows(path: Path, columns: Sequence[tuple[str, str]],
+               rows: Iterable[tuple]) -> None:
+    """Write a CSV file, streaming the rows. columns pairs each column's
+    name with its printf code, INT or FLOAT; each row is one % call."""
+    header = ",".join(name for name, _ in columns) + "\n"
+    template = ",".join(code for _, code in columns) + "\n"
+    _write_lines(path, itertools.chain([header], map(template.__mod__, rows)))
+
+
+def _stream(values: np.ndarray) -> Iterator:
+    """The values of a 1-d array as Python scalars, converted ROW_CHUNK at
+    a time as they are consumed."""
+    return itertools.chain.from_iterable(
+        values[k:k + ROW_CHUNK].tolist() for k in range(0, values.size, ROW_CHUNK))
 
 
 def cmd_optimize(cfg: ExperimentConfig) -> int:
     result = optimizer.optimize_schedule(cfg.system, cfg.optimizer)
     out = cfg.output_dir
-    _write_rows(out / "optimize.csv", ("h", "t_opt_s", "g_opt"),
+    _write_rows(out / "optimize.csv",
+                (("h", INT), ("t_opt_s", FLOAT), ("g_opt", FLOAT)),
                 result.per_h_table)
     _write_rows(out / "optimize_summary.csv",
-                ("h_star", "t_star_s", "g_star", "search_steps"),
+                (("h_star", INT), ("t_star_s", FLOAT), ("g_star", FLOAT),
+                 ("search_steps", INT)),
                 [(result.h_star, result.t_star, result.g_star,
                   result.search_steps)])
-    print(f"h_star={result.h_star} t_star_s={_fmt(result.t_star)} "
-          f"g_star={_fmt(result.g_star)} search_steps={result.search_steps}")
+    print(f"h_star={result.h_star} t_star_s={result.t_star:.9g} "
+          f"g_star={result.g_star:.9g} search_steps={result.search_steps}")
     return EXIT_OK
 
 
@@ -215,15 +220,16 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     fit = compare_to_poisson(summary, lam)
     out = cfg.output_dir
     _write_rows(out / "poisson_fit.csv",
-                ("m_suc", "empirical_freq", "poisson_pmf"),
+                (("m_suc", INT), ("empirical_freq", FLOAT), ("poisson_pmf", FLOAT)),
                 zip(fit.support.tolist(), fit.empirical_freq, fit.pmf))
     _write_rows(out / "fit_report.csv",
-                ("lambda_analytic", "mean_empirical", "tv_distance",
-                 "p_pos_analytic", "p_pos_empirical"),
+                (("lambda_analytic", FLOAT), ("mean_empirical", FLOAT),
+                 ("tv_distance", FLOAT), ("p_pos_analytic", FLOAT),
+                 ("p_pos_empirical", FLOAT)),
                 [(fit.lambda_analytic, fit.mean_empirical, fit.tv_distance,
                   fit.p_pos_analytic, fit.p_pos_empirical)])
-    print(f"lambda={_fmt(lam)} empirical_mean={_fmt(fit.mean_empirical)} "
-          f"tv_distance={_fmt(fit.tv_distance)}")
+    print(f"lambda={lam:.9g} empirical_mean={fit.mean_empirical:.9g} "
+          f"tv_distance={fit.tv_distance:.9g}")
     return EXIT_OK
 
 
@@ -270,13 +276,15 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
                           f"more than {MAX_ROWS}")
     h_col = np.array(hs, dtype=float)[:, None]
     t_row = ts[None, :]
-    rows = zip([h for h in hs for _ in range(ts.size)],
-               np.tile(ts, len(hs)).tolist(),
-               analytic.g(cfg.system, h_col, t_row).ravel().tolist(),
-               analytic.lambda_param(cfg.system, h_col, t_row).ravel().tolist(),
-               analytic.success_probability(cfg.system, h_col, t_row).ravel().tolist())
+    # h-major rows: each h (kept a Python int) against every t
+    rows = zip(itertools.chain.from_iterable(itertools.repeat(h, ts.size) for h in hs),
+               itertools.chain.from_iterable(itertools.repeat(ts.tolist(), len(hs))),
+               _stream(analytic.g(cfg.system, h_col, t_row).ravel()),
+               _stream(analytic.lambda_param(cfg.system, h_col, t_row).ravel()),
+               _stream(analytic.success_probability(cfg.system, h_col, t_row).ravel()))
     _write_rows(cfg.output_dir / "surface.csv",
-                ("h", "t_s", "g", "lambda", "p_success"), rows)
+                (("h", INT), ("t_s", FLOAT), ("g", FLOAT), ("lambda", FLOAT),
+                 ("p_success", FLOAT)), rows)
     print(f"surface: {points} points")
     return EXIT_OK
 
@@ -306,16 +314,13 @@ def _parse_schedules(text: str) -> list[Schedule]:
 
 
 def _fl_rows(sched: Schedule, res: FLRunResult | None) -> Iterable[tuple]:
-    """The fl_runs.csv rows of one run, converted a chunk at a time as they
-    are written; a diverged run has one row of nan."""
+    """The fl_runs.csv rows of one run, streamed as they are written; a
+    diverged run has one row of nan."""
     if res is None:
-        yield sched.h, sched.t, math.nan, 0, math.nan, math.nan
-        return
-    for k in range(0, res.times.size, ROW_CHUNK):
-        part = slice(k, k + ROW_CHUNK)
-        yield from zip(itertools.repeat(sched.h), itertools.repeat(sched.t),
-                       res.times[part].tolist(), itertools.count(k),
-                       res.losses[part].tolist(), res.l_min_curve[part].tolist())
+        return [(sched.h, sched.t, math.nan, 0, math.nan, math.nan)]
+    return zip(itertools.repeat(sched.h), itertools.repeat(sched.t),
+               _stream(res.times), itertools.count(),
+               _stream(res.losses), _stream(res.l_min_curve))
 
 
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
@@ -333,25 +338,26 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
         try:
             runs.append((sched, run_fl(cfg.system, sched, cfg.fl)))
         except DivergenceError as exc:
-            print(f"warning: run h={sched.h} t={_fmt(sched.t)} diverged: {exc}",
+            print(f"warning: run h={sched.h} t={sched.t:.9g} diverged: {exc}",
                   file=sys.stderr)
             runs.append((sched, None))
     _write_rows(cfg.output_dir / "fl_runs.csv",
-                ("h", "t_s", "time_s", "round", "val_loss", "l_min"),
+                (("h", INT), ("t_s", FLOAT), ("time_s", FLOAT), ("round", INT),
+                 ("val_loss", FLOAT), ("l_min", FLOAT)),
                 itertools.chain.from_iterable(_fl_rows(*run) for run in runs))
     results = [res for _, res in runs if res is not None]
 
-    grid_desc = ",".join(f"{s.h}:{_fmt(s.t)}" for s in schedules)
+    grid_desc = ",".join(f"{s.h}:{s.t:.9g}" for s in schedules)
     if len(results) >= 8:
         report = proxy_correlation(results, cfg.system)
         if report.degenerate:
             rho_line = "spearman_rho=nan (degenerate: constant ranks)"
         else:
-            rho_line = f"spearman_rho={_fmt(report.rho)}"
+            rho_line = f"spearman_rho={report.rho:.9g}"
     else:
         rho_line = "spearman_rho=nan (fewer than 8 completed runs)"
     lines = (rho_line, f"n_schedules={len(results)}", f"grid={grid_desc}",
-             f"horizon_s={_fmt(cfg.fl.horizon)}", f"seed={cfg.fl.seed}")
+             f"horizon_s={cfg.fl.horizon:.9g}", f"seed={cfg.fl.seed}")
     _write_lines(cfg.output_dir / "correlation.txt", (line + "\n" for line in lines))
     print(rho_line)
     return EXIT_OK

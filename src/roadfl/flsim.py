@@ -51,6 +51,10 @@ MAX_VALUES = 2**25
 # drawn ahead of its steps, up to W x h x batch_size, so this caps
 # W x batch_size x (feature_dim + 1 + h), but a stack has at least one winner
 MAX_STACK_VALUES = 2**18
+# run_fl trains each winner for h steps of batch_size x (feature_dim + 1)
+# multiply-adds; this caps their sum over one run (the largest run of the
+# benchmark workloads and tests does about 1.5e8)
+MAX_SGD_WORK = 2**31
 
 
 @dataclass(frozen=True)
@@ -255,8 +259,10 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     model, and only the vehicles whose uploads would arrive in time are
     trained, since no other model ever reaches the aggregator. A round's
     winners train together in stacks of at most MAX_STACK_VALUES values.
-    More than MAX_VALUES sample indices and shifts over all arrivals is an
-    InvalidParameterError, raised before any dataset is drawn.
+    More than MAX_VALUES sample indices and shifts over all arrivals, or
+    more than MAX_SGD_WORK multiply-adds of local training over all
+    winners, is an InvalidParameterError, raised before any dataset is
+    drawn.
     """
     rounds_total = int(math.floor(cfg.horizon / sched.t))
     if rounds_total < 1:
@@ -274,6 +280,11 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     won = [(table.round[table.success], table.vehicle[table.success])
            for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
                                              substream(cfg.seed, "delays", tag))]
+    winners = np.concatenate([vehicle for _, vehicle in won])
+    work = winners.size * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
+    _require(work <= MAX_SGD_WORK,
+             f"{winners.size} winners of {sched.h} local steps need {work} "
+             f"multiply-adds, more than {MAX_SGD_WORK}")
     data_rng = substream(cfg.seed, "data", tag)
     sgd_rng = substream(cfg.seed, "sgd", tag)
 
@@ -286,7 +297,6 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
         if shifts is not None:
             shifts[m] = cfg.vehicle_shift_std * data_rng.standard_normal(cfg.feature_dim)
 
-    winners = np.concatenate([vehicle for _, vehicle in won])
     bounds = np.searchsorted(np.concatenate([rnd for rnd, _ in won]),
                              np.arange(rounds_total + 1))
     stack = max(1, MAX_STACK_VALUES

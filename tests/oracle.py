@@ -1,7 +1,8 @@
 """Independent references for the tests: a brute-force grid search for
-the optimizer, pinned-arrival success counts for the sub-interval law
-and one-vehicle-at-a-time local training for the stacked SGD. No CLI
-path uses them."""
+the optimizer, pinned-arrival success counts for the sub-interval law,
+one-vehicle-at-a-time local training for the stacked SGD and a
+value-by-value CSV formatter for the row templates. No CLI path uses
+them."""
 
 from __future__ import annotations
 
@@ -95,3 +96,18 @@ def local_sgd_one_vehicle(w: np.ndarray, x: np.ndarray, y: np.ndarray,
             xb[:, :-1] += shift
         w -= cfg.eta * (xb.T @ (xb @ w - y[batch]) / batch.size)
     return w
+
+
+def format_csv_value(value) -> str:
+    """One CSV value as the CLI prints it, chosen by the value's type:
+    bools as 0/1, integers in full, floats with 9 significant digits and
+    nan as nan."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "nan"
+        return f"{value:.9g}"
+    return str(value)

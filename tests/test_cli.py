@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import resource
 import subprocess
@@ -6,8 +7,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import format_csv_value
 from roadfl import cli, flsim
 from roadfl.flsim import FLConfig
 from roadfl.mcsim import SimConfig
@@ -305,6 +310,49 @@ class TestDeterminism:
         for name in ("poisson_fit.csv", "fit_report.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_chunk_size_leaves_bytes_unchanged(self, tmp_path, monkeypatch):
+        # 41 round lengths per h and 12-, 51- and 1-row fl runs, so chunks
+        # of 7 rows cross every h and run boundary; eta=50 makes h=24 diverge
+        commands = {
+            "surface.csv": ["sweep", "--h-list", "8,16,24", "--t-grid", "5:25:0.5"],
+            "fl_runs.csv": ["fl", "--fl.eta=50", "--fl.horizon_s=100",
+                            "--schedules", "8:8.5,24:11.8,8:2"],
+        }
+        for name, args in commands.items():
+            written = []
+            for chunk in (7, 2**20):
+                monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
+                out = tmp_path / name / str(chunk)
+                assert cli.main([*args, "--config", str(BASELINE), "--out", str(out)]) == 0
+                written.append((out / name).read_bytes())
+            assert written[0] == written[1]
+            assert written[0].count(b"\n") > 60
+        assert b"\n24,11.8,nan,0,nan,nan\n" in written[0]
+
+
+# integers in full, floats with 9 significant digits, whatever their type
+INT_VALUES = st.one_of(
+    st.integers(), st.integers(min_value=2**53), st.integers(max_value=-2**53),
+    st.sampled_from([0, -1, 1, 2**53 + 1]), st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+FLOAT_VALUES = st.one_of(
+    st.floats(), st.floats(-1e-307, 1e-307),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     5e-324, 1e-310, 1e308, -1e308]),
+    st.floats().map(np.float64))
+
+
+class TestRowTemplates:
+    @settings(max_examples=300, derandomize=True)
+    @given(INT_VALUES)
+    def test_int_code_matches_value_formatter(self, value):
+        assert cli.INT % (value,) == format_csv_value(value)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(FLOAT_VALUES)
+    def test_float_code_matches_value_formatter(self, value):
+        assert cli.FLOAT % (value,) == format_csv_value(value)
+
 
 @pytest.mark.parametrize("code,args", [
     (1, ["optimize", "--system.length_m=1e300"]),
@@ -321,6 +369,8 @@ class TestDeterminism:
     (1, ["fl", "--fl.global_pool_size=100000000", "--fl.samples_per_vehicle=64"]),
     (1, ["fl", "--fl.feature_dim=100000000"]),
     (1, ["fl", "--fl.validation_size=1000000000"]),
+    (1, ["fl", "--system.alpha_s=1e-6", "--system.beta_s=1e-6", "--fl.horizon_s=60",
+         "--schedules", "1000000:30"]),
 ])
 def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     """Inputs that hung, or died in a traceback, end in a one-line error

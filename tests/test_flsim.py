@@ -354,6 +354,31 @@ class TestRunFl:
             flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
         assert "arrivals" in purposes and "data" not in purposes
 
+    def test_sgd_work_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
+        sched, cfg = Schedule(16, 9.0), small_cfg()
+        tag = f"{sched.h}:{sched.t:.9g}"
+        rounds = int(cfg.horizon // sched.t)
+        arrivals = mcsim.arrival_times(reference_params, rounds * sched.t,
+                                       substream(cfg.seed, "arrivals", tag))
+        table = mcsim.attempts(reference_params, sched, arrivals, 0, rounds,
+                               substream(cfg.seed, "delays", tag))
+        winners = int(table.success.sum())
+        assert winners > 0
+        work = winners * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
+        monkeypatch.setattr(flsim, "MAX_SGD_WORK", work)
+        flsim.run_fl(reference_params, sched, cfg)
+        monkeypatch.setattr(flsim, "MAX_SGD_WORK", work - 1)
+        purposes = []
+
+        def recording(seed, purpose, *tags):
+            purposes.append(purpose)
+            return substream(seed, purpose, *tags)
+
+        monkeypatch.setattr(flsim, "substream", recording)
+        with pytest.raises(InvalidParameterError, match="multiply-adds"):
+            flsim.run_fl(reference_params, sched, cfg)
+        assert "delays" in purposes and "data" not in purposes
+
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):
             flsim.run_fl(reference_params, Schedule(8, 300.0), small_cfg())
