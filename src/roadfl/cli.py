@@ -8,7 +8,9 @@ Subcommands:
     sweep      evaluate the analytic surface on an (h, t) grid, write
                surface.csv
     fl         run synthetic federated training over a schedule grid,
-               write fl_runs.csv and correlation.txt
+               write fl_runs.csv and correlation.txt; the runs are
+               spread over as many processes as the CPUs hold BLAS
+               thread pools (see _fl_processes)
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is
@@ -34,8 +36,8 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from . import analytic, optimizer
-from .flsim import FLConfig, FLRunResult, proxy_correlation, run_fl
+from . import analytic, flsim, optimizer
+from .flsim import FLConfig, FLRunResult, plan_run, proxy_correlation, run_fl
 from .mcsim import SimConfig, compare_to_poisson, simulate_rounds
 from .optimizer import OptimizerConfig
 from .types import (
@@ -63,6 +65,8 @@ ROW_CHUNK = 2**14
 # significant digits (nan and +-inf print as nan, inf and -inf)
 INT = "%d"
 FLOAT = "%.9g"
+# the variables OpenBLAS reads its thread count from, first match wins
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -323,6 +327,74 @@ def _fl_rows(sched: Schedule, res: FLRunResult | None) -> Iterable[tuple]:
                _stream(res.losses), _stream(res.l_min_curve))
 
 
+def _fl_processes(n_schedules: int) -> int:
+    """How many processes fl trains in: as many BLAS thread pools as fit
+    on the CPUs this process may use, and at most one per schedule. The
+    pool size is the first positive integer among BLAS_THREAD_VARS, or
+    every CPU if none holds one. Without sched_getaffinity or fork it is 1.
+    """
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    blas_threads = cpus
+    for var in BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(n_schedules, cpus // blas_threads))
+
+
+def _split(works: Sequence[int], n: int) -> list[list[int]]:
+    """Schedule indices in n shares: the largest work first, each to the
+    share with the least work so far, then the fewest schedules. Share 0
+    is the parent's."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for i in sorted(range(len(works)), key=works.__getitem__, reverse=True):
+        p = min(range(n), key=lambda p: (loads[p], len(shares[p])))
+        shares[p].append(i)
+        loads[p] += works[i]
+    return [sorted(share) for share in shares]
+
+
+def _train(params: SystemParams, schedules: Sequence[Schedule],
+           fl_cfg: FLConfig) -> list[FLRunResult | DivergenceError | InvalidParameterError]:
+    """Each schedule's FLRunResult, or the error its run raised: a diverged
+    run warns and a rejected one ends the command, in schedule order."""
+    outcomes: list[FLRunResult | DivergenceError | InvalidParameterError] = []
+    for sched in schedules:
+        try:
+            outcomes.append(run_fl(params, sched, fl_cfg))
+        except (DivergenceError, InvalidParameterError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _train_in_processes(cfg: ExperimentConfig, schedules: Sequence[Schedule],
+                        works: Sequence[int], n: int) -> list:
+    """_train in this process and n - 1 workers, the schedules split by
+    _split. The workers are forked, so they inherit the imported modules
+    and this process's task, copy-on-write, instead of building them again."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    shares = _split(works, n)
+    flsim._shared_task(cfg.fl)
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_train, cfg.system, [schedules[i] for i in share], cfg.fl)
+                   for share in shares[1:]]
+        done = [_train(cfg.system, [schedules[i] for i in shares[0]], cfg.fl)]
+        done += [future.result() for future in futures]
+    by_index = {}
+    for share, share_outcomes in zip(shares, done):
+        by_index.update(zip(share, share_outcomes))
+    return [by_index[i] for i in range(len(schedules))]
+
+
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     if schedules_arg is None:
         schedules = _default_fl_grid(cfg)
@@ -333,14 +405,38 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     if n_rows > MAX_ROWS:
         raise ConfigError(f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
 
-    runs = []
+    # Plan every run before training any, to cap the work of them all and
+    # to split them across processes. The schedules end at the first one
+    # whose plan fails: its run raises that error again, after the runs
+    # before it have trained, as in a run of the schedules one by one.
+    works = []
     for sched in schedules:
         try:
-            runs.append((sched, run_fl(cfg.system, sched, cfg.fl)))
-        except DivergenceError as exc:
-            print(f"warning: run h={sched.h} t={sched.t:.9g} diverged: {exc}",
+            works.append(plan_run(cfg.system, sched, cfg.fl).work)
+        except InvalidParameterError:
+            works.append(0)
+            break
+    total = sum(works)
+    if total > flsim.MAX_SGD_WORK:
+        raise ConfigError(f"the schedules need {total} multiply-adds of local "
+                          f"training, more than {flsim.MAX_SGD_WORK}")
+    to_run = schedules[:len(works)]
+    n = _fl_processes(len(to_run))
+    if n == 1:
+        outcomes = _train(cfg.system, to_run, cfg.fl)
+    else:
+        outcomes = _train_in_processes(cfg, to_run, works, n)
+
+    runs = []
+    for sched, outcome in zip(to_run, outcomes):
+        if isinstance(outcome, DivergenceError):
+            print(f"warning: run h={sched.h} t={sched.t:.9g} diverged: {outcome}",
                   file=sys.stderr)
             runs.append((sched, None))
+        elif isinstance(outcome, InvalidParameterError):
+            raise outcome
+        else:
+            runs.append((sched, outcome))
     _write_rows(cfg.output_dir / "fl_runs.csv",
                 (("h", INT), ("t_s", FLOAT), ("time_s", FLOAT), ("round", INT),
                  ("val_loss", FLOAT), ("l_min", FLOAT)),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .types import (
 __all__ = [
     "FLConfig", "LinearTask", "FLRunResult", "CorrelationReport",
     "generate_task", "mse_loss", "mse_gradient", "local_sgd", "aggregate",
-    "run_fl", "proxy_correlation",
+    "RunPlan", "plan_run", "run_fl", "proxy_correlation",
 ]
 
 # run_fl holds the task and every arriving vehicle's sample indices and
@@ -52,8 +52,9 @@ MAX_VALUES = 2**25
 # W x batch_size x (feature_dim + 1 + h), but a stack has at least one winner
 MAX_STACK_VALUES = 2**18
 # run_fl trains each winner for h steps of batch_size x (feature_dim + 1)
-# multiply-adds; this caps their sum over one run (the largest run of the
-# benchmark workloads and tests does about 1.5e8)
+# multiply-adds; this caps their sum over one run, and the fl command caps
+# it over all of its runs (the default grid does about 1.1e9 on the
+# reference environment at seed 1)
 MAX_SGD_WORK = 2**31
 
 
@@ -239,6 +240,54 @@ class FLRunResult:
         return float(self.l_min_curve[-1])
 
 
+class RunPlan(NamedTuple):
+    """What a run trains, known before any dataset is drawn: its round
+    count, its arrival instants, the round and the arrival index of each
+    upload that arrives in time (ordered by round), and the multiply-adds
+    of those winners' local training."""
+
+    rounds_total: int
+    arrivals: np.ndarray
+    winner_round: np.ndarray
+    winner: np.ndarray
+    work: int
+
+
+def _run_stream(cfg: FLConfig, name: str, sched: Schedule) -> np.random.Generator:
+    """The stream of one run's name draws, tagged with its schedule."""
+    return substream(cfg.seed, name, f"{sched.h}:{sched.t:.9g}")
+
+
+def plan_run(params: SystemParams, sched: Schedule, cfg: FLConfig) -> RunPlan:
+    """The timeline of sched's run up to the horizon and its winners.
+
+    The work is winners x h x batch_size x (feature_dim + 1). A horizon
+    shorter than a round, more than MAX_VALUES sample indices and shifts
+    over all arrivals, or more than MAX_SGD_WORK of work is an
+    InvalidParameterError.
+    """
+    rounds_total = int(math.floor(cfg.horizon / sched.t))
+    if rounds_total < 1:
+        raise InvalidParameterError(
+            "training horizon is shorter than a single round")
+    arrivals = arrival_times(params, rounds_total * sched.t,
+                             _run_stream(cfg, "arrivals", sched))
+    values = arrivals.size * (cfg.samples_per_vehicle + cfg.feature_dim)
+    _require(values <= MAX_VALUES,
+             f"{arrivals.size} vehicles hold {values} sample values, more than {MAX_VALUES}")
+    # keep only each block's successful rows, so memory follows the winners
+    won = [(table.round[table.success], table.vehicle[table.success])
+           for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
+                                             _run_stream(cfg, "delays", sched))]
+    winner = np.concatenate([vehicle for _, vehicle in won])
+    work = winner.size * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
+    _require(work <= MAX_SGD_WORK,
+             f"{winner.size} winners of {sched.h} local steps need {work} "
+             f"multiply-adds, more than {MAX_SGD_WORK}")
+    return RunPlan(rounds_total, arrivals, np.concatenate([rnd for rnd, _ in won]),
+                   winner, work)
+
+
 @functools.lru_cache(maxsize=1)
 def _shared_task(cfg: FLConfig) -> LinearTask:
     """The task of cfg, built once for all the schedules of a sweep. Its
@@ -259,34 +308,13 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     model, and only the vehicles whose uploads would arrive in time are
     trained, since no other model ever reaches the aggregator. A round's
     winners train together in stacks of at most MAX_STACK_VALUES values.
-    More than MAX_VALUES sample indices and shifts over all arrivals, or
-    more than MAX_SGD_WORK multiply-adds of local training over all
-    winners, is an InvalidParameterError, raised before any dataset is
-    drawn.
+    plan_run's errors are raised before any dataset is drawn.
     """
-    rounds_total = int(math.floor(cfg.horizon / sched.t))
-    if rounds_total < 1:
-        raise InvalidParameterError(
-            "training horizon is shorter than a single round")
-
+    plan = plan_run(params, sched, cfg)
+    rounds_total, arrivals, winners = plan.rounds_total, plan.arrivals, plan.winner
     task = _shared_task(cfg)
-    tag = f"{sched.h}:{sched.t:.9g}"
-    arrivals = arrival_times(params, rounds_total * sched.t,
-                             substream(cfg.seed, "arrivals", tag))
-    values = arrivals.size * (cfg.samples_per_vehicle + cfg.feature_dim)
-    _require(values <= MAX_VALUES,
-             f"{arrivals.size} vehicles hold {values} sample values, more than {MAX_VALUES}")
-    # keep only each block's successful rows, so memory follows the winners
-    won = [(table.round[table.success], table.vehicle[table.success])
-           for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
-                                             substream(cfg.seed, "delays", tag))]
-    winners = np.concatenate([vehicle for _, vehicle in won])
-    work = winners.size * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
-    _require(work <= MAX_SGD_WORK,
-             f"{winners.size} winners of {sched.h} local steps need {work} "
-             f"multiply-adds, more than {MAX_SGD_WORK}")
-    data_rng = substream(cfg.seed, "data", tag)
-    sgd_rng = substream(cfg.seed, "sgd", tag)
+    data_rng = _run_stream(cfg, "data", sched)
+    sgd_rng = _run_stream(cfg, "sgd", sched)
 
     sample_rows = np.empty((arrivals.size, cfg.samples_per_vehicle), dtype=np.intp)
     shifts = np.empty((arrivals.size, cfg.feature_dim)) \
@@ -297,8 +325,7 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
         if shifts is not None:
             shifts[m] = cfg.vehicle_shift_std * data_rng.standard_normal(cfg.feature_dim)
 
-    bounds = np.searchsorted(np.concatenate([rnd for rnd, _ in won]),
-                             np.arange(rounds_total + 1))
+    bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))
     stack = max(1, MAX_STACK_VALUES
                 // (cfg.batch_size * (cfg.feature_dim + 1 + sched.h)))
     w = np.zeros(cfg.feature_dim + 1)

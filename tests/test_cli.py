@@ -1,9 +1,12 @@
 import csv
 import math
+import multiprocessing
 import os
 import resource
 import subprocess
 import sys
+import tempfile
+import time
 import types
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from roadfl import cli, flsim
 from roadfl.flsim import FLConfig
 from roadfl.mcsim import SimConfig
 from roadfl.optimizer import OptimizerConfig
+from roadfl.types import Schedule
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline.cfg"
@@ -27,11 +31,11 @@ def read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def run_cli(args, cwd=REPO, timeout=None, address_space=None):
+def run_cli(args, cwd=REPO, timeout=None, address_space=None, env=None):
     """Run the CLI as a child process; address_space, in bytes, caps the
-    child's virtual memory (RLIMIT_AS) and leaves this process alone."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
+    child's virtual memory (RLIMIT_AS) and leaves this process alone; env
+    adds to this process's environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(REPO / "src")}
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -300,6 +304,106 @@ class TestFlCommand:
                        "--fl.horizon_s=0"])
         assert rc == 1
 
+    def test_work_cap_covers_every_schedule(self, tmp_path, monkeypatch, capsys):
+        cfg = cli.parse_config(BASELINE, [o[2:] for o in SMALL_TASK])
+        works = [flsim.plan_run(cfg.system, Schedule(h, t), cfg.fl).work
+                 for h, t in ((8, 8.5), (24, 11.8))]
+        assert min(works) > 0
+        for cap, code in ((sum(works), 0), (sum(works) - 1, 1)):
+            monkeypatch.setattr(flsim, "MAX_SGD_WORK", cap)
+            out = tmp_path / str(cap)
+            assert cli.main(["fl", "--config", str(BASELINE), "--out", str(out),
+                             *SMALL_TASK, "--schedules", "8:8.5,24:11.8"]) == code
+        err = capsys.readouterr().err
+        assert err == (f"config error: the schedules need {sum(works)} multiply-adds "
+                       f"of local training, more than {sum(works) - 1}\n")
+        assert not out.exists()
+
+
+# a task small enough that fl runs in well under a second
+SMALL_TASK = ["--fl.horizon_s=120", "--fl.feature_dim=8", "--fl.global_pool_size=256",
+              "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
+              "--fl.batch_size=32"]
+# with eta=100, 24:11.8 and 40:20 diverge; in 3 processes the first is
+# the parent's and the second a worker's
+DIVERGING_GRID = ["--fl.eta=100", "--schedules",
+                  "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18,40:20,40:14"]
+
+
+class TestFlProcesses:
+    @pytest.mark.parametrize("blas,processes", [
+        (None, 1), ("1", 4), ("2", 2), ("abc", 1), ("0", 1)])
+    def test_one_process_per_blas_thread_pool(self, monkeypatch, blas, processes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        if blas is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert cli._fl_processes(12) == processes
+        assert cli._fl_processes(3) == min(3, processes)
+        # a value that is not a positive integer defers to the next variable
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert cli._fl_processes(12) == (processes if blas in ("1", "2") else 1)
+        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+        assert cli._fl_processes(12) == (processes if blas in ("1", "2") else 2)
+
+    def test_split_balances_work_largest_first(self):
+        assert cli._split([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]
+        # schedules without work still spread over every process
+        assert cli._split([0, 0, 0, 7], 3) == [[3], [0, 2], [1]]
+
+    def fl(self, tmp_path, monkeypatch, capsys, cpus, args):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / str(cpus)
+        rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(out), *args])
+        assert multiprocessing.active_children() == []
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return rc, captured.out, captured.err, files
+
+    def test_processes_match_one_process(self, tmp_path, monkeypatch, capsys):
+        args = [*SMALL_TASK, *DIVERGING_GRID]
+        serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
+        assert cli._fl_processes(10) == 1
+        parallel = self.fl(tmp_path, monkeypatch, capsys, 3, args)
+        assert cli._fl_processes(10) == 3
+        assert serial == parallel
+        rc, out, err, files = serial
+        assert rc == 0 and out.startswith("spearman_rho=")
+        assert [line.split(" diverged")[0] for line in err.splitlines()] == [
+            "warning: run h=24 t=11.8", "warning: run h=40 t=20"]
+        assert sorted(files) == ["correlation.txt", "fl_runs.csv"]
+
+    def test_error_in_a_worker_matches_one_process(self, tmp_path, monkeypatch, capsys):
+        # 8:4 needs more sample values than the task's values and 8:200's
+        # sample values, so with the cap between them 8:200 runs in the
+        # parent and 8:4 fails in a worker
+        overrides = [*SMALL_TASK, "--fl.horizon_s=400"]
+        cfg = cli.parse_config(BASELINE, [o[2:] for o in overrides])
+        values = [flsim.plan_run(cfg.system, Schedule(h, t), cfg.fl).arrivals.size * (128 + 8)
+                  for h, t in ((8, 200.0), (8, 4.0))]
+        cap = max(values[0], (256 + 64) * (8 + 1))
+        assert cap < values[1]
+        monkeypatch.setattr(flsim, "MAX_VALUES", cap)
+        args = [*overrides, "--schedules", "8:200,8:4"]
+        serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
+        parallel = self.fl(tmp_path, monkeypatch, capsys, 3, args)
+        assert serial == parallel
+        rc, out, err, files = serial
+        assert rc == 1 and out == "" and files == {}
+        assert err.startswith("config error: ") and "sample values" in err
+        assert len(err.splitlines()) == 1
+
+    def test_piped_stdout_is_written_once(self, tmp_path):
+        # an empty PYTHONUNBUFFERED leaves the piped stdout block-buffered
+        proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                        *SMALL_TASK, *DIVERGING_GRID],
+                       env={"OPENBLAS_NUM_THREADS": "1", "PYTHONUNBUFFERED": ""},
+                       timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("spearman_rho=") == 1
+
 
 class TestDeterminism:
     def test_validate_rerun_is_byte_identical(self, tmp_path):
@@ -354,6 +458,11 @@ class TestRowTemplates:
         assert cli.FLOAT % (value,) == format_csv_value(value)
 
 
+# six runs, each just under flsim.MAX_SGD_WORK; they took about 30 s
+SIX_RUNS_NEAR_CAP = ["fl", "--fl.horizon_s=29000", "--schedules",
+                     "40:33.07,40:33.08,40:33.09,40:33.1,40:33.11,40:33.12"]
+
+
 @pytest.mark.parametrize("code,args", [
     (1, ["optimize", "--system.length_m=1e300"]),
     (1, ["optimize", "--system.alpha_s=1e-300"]),
@@ -371,17 +480,79 @@ class TestRowTemplates:
     (1, ["fl", "--fl.validation_size=1000000000"]),
     (1, ["fl", "--system.alpha_s=1e-6", "--system.beta_s=1e-6", "--fl.horizon_s=60",
          "--schedules", "1000000:30"]),
+    (1, SIX_RUNS_NEAR_CAP),
 ])
 def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     """Inputs that hung, or died in a traceback, end in a one-line error
     within 20 s and 1.5 GiB of address space."""
     out = tmp_path / "out"
+    started = time.perf_counter()
     proc = run_cli([*args, "--config", str(BASELINE), "--out", str(out)],
                    timeout=20, address_space=3 * 2**29)
+    if args is SIX_RUNS_NEAR_CAP:
+        # the work of all the runs is capped before any of them trains
+        assert time.perf_counter() - started < 2
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+# config values from 0, 1, tiny and huge to non-finite, as the CLI reads them
+FLOAT_TEXT = st.sampled_from(["0", "1", "-1", "1e-300", "1e-6", "0.05", "0.5", "20",
+                              "1e6", "1e300", "inf", "-inf", "nan"])
+INT_TEXT = st.sampled_from(["0", "1", "2", "-1", "64", "1000", "1000000", "1000000000",
+                            str(2**63)])
+
+
+def _override(key: str):
+    section, name = key.split(".")
+    values = INT_TEXT if cli._KEYS[section][name][1] is int else FLOAT_TEXT
+    return values.map(lambda value: f"--{key}={value}")
+
+
+OVERRIDE = st.sampled_from([f"{section}.{key}" for section, keys in cli._KEYS.items()
+                            if section != "output" for key in keys]).flatmap(_override)
+# each command's own arguments; fl trains over a short horizon unless an
+# override says otherwise
+COMMAND_ARGS = {
+    "optimize": st.just([]),
+    "validate": st.just(["--sim.num_rounds=2000"]),
+    "sweep": st.tuples(st.sampled_from(["8,24", "1", "1,100000", "0", "x"]),
+                       st.sampled_from(["7:26:0.1", "0.001:40:0.001", "1:1e300:1",
+                                        "nan:10:1", "5:1:1"])
+                       ).map(lambda p: ["--h-list", p[0], "--t-grid", p[1]]),
+    "fl": st.sampled_from([None, "24:11.8", "8:4,24:1e-3", "1:1e-300", "40:20,8:8.5",
+                           "100000:30", "8:inf"]
+                          ).map(lambda s: ["--fl.horizon_s=60"]
+                                + (["--schedules", s] if s else [])),
+}
+INVOCATION = st.sampled_from(sorted(COMMAND_ARGS)).flatmap(
+    lambda command: st.tuples(st.just(command), COMMAND_ARGS[command],
+                              st.lists(OVERRIDE, max_size=3)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(INVOCATION)
+def test_any_input_ends_in_exit_code(invocation):
+    """Wide config values end in a documented exit code within 20 s and
+    1 GiB of address space, forked workers included; a failure prints one
+    line and leaves no output behind."""
+    command, args, overrides = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        proc = run_cli([command, "--config", str(BASELINE), "--out", str(out),
+                        *args, *overrides],
+                       timeout=20, address_space=2**30, env={"OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode in (0, 1, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            assert all(line.startswith("warning: run h=")
+                       for line in proc.stderr.splitlines())
+            assert not list(out.glob("*.tmp"))
+        else:
+            assert len(proc.stderr.strip().splitlines()) == 1
+            assert not out.exists()
 
 
 def test_unknown_cli_token_rejected(tmp_path):
@@ -391,17 +562,20 @@ def test_unknown_cli_token_rejected(tmp_path):
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    """The package runs on numpy alone; scipy is a test-only oracle."""
+    """The package runs on numpy alone; scipy is a test-only oracle. Only
+    fl in more than one process imports multiprocessing."""
     code = ("import sys, roadfl.cli\n"
             f"roadfl.cli.main(['validate', '--config', {str(BASELINE)!r}, "
             f"'--out', {str(tmp_path)!r}, '--sim.num_rounds=100'])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_benchmark_tracer_still_installs(tmp_path):

@@ -365,6 +365,7 @@ class TestRunFl:
         winners = int(table.success.sum())
         assert winners > 0
         work = winners * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
+        assert flsim.plan_run(reference_params, sched, cfg).work == work
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work)
         flsim.run_fl(reference_params, sched, cfg)
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work - 1)
