@@ -361,38 +361,37 @@ def _split(works: Sequence[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _train(params: SystemParams, schedules: Sequence[Schedule],
-           fl_cfg: FLConfig) -> list[FLRunResult | DivergenceError | InvalidParameterError]:
-    """Each schedule's FLRunResult, or the error its run raised: a diverged
-    run warns and a rejected one ends the command, in schedule order."""
-    outcomes: list[FLRunResult | DivergenceError | InvalidParameterError] = []
-    for sched in schedules:
+def _train(plans: Sequence[flsim.RunPlan],
+           fl_cfg: FLConfig) -> list[FLRunResult | DivergenceError]:
+    """Each plan's FLRunResult, or the DivergenceError its run raised."""
+    outcomes: list[FLRunResult | DivergenceError] = []
+    for plan in plans:
         try:
-            outcomes.append(run_fl(params, sched, fl_cfg))
-        except (DivergenceError, InvalidParameterError) as exc:
+            outcomes.append(run_fl(plan, fl_cfg))
+        except DivergenceError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _train_in_processes(cfg: ExperimentConfig, schedules: Sequence[Schedule],
-                        works: Sequence[int], n: int) -> list:
-    """_train in this process and n - 1 workers, the schedules split by
+def _train_in_processes(cfg: ExperimentConfig, plans: Sequence[flsim.RunPlan],
+                        n: int) -> list:
+    """_train in this process and n - 1 workers, the plans split by
     _split. The workers are forked, so they inherit the imported modules
     and this process's task, copy-on-write, instead of building them again."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    shares = _split(works, n)
+    shares = _split([plan.work for plan in plans], n)
     flsim._shared_task(cfg.fl)
     with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_train, cfg.system, [schedules[i] for i in share], cfg.fl)
+        futures = [pool.submit(_train, [plans[i] for i in share], cfg.fl)
                    for share in shares[1:]]
-        done = [_train(cfg.system, [schedules[i] for i in shares[0]], cfg.fl)]
+        done = [_train([plans[i] for i in shares[0]], cfg.fl)]
         done += [future.result() for future in futures]
     by_index = {}
     for share, share_outcomes in zip(shares, done):
         by_index.update(zip(share, share_outcomes))
-    return [by_index[i] for i in range(len(schedules))]
+    return [by_index[i] for i in range(len(plans))]
 
 
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
@@ -405,36 +404,28 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     if n_rows > MAX_ROWS:
         raise ConfigError(f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
 
-    # Plan every run before training any, to cap the work of them all and
-    # to split them across processes. The schedules end at the first one
-    # whose plan fails: its run raises that error again, after the runs
-    # before it have trained, as in a run of the schedules one by one.
-    works = []
+    # plan every run before training any, so that a plan's error ends the
+    # command before anything trains; capping the running total of the
+    # work also bounds the winners the plans hold
+    plans, total = [], 0
     for sched in schedules:
-        try:
-            works.append(plan_run(cfg.system, sched, cfg.fl).work)
-        except InvalidParameterError:
-            works.append(0)
-            break
-    total = sum(works)
-    if total > flsim.MAX_SGD_WORK:
-        raise ConfigError(f"the schedules need {total} multiply-adds of local "
-                          f"training, more than {flsim.MAX_SGD_WORK}")
-    to_run = schedules[:len(works)]
-    n = _fl_processes(len(to_run))
+        plans.append(plan_run(cfg.system, sched, cfg.fl))
+        total += plans[-1].work
+        if total > flsim.MAX_SGD_WORK:
+            raise ConfigError(f"the schedules need {total} multiply-adds of local "
+                              f"training, more than {flsim.MAX_SGD_WORK}")
+    n = _fl_processes(len(plans))
     if n == 1:
-        outcomes = _train(cfg.system, to_run, cfg.fl)
+        outcomes = _train(plans, cfg.fl)
     else:
-        outcomes = _train_in_processes(cfg, to_run, works, n)
+        outcomes = _train_in_processes(cfg, plans, n)
 
     runs = []
-    for sched, outcome in zip(to_run, outcomes):
+    for sched, outcome in zip(schedules, outcomes):
         if isinstance(outcome, DivergenceError):
             print(f"warning: run h={sched.h} t={sched.t:.9g} diverged: {outcome}",
                   file=sys.stderr)
             runs.append((sched, None))
-        elif isinstance(outcome, InvalidParameterError):
-            raise outcome
         else:
             runs.append((sched, outcome))
     _write_rows(cfg.output_dir / "fl_runs.csv",

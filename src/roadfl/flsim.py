@@ -51,10 +51,14 @@ MAX_VALUES = 2**25
 # drawn ahead of its steps, up to W x h x batch_size, so this caps
 # W x batch_size x (feature_dim + 1 + h), but a stack has at least one winner
 MAX_STACK_VALUES = 2**18
-# run_fl trains each winner for h steps of batch_size x (feature_dim + 1)
-# multiply-adds; this caps their sum over one run, and the fl command caps
-# it over all of its runs (the default grid does about 1.1e9 on the
-# reference environment at seed 1)
+# run_fl trains each winner for h steps; a step is batch_size x
+# (feature_dim + 1) multiply-adds and one batch draw, charged as
+# BATCH_DRAW_WORK of them (a draw took 12 us and a multiply-add 2 ns with
+# one BLAS thread on a shared 2-vCPU machine; the rest covers the step's
+# fixed cost). MAX_SGD_WORK caps that work over one run, and the fl
+# command caps it over all of its runs (the default grid does about
+# 1.4e9 on the reference environment at seed 1)
+BATCH_DRAW_WORK = 2**13
 MAX_SGD_WORK = 2**31
 
 
@@ -241,13 +245,14 @@ class FLRunResult:
 
 
 class RunPlan(NamedTuple):
-    """What a run trains, known before any dataset is drawn: its round
-    count, its arrival instants, the round and the arrival index of each
-    upload that arrives in time (ordered by round), and the multiply-adds
-    of those winners' local training."""
+    """What a run trains, known before any dataset is drawn: its schedule,
+    its round count, its vehicle count, the round and the arrival index of
+    each upload that arrives in time (ordered by round), and the work of
+    those winners' local training."""
 
+    schedule: Schedule
     rounds_total: int
-    arrivals: np.ndarray
+    vehicles: int
     winner_round: np.ndarray
     winner: np.ndarray
     work: int
@@ -261,10 +266,12 @@ def _run_stream(cfg: FLConfig, name: str, sched: Schedule) -> np.random.Generato
 def plan_run(params: SystemParams, sched: Schedule, cfg: FLConfig) -> RunPlan:
     """The timeline of sched's run up to the horizon and its winners.
 
-    The work is winners x h x batch_size x (feature_dim + 1). A horizon
-    shorter than a round, more than MAX_VALUES sample indices and shifts
-    over all arrivals, or more than MAX_SGD_WORK of work is an
-    InvalidParameterError.
+    The work is winners x h x (batch_size x (feature_dim + 1) +
+    BATCH_DRAW_WORK). A horizon shorter than a round, more than MAX_VALUES
+    sample indices and shifts over all arrivals, or more than MAX_SGD_WORK
+    of work is an InvalidParameterError. The work is checked after each
+    block of the attempt table, so the winners held pass the cap by at
+    most one block's.
     """
     rounds_total = int(math.floor(cfg.horizon / sched.t))
     if rounds_total < 1:
@@ -275,17 +282,22 @@ def plan_run(params: SystemParams, sched: Schedule, cfg: FLConfig) -> RunPlan:
     values = arrivals.size * (cfg.samples_per_vehicle + cfg.feature_dim)
     _require(values <= MAX_VALUES,
              f"{arrivals.size} vehicles hold {values} sample values, more than {MAX_VALUES}")
+    step_work = cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK
     # keep only each block's successful rows, so memory follows the winners
-    won = [(table.round[table.success], table.vehicle[table.success])
-           for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
-                                             _run_stream(cfg, "delays", sched))]
-    winner = np.concatenate([vehicle for _, vehicle in won])
-    work = winner.size * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
-    _require(work <= MAX_SGD_WORK,
-             f"{winner.size} winners of {sched.h} local steps need {work} "
-             f"multiply-adds, more than {MAX_SGD_WORK}")
-    return RunPlan(rounds_total, arrivals, np.concatenate([rnd for rnd, _ in won]),
-                   winner, work)
+    won_round, won = [], []
+    n_won = work = 0
+    for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
+                                      _run_stream(cfg, "delays", sched)):
+        won_round.append(table.round[table.success])
+        won.append(table.vehicle[table.success])
+        n_won += won[-1].size
+        work = n_won * sched.h * step_work
+        if work > MAX_SGD_WORK:
+            raise InvalidParameterError(
+                f"{n_won} winners of {sched.h} local steps need {work} "
+                f"multiply-adds, more than {MAX_SGD_WORK}")
+    return RunPlan(sched, rounds_total, arrivals.size, np.concatenate(won_round),
+                   np.concatenate(won), work)
 
 
 @functools.lru_cache(maxsize=1)
@@ -298,8 +310,9 @@ def _shared_task(cfg: FLConfig) -> LinearTask:
     return task
 
 
-def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
-    """Train over floor(horizon / t) rounds of the simulated timeline.
+def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
+    """Train plan's winners over its rounds of the simulated timeline;
+    plan is plan_run's for the same cfg.
 
     The task is derived from the seed alone so every schedule in a sweep
     sees the same data; arrivals, delays, data assignment and batch
@@ -308,18 +321,16 @@ def run_fl(params: SystemParams, sched: Schedule, cfg: FLConfig) -> FLRunResult:
     model, and only the vehicles whose uploads would arrive in time are
     trained, since no other model ever reaches the aggregator. A round's
     winners train together in stacks of at most MAX_STACK_VALUES values.
-    plan_run's errors are raised before any dataset is drawn.
     """
-    plan = plan_run(params, sched, cfg)
-    rounds_total, arrivals, winners = plan.rounds_total, plan.arrivals, plan.winner
+    sched, rounds_total, winners = plan.schedule, plan.rounds_total, plan.winner
     task = _shared_task(cfg)
     data_rng = _run_stream(cfg, "data", sched)
     sgd_rng = _run_stream(cfg, "sgd", sched)
 
-    sample_rows = np.empty((arrivals.size, cfg.samples_per_vehicle), dtype=np.intp)
-    shifts = np.empty((arrivals.size, cfg.feature_dim)) \
+    sample_rows = np.empty((plan.vehicles, cfg.samples_per_vehicle), dtype=np.intp)
+    shifts = np.empty((plan.vehicles, cfg.feature_dim)) \
         if cfg.vehicle_shift_std > 0 else None
-    for m in range(arrivals.size):
+    for m in range(plan.vehicles):
         sample_rows[m] = data_rng.choice(cfg.global_pool_size,
                                          size=cfg.samples_per_vehicle, replace=False)
         if shifts is not None:

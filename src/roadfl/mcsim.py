@@ -48,6 +48,11 @@ MAX_ROUNDS = 10 ** 7
 # expected count (about 270 MB of float64)
 MAX_ARRIVALS = 2 ** 25
 
+# attempt_blocks draws a delay for every (vehicle, round) attempt; this
+# caps the expected attempts of one table (about 5 s at the 26M attempts/s
+# a 4e7-attempt fl plan ran at on a shared 2-vCPU machine)
+MAX_ATTEMPTS = 2 ** 27
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -182,9 +187,13 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
 
     Yields (block begin, block end, table of that block), so memory stays
     bounded whatever the round count. The blocks draw delays exactly as
-    one table over all the rounds would.
+    one table over all the rounds would. More than MAX_ATTEMPTS expected
+    rows is an InvalidParameterError, raised before any delay is drawn.
     """
     per_round = params.arrival_rate * (sched.t + params.dwell_time)
+    rows = (k_end - k_begin) * per_round
+    _require(rows <= MAX_ATTEMPTS,
+             f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(per_round, 1.0)))
     for begin in range(k_begin, k_end, block):
         end = min(begin + block, k_end)

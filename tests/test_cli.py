@@ -375,25 +375,50 @@ class TestFlProcesses:
             "warning: run h=24 t=11.8", "warning: run h=40 t=20"]
         assert sorted(files) == ["correlation.txt", "fl_runs.csv"]
 
-    def test_error_in_a_worker_matches_one_process(self, tmp_path, monkeypatch, capsys):
+    def counter(self, monkeypatch, path, name):
+        """Count the calls of flsim's name, through cli's binding too, in
+        the file at path, so that calls in forked workers count as well."""
+        real = getattr(flsim, name)
+
+        def counting(*args):
+            with open(path, "a") as fh:
+                fh.write("call\n")
+            return real(*args)
+
+        monkeypatch.setattr(flsim, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+        path.write_text("")
+        return lambda: len(path.read_text().splitlines())
+
+    def test_plan_error_ends_fl_before_training(self, tmp_path, monkeypatch, capsys):
         # 8:4 needs more sample values than the task's values and 8:200's
-        # sample values, so with the cap between them 8:200 runs in the
-        # parent and 8:4 fails in a worker
+        # sample values; with the cap between them, 8:200 plans and 8:4 fails
         overrides = [*SMALL_TASK, "--fl.horizon_s=400"]
         cfg = cli.parse_config(BASELINE, [o[2:] for o in overrides])
-        values = [flsim.plan_run(cfg.system, Schedule(h, t), cfg.fl).arrivals.size * (128 + 8)
+        values = [flsim.plan_run(cfg.system, Schedule(h, t), cfg.fl).vehicles * (128 + 8)
                   for h, t in ((8, 200.0), (8, 4.0))]
         cap = max(values[0], (256 + 64) * (8 + 1))
         assert cap < values[1]
         monkeypatch.setattr(flsim, "MAX_VALUES", cap)
+        trained = self.counter(monkeypatch, tmp_path / "run_fl", "run_fl")
         args = [*overrides, "--schedules", "8:200,8:4"]
         serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
         parallel = self.fl(tmp_path, monkeypatch, capsys, 3, args)
+        assert trained() == 0
         assert serial == parallel
         rc, out, err, files = serial
         assert rc == 1 and out == "" and files == {}
         assert err.startswith("config error: ") and "sample values" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_each_schedule_is_planned_once(self, tmp_path, monkeypatch, capsys, cpus):
+        planned = self.counter(monkeypatch, tmp_path / "plan_run", "plan_run")
+        trained = self.counter(monkeypatch, tmp_path / "run_fl", "run_fl")
+        rc, _, _, _ = self.fl(tmp_path, monkeypatch, capsys, cpus,
+                              [*SMALL_TASK, *DIVERGING_GRID])
+        assert rc == 0
+        assert planned() == trained() == 10
 
     def test_piped_stdout_is_written_once(self, tmp_path):
         # an empty PYTHONUNBUFFERED leaves the piped stdout block-buffered
@@ -458,9 +483,14 @@ class TestRowTemplates:
         assert cli.FLOAT % (value,) == format_csv_value(value)
 
 
-# six runs, each just under flsim.MAX_SGD_WORK; they took about 30 s
-SIX_RUNS_NEAR_CAP = ["fl", "--fl.horizon_s=29000", "--schedules",
+# six runs, each just under flsim.MAX_SGD_WORK; one alone takes about 4 s
+SIX_RUNS_NEAR_CAP = ["fl", "--fl.horizon_s=22000", "--schedules",
                      "40:33.07,40:33.08,40:33.09,40:33.1,40:33.11,40:33.12"]
+
+# every vehicle of a 10**6 s dwell time attempts an upload in every round
+TINY_STEPS = ["fl", "--system.length_m=1e6", "--system.speed_mps=1",
+              "--fl.samples_per_vehicle=64", "--fl.batch_size=8", "--fl.feature_dim=8",
+              "--fl.global_pool_size=64"]
 
 
 @pytest.mark.parametrize("code,args", [
@@ -481,6 +511,18 @@ SIX_RUNS_NEAR_CAP = ["fl", "--fl.horizon_s=29000", "--schedules",
     (1, ["fl", "--system.alpha_s=1e-6", "--system.beta_s=1e-6", "--fl.horizon_s=60",
          "--schedules", "1000000:30"]),
     (1, SIX_RUNS_NEAR_CAP),
+    # about 1e11 and 3e9 upload attempts
+    (1, ["validate", "--system.length_m=1e7", "--system.speed_mps=1",
+         "--sim.num_rounds=100000", "--sim.t_s=5", "--sim.h=1"]),
+    (1, ["fl", "--system.length_m=2000", "--system.speed_mps=5",
+         "--system.arrival_rate_per_s=8", "--schedules", "24:0.002"]),
+    # about 1e8 and 2e7 one-step winners of 72 multiply-adds each: the
+    # first ran out of memory, the second ran past 20 s in its batch draws
+    (1, [*TINY_STEPS, "--fl.horizon_s=5000", "--schedules", "1:5"]),
+    (1, [*TINY_STEPS, "--fl.horizon_s=1000", "--schedules", "1:5"]),
+    # the first run diverges, the second's plan fails: no run trains
+    (1, ["fl", "--fl.eta=100", "--system.alpha_s=1e-6", "--system.beta_s=1e-6",
+         "--fl.horizon_s=60", "--schedules", "24:11.8,1000000:30"]),
 ])
 def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     """Inputs that hung, or died in a traceback, end in a one-line error

@@ -21,6 +21,10 @@ def small_cfg(**kw) -> flsim.FLConfig:
     return flsim.FLConfig(**base)
 
 
+def train(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> flsim.FLRunResult:
+    return flsim.run_fl(flsim.plan_run(params, sched, cfg), cfg)
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
         flsim.FLConfig(eta=0.0)
@@ -224,26 +228,26 @@ class TestRunFl:
     def test_no_traffic_keeps_initial_model(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        res = flsim.run_fl(p, Schedule(8, 10.0), small_cfg())
+        res = train(p, Schedule(8, 10.0), small_cfg())
         assert res.rounds_valid == 0
         assert np.all(res.losses == res.losses[0])
         assert res.l_min == res.losses[0]
 
     def test_noiseless_feasible_run_improves(self, reference_params):
         cfg = small_cfg(horizon=500.0)
-        res = flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
+        res = train(reference_params, Schedule(8, 6.0), cfg)
         assert res.rounds_valid > 0
         assert res.l_min <= res.losses[0] / 10
 
     def test_l_min_curve_non_increasing(self, reference_params):
-        res = flsim.run_fl(reference_params, Schedule(16, 9.0), small_cfg())
+        res = train(reference_params, Schedule(16, 9.0), small_cfg())
         assert np.all(np.diff(res.l_min_curve) <= 0)
         assert res.l_min_curve[0] == res.losses[0]
 
     def test_valid_round_rate_matches_analytic(self, reference_params):
         sched = Schedule(24, 11.8)
         cfg = small_cfg(horizon=2400.0, seed=5)
-        res = flsim.run_fl(reference_params, sched, cfg)
+        res = train(reference_params, sched, cfg)
         p_pos = an.success_probability(reference_params, sched.h, sched.t)
         n = res.rounds_total
         assert n >= 200
@@ -252,15 +256,15 @@ class TestRunFl:
 
     def test_deterministic(self, reference_params):
         cfg = small_cfg(seed=21)
-        a = flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
-        b = flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
+        a = train(reference_params, Schedule(8, 6.0), cfg)
+        b = train(reference_params, Schedule(8, 6.0), cfg)
         assert np.array_equal(a.losses, b.losses)
         assert a.rounds_valid == b.rounds_valid
 
     def test_rounds_valid_matches_attempt_table(self, reference_params):
         sched = Schedule(16, 9.0)
         cfg = small_cfg()
-        res = flsim.run_fl(reference_params, sched, cfg)
+        res = train(reference_params, sched, cfg)
         tag = f"{sched.h}:{sched.t:.9g}"
         arrivals = mcsim.arrival_times(reference_params, res.rounds_total * sched.t,
                                        substream(cfg.seed, "arrivals", tag))
@@ -277,7 +281,7 @@ class TestRunFl:
             raise AssertionError("local_sgd called for an infeasible schedule")
 
         monkeypatch.setattr(flsim, "local_sgd", refuse)
-        res = flsim.run_fl(reference_params, Schedule(24, 6.0), small_cfg())
+        res = train(reference_params, Schedule(24, 6.0), small_cfg())
         assert res.rounds_valid == 0
         assert np.all(res.losses == res.losses[0])
 
@@ -291,7 +295,7 @@ class TestRunFl:
             return real(*args)
 
         monkeypatch.setattr(flsim, "mse_loss", counting)
-        res = flsim.run_fl(reference_params, Schedule(24, 9.0), small_cfg(horizon=400.0))
+        res = train(reference_params, Schedule(24, 9.0), small_cfg(horizon=400.0))
         assert 0 < res.rounds_valid < res.rounds_total
         assert len(calls) == 1 + res.rounds_valid
 
@@ -306,10 +310,10 @@ class TestRunFl:
         monkeypatch.setattr(mcsim, "attempts", counting)
         sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 50)
-        small = flsim.run_fl(reference_params, sched, cfg)
+        small = train(reference_params, sched, cfg)
         assert len(blocks) > 1
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
-        whole = flsim.run_fl(reference_params, sched, cfg)
+        whole = train(reference_params, sched, cfg)
         assert np.array_equal(small.losses, whole.losses)
         assert small.rounds_valid == whole.rounds_valid > 0
 
@@ -327,11 +331,11 @@ class TestRunFl:
         sched = Schedule(8, 6.0)
         cfg = small_cfg(horizon=400.0, vehicle_shift_std=0.5, noise_std=0.1)
         monkeypatch.setattr(flsim, "MAX_STACK_VALUES", 1)
-        single = flsim.run_fl(params, sched, cfg)
+        single = train(params, sched, cfg)
         assert set(stacks) == {1}
         stacks.clear()
         monkeypatch.setattr(flsim, "MAX_STACK_VALUES", 10 ** 12)
-        whole = flsim.run_fl(params, sched, cfg)
+        whole = train(params, sched, cfg)
         assert max(stacks) > 1
         assert np.array_equal(single.losses, whole.losses)
         assert single.rounds_valid == whole.rounds_valid > 0
@@ -341,7 +345,7 @@ class TestRunFl:
         # 128 + 8 values each
         cfg = small_cfg(horizon=400.0)
         monkeypatch.setattr(flsim, "MAX_VALUES", 100 * (128 + 8))
-        flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
+        train(reference_params, Schedule(8, 6.0), cfg)
         monkeypatch.setattr(flsim, "MAX_VALUES", 10 * (128 + 8))
         purposes = []
 
@@ -351,7 +355,7 @@ class TestRunFl:
 
         monkeypatch.setattr(flsim, "substream", recording)
         with pytest.raises(InvalidParameterError, match="sample values"):
-            flsim.run_fl(reference_params, Schedule(8, 6.0), cfg)
+            train(reference_params, Schedule(8, 6.0), cfg)
         assert "arrivals" in purposes and "data" not in purposes
 
     def test_sgd_work_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
@@ -364,10 +368,11 @@ class TestRunFl:
                                substream(cfg.seed, "delays", tag))
         winners = int(table.success.sum())
         assert winners > 0
-        work = winners * sched.h * cfg.batch_size * (cfg.feature_dim + 1)
+        work = winners * sched.h * (cfg.batch_size * (cfg.feature_dim + 1)
+                                    + flsim.BATCH_DRAW_WORK)
         assert flsim.plan_run(reference_params, sched, cfg).work == work
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work)
-        flsim.run_fl(reference_params, sched, cfg)
+        train(reference_params, sched, cfg)
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work - 1)
         purposes = []
 
@@ -377,20 +382,44 @@ class TestRunFl:
 
         monkeypatch.setattr(flsim, "substream", recording)
         with pytest.raises(InvalidParameterError, match="multiply-adds"):
-            flsim.run_fl(reference_params, sched, cfg)
+            train(reference_params, sched, cfg)
         assert "delays" in purposes and "data" not in purposes
+
+    def test_work_cap_stops_at_the_first_block_over_it(self, reference_params,
+                                                       monkeypatch):
+        blocks = []
+        real = mcsim.attempts
+
+        def counting(*args):
+            blocks.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mcsim, "attempts", counting)
+        # one round per block, and a cap of one winner's work
+        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 1)
+        sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0)
+        plan = flsim.plan_run(reference_params, sched, cfg)
+        assert len(blocks) == plan.rounds_total
+        second = int(plan.winner_round[1])
+        assert second < plan.rounds_total - 1
+        monkeypatch.setattr(flsim, "MAX_SGD_WORK", plan.work // plan.winner.size)
+        blocks.clear()
+        held = int((plan.winner_round <= second).sum())
+        with pytest.raises(InvalidParameterError, match=f"^{held} winners of 8 local steps"):
+            flsim.plan_run(reference_params, sched, cfg)
+        assert len(blocks) == second + 1
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):
-            flsim.run_fl(reference_params, Schedule(8, 300.0), small_cfg())
+            flsim.plan_run(reference_params, Schedule(8, 300.0), small_cfg())
 
 
 class TestVehicleShiftMode:
     def test_shift_changes_training_but_not_timing(self, reference_params):
         iid = small_cfg(seed=30)
         shifted = small_cfg(seed=30, vehicle_shift_std=0.5)
-        a = flsim.run_fl(reference_params, Schedule(8, 6.0), iid)
-        b = flsim.run_fl(reference_params, Schedule(8, 6.0), shifted)
+        a = train(reference_params, Schedule(8, 6.0), iid)
+        b = train(reference_params, Schedule(8, 6.0), shifted)
         assert a.rounds_valid == b.rounds_valid  # timing path untouched
         assert not np.array_equal(a.losses, b.losses)
         assert np.all(np.diff(b.l_min_curve) <= 0)
@@ -402,12 +431,12 @@ class TestVehicleShiftMode:
 
 class TestProxyCorrelation:
     def test_needs_eight_schedules(self, reference_params):
-        res = flsim.run_fl(reference_params, Schedule(8, 6.0), small_cfg())
+        res = train(reference_params, Schedule(8, 6.0), small_cfg())
         with pytest.raises(InvalidParameterError):
             flsim.proxy_correlation([res] * 7, reference_params)
 
     def test_duplicated_schedule_is_degenerate(self, reference_params):
-        res = flsim.run_fl(reference_params, Schedule(8, 6.0), small_cfg())
+        res = train(reference_params, Schedule(8, 6.0), small_cfg())
         report = flsim.proxy_correlation([res] * 8, reference_params)
         assert report.degenerate
         assert math.isnan(report.rho)
@@ -417,7 +446,7 @@ class TestProxyCorrelation:
         schedules = [Schedule(8, 4.0), Schedule(8, 5.5), Schedule(8, 8.0),
                      Schedule(16, 6.0), Schedule(16, 8.5), Schedule(24, 8.0),
                      Schedule(24, 11.8), Schedule(24, 3.0)]
-        results = [flsim.run_fl(reference_params, s, cfg) for s in schedules]
+        results = [train(reference_params, s, cfg) for s in schedules]
         report = flsim.proxy_correlation(results, reference_params)
         assert not report.degenerate
         assert report.rho > 0

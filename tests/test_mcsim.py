@@ -199,6 +199,18 @@ class TestSimulateRounds:
         assert np.array_equal(small.successes, whole.successes)
         assert np.array_equal(small.participants, whole.participants)
 
+    def test_attempt_cap_checked_before_any_delay(self, reference_params, monkeypatch):
+        # expected rows are rounds * rate * (t + t0) = rounds * 0.1 * (10 + 20)
+        sched = Schedule(8, 10.0)
+        arrivals = mcsim.arrival_times(reference_params, 1010.0, substream(4, "a"))
+        monkeypatch.setattr(mcsim, "MAX_ATTEMPTS", 301)
+        assert sum(table.round.size for _, _, table in mcsim.attempt_blocks(
+            reference_params, sched, arrivals, 0, 100, substream(4, "d"))) > 0
+        rng = substream(4, "d")
+        with pytest.raises(InvalidParameterError, match="expected upload attempts"):
+            next(mcsim.attempt_blocks(reference_params, sched, arrivals, 0, 101, rng))
+        assert rng.random() == substream(4, "d").random()  # nothing drawn
+
 
 # Poisson means checked against scipy.stats.poisson, from nearly empty
 # rounds to far more successes per round than any shipped environment
