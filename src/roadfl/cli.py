@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from . import analytic, flsim, optimizer
+from . import analytic, flsim, mcsim, optimizer
 from .flsim import FLConfig, FLRunResult, plan_run, proxy_correlation, run_fl
 from .mcsim import SimConfig, compare_to_poisson, simulate_rounds
 from .optimizer import OptimizerConfig
@@ -400,9 +400,14 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     else:
         schedules = _parse_schedules(schedules_arg)
     # one row per round boundary of each run; min keeps the floor finite
-    n_rows = sum(math.floor(min(cfg.fl.horizon / s.t, MAX_ROWS)) + 1 for s in schedules)
-    if n_rows > MAX_ROWS:
+    rounds = [math.floor(min(cfg.fl.horizon / s.t, MAX_ROWS)) for s in schedules]
+    if sum(rounds) + len(rounds) > MAX_ROWS:
         raise ConfigError(f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
+    attempts = sum(mcsim.expected_attempts(cfg.system, s.t, k)
+                   for s, k in zip(schedules, rounds))
+    if attempts > mcsim.MAX_ATTEMPTS:
+        raise ConfigError(f"the schedules need {attempts:.3g} expected upload attempts, "
+                          f"more than {mcsim.MAX_ATTEMPTS}")
 
     # plan every run before training any, so that a plan's error ends the
     # command before anything trains; capping the running total of the

@@ -3,11 +3,11 @@
 The learning task is linear regression with mean-squared-error loss
 under the 0.5*||.||^2 convention: convex, with a computable optimum, so
 grid sweeps over schedules stay cheap and every claim about the loss is
-checkable. Each arriving vehicle receives a fixed-size sample of the
-global pool. Each round's winners are read from mcsim's attempt table,
-so training follows exactly the timing rules of the Monte Carlo replay;
-the winners' locally trained models are averaged by dataset size, and
-rounds with no success leave the global model unchanged.
+checkable. A winner's local data is a fixed-size sample of the global
+pool from its own stream. Each round's winners are read from mcsim's
+attempt table, so training follows exactly the timing rules of the Monte
+Carlo replay; the winners' locally trained models are averaged by
+dataset size, and rounds with no success leave the model unchanged.
 
 The headline metric of a run is the running minimum of the validation
 loss over round boundaries, evaluated up to the training horizon.
@@ -43,22 +43,21 @@ __all__ = [
     "RunPlan", "plan_run", "run_fl", "proxy_correlation",
 ]
 
-# run_fl holds the task and every arriving vehicle's sample indices and
-# shift at once; this caps the values of each (about 270 MB of float64)
+# run_fl holds the task at once; this caps its values (270 MB of float64)
 MAX_VALUES = 2**25
-# run_fl trains a round's winners in stacks; a stack holds its gathered
-# batches, W x batch_size x (feature_dim + 1) values, and the batch indices
-# drawn ahead of its steps, up to W x h x batch_size, so this caps
-# W x batch_size x (feature_dim + 1 + h), but a stack has at least one winner
+# run_fl trains a round's winners in stacks; a stack holds W winners'
+# gathered batches, W x batch_size x (feature_dim + 1) values, batch
+# indices drawn ahead, up to W x h x batch_size, and data, W x
+# (samples_per_vehicle + feature_dim), but it has at least one winner
 MAX_STACK_VALUES = 2**18
-# run_fl trains each winner for h steps; a step is batch_size x
-# (feature_dim + 1) multiply-adds and one batch draw, charged as
-# BATCH_DRAW_WORK of them (a draw took 12 us and a multiply-add 2 ns with
-# one BLAS thread on a shared 2-vCPU machine; the rest covers the step's
-# fixed cost). MAX_SGD_WORK caps that work over one run, and the fl
-# command caps it over all of its runs (the default grid does about
-# 1.4e9 on the reference environment at seed 1)
+# each win draws the winner's data, charged as DATA_DRAW_WORK multiply-adds
+# plus DATA_VALUE_WORK per value, then trains h steps of batch_size x
+# (feature_dim + 1) multiply-adds and a batch draw, charged as
+# BATCH_DRAW_WORK (the README's caps list gives the timings behind these).
+# MAX_SGD_WORK caps that work over one run, and the fl command over all runs
 BATCH_DRAW_WORK = 2**13
+DATA_DRAW_WORK = 2**15
+DATA_VALUE_WORK = 2**5
 MAX_SGD_WORK = 2**31
 
 
@@ -246,43 +245,39 @@ class FLRunResult:
 
 class RunPlan(NamedTuple):
     """What a run trains, known before any dataset is drawn: its schedule,
-    its round count, its vehicle count, the round and the arrival index of
-    each upload that arrives in time (ordered by round), and the work of
-    those winners' local training."""
+    its round count, the round and the arrival index of each upload that
+    arrives in time (ordered by round), and the work of those winners'
+    data draws and local training."""
 
     schedule: Schedule
     rounds_total: int
-    vehicles: int
     winner_round: np.ndarray
     winner: np.ndarray
     work: int
 
 
-def _run_stream(cfg: FLConfig, name: str, sched: Schedule) -> np.random.Generator:
-    """The stream of one run's name draws, tagged with its schedule."""
-    return substream(cfg.seed, name, f"{sched.h}:{sched.t:.9g}")
+def _run_stream(cfg: FLConfig, name: str, sched: Schedule, *tags) -> np.random.Generator:
+    """The stream of one run's name draws, tagged with its schedule, then tags."""
+    return substream(cfg.seed, name, f"{sched.h}:{sched.t:.9g}", *tags)
 
 
 def plan_run(params: SystemParams, sched: Schedule, cfg: FLConfig) -> RunPlan:
     """The timeline of sched's run up to the horizon and its winners.
 
-    The work is winners x h x (batch_size x (feature_dim + 1) +
-    BATCH_DRAW_WORK). A horizon shorter than a round, more than MAX_VALUES
-    sample indices and shifts over all arrivals, or more than MAX_SGD_WORK
-    of work is an InvalidParameterError. The work is checked after each
-    block of the attempt table, so the winners held pass the cap by at
-    most one block's.
+    The work is winners x (h x (batch_size x (feature_dim + 1) +
+    BATCH_DRAW_WORK) + DATA_DRAW_WORK + DATA_VALUE_WORK x
+    (samples_per_vehicle + feature_dim)). A horizon shorter than a round,
+    or more than MAX_SGD_WORK of work, is an InvalidParameterError. The
+    work is checked after each block of the attempt table, so the winners
+    held pass the cap by at most one block's.
     """
     rounds_total = int(math.floor(cfg.horizon / sched.t))
-    if rounds_total < 1:
-        raise InvalidParameterError(
-            "training horizon is shorter than a single round")
+    _require(rounds_total >= 1, "training horizon is shorter than a single round")
     arrivals = arrival_times(params, rounds_total * sched.t,
                              _run_stream(cfg, "arrivals", sched))
-    values = arrivals.size * (cfg.samples_per_vehicle + cfg.feature_dim)
-    _require(values <= MAX_VALUES,
-             f"{arrivals.size} vehicles hold {values} sample values, more than {MAX_VALUES}")
-    step_work = cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK
+    win_work = (sched.h * (cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK)
+                + DATA_DRAW_WORK
+                + DATA_VALUE_WORK * (cfg.samples_per_vehicle + cfg.feature_dim))
     # keep only each block's successful rows, so memory follows the winners
     won_round, won = [], []
     n_won = work = 0
@@ -291,12 +286,10 @@ def plan_run(params: SystemParams, sched: Schedule, cfg: FLConfig) -> RunPlan:
         won_round.append(table.round[table.success])
         won.append(table.vehicle[table.success])
         n_won += won[-1].size
-        work = n_won * sched.h * step_work
-        if work > MAX_SGD_WORK:
-            raise InvalidParameterError(
-                f"{n_won} winners of {sched.h} local steps need {work} "
-                f"multiply-adds, more than {MAX_SGD_WORK}")
-    return RunPlan(sched, rounds_total, arrivals.size, np.concatenate(won_round),
+        work = n_won * win_work
+        _require(work <= MAX_SGD_WORK, f"{n_won} winners of {sched.h} local steps need "
+                 f"{work} multiply-adds, more than {MAX_SGD_WORK}")
+    return RunPlan(sched, rounds_total, np.concatenate(won_round),
                    np.concatenate(won), work)
 
 
@@ -315,30 +308,23 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
     plan is plan_run's for the same cfg.
 
     The task is derived from the seed alone so every schedule in a sweep
-    sees the same data; arrivals, delays, data assignment and batch
+    sees the same data; arrivals, delays, each vehicle's data and batch
     sampling get schedule-tagged streams so runs are independent yet
     reproducible. Local training always restarts from the current global
     model, and only the vehicles whose uploads would arrive in time are
-    trained, since no other model ever reaches the aggregator. A round's
-    winners train together in stacks of at most MAX_STACK_VALUES values.
+    trained, since no other model ever reaches the aggregator. A winner
+    redraws its data from its own stream, the same in every round it wins.
+    A round's winners train together in stacks of at most MAX_STACK_VALUES
+    values.
     """
     sched, rounds_total, winners = plan.schedule, plan.rounds_total, plan.winner
     task = _shared_task(cfg)
-    data_rng = _run_stream(cfg, "data", sched)
     sgd_rng = _run_stream(cfg, "sgd", sched)
-
-    sample_rows = np.empty((plan.vehicles, cfg.samples_per_vehicle), dtype=np.intp)
-    shifts = np.empty((plan.vehicles, cfg.feature_dim)) \
-        if cfg.vehicle_shift_std > 0 else None
-    for m in range(plan.vehicles):
-        sample_rows[m] = data_rng.choice(cfg.global_pool_size,
-                                         size=cfg.samples_per_vehicle, replace=False)
-        if shifts is not None:
-            shifts[m] = cfg.vehicle_shift_std * data_rng.standard_normal(cfg.feature_dim)
 
     bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))
     stack = max(1, MAX_STACK_VALUES
-                // (cfg.batch_size * (cfg.feature_dim + 1 + sched.h)))
+                // (cfg.batch_size * (cfg.feature_dim + 1 + sched.h)
+                    + cfg.samples_per_vehicle + cfg.feature_dim))
     w = np.zeros(cfg.feature_dim + 1)
     losses = [mse_loss(w, task.x_val, task.y_val)]
     rounds_valid = 0
@@ -354,9 +340,13 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
                 continue
             models = []
             for i in range(0, round_winners.size, stack):
-                part = round_winners[i:i + stack]
-                models.extend(local_sgd(w, task.x_pool, task.y_pool, sample_rows[part],
-                                        None if shifts is None else shifts[part],
+                data = [_run_stream(cfg, "data", sched, m)
+                        for m in round_winners[i:i + stack].tolist()]
+                rows = np.array([rng.choice(cfg.global_pool_size, cfg.samples_per_vehicle,
+                                            replace=False) for rng in data])
+                shift = None if cfg.vehicle_shift_std == 0 else cfg.vehicle_shift_std \
+                    * np.array([rng.standard_normal(cfg.feature_dim) for rng in data])
+                models.extend(local_sgd(w, task.x_pool, task.y_pool, rows, shift,
                                         sched.h, cfg, sgd_rng))
             w = aggregate([(wm, cfg.samples_per_vehicle) for wm in models])
             rounds_valid += 1

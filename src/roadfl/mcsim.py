@@ -29,8 +29,8 @@ from .rng import substream
 from .types import InvalidParameterError, Schedule, SystemParams, _positive_int, _require
 
 __all__ = [
-    "SimConfig", "SimSummary", "PoissonFit", "Attempts",
-    "sample_computing_delay", "arrival_times", "attempts", "attempt_blocks",
+    "SimConfig", "SimSummary", "PoissonFit", "Attempts", "sample_computing_delay",
+    "arrival_times", "expected_attempts", "attempts", "attempt_blocks",
     "simulate_rounds", "compare_to_poisson",
 ]
 
@@ -139,6 +139,11 @@ def arrival_times(params: SystemParams, horizon: float,
     return np.concatenate(pieces)
 
 
+def expected_attempts(params: SystemParams, t: float, rounds: int) -> float:
+    """Expected rows of the attempt table of rounds rounds of length t."""
+    return rounds * params.arrival_rate * (t + params.dwell_time)
+
+
 class Attempts(NamedTuple):
     """One row per (vehicle, round) upload attempt, ordered by round and
     then by arrival. vehicle indexes the arrival array."""
@@ -190,11 +195,10 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     one table over all the rounds would. More than MAX_ATTEMPTS expected
     rows is an InvalidParameterError, raised before any delay is drawn.
     """
-    per_round = params.arrival_rate * (sched.t + params.dwell_time)
-    rows = (k_end - k_begin) * per_round
+    rows = expected_attempts(params, sched.t, k_end - k_begin)
     _require(rows <= MAX_ATTEMPTS,
              f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
-    block = max(1, int(ATTEMPTS_PER_BLOCK / max(per_round, 1.0)))
+    block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, sched.t, 1), 1.0)))
     for begin in range(k_begin, k_end, block):
         end = min(begin + block, k_end)
         yield begin, end, attempts(params, sched, arrivals, begin, end, delay_rng)

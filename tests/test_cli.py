@@ -391,25 +391,16 @@ class TestFlProcesses:
         return lambda: len(path.read_text().splitlines())
 
     def test_plan_error_ends_fl_before_training(self, tmp_path, monkeypatch, capsys):
-        # 8:4 needs more sample values than the task's values and 8:200's
-        # sample values; with the cap between them, 8:200 plans and 8:4 fails
-        overrides = [*SMALL_TASK, "--fl.horizon_s=400"]
-        cfg = cli.parse_config(BASELINE, [o[2:] for o in overrides])
-        values = [flsim.plan_run(cfg.system, Schedule(h, t), cfg.fl).vehicles * (128 + 8)
-                  for h, t in ((8, 200.0), (8, 4.0))]
-        cap = max(values[0], (256 + 64) * (8 + 1))
-        assert cap < values[1]
-        monkeypatch.setattr(flsim, "MAX_VALUES", cap)
+        # over a 400 s horizon, 8:200 plans two rounds and 8:500 fails
         trained = self.counter(monkeypatch, tmp_path / "run_fl", "run_fl")
-        args = [*overrides, "--schedules", "8:200,8:4"]
+        args = [*SMALL_TASK, "--fl.horizon_s=400", "--schedules", "8:200,8:500"]
         serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
         parallel = self.fl(tmp_path, monkeypatch, capsys, 3, args)
         assert trained() == 0
         assert serial == parallel
         rc, out, err, files = serial
         assert rc == 1 and out == "" and files == {}
-        assert err.startswith("config error: ") and "sample values" in err
-        assert len(err.splitlines()) == 1
+        assert err == "config error: training horizon is shorter than a single round\n"
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_each_schedule_is_planned_once(self, tmp_path, monkeypatch, capsys, cpus):
@@ -492,6 +483,20 @@ TINY_STEPS = ["fl", "--system.length_m=1e6", "--system.speed_mps=1",
               "--fl.samples_per_vehicle=64", "--fl.batch_size=8", "--fl.feature_dim=8",
               "--fl.global_pool_size=64"]
 
+# six winnerless tables of about 1e8 attempts each, capped together before
+# any is planned
+SIX_BIG_TABLES = [*TINY_STEPS, "--fl.horizon_s=5000", "--schedules",
+                  "1000:5,1000:5.01,1000:5.02,1000:5.03,1000:5.04,1000:5.05"]
+
+# 780 one-step winners, each drawing 2**20 sample rows: about 30 s of
+# data draws that the work charges before anything trains
+BIG_SAMPLES = ["fl", "--fl.feature_dim=1", "--fl.global_pool_size=1048576",
+               "--fl.samples_per_vehicle=1048576", "--fl.batch_size=1",
+               "--fl.validation_size=16", "--schedules", "1:5"]
+
+# these end on a cap before anything trains, so they end quickly
+QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES)
+
 
 @pytest.mark.parametrize("code,args", [
     (1, ["optimize", "--system.length_m=1e300"]),
@@ -523,6 +528,8 @@ TINY_STEPS = ["fl", "--system.length_m=1e6", "--system.speed_mps=1",
     # the first run diverges, the second's plan fails: no run trains
     (1, ["fl", "--fl.eta=100", "--system.alpha_s=1e-6", "--system.beta_s=1e-6",
          "--fl.horizon_s=60", "--schedules", "24:11.8,1000000:30"]),
+    (1, SIX_BIG_TABLES),
+    (1, BIG_SAMPLES),
 ])
 def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     """Inputs that hung, or died in a traceback, end in a one-line error
@@ -531,13 +538,27 @@ def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     started = time.perf_counter()
     proc = run_cli([*args, "--config", str(BASELINE), "--out", str(out)],
                    timeout=20, address_space=3 * 2**29)
-    if args is SIX_RUNS_NEAR_CAP:
-        # the work of all the runs is capped before any of them trains
+    if any(args is quick for quick in QUICK):
         assert time.perf_counter() - started < 2
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_winnerless_crowd_draws_no_data(tmp_path):
+    """1.6e7 arrivals and no winner, since t_min(1000) = 202 s exceeds the
+    20 s dwell time: no vehicle draws data, so the run ends in seconds."""
+    started = time.perf_counter()
+    proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                    "--system.arrival_rate_per_s=8000", "--fl.samples_per_vehicle=1",
+                    "--fl.batch_size=1", "--fl.feature_dim=1", "--fl.horizon_s=2000",
+                    "--schedules", "1000:1000"],
+                   timeout=20, address_space=3 * 2**29, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert time.perf_counter() - started < 10
+    assert len(read_csv(tmp_path / "fl_runs.csv")) == 3
 
 
 # config values from 0, 1, tiny and huge to non-finite, as the CLI reads them

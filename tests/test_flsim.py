@@ -340,24 +340,6 @@ class TestRunFl:
         assert np.array_equal(single.losses, whole.losses)
         assert single.rounds_valid == whole.rounds_valid > 0
 
-    def test_sample_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
-        # 0.1 arrivals/s over 400 s + 20 s is about 42 vehicles of
-        # 128 + 8 values each
-        cfg = small_cfg(horizon=400.0)
-        monkeypatch.setattr(flsim, "MAX_VALUES", 100 * (128 + 8))
-        train(reference_params, Schedule(8, 6.0), cfg)
-        monkeypatch.setattr(flsim, "MAX_VALUES", 10 * (128 + 8))
-        purposes = []
-
-        def recording(seed, purpose, *tags):
-            purposes.append(purpose)
-            return substream(seed, purpose, *tags)
-
-        monkeypatch.setattr(flsim, "substream", recording)
-        with pytest.raises(InvalidParameterError, match="sample values"):
-            train(reference_params, Schedule(8, 6.0), cfg)
-        assert "arrivals" in purposes and "data" not in purposes
-
     def test_sgd_work_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
         sched, cfg = Schedule(16, 9.0), small_cfg()
         tag = f"{sched.h}:{sched.t:.9g}"
@@ -368,8 +350,11 @@ class TestRunFl:
                                substream(cfg.seed, "delays", tag))
         winners = int(table.success.sum())
         assert winners > 0
-        work = winners * sched.h * (cfg.batch_size * (cfg.feature_dim + 1)
-                                    + flsim.BATCH_DRAW_WORK)
+        work = winners * (sched.h * (cfg.batch_size * (cfg.feature_dim + 1)
+                                     + flsim.BATCH_DRAW_WORK)
+                          + flsim.DATA_DRAW_WORK
+                          + flsim.DATA_VALUE_WORK * (cfg.samples_per_vehicle
+                                                     + cfg.feature_dim))
         assert flsim.plan_run(reference_params, sched, cfg).work == work
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work)
         train(reference_params, sched, cfg)
@@ -408,6 +393,33 @@ class TestRunFl:
         with pytest.raises(InvalidParameterError, match=f"^{held} winners of 8 local steps"):
             flsim.plan_run(reference_params, sched, cfg)
         assert len(blocks) == second + 1
+
+    def test_each_win_draws_the_winners_own_data(self, reference_params, monkeypatch):
+        tags, trained = [], []
+
+        def recording(seed, purpose, *rest):
+            if purpose == "data":
+                tags.append(rest)
+            return substream(seed, purpose, *rest)
+
+        def training(w, x, y, rows, shift, *args):
+            trained.extend(zip(rows.tolist(), shift.tolist()))
+            return real(w, x, y, rows, shift, *args)
+
+        real = flsim.local_sgd
+        monkeypatch.setattr(flsim, "substream", recording)
+        monkeypatch.setattr(flsim, "local_sgd", training)
+        # 6 s rounds in a 20 s dwell time, so vehicles win more than once
+        sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0, vehicle_shift_std=0.5)
+        plan = flsim.plan_run(reference_params, sched, cfg)
+        flsim.run_fl(plan, cfg)
+        winners = plan.winner.tolist()
+        assert tags == [("8:6", m) for m in winners]
+        assert len(trained) == len(winners)
+        first = {}
+        for m, data in zip(winners, trained):
+            assert first.setdefault(m, data) == data
+        assert len(first) < len(winners)
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):
