@@ -136,7 +136,7 @@ def same_text(golden: str, new: str) -> bool:
 
 def compare(case: str, new: dict[str, bytes], exact: bool) -> tuple[list[str], list[str]]:
     """(files that differ, files checked by line count only) of case's new
-    outputs against its golden ones; exact compares bytes as well."""
+    outputs against its golden ones, compared as bytes if exact, else parsed."""
     golden = load(case)
     names = {name + stored(data)[0] for name, data in new.items()}
     differ = [f"{case}/{name}" for name in sorted(names ^ set(golden))]
@@ -146,13 +146,14 @@ def compare(case: str, new: dict[str, bytes], exact: bool) -> tuple[list[str], l
         old = golden.get(name + suffix)
         if old is None:
             continue
-        if suffix:
-            same = (content == old if exact
-                    else old.split()[1] == content.split()[1])
-            if not exact:
-                digest_only.append(f"{case}/{name}")
+        if exact:
+            same = content == old
+        elif suffix:
+            # without the bytes, only a digest's line count can be compared
+            same = old.split()[1] == content.split()[1]
+            digest_only.append(f"{case}/{name}")
         else:
-            same = (not exact or content == old) and same_text(old.decode(), data.decode())
+            same = same_text(old.decode(), data.decode())
         if not same:
             differ.append(f"{case}/{name}")
     return differ, digest_only
