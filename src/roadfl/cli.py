@@ -219,9 +219,9 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 def cmd_validate(cfg: ExperimentConfig) -> int:
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
-    summary = simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
+    histogram = simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
     lam = analytic.lambda_param(cfg.system, cfg.schedule.h, cfg.schedule.t)
-    fit = compare_to_poisson(summary, lam)
+    fit = compare_to_poisson(histogram, lam)
     out = cfg.output_dir
     _write_rows(out / "poisson_fit.csv",
                 (("m_suc", INT), ("empirical_freq", FLOAT), ("poisson_pmf", FLOAT)),

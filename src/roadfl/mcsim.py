@@ -5,9 +5,10 @@ Poisson arrivals over the road section, per-round participant sets,
 fresh shifted-exponential computing delays for every (vehicle, round)
 attempt, and the success rule completion <= deadline. All of it lives
 in one round-major attempt table (attempts), built in blocks of rounds
-(attempt_blocks), which simulate_rounds aggregates and flsim reads for
-each round's winners. The per-round success counts feed a
-goodness-of-fit report against the analytic Poisson law.
+(attempt_blocks), which simulate_rounds folds into a histogram of
+per-round success counts and flsim reads for each round's winners. The
+histogram alone feeds a goodness-of-fit report against the analytic
+Poisson law.
 
 A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
@@ -29,7 +30,7 @@ from .rng import substream
 from .types import InvalidParameterError, Schedule, SystemParams, _positive_int, _require
 
 __all__ = [
-    "SimConfig", "SimSummary", "PoissonFit", "Attempts", "sample_computing_delay",
+    "SimConfig", "PoissonFit", "Attempts", "sample_computing_delay",
     "arrival_times", "expected_attempts", "attempts", "attempt_blocks",
     "simulate_rounds", "compare_to_poisson",
 ]
@@ -39,13 +40,14 @@ __all__ = [
 # bytes, since delays are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 16
 
-# simulate_rounds keeps all arrivals and two int64 counts per recorded
-# round, so memory grows with the number of rounds; this caps warm-up
-# plus recorded rounds (about 160 MB of counts at the cap)
+# caps warm-up plus recorded rounds; it bounds time, not memory, since
+# a block of attempt_blocks holds at most ATTEMPTS_PER_BLOCK rounds and
+# simulate_rounds keeps only the success histogram of the recorded ones
 MAX_ROUNDS = 10 ** 7
 
-# arrival_times holds every arrival of a run at once; this caps the
-# expected count (about 270 MB of float64)
+# arrival_times holds every arrival of a run at once, in one float64
+# buffer of 1.1 times the expected count; this caps that count (a peak
+# of about 300 MB at the cap)
 MAX_ARRIVALS = 2 ** 25
 
 # attempt_blocks draws a delay for every (vehicle, round) attempt; this
@@ -67,22 +69,6 @@ class SimConfig:
         _require(self.num_rounds + self.warmup_rounds <= MAX_ROUNDS,
                  f"number of rounds plus warmup rounds exceeds {MAX_ROUNDS}")
         _require(isinstance(self.seed, int), "seed must be an integer")
-
-
-@dataclass(frozen=True)
-class SimSummary:
-    """Aggregated outcome of one simulation run.
-
-    histogram[k] is the number of recorded rounds with exactly k
-    successes; participants/successes hold the per-round counts.
-    """
-
-    num_rounds: int
-    histogram: np.ndarray
-    participants: np.ndarray
-    successes: np.ndarray
-    empirical_mean_msuc: float
-    empirical_p_positive: float
 
 
 @dataclass(frozen=True)
@@ -129,14 +115,20 @@ def arrival_times(params: SystemParams, horizon: float,
     pieces = []
     current = start
     while True:
-        gaps = -np.log1p(-rng.random(chunk)) / rate
-        times = current + np.cumsum(gaps)
-        inside = times[times < horizon]
+        # gaps -log1p(-U) / rate and their running sum, all in the one
+        # buffer, so the peak stays near the array returned
+        times = rng.random(chunk)
+        np.negative(times, out=times)
+        np.log1p(times, out=times)
+        times /= -rate
+        np.cumsum(times, out=times)
+        times += current
+        inside = times[:np.searchsorted(times, horizon)]
         pieces.append(inside)
         if inside.size < times.size:
             break
         current = times[-1]
-    return np.concatenate(pieces)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def expected_attempts(params: SystemParams, t: float, rounds: int) -> float:
@@ -205,35 +197,29 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
 
 
 def simulate_rounds(params: SystemParams, sched: Schedule,
-                    cfg: SimConfig) -> SimSummary:
-    """Simulate warmup + num_rounds rounds and aggregate success counts.
+                    cfg: SimConfig) -> np.ndarray:
+    """Simulate warmup + num_rounds rounds; return the success histogram.
 
-    The attempt table is built and counted block by block (see
-    attempt_blocks). Warm-up rounds only shape the arrival stream; they
-    are neither recorded nor given delays.
+    histogram[k] is the number of recorded rounds with exactly k
+    successes, as int64. The attempt table is built and counted block by
+    block (see attempt_blocks). Warm-up rounds only shape the arrival
+    stream; they are neither recorded nor given delays.
     """
     k_total = cfg.warmup_rounds + cfg.num_rounds
     arrivals = arrival_times(params, k_total * sched.t,
                              substream(cfg.seed, "arrivals"))
 
-    m_k = np.zeros(cfg.num_rounds, dtype=np.int64)
-    m_suc = np.zeros(cfg.num_rounds, dtype=np.int64)
+    histogram = np.zeros(1, dtype=np.int64)
     for k_begin, k_end, table in attempt_blocks(params, sched, arrivals,
                                                 cfg.warmup_rounds, k_total,
                                                 substream(cfg.seed, "delays")):
-        rel = table.round - k_begin
-        rows = slice(k_begin - cfg.warmup_rounds, k_end - cfg.warmup_rounds)
-        m_k[rows] = np.bincount(rel, minlength=k_end - k_begin)
-        m_suc[rows] = np.bincount(rel[table.success], minlength=k_end - k_begin)
-
-    return SimSummary(
-        num_rounds=cfg.num_rounds,
-        histogram=np.bincount(m_suc),
-        participants=m_k,
-        successes=m_suc,
-        empirical_mean_msuc=float(m_suc.mean()),
-        empirical_p_positive=float((m_suc > 0).mean()),
-    )
+        m_suc = np.bincount(table.round[table.success] - k_begin,
+                            minlength=k_end - k_begin)
+        counts = np.bincount(m_suc)
+        if counts.size > histogram.size:
+            histogram = np.pad(histogram, (0, counts.size - histogram.size))
+        histogram[:counts.size] += counts
+    return histogram
 
 
 def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
@@ -242,15 +228,19 @@ def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(k * math.log(lam) - log_fact - lam)
 
 
-def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFit:
-    """Goodness of fit between the empirical histogram and Poisson(lam).
+def compare_to_poisson(histogram: np.ndarray, lambda_analytic: float) -> PoissonFit:
+    """Goodness of fit between a success histogram and Poisson(lam).
 
-    tv_distance is the total-variation distance 0.5 * sum |freq - pmf|
-    over the support where either side exceeds 1e-9.
+    histogram[k] counts the rounds with exactly k successes. tv_distance
+    is the total-variation distance 0.5 * sum |freq - pmf| over the
+    support where either side exceeds 1e-9. The empirical mean and
+    P(m > 0) are exact integer sums over one division, so they equal
+    m.mean() and (m > 0).mean() of the per-round counts m bitwise.
     """
-    if summary.num_rounds < 1:
-        raise InvalidParameterError("summary holds no rounds")
-    n_emp = summary.histogram.size - 1
+    rounds = int(histogram.sum())
+    if rounds < 1:
+        raise InvalidParameterError("histogram holds no rounds")
+    n_emp = histogram.size - 1
     if lambda_analytic > 0:
         # lam + 10 sqrt(lam) + 40 lies beyond the 1 - 1e-12 quantile for
         # every lam (Bernstein bound), so the cumulative sum reaches the tail
@@ -266,10 +256,10 @@ def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFi
     support = support[mask]
     pmf = pmf[mask]
     freq = np.zeros_like(pmf)
-    freq[:n_emp + 1] = summary.histogram / summary.num_rounds
+    freq[:n_emp + 1] = histogram / rounds
 
     tv = 0.5 * float(np.abs(freq - pmf).sum())
-    mean_emp = summary.empirical_mean_msuc
+    mean_emp = int(np.arange(n_emp + 1) @ histogram) / rounds
     if lambda_analytic > 0:
         mean_rel = abs(mean_emp - lambda_analytic) / lambda_analytic
     else:
@@ -281,7 +271,7 @@ def compare_to_poisson(summary: SimSummary, lambda_analytic: float) -> PoissonFi
         mean_rel_error=mean_rel,
         tv_distance=tv,
         p_pos_analytic=p_pos,
-        p_pos_empirical=summary.empirical_p_positive,
+        p_pos_empirical=(rounds - int(histogram[0])) / rounds,
         support=support,
         empirical_freq=freq,
         pmf=pmf,

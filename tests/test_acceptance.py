@@ -60,10 +60,10 @@ def test_c02_poisson_law_fidelity(h, t, seed):
     sched = Schedule(h, t)
     lam = an.lambda_param(REFERENCE, sched.h, sched.t)
     started = time.perf_counter()
-    summary = simulate_rounds(REFERENCE, sched,
+    histogram = simulate_rounds(REFERENCE, sched,
                               SimConfig(seed=seed, num_rounds=100_000,
                                         warmup_rounds=1))
-    fit = compare_to_poisson(summary, lam)
+    fit = compare_to_poisson(histogram, lam)
     elapsed = time.perf_counter() - started
     ok = (fit.tv_distance < 0.01 and fit.mean_rel_error < 0.02
           and elapsed <= 60.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ class TestArrivals:
         with pytest.raises(InvalidParameterError):
             mcsim.arrival_times(reference_params, 0.0, substream(9, "a"))
 
+    def test_peak_memory_is_one_buffer(self, reference_params):
+        # about 10**6 arrivals: one chunk of 1.1 times the expected count,
+        # computed in place, and no temporaries of the same size
+        rng = substream(10, "a")
+        tracemalloc.start()
+        try:
+            times = mcsim.arrival_times(reference_params, 1e7, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert times.size > 990_000
+        assert peak <= 1.5 * times.nbytes
+
 
 def recorded_table(params, sched, cfg):
     """The attempt table simulate_rounds aggregates, built in one piece."""
@@ -112,42 +126,50 @@ def recorded_table(params, sched, cfg):
     return arrivals, table
 
 
+def per_round_successes(table, cfg):
+    """Successes of each recorded round, from its attempt table."""
+    return np.bincount(table.round[table.success] - cfg.warmup_rounds,
+                       minlength=cfg.num_rounds)
+
+
 class TestSimulateRounds:
     def test_no_traffic_all_zero(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        s = mcsim.simulate_rounds(p, Schedule(24, 11.8),
-                                  mcsim.SimConfig(seed=1, num_rounds=500))
-        assert s.empirical_mean_msuc == 0.0
-        assert s.histogram.tolist() == [500]
+        hist = mcsim.simulate_rounds(p, Schedule(24, 11.8),
+                                     mcsim.SimConfig(seed=1, num_rounds=500))
+        assert mcsim.compare_to_poisson(hist, 0.0).mean_empirical == 0.0
+        assert hist.tolist() == [500]
 
     def test_infeasible_round_never_succeeds(self, reference_params):
         # t below the pipeline floor: participants exist, successes cannot
-        s = mcsim.simulate_rounds(reference_params, Schedule(24, 6.0),
-                                  mcsim.SimConfig(seed=2, num_rounds=2000))
-        assert s.participants.sum() > 0
-        assert s.successes.sum() == 0
+        sched = Schedule(24, 6.0)
+        cfg = mcsim.SimConfig(seed=2, num_rounds=2000)
+        _, table = recorded_table(reference_params, sched, cfg)
+        assert table.round.size > 0
+        assert not table.success.any()
+        assert mcsim.simulate_rounds(reference_params, sched, cfg).tolist() == [2000]
 
     def test_matches_poisson_mean(self, reference_params):
         sched = Schedule(24, 11.8)
         lam = an.lambda_param(reference_params, sched.h, sched.t)
-        s = mcsim.simulate_rounds(reference_params, sched,
-                                  mcsim.SimConfig(seed=3, num_rounds=20_000))
+        hist = mcsim.simulate_rounds(reference_params, sched,
+                                     mcsim.SimConfig(seed=3, num_rounds=20_000))
         sigma = math.sqrt(lam / 20_000)
-        assert abs(s.empirical_mean_msuc - lam) <= 4 * sigma
+        assert abs(mcsim.compare_to_poisson(hist, lam).mean_empirical - lam) <= 4 * sigma
 
     def test_deterministic(self, reference_params):
         cfg = mcsim.SimConfig(seed=11, num_rounds=1000)
         a = mcsim.simulate_rounds(reference_params, Schedule(24, 11.8), cfg)
         b = mcsim.simulate_rounds(reference_params, Schedule(24, 11.8), cfg)
-        assert np.array_equal(a.successes, b.successes)
-        assert np.array_equal(a.histogram, b.histogram)
-        assert a.empirical_mean_msuc == b.empirical_mean_msuc
+        assert np.array_equal(a, b)
+        assert (mcsim.compare_to_poisson(a, 1.0).mean_empirical
+                == mcsim.compare_to_poisson(b, 1.0).mean_empirical)
 
     def test_attempt_invariants(self, reference_params):
         sched = Schedule(24, 11.8)
         cfg = mcsim.SimConfig(seed=4, num_rounds=200)
-        summary = mcsim.simulate_rounds(reference_params, sched, cfg)
+        hist = mcsim.simulate_rounds(reference_params, sched, cfg)
         arrivals, a = recorded_table(reference_params, sched, cfg)
         t, t0 = sched.t, reference_params.dwell_time
         z = arrivals[a.vehicle]
@@ -165,15 +187,15 @@ class TestSimulateRounds:
                     for k in range(cfg.warmup_rounds, cfg.warmup_rounds + cfg.num_rounds)]
         assert np.array_equal(a.vehicle, np.concatenate(expected))
         assert np.all(np.diff(a.round) >= 0)
-        # per-round counts are the summary's
+        # every row is a recorded round's, and the histogram counts the
+        # table's per-round successes
         k_rec = a.round - cfg.warmup_rounds
-        assert np.array_equal(np.bincount(k_rec, minlength=cfg.num_rounds),
-                              summary.participants)
-        assert np.array_equal(np.bincount(k_rec[a.success], minlength=cfg.num_rounds),
-                              summary.successes)
-        assert np.all(summary.successes <= summary.participants)
-        hist = np.bincount(summary.successes)
-        assert np.array_equal(hist, summary.histogram)
+        participants = np.bincount(k_rec, minlength=cfg.num_rounds)
+        successes = per_round_successes(a, cfg)
+        assert participants.size == successes.size == cfg.num_rounds
+        assert np.all(successes <= participants)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, np.bincount(successes))
 
     def test_vehicles_span_multiple_short_rounds(self, reference_params):
         # t < t0: each vehicle sits in several round windows
@@ -191,13 +213,18 @@ class TestSimulateRounds:
     def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
         sched = Schedule(8, 10.0)
         cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
+        arrivals, whole_table = recorded_table(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 50)
         small = mcsim.simulate_rounds(reference_params, sched, cfg)
+        blocks = [table for _, _, table in mcsim.attempt_blocks(
+            reference_params, sched, arrivals, cfg.warmup_rounds,
+            cfg.warmup_rounds + cfg.num_rounds, substream(cfg.seed, "delays"))]
+        assert len(blocks) > 100
+        for column, whole_column in zip(zip(*blocks), whole_table):
+            assert np.array_equal(np.concatenate(column), whole_column)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
-        assert np.array_equal(small.histogram, whole.histogram)
-        assert np.array_equal(small.successes, whole.successes)
-        assert np.array_equal(small.participants, whole.participants)
+        assert np.array_equal(small, whole)
 
     def test_attempt_cap_checked_before_any_delay(self, reference_params, monkeypatch):
         # expected rows are rounds * rate * (t + t0) = rounds * 0.1 * (10 + 20)
@@ -221,31 +248,44 @@ class TestPoissonFit:
     def test_point_mass_at_zero(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        s = mcsim.simulate_rounds(p, Schedule(24, 11.8),
-                                  mcsim.SimConfig(seed=1, num_rounds=100))
-        fit = mcsim.compare_to_poisson(s, 0.0)
+        hist = mcsim.simulate_rounds(p, Schedule(24, 11.8),
+                                     mcsim.SimConfig(seed=1, num_rounds=100))
+        fit = mcsim.compare_to_poisson(hist, 0.0)
         assert fit.tv_distance == 0.0
         assert fit.support.tolist() == [0]
         assert fit.empirical_freq.tolist() == [1.0]
         assert fit.pmf.tolist() == [1.0]
 
     def test_hand_computed_tv(self):
-        summary = mcsim.SimSummary(
-            num_rounds=100,
-            histogram=np.array([50, 30, 20]),
-            participants=np.zeros(100, dtype=np.int64),
-            successes=np.zeros(100, dtype=np.int64),
-            empirical_mean_msuc=0.7,
-            empirical_p_positive=0.5,
-        )
         lam = 0.7
-        fit = mcsim.compare_to_poisson(summary, lam)
+        fit = mcsim.compare_to_poisson(np.array([50, 30, 20]), lam)
         pmf = [math.exp(-lam) * lam ** k / math.factorial(k)
                for k in range(fit.support.size)]
         expected_tv = 0.5 * sum(abs(f - q) for f, q in
                                 zip([0.5, 0.3, 0.2] + [0.0] * (len(pmf) - 3), pmf))
         assert fit.tv_distance == pytest.approx(expected_tv, rel=1e-12)
         assert fit.p_pos_analytic == pytest.approx(1 - math.exp(-0.7), rel=1e-12)
+        assert fit.mean_empirical == 0.7
+        assert fit.p_pos_empirical == 0.5
+
+    def test_statistics_match_per_round_array(self, reference_params):
+        """The histogram's mean and P(m > 0) equal m.mean() and
+        (m > 0).mean() of the per-round success counts m, bitwise."""
+        sched = Schedule(24, 11.8)
+        cfg = mcsim.SimConfig(seed=777, num_rounds=100_000)
+        _, table = recorded_table(reference_params, sched, cfg)
+        m_table = per_round_successes(table, cfg)
+        assert np.array_equal(mcsim.simulate_rounds(reference_params, sched, cfg),
+                              np.bincount(m_table))
+        # also the histograms [N] and [0, N]
+        for m in (m_table, np.zeros(1000, np.int64), np.ones(1000, np.int64)):
+            fit = mcsim.compare_to_poisson(np.bincount(m), 0.9)
+            assert fit.mean_empirical == float(m.mean())
+            assert fit.p_pos_empirical == float((m > 0).mean())
+
+    def test_empty_histogram_rejected(self):
+        with pytest.raises(InvalidParameterError, match="no rounds"):
+            mcsim.compare_to_poisson(np.zeros(1, np.int64), 0.9)
 
     @pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids="{:.3g}".format)
     def test_pmf_matches_scipy(self, lam):
@@ -257,12 +297,7 @@ class TestPoissonFit:
     def test_support_matches_scipy_tail(self, lam):
         """The support is the scipy-derived one: every k up to ppf(1 - 1e-12) + 2
         where the pmf reaches 1e-9, plus the empirical range."""
-        summary = mcsim.SimSummary(
-            num_rounds=1, histogram=np.array([1]),
-            participants=np.zeros(1, dtype=np.int64),
-            successes=np.zeros(1, dtype=np.int64),
-            empirical_mean_msuc=0.0, empirical_p_positive=0.0)
-        fit = mcsim.compare_to_poisson(summary, lam)
+        fit = mcsim.compare_to_poisson(np.array([1]), lam)
         k = np.arange(int(stats.poisson.ppf(1.0 - 1e-12, lam)) + 3)
         pmf = stats.poisson.pmf(k, lam)
         expected = k[(pmf >= 1e-9) | (k == 0)]
@@ -273,9 +308,9 @@ class TestPoissonFit:
     def test_poisson_fit_on_reference(self, reference_params):
         sched = Schedule(24, 25.0)
         lam = an.lambda_param(reference_params, sched.h, sched.t)
-        s = mcsim.simulate_rounds(reference_params, sched,
-                                  mcsim.SimConfig(seed=6, num_rounds=20_000))
-        fit = mcsim.compare_to_poisson(s, lam)
+        hist = mcsim.simulate_rounds(reference_params, sched,
+                                     mcsim.SimConfig(seed=6, num_rounds=20_000))
+        fit = mcsim.compare_to_poisson(hist, lam)
         assert fit.tv_distance < 0.02
         assert fit.mean_rel_error < 0.03
 
