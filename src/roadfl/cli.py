@@ -36,8 +36,8 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from . import analytic, flsim, mcsim, optimizer
-from .flsim import FLConfig, FLRunResult, plan_run, proxy_correlation, run_fl
+from . import analytic, flsim, optimizer
+from .flsim import MAX_ROWS, FLConfig, FLRunResult, plan_runs, proxy_correlation, run_fl
 from .mcsim import SimConfig, compare_to_poisson, simulate_rounds
 from .optimizer import OptimizerConfig
 from .types import (
@@ -54,10 +54,6 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERIC = 3
 
-# A sweep's float64 (h, t) mesh and an fl run's loss arrays are held in
-# memory at once, though their rows are not; this caps the rows of
-# surface.csv and fl_runs.csv.
-MAX_ROWS = 2**20
 # array columns become Python scalars this many rows at a time as their
 # CSV rows are written
 ROW_CHUNK = 2**14
@@ -317,10 +313,10 @@ def _parse_schedules(text: str) -> list[Schedule]:
     return schedules
 
 
-def _fl_rows(sched: Schedule, res: FLRunResult | None) -> Iterable[tuple]:
+def _fl_rows(sched: Schedule, res: FLRunResult | DivergenceError) -> Iterable[tuple]:
     """The fl_runs.csv rows of one run, streamed as they are written; a
     diverged run has one row of nan."""
-    if res is None:
+    if isinstance(res, DivergenceError):
         return [(sched.h, sched.t, math.nan, 0, math.nan, math.nan)]
     return zip(itertools.repeat(sched.h), itertools.repeat(sched.t),
                _stream(res.times), itertools.count(),
@@ -395,49 +391,22 @@ def _train_in_processes(cfg: ExperimentConfig, plans: Sequence[flsim.RunPlan],
 
 
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
-    if schedules_arg is None:
-        schedules = _default_fl_grid(cfg)
-    else:
-        schedules = _parse_schedules(schedules_arg)
-    # one row per round boundary of each run; min keeps the floor finite
-    rounds = [math.floor(min(cfg.fl.horizon / s.t, MAX_ROWS)) for s in schedules]
-    if sum(rounds) + len(rounds) > MAX_ROWS:
-        raise ConfigError(f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
-    attempts = sum(mcsim.expected_attempts(cfg.system, s.t, k)
-                   for s, k in zip(schedules, rounds))
-    if attempts > mcsim.MAX_ATTEMPTS:
-        raise ConfigError(f"the schedules need {attempts:.3g} expected upload attempts, "
-                          f"more than {mcsim.MAX_ATTEMPTS}")
-
-    # plan every run before training any, so that a plan's error ends the
-    # command before anything trains; capping the running total of the
-    # work also bounds the winners the plans hold
-    plans, total = [], 0
-    for sched in schedules:
-        plans.append(plan_run(cfg.system, sched, cfg.fl))
-        total += plans[-1].work
-        if total > flsim.MAX_SGD_WORK:
-            raise ConfigError(f"the schedules need {total} multiply-adds of local "
-                              f"training, more than {flsim.MAX_SGD_WORK}")
+    schedules = (_default_fl_grid(cfg) if schedules_arg is None
+                 else _parse_schedules(schedules_arg))
+    # every run is planned, and every cap checked, before any run trains
+    plans = plan_runs(cfg.system, schedules, cfg.fl)
     n = _fl_processes(len(plans))
-    if n == 1:
-        outcomes = _train(plans, cfg.fl)
-    else:
-        outcomes = _train_in_processes(cfg, plans, n)
+    outcomes = _train(plans, cfg.fl) if n == 1 else _train_in_processes(cfg, plans, n)
 
-    runs = []
     for sched, outcome in zip(schedules, outcomes):
         if isinstance(outcome, DivergenceError):
             print(f"warning: run h={sched.h} t={sched.t:.9g} diverged: {outcome}",
                   file=sys.stderr)
-            runs.append((sched, None))
-        else:
-            runs.append((sched, outcome))
     _write_rows(cfg.output_dir / "fl_runs.csv",
                 (("h", INT), ("t_s", FLOAT), ("time_s", FLOAT), ("round", INT),
                  ("val_loss", FLOAT), ("l_min", FLOAT)),
-                itertools.chain.from_iterable(_fl_rows(*run) for run in runs))
-    results = [res for _, res in runs if res is not None]
+                itertools.chain.from_iterable(map(_fl_rows, schedules, outcomes)))
+    results = [res for res in outcomes if isinstance(res, FLRunResult)]
 
     grid_desc = ",".join(f"{s.h}:{s.t:.9g}" for s in schedules)
     if len(results) >= 8:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import analytic
-from .mcsim import arrival_times, attempt_blocks
+from .mcsim import MAX_ATTEMPTS, arrival_times, attempt_blocks, expected_attempts
 # perfbench/tracer.py counts delay draws by patching this name
 from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
@@ -40,11 +40,14 @@ from .types import (
 __all__ = [
     "FLConfig", "LinearTask", "FLRunResult", "CorrelationReport",
     "generate_task", "mse_loss", "mse_gradient", "local_sgd", "aggregate",
-    "RunPlan", "plan_run", "run_fl", "proxy_correlation",
+    "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
 ]
 
 # run_fl holds the task at once; this caps its values (270 MB of float64)
 MAX_VALUES = 2**25
+# caps the rows of fl_runs.csv and surface.csv, since an fl command's loss
+# arrays and a sweep's float64 (h, t) mesh are held at once (the rows are not)
+MAX_ROWS = 2**20
 # run_fl trains a round's winners in stacks; a stack holds W winners'
 # gathered batches, W x batch_size x (feature_dim + 1) values, batch
 # indices drawn ahead, up to W x h x batch_size, and data, W x
@@ -52,12 +55,13 @@ MAX_VALUES = 2**25
 MAX_STACK_VALUES = 2**18
 # each win draws the winner's data, charged as DATA_DRAW_WORK multiply-adds
 # plus DATA_VALUE_WORK per value, then trains h steps of batch_size x
-# (feature_dim + 1) multiply-adds and a batch draw, charged as
-# BATCH_DRAW_WORK (the README's caps list gives the timings behind these).
-# MAX_SGD_WORK caps that work over one run, and the fl command over all runs
+# (feature_dim + 1) multiply-adds and a batch draw, charged BATCH_DRAW_WORK;
+# a loss evaluation, half a multiply-add per value plus EVAL_ROW_WORK per row.
+# MAX_SGD_WORK caps all of an fl command's runs (README's caps list has timings)
 BATCH_DRAW_WORK = 2**13
 DATA_DRAW_WORK = 2**15
 DATA_VALUE_WORK = 2**5
+EVAL_ROW_WORK = 2**2
 MAX_SGD_WORK = 2**31
 
 
@@ -261,36 +265,51 @@ def _run_stream(cfg: FLConfig, name: str, sched: Schedule, *tags) -> np.random.G
     return substream(cfg.seed, name, f"{sched.h}:{sched.t:.9g}", *tags)
 
 
-def plan_run(params: SystemParams, sched: Schedule, cfg: FLConfig) -> RunPlan:
-    """The timeline of sched's run up to the horizon and its winners.
+def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
+              cfg: FLConfig) -> list[RunPlan]:
+    """The runs of schedules up to the horizon and their winners, with each
+    cap of an fl command checked once and before any data is drawn.
 
-    The work is winners x (h x (batch_size x (feature_dim + 1) +
-    BATCH_DRAW_WORK) + DATA_DRAW_WORK + DATA_VALUE_WORK x
-    (samples_per_vehicle + feature_dim)). A horizon shorter than a round,
-    or more than MAX_SGD_WORK of work, is an InvalidParameterError. The
-    work is checked after each block of the attempt table, so the winners
-    held pass the cap by at most one block's.
+    A run without a round, or more than MAX_ROWS fl_runs.csv rows or
+    MAX_ATTEMPTS expected upload attempts over all the runs, is an
+    InvalidParameterError raised before any plan. A run's work charges its
+    wins and its rounds_valid + 1 loss evaluations; the running total over
+    the runs is checked against MAX_SGD_WORK after each attempt-table
+    block, so the winners held pass the cap by at most one block's.
     """
-    rounds_total = int(math.floor(cfg.horizon / sched.t))
-    _require(rounds_total >= 1, "training horizon is shorter than a single round")
-    arrivals = arrival_times(params, rounds_total * sched.t,
-                             _run_stream(cfg, "arrivals", sched))
-    win_work = (sched.h * (cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK)
-                + DATA_DRAW_WORK
-                + DATA_VALUE_WORK * (cfg.samples_per_vehicle + cfg.feature_dim))
-    # keep only each block's successful rows, so memory follows the winners
-    won_round, won = [], []
-    n_won = work = 0
-    for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
-                                      _run_stream(cfg, "delays", sched)):
-        won_round.append(table.round[table.success])
-        won.append(table.vehicle[table.success])
-        n_won += won[-1].size
-        work = n_won * win_work
-        _require(work <= MAX_SGD_WORK, f"{n_won} winners of {sched.h} local steps need "
-                 f"{work} multiply-adds, more than {MAX_SGD_WORK}")
-    return RunPlan(sched, rounds_total, np.concatenate(won_round),
-                   np.concatenate(won), work)
+    # min keeps the floor finite; a run that reaches it fails the row cap
+    rounds = [math.floor(min(cfg.horizon / s.t, MAX_ROWS)) for s in schedules]
+    _require(min(rounds) >= 1, "training horizon is shorter than a single round")
+    _require(sum(rounds) + len(rounds) <= MAX_ROWS,
+             f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
+    attempts = sum(expected_attempts(params, s.t, k) for s, k in zip(schedules, rounds))
+    _require(attempts <= MAX_ATTEMPTS, f"the schedules need {attempts:.3g} expected "
+             f"upload attempts, more than {MAX_ATTEMPTS}")
+    eval_work = cfg.validation_size * ((cfg.feature_dim + 1) // 2 + EVAL_ROW_WORK)
+    plans, total = [], 0
+    for sched, rounds_total in zip(schedules, rounds):
+        arrivals = arrival_times(params, rounds_total * sched.t,
+                                 _run_stream(cfg, "arrivals", sched))
+        win_work = (sched.h * (cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK)
+                    + DATA_DRAW_WORK
+                    + DATA_VALUE_WORK * (cfg.samples_per_vehicle + cfg.feature_dim))
+        # keep only each block's successful rows, so memory follows the winners
+        won_round, won = [], []
+        work, last = eval_work, -1
+        for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
+                                          _run_stream(cfg, "delays", sched)):
+            won_round.append(table.round[table.success])
+            won.append(table.vehicle[table.success])
+            # a round with winners is evaluated once, though it may span blocks
+            valid = np.count_nonzero(np.diff(won_round[-1], prepend=last))
+            last = won_round[-1][-1] if won_round[-1].size else last
+            work += won[-1].size * win_work + valid * eval_work
+            _require(total + work <= MAX_SGD_WORK, f"the schedules need {total + work} "
+                     f"multiply-adds of local training, more than {MAX_SGD_WORK}")
+        total += work
+        plans.append(RunPlan(sched, rounds_total, np.concatenate(won_round),
+                             np.concatenate(won), work))
+    return plans
 
 
 @functools.lru_cache(maxsize=1)
@@ -305,7 +324,7 @@ def _shared_task(cfg: FLConfig) -> LinearTask:
 
 def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
     """Train plan's winners over its rounds of the simulated timeline;
-    plan is plan_run's for the same cfg.
+    plan is one of plan_runs' for the same cfg.
 
     The task is derived from the seed alone so every schedule in a sweep
     sees the same data; arrivals, delays, each vehicle's data and batch

@@ -20,6 +20,7 @@ which keeps every run reproducible from (seed, purpose tag) alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -50,9 +51,9 @@ MAX_ROUNDS = 10 ** 7
 # of about 300 MB at the cap)
 MAX_ARRIVALS = 2 ** 25
 
-# attempt_blocks draws a delay for every (vehicle, round) attempt; this
-# caps the expected attempts of one table (about 5 s at the 26M attempts/s
-# a 4e7-attempt fl plan ran at on a shared 2-vCPU machine)
+# attempt_blocks draws a delay for every (vehicle, round) attempt; this caps
+# the expected attempts of validate and of a whole fl command (about 5 s at
+# the 26M attempts/s a 4e7-attempt fl plan ran at on a shared 2-vCPU machine)
 MAX_ATTEMPTS = 2 ** 27
 
 
@@ -182,18 +183,23 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     """The attempt table of rounds k_begin <= k < k_end, in consecutive
     blocks of rounds holding about ATTEMPTS_PER_BLOCK rows each.
 
-    Yields (block begin, block end, table of that block), so memory stays
-    bounded whatever the round count. The blocks draw delays exactly as
-    one table over all the rounds would. More than MAX_ATTEMPTS expected
-    rows is an InvalidParameterError, raised before any delay is drawn.
+    Yields (block begin, block end, table of that block), drawing delays as
+    one table over all the rounds would; a round of more rows comes as
+    several tables of at most ATTEMPTS_PER_BLOCK rows, with its bounds.
     """
-    rows = expected_attempts(params, sched.t, k_end - k_begin)
-    _require(rows <= MAX_ATTEMPTS,
-             f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
-    block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, sched.t, 1), 1.0)))
+    t, t0 = sched.t, params.dwell_time
+    block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
     for begin in range(k_begin, k_end, block):
         end = min(begin + block, k_end)
-        yield begin, end, attempts(params, sched, arrivals, begin, end, delay_rng)
+        # the block's participants, arrivals in (begin*t - t0, end*t)
+        first = int(np.searchsorted(arrivals, begin * t - t0, side="right"))
+        last = int(np.searchsorted(arrivals, end * t, side="left"))
+        step = ATTEMPTS_PER_BLOCK if end - begin == 1 else max(last - first, 1)
+        for i in range(first, max(last, first + 1), step):
+            table = attempts(params, sched, arrivals[i:min(i + step, last)], begin, end,
+                             delay_rng)
+            table.vehicle[:] += i  # a table numbers vehicles from its slice's start
+            yield begin, end, table
 
 
 def simulate_rounds(params: SystemParams, sched: Schedule,
@@ -203,18 +209,24 @@ def simulate_rounds(params: SystemParams, sched: Schedule,
     histogram[k] is the number of recorded rounds with exactly k
     successes, as int64. The attempt table is built and counted block by
     block (see attempt_blocks). Warm-up rounds only shape the arrival
-    stream; they are neither recorded nor given delays.
+    stream; they are neither recorded nor given delays. More than
+    MAX_ATTEMPTS expected attempts is an InvalidParameterError.
     """
+    rows = expected_attempts(params, sched.t, cfg.num_rounds)
+    _require(rows <= MAX_ATTEMPTS,
+             f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
     k_total = cfg.warmup_rounds + cfg.num_rounds
     arrivals = arrival_times(params, k_total * sched.t,
                              substream(cfg.seed, "arrivals"))
-
     histogram = np.zeros(1, dtype=np.int64)
-    for k_begin, k_end, table in attempt_blocks(params, sched, arrivals,
-                                                cfg.warmup_rounds, k_total,
-                                                substream(cfg.seed, "delays")):
-        m_suc = np.bincount(table.round[table.success] - k_begin,
-                            minlength=k_end - k_begin)
+    blocks = attempt_blocks(params, sched, arrivals, cfg.warmup_rounds, k_total,
+                            substream(cfg.seed, "delays"))
+    # a round split over several tables is counted once, over all of them
+    for (k_begin, k_end), tables in itertools.groupby(blocks, key=lambda b: b[:2]):
+        m_suc = np.zeros(k_end - k_begin, dtype=np.int64)
+        for _, _, table in tables:
+            m_suc += np.bincount(table.round[table.success] - k_begin,
+                                 minlength=k_end - k_begin)
         counts = np.bincount(m_suc)
         if counts.size > histogram.size:
             histogram = np.pad(histogram, (0, counts.size - histogram.size))

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roadfl.optimizer import h_max
 from roadfl.types import SystemParams
+
+# Example counts of the hypothesis tests that do not set their own (every
+# other one does): 30 by default, and 500 with --hypothesis-profile=deep.
+# A profile named on the command line is loaded after this file.
+settings.register_profile("suite", max_examples=30)
+settings.register_profile("deep", max_examples=500)
+settings.load_profile("suite")
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Independent references for the tests: a brute-force grid search for
 the optimizer, pinned-arrival success counts for the sub-interval law,
-one-vehicle-at-a-time local training for the stacked SGD and a
-value-by-value CSV formatter for the row templates. No CLI path uses
-them."""
+one-vehicle-at-a-time local training for the stacked SGD, a
+value-by-value CSV formatter for the row templates and the work an fl
+run is charged. No CLI path uses them."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from roadfl import analytic
+from roadfl import analytic, flsim
 from roadfl.flsim import FLConfig
 from roadfl.mcsim import attempts
 from roadfl.optimizer import OptimizationResult, h_max
@@ -111,3 +111,15 @@ def format_csv_value(value) -> str:
             return "nan"
         return f"{value:.9g}"
     return str(value)
+
+
+def fl_work(h: int, cfg: FLConfig, winners: float, rounds_valid: float) -> float:
+    """The work of an fl run of h local steps, as the README's caps list
+    states it: each win's data draw and training, and rounds_valid + 1
+    validation-loss evaluations. Expected winners and valid rounds give
+    the expected work."""
+    win = (h * (cfg.batch_size * (cfg.feature_dim + 1) + flsim.BATCH_DRAW_WORK)
+           + flsim.DATA_DRAW_WORK
+           + flsim.DATA_VALUE_WORK * (cfg.samples_per_vehicle + cfg.feature_dim))
+    evaluation = cfg.validation_size * ((cfg.feature_dim + 1) // 2 + flsim.EVAL_ROW_WORK)
+    return winners * win + (rounds_valid + 1) * evaluation

@@ -18,7 +18,7 @@ from conftest import random_feasible_params
 from oracle import brute_force_argmax, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import optimizer as opt
-from roadfl.flsim import FLConfig, aggregate, mse_gradient, mse_loss, plan_run, \
+from roadfl.flsim import FLConfig, aggregate, mse_gradient, mse_loss, plan_runs, \
     proxy_correlation, run_fl
 from roadfl.mcsim import SimConfig, compare_to_poisson, simulate_rounds
 from roadfl.rng import substream
@@ -170,7 +170,7 @@ def test_c07_update_frequency_predicts_training():
     rhos = []
     for seed in (1, 2):
         cfg = FLConfig(seed=seed, horizon=2000.0)
-        results = [run_fl(plan_run(REFERENCE, s, cfg), cfg) for s in schedules]
+        results = [run_fl(plan_runs(REFERENCE, [s], cfg)[0], cfg) for s in schedules]
         rep = proxy_correlation(results, REFERENCE)
         assert not rep.degenerate
         rhos.append(rep.rho)
@@ -193,7 +193,7 @@ def test_c08_fl_mechanics():
 
     sched = Schedule(24, 11.8)
     cfg = FLConfig(seed=5, horizon=2400.0)
-    res = run_fl(plan_run(REFERENCE, sched, cfg), cfg)
+    res = run_fl(plan_runs(REFERENCE, [sched], cfg)[0], cfg)
     monotone = bool(np.all(np.diff(res.l_min_curve) <= 0))
     p_pos = an.success_probability(REFERENCE, sched.h, sched.t)
     n = res.rounds_total

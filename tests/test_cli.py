@@ -8,15 +8,16 @@ import sys
 import tempfile
 import time
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oracle import format_csv_value
-from roadfl import cli, flsim
+from oracle import fl_work, format_csv_value
+from roadfl import analytic, cli, flsim, mcsim, optimizer
 from roadfl.flsim import FLConfig
 from roadfl.mcsim import SimConfig
 from roadfl.optimizer import OptimizerConfig
@@ -306,7 +307,7 @@ class TestFlCommand:
 
     def test_work_cap_covers_every_schedule(self, tmp_path, monkeypatch, capsys):
         cfg = cli.parse_config(BASELINE, [o[2:] for o in SMALL_TASK])
-        works = [flsim.plan_run(cfg.system, Schedule(h, t), cfg.fl).work
+        works = [flsim.plan_runs(cfg.system, [Schedule(h, t)], cfg.fl)[0].work
                  for h, t in ((8, 8.5), (24, 11.8))]
         assert min(works) > 0
         for cap, code in ((sum(works), 0), (sum(works) - 1, 1)):
@@ -376,8 +377,9 @@ class TestFlProcesses:
         assert sorted(files) == ["correlation.txt", "fl_runs.csv"]
 
     def counter(self, monkeypatch, path, name):
-        """Count the calls of flsim's name, through cli's binding too, in
-        the file at path, so that calls in forked workers count as well."""
+        """Count the calls of flsim's name, through cli's binding too if it
+        has one, in the file at path, so that calls in forked workers count
+        as well."""
         real = getattr(flsim, name)
 
         def counting(*args):
@@ -386,12 +388,13 @@ class TestFlProcesses:
             return real(*args)
 
         monkeypatch.setattr(flsim, name, counting)
-        monkeypatch.setattr(cli, name, counting)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, counting)
         path.write_text("")
         return lambda: len(path.read_text().splitlines())
 
     def test_plan_error_ends_fl_before_training(self, tmp_path, monkeypatch, capsys):
-        # over a 400 s horizon, 8:200 plans two rounds and 8:500 fails
+        # over a 400 s horizon, 8:200 has two rounds and 8:500 none
         trained = self.counter(monkeypatch, tmp_path / "run_fl", "run_fl")
         args = [*SMALL_TASK, "--fl.horizon_s=400", "--schedules", "8:200,8:500"]
         serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
@@ -404,7 +407,8 @@ class TestFlProcesses:
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_each_schedule_is_planned_once(self, tmp_path, monkeypatch, capsys, cpus):
-        planned = self.counter(monkeypatch, tmp_path / "plan_run", "plan_run")
+        # a plan builds its attempt table once, and nothing else builds one
+        planned = self.counter(monkeypatch, tmp_path / "attempt_blocks", "attempt_blocks")
         trained = self.counter(monkeypatch, tmp_path / "run_fl", "run_fl")
         rc, _, _, _ = self.fl(tmp_path, monkeypatch, capsys, cpus,
                               [*SMALL_TASK, *DIVERGING_GRID])
@@ -494,8 +498,16 @@ BIG_SAMPLES = ["fl", "--fl.feature_dim=1", "--fl.global_pool_size=1048576",
                "--fl.samples_per_vehicle=1048576", "--fl.batch_size=1",
                "--fl.validation_size=16", "--schedules", "1:5"]
 
+# 49,964 winners over 31,723 valid rounds, each round then evaluated on
+# 1.6e7 validation rows: over an hour of loss evaluations, which the work
+# charges before anything trains
+BIG_VALIDATION = ["fl", "--system.arrival_rate_per_s=0.056", "--fl.feature_dim=1",
+                  "--fl.global_pool_size=16", "--fl.samples_per_vehicle=1",
+                  "--fl.batch_size=1", "--fl.validation_size=16000000",
+                  "--fl.horizon_s=150000", "--schedules", "1:3"]
+
 # these end on a cap before anything trains, so they end quickly
-QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES)
+QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES, BIG_VALIDATION)
 
 
 @pytest.mark.parametrize("code,args", [
@@ -530,6 +542,11 @@ QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES)
          "--fl.horizon_s=60", "--schedules", "24:11.8,1000000:30"]),
     (1, SIX_BIG_TABLES),
     (1, BIG_SAMPLES),
+    (1, BIG_VALIDATION),
+    # one round of about 2.2e7 attempts, whose first block of them already
+    # holds more winners than the work allows
+    (1, ["fl", "--system.arrival_rate_per_s=700000", "--fl.horizon_s=11.8",
+         "--schedules", "24:11.8"]),
 ])
 def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     """Inputs that hung, or died in a traceback, end in a one-line error
@@ -561,6 +578,36 @@ def test_winnerless_crowd_draws_no_data(tmp_path):
     assert len(read_csv(tmp_path / "fl_runs.csv")) == 3
 
 
+@pytest.mark.parametrize("name", ["reference", "long_section"])
+def test_default_grid_is_admitted(name, monkeypatch):
+    """Each benchmark workload's default fl grid passes every cap of
+    plan_runs at seeds 1, 2 and 703."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    from workloads import WORKLOADS
+    workload = WORKLOADS[name]
+    cfg = cli.parse_config(BASELINE, [arg[2:] for arg in (*workload.overrides,
+                                                          *workload.args["fl"])])
+    grid = cli._default_fl_grid(cfg)
+    for seed in (1, 2, 703):
+        plans = flsim.plan_runs(cfg.system, grid, replace(cfg.fl, seed=seed))
+        assert [plan.schedule for plan in plans] == grid
+        assert 0 < sum(plan.work for plan in plans) <= flsim.MAX_SGD_WORK
+
+
+def test_one_round_of_many_attempts_is_built_in_blocks(tmp_path):
+    """A single round of about 2.2e7 upload attempts, from 3e7 arrivals,
+    is simulated in blocks of rows, so it stays within 1.5 GiB of address
+    space: one table of it would take about 2.9 GB. h = 1000 cannot
+    succeed in the 20 s dwell time, so the fit is a point mass."""
+    proc = run_cli(["validate", "--config", str(BASELINE), "--out", str(tmp_path),
+                    "--system.arrival_rate_per_s=700000", "--sim.num_rounds=1",
+                    "--sim.h=1000"],
+                   timeout=20, address_space=3 * 2**29, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert len(read_csv(tmp_path / "fit_report.csv")) == 1
+
+
 # config values from 0, 1, tiny and huge to non-finite, as the CLI reads them
 FLOAT_TEXT = st.sampled_from(["0", "1", "-1", "1e-300", "1e-6", "0.05", "0.5", "20",
                               "1e6", "1e300", "inf", "-inf", "nan"])
@@ -576,6 +623,34 @@ def _override(key: str):
 
 OVERRIDE = st.sampled_from([f"{section}.{key}" for section, keys in cli._KEYS.items()
                             if section != "output" for key in keys]).flatmap(_override)
+
+BASE = cli.parse_config(BASELINE)
+# iteration counts from one step to far beyond the h_max of 90 that
+# baseline.cfg's 20 s dwell time allows
+SCHEDULE_HS = (1, 8, 24, 1000, 10**6)
+FEASIBLE_HS = (1, 8, 24)
+T_OPT = dict(zip(FEASIBLE_HS, optimizer.optimize_round_lengths(
+    BASE.system, FEASIBLE_HS, BASE.optimizer)[0].tolist()))
+
+
+def _round_lengths(h: int, extreme: bool = True):
+    """Round lengths for h in baseline.cfg's environment: just above
+    t_min(h), or near the optimum (twice t_min(h) when h has none), and if
+    extreme, tiny or huge as well."""
+    t_min = float(analytic.t_min(BASE.system, h))
+    near = T_OPT.get(h, 2 * t_min)
+    moderate = st.one_of(st.just(t_min * (1 + 1e-9)), st.floats(0.8, 1.25).map(near.__mul__))
+    if not extreme:
+        return moderate
+    return st.one_of(st.sampled_from([1e-300, 1e-3]), moderate, st.sampled_from([1e9, 1e300]))
+
+
+def _schedules_arg(h: int, ts) -> list[str]:
+    return ["--schedules", ",".join(f"{h}:{t!r}" for t in ts)]
+
+
+SCHEDULES = st.lists(st.sampled_from(SCHEDULE_HS).flatmap(
+    lambda h: _round_lengths(h).map(lambda t: f"{h}:{t!r}")), min_size=1, max_size=8)
 # each command's own arguments; fl trains over a short horizon unless an
 # override says otherwise
 COMMAND_ARGS = {
@@ -585,22 +660,73 @@ COMMAND_ARGS = {
                        st.sampled_from(["7:26:0.1", "0.001:40:0.001", "1:1e300:1",
                                         "nan:10:1", "5:1:1"])
                        ).map(lambda p: ["--h-list", p[0], "--t-grid", p[1]]),
-    "fl": st.sampled_from([None, "24:11.8", "8:4,24:1e-3", "1:1e-300", "40:20,8:8.5",
-                           "100000:30", "8:inf"]
-                          ).map(lambda s: ["--fl.horizon_s=60"]
-                                + (["--schedules", s] if s else [])),
+    "fl": st.one_of(st.none(), SCHEDULES.map(",".join), st.sampled_from(["8:inf", "0:5", "x"])
+                    ).map(lambda s: ["--fl.horizon_s=60"] + (["--schedules", s] if s else [])),
 }
-INVOCATION = st.sampled_from(sorted(COMMAND_ARGS)).flatmap(
-    lambda command: st.tuples(st.just(command), COMMAND_ARGS[command],
-                              st.lists(OVERRIDE, max_size=3)))
+# a task whose validation-loss evaluations outweigh its training
+EVALUATION_TASK = ["--fl.feature_dim=1", "--fl.global_pool_size=16",
+                   "--fl.samples_per_vehicle=1", "--fl.batch_size=1"]
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@st.composite
+def aimed_at_a_cap(draw):
+    """fl arguments whose expected fl_runs.csv rows, upload attempts or
+    work (of training, or mostly of loss evaluations) land between 0.5
+    and 2 times the cap, or validate arguments whose expected attempts
+    do. horizon_s, arrival_rate_per_s and the schedule count aim them;
+    the schedules share one h and differ in t by 0.1% steps."""
+    cap = draw(st.sampled_from(["rows", "attempts", "work", "evaluations", "validate"]))
+    event(f"aimed at {cap}")
+    factor = draw(st.floats(0.5, 2.0))
+    n = draw(st.integers(1, 8))
+    h = draw(st.sampled_from(FEASIBLE_HS if cap in ("work", "evaluations") else SCHEDULE_HS))
+    t = draw(st.floats(1.0, 1.25).map(T_OPT[h].__mul__) if cap in ("work", "evaluations")
+             else _round_lengths(h, extreme=False))
+    ts = [t * (1 + i / 1000) for i in range(n)]
+    t0 = BASE.system.dwell_time
+    if cap == "rows":
+        # rows are the sum of floor(horizon / t) + 1 over the schedules
+        horizon = (factor * flsim.MAX_ROWS / n - 1) * t
+        return ["fl", f"--fl.horizon_s={horizon!r}", *_schedules_arg(h, ts)]
+    if cap in ("attempts", "validate"):
+        rounds = draw(st.sampled_from([1, 10, 1000, 100_000]))
+    if cap == "validate":
+        rate = factor * mcsim.MAX_ATTEMPTS / (rounds * (t + t0))
+        return ["validate", f"--system.arrival_rate_per_s={rate!r}", f"--sim.h={h}",
+                f"--sim.t_s={t!r}", f"--sim.num_rounds={rounds}"]
+    if cap == "attempts":
+        horizon = rounds * ts[-1]
+        rate = factor * mcsim.MAX_ATTEMPTS / sum(
+            math.floor(horizon / ti) * (ti + t0) for ti in ts)
+        return ["fl", f"--fl.horizon_s={horizon!r}", f"--system.arrival_rate_per_s={rate!r}",
+                *_schedules_arg(h, ts)]
+    task = []
+    if cap == "evaluations":
+        size = draw(st.sampled_from([10**5, 10**6, 16 * 10**6]))
+        task = [*EVALUATION_TASK, f"--fl.validation_size={size}"]
+    fl_cfg = cli.parse_config(BASELINE, [arg[2:] for arg in task]).fl
+    lam = analytic.lambda_param(BASE.system, h, np.array(ts))
+    p_pos = analytic.success_probability(BASE.system, h, np.array(ts))
+    # expected work: rounds x (lam winners and p_pos valid rounds) per run
+    per_round = sum(fl_work(h, fl_cfg, lam, p_pos) - fl_work(h, fl_cfg, 0, 0))
+    rounds = max(1, (factor * flsim.MAX_SGD_WORK - n * fl_work(h, fl_cfg, 0, 0)) / per_round)
+    return ["fl", f"--fl.horizon_s={rounds * ts[-1]!r}", *task, *_schedules_arg(h, ts)]
+
+
+INVOCATION = st.one_of(
+    st.sampled_from(sorted(COMMAND_ARGS)).flatmap(
+        lambda command: st.tuples(st.just(command), COMMAND_ARGS[command],
+                                  st.lists(OVERRIDE, max_size=6))),
+    aimed_at_a_cap().map(lambda args: (args[0], args[1:], [])))
+
+
+# 30 examples by default; the deep profile of tests/conftest.py runs 500
+@settings(derandomize=True, deadline=None)
 @given(INVOCATION)
 def test_any_input_ends_in_exit_code(invocation):
-    """Wide config values end in a documented exit code within 20 s and
-    1 GiB of address space, forked workers included; a failure prints one
-    line and leaves no output behind."""
+    """Wide config values, and inputs near each cap, end in a documented
+    exit code within 20 s and 1 GiB of address space, forked workers
+    included; a failure prints one line and leaves no output behind."""
     command, args, overrides = invocation
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -609,6 +735,7 @@ def test_any_input_ends_in_exit_code(invocation):
                        timeout=20, address_space=2**30, env={"OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode in (0, 1, 2, 3), proc.stderr
         assert "Traceback" not in proc.stderr
+        event(f"{command} exit {proc.returncode}")
         if proc.returncode == 0:
             assert all(line.startswith("warning: run h=")
                        for line in proc.stderr.splitlines())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracle import local_sgd_one_vehicle
+from oracle import fl_work, local_sgd_one_vehicle
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
 from roadfl.rng import substream
@@ -21,8 +21,12 @@ def small_cfg(**kw) -> flsim.FLConfig:
     return flsim.FLConfig(**base)
 
 
+def plan(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> flsim.RunPlan:
+    return flsim.plan_runs(params, [sched], cfg)[0]
+
+
 def train(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> flsim.FLRunResult:
-    return flsim.run_fl(flsim.plan_run(params, sched, cfg), cfg)
+    return flsim.run_fl(plan(params, sched, cfg), cfg)
 
 
 def test_config_validation():
@@ -349,13 +353,10 @@ class TestRunFl:
         table = mcsim.attempts(reference_params, sched, arrivals, 0, rounds,
                                substream(cfg.seed, "delays", tag))
         winners = int(table.success.sum())
-        assert winners > 0
-        work = winners * (sched.h * (cfg.batch_size * (cfg.feature_dim + 1)
-                                     + flsim.BATCH_DRAW_WORK)
-                          + flsim.DATA_DRAW_WORK
-                          + flsim.DATA_VALUE_WORK * (cfg.samples_per_vehicle
-                                                     + cfg.feature_dim))
-        assert flsim.plan_run(reference_params, sched, cfg).work == work
+        rounds_valid = np.unique(table.round[table.success]).size
+        assert winners > rounds_valid > 0
+        work = fl_work(sched.h, cfg, winners, rounds_valid)
+        assert plan(reference_params, sched, cfg).work == work
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work)
         train(reference_params, sched, cfg)
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", work - 1)
@@ -372,27 +373,46 @@ class TestRunFl:
 
     def test_work_cap_stops_at_the_first_block_over_it(self, reference_params,
                                                        monkeypatch):
-        blocks = []
+        tables = []
         real = mcsim.attempts
 
-        def counting(*args):
-            blocks.append(1)
-            return real(*args)
+        def recording(*args):
+            tables.append(real(*args))
+            return tables[-1]
 
-        monkeypatch.setattr(mcsim, "attempts", counting)
-        # one round per block, and a cap of one winner's work
+        monkeypatch.setattr(mcsim, "attempts", recording)
+        # one round per block, split into tables of one row
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 1)
         sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0)
-        plan = flsim.plan_run(reference_params, sched, cfg)
-        assert len(blocks) == plan.rounds_total
-        second = int(plan.winner_round[1])
-        assert second < plan.rounds_total - 1
-        monkeypatch.setattr(flsim, "MAX_SGD_WORK", plan.work // plan.winner.size)
-        blocks.clear()
-        held = int((plan.winner_round <= second).sum())
-        with pytest.raises(InvalidParameterError, match=f"^{held} winners of 8 local steps"):
-            flsim.plan_run(reference_params, sched, cfg)
-        assert len(blocks) == second + 1
+        whole = plan(reference_params, sched, cfg)
+        assert max(table.round.size for table in tables) == 1
+        # the table that holds the second winner
+        second = int(np.cumsum([table.success.sum() for table in tables]).searchsorted(2))
+        assert second < len(tables) - 1
+        # a cap of the first winner's work and of the evaluations before and
+        # after its round
+        monkeypatch.setattr(flsim, "MAX_SGD_WORK", fl_work(sched.h, cfg, 1, 1))
+        tables.clear()
+        total = fl_work(sched.h, cfg, 2, np.unique(whole.winner_round[:2]).size)
+        with pytest.raises(InvalidParameterError, match=f"^the schedules need {total} "
+                           "multiply-adds of local training, more than"):
+            plan(reference_params, sched, cfg)
+        assert len(tables) == second + 1
+
+    def test_block_size_leaves_the_plan_unchanged(self, reference_params, monkeypatch):
+        # rounds of about 2.6 rows: many rounds per block, one, or one
+        # round split into tables of one or two rows
+        sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0)
+        plans = []
+        for rows in (10 ** 9, 4, 2, 1):
+            monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", rows)
+            plans.append(plan(reference_params, sched, cfg))
+        # some round has two winners, so a split round is evaluated once
+        assert np.unique(plans[0].winner_round).size < plans[0].winner.size
+        for other in plans[1:]:
+            assert other.work == plans[0].work
+            assert np.array_equal(other.winner_round, plans[0].winner_round)
+            assert np.array_equal(other.winner, plans[0].winner)
 
     def test_each_win_draws_the_winners_own_data(self, reference_params, monkeypatch):
         tags, trained = [], []
@@ -411,9 +431,9 @@ class TestRunFl:
         monkeypatch.setattr(flsim, "local_sgd", training)
         # 6 s rounds in a 20 s dwell time, so vehicles win more than once
         sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0, vehicle_shift_std=0.5)
-        plan = flsim.plan_run(reference_params, sched, cfg)
-        flsim.run_fl(plan, cfg)
-        winners = plan.winner.tolist()
+        planned = plan(reference_params, sched, cfg)
+        flsim.run_fl(planned, cfg)
+        winners = planned.winner.tolist()
         assert tags == [("8:6", m) for m in winners]
         assert len(trained) == len(winners)
         first = {}
@@ -423,7 +443,7 @@ class TestRunFl:
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
         with pytest.raises(InvalidParameterError):
-            flsim.plan_run(reference_params, Schedule(8, 300.0), small_cfg())
+            plan(reference_params, Schedule(8, 300.0), small_cfg())
 
 
 class TestVehicleShiftMode:

@@ -226,17 +226,67 @@ class TestSimulateRounds:
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
         assert np.array_equal(small, whole)
 
-    def test_attempt_cap_checked_before_any_delay(self, reference_params, monkeypatch):
-        # expected rows are rounds * rate * (t + t0) = rounds * 0.1 * (10 + 20)
+    def test_round_over_a_block_is_split(self, reference_params, monkeypatch):
+        # about 3 rows per round, at most 2 per table
         sched = Schedule(8, 10.0)
-        arrivals = mcsim.arrival_times(reference_params, 1010.0, substream(4, "a"))
+        cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
+        arrivals, whole_table = recorded_table(reference_params, sched, cfg)
+        whole = mcsim.simulate_rounds(reference_params, sched, cfg)
+        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
+        blocks = list(mcsim.attempt_blocks(
+            reference_params, sched, arrivals, cfg.warmup_rounds,
+            cfg.warmup_rounds + cfg.num_rounds, substream(cfg.seed, "delays")))
+        assert all(end == begin + 1 and table.round.size <= 2 for begin, end, table in blocks)
+        assert len(blocks) > cfg.num_rounds
+        for column, whole_column in zip(zip(*(table for _, _, table in blocks)), whole_table):
+            assert np.array_equal(np.concatenate(column), whole_column)
+        assert np.array_equal(mcsim.simulate_rounds(reference_params, sched, cfg), whole)
+
+    def test_attempt_cap_checked_before_any_delay(self, reference_params, monkeypatch):
+        # expected rows are num_rounds * rate * (t + t0) = num_rounds * 0.1 * (10 + 20)
+        sched = Schedule(8, 10.0)
         monkeypatch.setattr(mcsim, "MAX_ATTEMPTS", 301)
-        assert sum(table.round.size for _, _, table in mcsim.attempt_blocks(
-            reference_params, sched, arrivals, 0, 100, substream(4, "d"))) > 0
-        rng = substream(4, "d")
+        histogram = mcsim.simulate_rounds(reference_params, sched,
+                                          mcsim.SimConfig(seed=4, num_rounds=100))
+        assert histogram.sum() == 100
+        streams = []
+        monkeypatch.setattr(mcsim, "substream", lambda *tags: streams.append(tags))
         with pytest.raises(InvalidParameterError, match="expected upload attempts"):
-            next(mcsim.attempt_blocks(reference_params, sched, arrivals, 0, 101, rng))
-        assert rng.random() == substream(4, "d").random()  # nothing drawn
+            mcsim.simulate_rounds(reference_params, sched,
+                                  mcsim.SimConfig(seed=4, num_rounds=101))
+        assert streams == []  # nothing drawn, no stream even made
+
+
+# the 2000 m section at 5 m/s of the long_section benchmark workload
+LONG_SECTION = SystemParams(length=2000, speed=5, arrival_rate=0.1, tau_down=1, tau_up=1,
+                            alpha=0.05, beta=0.05)
+
+
+@pytest.mark.parametrize("params,sched", [
+    # about 3.2 and 48 attempts per round
+    (SystemParams(length=400, speed=20, arrival_rate=0.1, tau_down=1, tau_up=1,
+                  alpha=0.2, beta=0.2), Schedule(24, 11.8)),
+    (LONG_SECTION, Schedule(1463, 83.56))])
+def test_expected_attempts_is_the_mean_table_size(params, sched):
+    """Over 10**5 rounds the attempt table's rows match expected_attempts.
+
+    The rows are sum_z c(z) over the Poisson arrivals z on (-t0, K t),
+    where c(z) counts the round windows (k t - t0, (k + 1) t) holding z,
+    at most c_max = floor((t + t0) / t) + 1. So their variance is
+    rate * integral of c(z)**2 dz <= rate * (K t + t0) * c_max**2, and
+    the bound below is 5 standard deviations.
+    """
+    rounds = 10 ** 5
+    horizon = rounds * sched.t
+    arrivals = mcsim.arrival_times(params, horizon, substream(21, "arrivals"))
+    rows = sum(table.round.size for _, _, table in mcsim.attempt_blocks(
+        params, sched, arrivals, 0, rounds, substream(21, "delays")))
+    expected = mcsim.expected_attempts(params, sched.t, rounds)
+    c_max = math.floor((sched.t + params.dwell_time) / sched.t) + 1
+    sigma = c_max * math.sqrt(params.arrival_rate * (horizon + params.dwell_time))
+    assert abs(rows - expected) <= 5 * sigma
+    # t alone, without the dwell time, would be off by hundreds of sigma
+    assert abs(rows - rounds * params.arrival_rate * sched.t) > 100 * sigma
 
 
 # Poisson means checked against scipy.stats.poisson, from nearly empty
