@@ -108,7 +108,9 @@ def dg_dt(params: SystemParams, h, t):
     dlam = np.where(t >= t0, rate * c0, below)
 
     lam = lambda_param(params, h, t)
-    return (h * (np.exp(-lam) * dlam / t - (-np.expm1(-lam)) / (t * t)))[()]
+    # t * t overflows to inf only where its term is 0 to double precision
+    with np.errstate(over="ignore"):
+        return (h * (np.exp(-lam) * dlam / t - (-np.expm1(-lam)) / (t * t)))[()]
 
 
 def subinterval_probs(params: SystemParams, h, t):

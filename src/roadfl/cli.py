@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analytic, flsim, optimizer
 from .flsim import MAX_ROWS, FLConfig, FLRunResult, plan_runs, proxy_correlation, run_fl
-from .mcsim import SimConfig, compare_to_poisson, simulate_rounds
+from .mcsim import SimConfig, compare_to_poisson, poisson_rows, simulate_rounds
 from .optimizer import OptimizerConfig
 from .types import (
     DivergenceError,
@@ -215,8 +215,12 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 def cmd_validate(cfg: ExperimentConfig) -> int:
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
-    histogram = simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
     lam = analytic.lambda_param(cfg.system, cfg.schedule.h, cfg.schedule.t)
+    rows = poisson_rows(lam)
+    if rows > MAX_ROWS:
+        raise ConfigError(f"the Poisson fit of lambda={lam:.3g} needs {rows:.3g} "
+                          f"poisson_fit.csv rows, more than {MAX_ROWS}")
+    histogram = simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
     fit = compare_to_poisson(histogram, lam)
     out = cfg.output_dir
     _write_rows(out / "poisson_fit.csv",

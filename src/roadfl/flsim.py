@@ -23,7 +23,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import analytic
-from .mcsim import MAX_ATTEMPTS, arrival_times, attempt_blocks, expected_attempts
+from .mcsim import (
+    MAX_ARRIVALS,
+    MAX_ATTEMPTS,
+    arrival_stream,
+    attempt_blocks,
+    expected_arrivals,
+    expected_attempts,
+)
 # perfbench/tracer.py counts delay draws by patching this name
 from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
@@ -43,8 +50,11 @@ __all__ = [
     "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
 ]
 
-# run_fl holds the task at once; this caps its values (270 MB of float64)
+# run_fl holds the task at once; this caps its values (270 MB of float64),
+# and generate_task builds it in place, so the peak at the cap is one task
 MAX_VALUES = 2**25
+# generate_task draws the task's features this many values at a time
+TASK_CHUNK_VALUES = 2**15
 # caps the rows of fl_runs.csv and surface.csv, since an fl command's loss
 # arrays and a sweep's float64 (h, t) mesh are held at once (the rows are not)
 MAX_ROWS = 2**20
@@ -133,10 +143,14 @@ def generate_task(cfg: FLConfig, rng: np.random.Generator) -> LinearTask:
     d = cfg.feature_dim
     w_true = rng.standard_normal(d + 1)
     n = cfg.global_pool_size + cfg.validation_size
-    x = np.hstack([rng.standard_normal((n, d)), np.ones((n, 1))])
+    x = np.ones((n, d + 1))
+    # drawing row chunks in order gives the values of one (n, d) draw
+    rows = max(1, TASK_CHUNK_VALUES // d)
+    for i in range(0, n, rows):
+        x[i:i + rows, :d] = rng.standard_normal((min(rows, n - i), d))
     y = x @ w_true
     if cfg.noise_std > 0:
-        y = y + cfg.noise_std * rng.standard_normal(n)
+        y += cfg.noise_std * rng.standard_normal(n)
     return LinearTask(
         x_pool=x[:cfg.global_pool_size],
         y_pool=y[:cfg.global_pool_size],
@@ -270,12 +284,13 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
     """The runs of schedules up to the horizon and their winners, with each
     cap of an fl command checked once and before any data is drawn.
 
-    A run without a round, or more than MAX_ROWS fl_runs.csv rows or
-    MAX_ATTEMPTS expected upload attempts over all the runs, is an
-    InvalidParameterError raised before any plan. A run's work charges its
-    wins and its rounds_valid + 1 loss evaluations; the running total over
-    the runs is checked against MAX_SGD_WORK after each attempt-table
-    block, so the winners held pass the cap by at most one block's.
+    A run without a round or of more than MAX_ARRIVALS expected arrivals,
+    or more than MAX_ROWS fl_runs.csv rows or MAX_ATTEMPTS expected upload
+    attempts over all the runs, is an InvalidParameterError raised before
+    any plan. A run's work charges its wins and its rounds_valid + 1 loss
+    evaluations; the running total over the runs is checked against
+    MAX_SGD_WORK after each attempt-table block, so the winners held pass
+    the cap by at most one block's.
     """
     # min keeps the floor finite; a run that reaches it fails the row cap
     rounds = [math.floor(min(cfg.horizon / s.t, MAX_ROWS)) for s in schedules]
@@ -285,11 +300,14 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
     attempts = sum(expected_attempts(params, s.t, k) for s, k in zip(schedules, rounds))
     _require(attempts <= MAX_ATTEMPTS, f"the schedules need {attempts:.3g} expected "
              f"upload attempts, more than {MAX_ATTEMPTS}")
+    most = max(expected_arrivals(params, k * s.t) for s, k in zip(schedules, rounds))
+    _require(most <= MAX_ARRIVALS, f"a schedule needs {most:.3g} expected arrivals, "
+             f"more than {MAX_ARRIVALS}")
     eval_work = cfg.validation_size * ((cfg.feature_dim + 1) // 2 + EVAL_ROW_WORK)
     plans, total = [], 0
     for sched, rounds_total in zip(schedules, rounds):
-        arrivals = arrival_times(params, rounds_total * sched.t,
-                                 _run_stream(cfg, "arrivals", sched))
+        arrivals = arrival_stream(params, rounds_total * sched.t,
+                                  _run_stream(cfg, "arrivals", sched))
         win_work = (sched.h * (cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK)
                     + DATA_DRAW_WORK
                     + DATA_VALUE_WORK * (cfg.samples_per_vehicle + cfg.feature_dim))
@@ -345,12 +363,13 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
                 // (cfg.batch_size * (cfg.feature_dim + 1 + sched.h)
                     + cfg.samples_per_vehicle + cfg.feature_dim))
     w = np.zeros(cfg.feature_dim + 1)
-    losses = [mse_loss(w, task.x_val, task.y_val)]
     rounds_valid = 0
 
-    # a diverging run shows as an infinite loss or a DivergenceError, so
-    # numpy's overflow warnings would only repeat it on stderr
+    # a diverging run, or targets too large to square, shows as an infinite
+    # loss or a DivergenceError, so numpy's overflow warnings would only
+    # repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
+        losses = [mse_loss(w, task.x_val, task.y_val)]
         for k in range(rounds_total):
             round_winners = winners[bounds[k]:bounds[k + 1]]
             if round_winners.size == 0:

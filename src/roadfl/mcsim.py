@@ -5,10 +5,10 @@ Poisson arrivals over the road section, per-round participant sets,
 fresh shifted-exponential computing delays for every (vehicle, round)
 attempt, and the success rule completion <= deadline. All of it lives
 in one round-major attempt table (attempts), built in blocks of rounds
-(attempt_blocks), which simulate_rounds folds into a histogram of
-per-round success counts and flsim reads for each round's winners. The
-histogram alone feeds a goodness-of-fit report against the analytic
-Poisson law.
+(attempt_blocks) from a stream of arrival chunks (arrival_stream), which
+simulate_rounds folds into a histogram of per-round success counts and
+flsim reads for each round's winners. The histogram alone feeds a
+goodness-of-fit report against the analytic Poisson law.
 
 A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,23 +32,25 @@ from .types import InvalidParameterError, Schedule, SystemParams, _positive_int,
 
 __all__ = [
     "SimConfig", "PoissonFit", "Attempts", "sample_computing_delay",
-    "arrival_times", "expected_attempts", "attempts", "attempt_blocks",
-    "simulate_rounds", "compare_to_poisson",
+    "expected_arrivals", "arrival_stream", "expected_attempts", "attempts",
+    "attempt_blocks", "simulate_rounds", "poisson_rows", "compare_to_poisson",
 ]
 
-# expected rows per attempt-table block in attempt_blocks: small blocks
-# bound memory and stay cache-resident, and any value gives the same
-# bytes, since delays are drawn sequentially
-ATTEMPTS_PER_BLOCK = 2 ** 16
+# expected rows per attempt-table block in attempt_blocks, and the
+# arrivals per chunk of arrival_stream: a block holds its rounds'
+# participants and at most one unread chunk, so memory follows one block,
+# or one round's participants when a round has more rows. Any value gives
+# the same bytes, since delays and arrival gaps are drawn sequentially
+ATTEMPTS_PER_BLOCK = 2 ** 13
 
 # caps warm-up plus recorded rounds; it bounds time, not memory, since
 # a block of attempt_blocks holds at most ATTEMPTS_PER_BLOCK rounds and
 # simulate_rounds keeps only the success histogram of the recorded ones
 MAX_ROUNDS = 10 ** 7
 
-# arrival_times holds every arrival of a run at once, in one float64
-# buffer of 1.1 times the expected count; this caps that count (a peak
-# of about 300 MB at the cap)
+# caps the expected arrivals of a run; it bounds time, not memory, since
+# arrival_stream draws them a chunk at a time and attempt_blocks drops
+# each once its rounds are built (warm-up arrivals are drawn and dropped)
 MAX_ARRIVALS = 2 ** 25
 
 # attempt_blocks draws a delay for every (vehicle, round) attempt; this caps
@@ -93,43 +95,62 @@ def sample_computing_delay(params: SystemParams, h: int, rng: np.random.Generato
 
     Support is [alpha*h, inf) with mean alpha*h + beta*h.
     """
-    return params.alpha * h + params.beta * h * (-np.log1p(-rng.random(size)))
+    # in place, in the order of alpha*h + beta*h * -log1p(-U)
+    delay = rng.random(size)
+    np.negative(delay, out=delay)
+    np.log1p(delay, out=delay)
+    np.negative(delay, out=delay)
+    delay *= params.beta * h
+    delay += params.alpha * h
+    return delay
 
 
-def arrival_times(params: SystemParams, horizon: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Poisson arrival instants on (-t0, horizon), strictly increasing.
+def expected_arrivals(params: SystemParams, horizon: float) -> float:
+    """Expected arrivals on (-t0, horizon), rate * (horizon + t0)."""
+    return params.arrival_rate * (horizon + params.dwell_time)
+
+
+def arrival_stream(params: SystemParams, horizon: float,
+                   rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Poisson arrival instants on (-t0, horizon) as consecutive non-empty
+    chunks, strictly increasing within and across chunks.
 
     Starting a dwell time before zero populates round 0's participant
-    window correctly. More than MAX_ARRIVALS expected arrivals is an
-    InvalidParameterError, raised before anything is drawn.
+    window correctly. Gaps -log1p(-U) / rate are drawn ATTEMPTS_PER_BLOCK
+    uniforms at a time (but never more than 1.1 times the expected count
+    plus 64) and summed with one running sum carried across chunks, so
+    every arrival is the same whatever the chunk size. More than
+    MAX_ARRIVALS expected arrivals is an InvalidParameterError, raised by
+    this call before anything is drawn.
     """
     _require(horizon > 0, "horizon must be positive")
-    rate = params.arrival_rate
-    if rate == 0:
-        return np.empty(0)
-    start = -params.dwell_time
-    span = horizon - start
-    _require(rate * span <= MAX_ARRIVALS,
-             f"{rate * span:.3g} expected arrivals, more than {MAX_ARRIVALS}")
-    chunk = max(256, int(rate * span * 1.1) + 64)
-    pieces = []
-    current = start
+    expected = expected_arrivals(params, horizon)
+    _require(expected <= MAX_ARRIVALS,
+             f"{expected:.3g} expected arrivals, more than {MAX_ARRIVALS}")
+    if params.arrival_rate == 0:
+        return iter(())
+    size = min(ATTEMPTS_PER_BLOCK, int(expected * 1.1) + 64)
+    return _arrivals(params.arrival_rate, -params.dwell_time, horizon, rng, size)
+
+
+def _arrivals(rate: float, start: float, horizon: float, rng: np.random.Generator,
+              size: int) -> Iterator[np.ndarray]:
+    carry = 0.0  # the running sum of the gaps drawn so far
     while True:
-        # gaps -log1p(-U) / rate and their running sum, all in the one
-        # buffer, so the peak stays near the array returned
-        times = rng.random(chunk)
+        # the gaps and their running sum, all in the one buffer of uniforms
+        times = rng.random(size)
         np.negative(times, out=times)
         np.log1p(times, out=times)
         times /= -rate
+        times[0] += carry
         np.cumsum(times, out=times)
-        times += current
-        inside = times[:np.searchsorted(times, horizon)]
-        pieces.append(inside)
-        if inside.size < times.size:
-            break
-        current = times[-1]
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        carry = times[-1]
+        times += start
+        inside = int(np.searchsorted(times, horizon))
+        if inside:
+            yield times[:inside]
+        if inside < size:
+            return
 
 
 def expected_attempts(params: SystemParams, t: float, rounds: int) -> float:
@@ -163,42 +184,72 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     """
     t, t0 = sched.t, params.dwell_time
     k = np.arange(k_begin, k_end)
-    first = np.searchsorted(arrivals, k * t - t0, side="right")
-    counts = np.searchsorted(arrivals, (k + 1) * t, side="left") - first
+    begins, ends = k * t, (k + 1) * t
+    first = np.searchsorted(arrivals, begins - t0, side="right")
+    counts = np.searchsorted(arrivals, ends, side="left") - first
     rnd = np.repeat(k, counts)
-    vehicle = np.arange(rnd.size) + np.repeat(first - (np.cumsum(counts) - counts),
-                                              counts)
+    # each row's column is computed in place, in the order the formulas give
+    vehicle = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    vehicle += np.arange(rnd.size)
     z = arrivals[vehicle]
-    start = np.maximum(rnd * t, z)
+    start = np.repeat(begins, counts)
+    np.maximum(start, z, out=start)
     tau_cp = sample_computing_delay(params, sched.h, delay_rng, rnd.size)
-    completion = start + params.tau_down + tau_cp + params.tau_up
-    deadline = np.minimum(z + t0, (rnd + 1) * t)
+    completion = start + params.tau_down
+    completion += tau_cp
+    completion += params.tau_up
+    deadline = z + t0
+    np.minimum(deadline, np.repeat(ends, counts), out=deadline)
     return Attempts(vehicle, rnd, start, tau_cp, completion, deadline,
                     completion <= deadline)
 
 
-def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
+def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.ndarray],
                    k_begin: int, k_end: int, delay_rng: np.random.Generator
                    ) -> Iterator[tuple[int, int, Attempts]]:
     """The attempt table of rounds k_begin <= k < k_end, in consecutive
     blocks of rounds holding about ATTEMPTS_PER_BLOCK rows each.
 
-    Yields (block begin, block end, table of that block), drawing delays as
-    one table over all the rounds would; a round of more rows comes as
-    several tables of at most ATTEMPTS_PER_BLOCK rows, with its bounds.
+    arrivals is a run's arrival stream: increasing non-empty chunks, as
+    arrival_stream yields them. Yields (block begin, block end, table of
+    that block), drawing delays as one table over all the rounds would; a
+    round of more rows comes as several tables of at most
+    ATTEMPTS_PER_BLOCK rows, with its bounds. A table's vehicle is the
+    arrival's index in the whole stream. Only the chunks that hold the
+    block's participants are kept, so the last one read is the only one
+    that reaches past the block.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
+    chunks = iter(arrivals)
+    window, offset, newest = [], 0, -math.inf  # offset: stream index of window[0][0]
     for begin in range(k_begin, k_end, block):
         end = min(begin + block, k_end)
-        # the block's participants, arrivals in (begin*t - t0, end*t)
-        first = int(np.searchsorted(arrivals, begin * t - t0, side="right"))
-        last = int(np.searchsorted(arrivals, end * t, side="left"))
-        step = ATTEMPTS_PER_BLOCK if end - begin == 1 else max(last - first, 1)
-        for i in range(first, max(last, first + 1), step):
-            table = attempts(params, sched, arrivals[i:min(i + step, last)], begin, end,
-                             delay_rng)
-            table.vehicle[:] += i  # a table numbers vehicles from its slice's start
+        # the block's participants, arrivals in (begin*t - t0, end*t): read
+        # chunks until one passes end*t, dropping each that ends before
+        low, high = begin * t - t0, end * t
+        while True:
+            while window and window[0][-1] <= low:
+                offset += window.pop(0).size
+            if newest >= high or (chunk := next(chunks, None)) is None:
+                break
+            window.append(chunk)
+            newest = chunk[-1]
+        parts = []
+        if window:
+            first = int(np.searchsorted(window[0], low, side="right"))
+            window[0], offset = window[0][first:], offset + first
+            parts = window[:-1] + [window[-1][:np.searchsorted(window[-1], high)]]
+        if end - begin > 1:
+            parts = [np.concatenate([np.empty(0), *parts])]
+        else:
+            parts = [part[i:i + ATTEMPTS_PER_BLOCK] for part in parts
+                     for i in range(0, part.size, ATTEMPTS_PER_BLOCK)] or [np.empty(0)]
+        index = offset
+        for part in parts:
+            table = attempts(params, sched, part, begin, end, delay_rng)
+            table.vehicle[:] += index  # a table numbers vehicles from its part
+            index += part.size
             yield begin, end, table
 
 
@@ -216,8 +267,7 @@ def simulate_rounds(params: SystemParams, sched: Schedule,
     _require(rows <= MAX_ATTEMPTS,
              f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
     k_total = cfg.warmup_rounds + cfg.num_rounds
-    arrivals = arrival_times(params, k_total * sched.t,
-                             substream(cfg.seed, "arrivals"))
+    arrivals = arrival_stream(params, k_total * sched.t, substream(cfg.seed, "arrivals"))
     histogram = np.zeros(1, dtype=np.int64)
     blocks = attempt_blocks(params, sched, arrivals, cfg.warmup_rounds, k_total,
                             substream(cfg.seed, "delays"))
@@ -240,6 +290,15 @@ def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(k * math.log(lam) - log_fact - lam)
 
 
+def poisson_rows(lambda_analytic: float) -> float:
+    """Rows of the Poisson pmf compare_to_poisson computes for a positive
+    lambda before it trims the tail: k = 0 up to lam + 10 sqrt(lam) + 40,
+    which lies beyond the 1 - 1e-12 quantile for every lam (Bernstein
+    bound). It bounds the fit's support; inf for a lambda not finite."""
+    reach = lambda_analytic + 10 * math.sqrt(max(lambda_analytic, 0.0))
+    return math.floor(reach) + 41 if math.isfinite(reach) else math.inf
+
+
 def compare_to_poisson(histogram: np.ndarray, lambda_analytic: float) -> PoissonFit:
     """Goodness of fit between a success histogram and Poisson(lam).
 
@@ -254,10 +313,9 @@ def compare_to_poisson(histogram: np.ndarray, lambda_analytic: float) -> Poisson
         raise InvalidParameterError("histogram holds no rounds")
     n_emp = histogram.size - 1
     if lambda_analytic > 0:
-        # lam + 10 sqrt(lam) + 40 lies beyond the 1 - 1e-12 quantile for
-        # every lam (Bernstein bound), so the cumulative sum reaches the tail
-        reach = int(lambda_analytic + 10 * math.sqrt(lambda_analytic)) + 40
-        pmf = _poisson_pmf(np.arange(max(n_emp, reach) + 1), lambda_analytic)
+        # the cumulative sum reaches the tail within poisson_rows
+        pmf = _poisson_pmf(np.arange(max(n_emp + 1, poisson_rows(lambda_analytic))),
+                           lambda_analytic)
         tail = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-12)) + 2
         pmf = pmf[:max(n_emp, tail) + 1]
     else:

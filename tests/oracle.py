@@ -1,5 +1,6 @@
 """Independent references for the tests: a brute-force grid search for
-the optimizer, pinned-arrival success counts for the sub-interval law,
+the optimizer, one-shot arrival times for the arrival stream,
+pinned-arrival success counts for the sub-interval law,
 one-vehicle-at-a-time local training for the stacked SGD, a
 value-by-value CSV formatter for the row templates and the work an fl
 run is charged. No CLI path uses them."""
@@ -55,6 +56,24 @@ def brute_force_argmax(params: SystemParams,
             "grid step larger than every feasible search interval")
     best = max(table, key=lambda row: row[2])  # max keeps the first maximum
     return OptimizationResult(*best, tuple(table), steps)
+
+
+def arrival_times(params: SystemParams, horizon: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Poisson arrival instants on (-t0, horizon) in one array: every gap
+    -log1p(-U) / rate drawn at once and summed by one np.cumsum, which is
+    what mcsim.arrival_stream computes a chunk at a time."""
+    rate = params.arrival_rate
+    if rate == 0:
+        return np.empty(0)
+    expected = rate * (horizon + params.dwell_time)
+    # 10 standard deviations over the expected count: the draw falls short
+    # of the horizon with a chance far below 1e-20
+    draws = int(expected + 10 * math.sqrt(expected)) + 100
+    gaps = -np.log1p(-rng.random(draws)) / rate
+    times = np.cumsum(gaps) - params.dwell_time
+    assert times[-1] >= horizon, "the one-shot draw fell short of the horizon"
+    return times[times < horizon]
 
 
 def subinterval_success_counts(params: SystemParams, sched: Schedule,

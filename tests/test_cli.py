@@ -170,6 +170,30 @@ class TestValidateCommand:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "poisson_fit.csv").exists()
 
+    def test_fit_row_cap_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # baseline's lambda = 0.909 puts k = 0 .. 50 in the Poisson fit
+        lam = analytic.lambda_param(BASE.system, 24, 11.8)
+        assert mcsim.poisson_rows(lam) == 51
+        monkeypatch.setattr(cli, "MAX_ROWS", 51)
+        rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(tmp_path / "a"),
+                       "--sim.num_rounds=100"])
+        assert rc == 0
+        assert len(read_csv(tmp_path / "a" / "poisson_fit.csv")) <= 51
+
+        def must_not_run(*args):
+            raise AssertionError("simulated past the fit's row cap")
+
+        monkeypatch.setattr(cli, "MAX_ROWS", 50)
+        monkeypatch.setattr(cli, "simulate_rounds", must_not_run)
+        capsys.readouterr()
+        rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(tmp_path / "b"),
+                       "--sim.num_rounds=100"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: the Poisson fit of lambda=0.909 needs 51 "
+                       "poisson_fit.csv rows, more than 50\n")
+        assert not (tmp_path / "b").exists()
+
     def test_requires_schedule(self, tmp_path):
         rc = cli.main(["validate", "--config", str(BASELINE),
                        "--out", str(tmp_path), "--sim.h=24",
@@ -506,8 +530,18 @@ BIG_VALIDATION = ["fl", "--system.arrival_rate_per_s=0.056", "--fl.feature_dim=1
                   "--fl.batch_size=1", "--fl.validation_size=16000000",
                   "--fl.horizon_s=150000", "--schedules", "1:3"]
 
+# lambda = 6.4e6: as many poisson_fit.csv rows, and a per-k lgamma each
+HUGE_FIT = ["validate", "--system.arrival_rate_per_s=700000", "--sim.num_rounds=1"]
+
+# the first schedule's 3.35e7 expected arrivals pass the arrival cap, the
+# second's do not: checked before the first is planned
+SECOND_RUN_OVER_ARRIVALS = ["fl", "--fl.horizon_s=2.2022000022022",
+                            "--system.arrival_rate_per_s=1511386.0122549462", "--schedules",
+                            "1:2.2000000022000004,1:2.2022000022022"]
+
 # these end on a cap before anything trains, so they end quickly
-QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES, BIG_VALIDATION)
+QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES, BIG_VALIDATION, HUGE_FIT,
+         SECOND_RUN_OVER_ARRIVALS)
 
 
 @pytest.mark.parametrize("code,args", [
@@ -543,6 +577,8 @@ QUICK = (SIX_RUNS_NEAR_CAP, SIX_BIG_TABLES, BIG_SAMPLES, BIG_VALIDATION)
     (1, SIX_BIG_TABLES),
     (1, BIG_SAMPLES),
     (1, BIG_VALIDATION),
+    (1, HUGE_FIT),
+    (1, SECOND_RUN_OVER_ARRIVALS),
     # one round of about 2.2e7 attempts, whose first block of them already
     # holds more winners than the work allows
     (1, ["fl", "--system.arrival_rate_per_s=700000", "--fl.horizon_s=11.8",
@@ -561,6 +597,22 @@ def test_hostile_input_ends_in_exit_code(tmp_path, code, args):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("code,args", [
+    # the default grid's search squared round lengths near 1e299
+    (1, ["--system.length_m=1e300"]),
+    # the first validation loss squared targets near 1e300
+    (0, ["--fl.noise_std=1e300"]),
+])
+def test_overflow_prints_no_numpy_warning(tmp_path, code, args):
+    """An overflow to inf that the outputs or the caps already account for
+    leaves stderr to the command's own lines."""
+    proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                    "--fl.horizon_s=60", *args],
+                   timeout=60, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == code, proc.stderr
 
 
 def test_winnerless_crowd_draws_no_data(tmp_path):
@@ -670,20 +722,38 @@ EVALUATION_TASK = ["--fl.feature_dim=1", "--fl.global_pool_size=16",
 
 @st.composite
 def aimed_at_a_cap(draw):
-    """fl arguments whose expected fl_runs.csv rows, upload attempts or
-    work (of training, or mostly of loss evaluations) land between 0.5
-    and 2 times the cap, or validate arguments whose expected attempts
-    do. horizon_s, arrival_rate_per_s and the schedule count aim them;
-    the schedules share one h and differ in t by 0.1% steps."""
-    cap = draw(st.sampled_from(["rows", "attempts", "work", "evaluations", "validate"]))
+    """fl arguments whose expected fl_runs.csv rows, upload attempts,
+    arrivals of one run or work (of training, or mostly of loss
+    evaluations) land between 0.5 and 2 times the cap, or validate
+    arguments whose expected attempts or Poisson-fit rows do. horizon_s,
+    arrival_rate_per_s and the schedule count aim them; the schedules
+    share one h and differ in t by 0.1% steps."""
+    cap = draw(st.sampled_from(["rows", "attempts", "arrivals", "work", "evaluations",
+                                "validate", "fit rows"]))
     event(f"aimed at {cap}")
     factor = draw(st.floats(0.5, 2.0))
     n = draw(st.integers(1, 8))
-    h = draw(st.sampled_from(FEASIBLE_HS if cap in ("work", "evaluations") else SCHEDULE_HS))
-    t = draw(st.floats(1.0, 1.25).map(T_OPT[h].__mul__) if cap in ("work", "evaluations")
+    # these need a schedule that can succeed
+    trains = cap in ("work", "evaluations", "fit rows")
+    h = draw(st.sampled_from(FEASIBLE_HS if trains else SCHEDULE_HS))
+    t = draw(st.floats(1.0, 1.25).map(T_OPT[h].__mul__) if trains
              else _round_lengths(h, extreme=False))
     ts = [t * (1 + i / 1000) for i in range(n)]
     t0 = BASE.system.dwell_time
+    if cap == "fit rows":
+        # lambda is proportional to the arrival rate, and the fit's rows
+        # are about lambda
+        rate = factor * flsim.MAX_ROWS / analytic.lambda_param(
+            replace(BASE.system, arrival_rate=1.0), h, t)
+        rounds = draw(st.sampled_from([1, 10]))
+        return ["validate", f"--system.arrival_rate_per_s={rate!r}", f"--sim.h={h}",
+                f"--sim.t_s={t!r}", f"--sim.num_rounds={rounds}"]
+    if cap == "arrivals":
+        # the last schedule's run, of rounds rounds, has the most arrivals
+        horizon = draw(st.sampled_from([1, 10, 1000])) * ts[-1]
+        rate = factor * mcsim.MAX_ARRIVALS / (horizon + t0)
+        return ["fl", f"--fl.horizon_s={horizon!r}", f"--system.arrival_rate_per_s={rate!r}",
+                *_schedules_arg(h, ts)]
     if cap == "rows":
         # rows are the sum of floor(horizon / t) + 1 over the schedules
         horizon = (factor * flsim.MAX_ROWS / n - 1) * t

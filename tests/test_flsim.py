@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracle import fl_work, local_sgd_one_vehicle
+from oracle import arrival_times, fl_work, local_sgd_one_vehicle
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
 from roadfl.rng import substream
@@ -69,6 +70,35 @@ class TestTask:
         assert np.array_equal(a.y_val, b.y_val)
         assert a.x_pool.shape == (cfg.global_pool_size, cfg.feature_dim + 1)
         assert a.x_val.shape == (cfg.validation_size, cfg.feature_dim + 1)
+
+    @pytest.mark.parametrize("feature_dim,noise_std", [(1, 0.0), (300, 0.1), (512, 0.0)])
+    def test_task_is_the_one_shot_draw(self, feature_dim, noise_std):
+        # the features of one (n, d) draw next to a ones column, as np.hstack
+        # built them; d = 300 splits the rows into uneven chunks
+        cfg = flsim.FLConfig(feature_dim=feature_dim, noise_std=noise_std,
+                             global_pool_size=1024, validation_size=1000)
+        n = cfg.global_pool_size + cfg.validation_size
+        rng = substream(6, "task")
+        w_true = rng.standard_normal(feature_dim + 1)
+        x = np.hstack([rng.standard_normal((n, feature_dim)), np.ones((n, 1))])
+        y = x @ w_true
+        if noise_std > 0:
+            y = y + noise_std * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            task = flsim.generate_task(cfg, substream(6, "task"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for got, want in ((task.w_true, w_true), (task.x_pool, x[:1024]),
+                          (task.x_val, x[1024:]), (task.y_pool, y[:1024]),
+                          (task.y_val, y[1024:])):
+            assert got.tobytes() == want.tobytes()
+        task_bytes = x.nbytes + y.nbytes + w_true.nbytes
+        if feature_dim > 1:
+            # no temporary of the task's size; the 48 KB task of d = 1 is
+            # checked for its bytes only, as fixed costs of the draw exceed it
+            assert peak <= 1.1 * task_bytes
 
 
 class TestGradient:
@@ -270,8 +300,8 @@ class TestRunFl:
         cfg = small_cfg()
         res = train(reference_params, sched, cfg)
         tag = f"{sched.h}:{sched.t:.9g}"
-        arrivals = mcsim.arrival_times(reference_params, res.rounds_total * sched.t,
-                                       substream(cfg.seed, "arrivals", tag))
+        arrivals = arrival_times(reference_params, res.rounds_total * sched.t,
+                                 substream(cfg.seed, "arrivals", tag))
         table = mcsim.attempts(reference_params, sched, arrivals, 0, res.rounds_total,
                                substream(cfg.seed, "delays", tag))
         won = np.unique(table.round[table.success])
@@ -348,8 +378,8 @@ class TestRunFl:
         sched, cfg = Schedule(16, 9.0), small_cfg()
         tag = f"{sched.h}:{sched.t:.9g}"
         rounds = int(cfg.horizon // sched.t)
-        arrivals = mcsim.arrival_times(reference_params, rounds * sched.t,
-                                       substream(cfg.seed, "arrivals", tag))
+        arrivals = arrival_times(reference_params, rounds * sched.t,
+                                 substream(cfg.seed, "arrivals", tag))
         table = mcsim.attempts(reference_params, sched, arrivals, 0, rounds,
                                substream(cfg.seed, "delays", tag))
         winners = int(table.success.sum())
@@ -370,6 +400,29 @@ class TestRunFl:
         with pytest.raises(InvalidParameterError, match="multiply-adds"):
             train(reference_params, sched, cfg)
         assert "delays" in purposes and "data" not in purposes
+
+    def test_arrival_cap_checked_before_any_plan(self, reference_params, monkeypatch):
+        # 28 rounds of 7 s, then 22 of 9 s: 0.1 * (196 + 20) = 21.6 and
+        # 0.1 * (198 + 20) = 21.8 expected arrivals
+        cfg = small_cfg()
+        scheds = [Schedule(8, 7.0), Schedule(16, 9.0)]
+        arrivals = [mcsim.expected_arrivals(reference_params, int(cfg.horizon // s.t) * s.t)
+                    for s in scheds]
+        assert arrivals == [pytest.approx(21.6), pytest.approx(21.8)]
+        monkeypatch.setattr(flsim, "MAX_ARRIVALS", arrivals[1])
+        assert len(flsim.plan_runs(reference_params, scheds, cfg)) == 2
+        purposes = []
+
+        def recording(seed, purpose, *tags):
+            purposes.append(purpose)
+            return substream(seed, purpose, *tags)
+
+        monkeypatch.setattr(flsim, "substream", recording)
+        monkeypatch.setattr(flsim, "MAX_ARRIVALS", 21.7)
+        with pytest.raises(InvalidParameterError, match="^a schedule needs 21.8 expected "
+                           "arrivals, more than 21.7"):
+            flsim.plan_runs(reference_params, scheds, cfg)
+        assert purposes == []  # not even the first run is planned
 
     def test_work_cap_stops_at_the_first_block_over_it(self, reference_params,
                                                        monkeypatch):

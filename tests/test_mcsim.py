@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracle import subinterval_success_counts
+from oracle import arrival_times, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import mcsim
 from roadfl.rng import substream
@@ -50,38 +50,68 @@ class TestComputingDelay:
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
 
+# the 2000 m section at 5 m/s of the long_section benchmark workload
+LONG_SECTION = SystemParams(length=2000, speed=5, arrival_rate=0.1, tau_down=1, tau_up=1,
+                            alpha=0.05, beta=0.05)
+
+
+def chunked_stream(params, horizon, rng, chunk):
+    """arrival_stream drawing chunk arrivals at a time; the size is fixed
+    when the stream is made."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcsim, "ATTEMPTS_PER_BLOCK", chunk)
+        return mcsim.arrival_stream(params, horizon, rng)
+
+
+def streamed(params, horizon, rng):
+    """Every arrival of arrival_stream, in one array."""
+    return np.concatenate([np.empty(0), *mcsim.arrival_stream(params, horizon, rng)])
+
+
 class TestArrivals:
     def test_no_traffic(self, reference_params):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        assert mcsim.arrival_times(p, 100.0, substream(1, "a")).size == 0
+        assert list(mcsim.arrival_stream(p, 100.0, substream(1, "a"))) == []
 
     def test_expected_count_cap(self, reference_params, monkeypatch):
         # expected count is rate * (horizon + t0) = 0.1 * (horizon + 20)
         monkeypatch.setattr(mcsim, "MAX_ARRIVALS", 100)
-        assert mcsim.arrival_times(reference_params, 980.0, substream(4, "a")).size > 0
+        assert mcsim.expected_arrivals(reference_params, 980.0) == 100.0
+        assert streamed(reference_params, 980.0, substream(4, "a")).size > 0
         rng = substream(4, "a")
         with pytest.raises(InvalidParameterError, match="expected arrivals"):
-            mcsim.arrival_times(reference_params, 990.0, rng)
+            mcsim.arrival_stream(reference_params, 990.0, rng)
         assert rng.random() == substream(4, "a").random()  # nothing drawn
 
     def test_count_confidence_interval(self, reference_params):
         horizon = 1e5
-        times = mcsim.arrival_times(reference_params, horizon, substream(5, "a"))
+        times = streamed(reference_params, horizon, substream(5, "a"))
         expected = reference_params.arrival_rate * (horizon + reference_params.dwell_time)
         assert abs(times.size - expected) <= 3 * math.sqrt(expected)
 
     def test_strictly_increasing_and_window(self, reference_params):
-        times = mcsim.arrival_times(reference_params, 500.0, substream(6, "a"))
+        chunks = list(chunked_stream(reference_params, 500.0, substream(6, "a"), 7))
+        assert len(chunks) > 5 and all(chunk.size > 0 for chunk in chunks)
+        times = np.concatenate(chunks)
         assert np.all(np.diff(times) > 0)
         assert times[0] > -reference_params.dwell_time
         assert times[-1] < 500.0
+
+    @pytest.mark.parametrize("chunk,horizon", [(1, 2e3), (7, 2e4), (8192, 1e6)])
+    def test_stream_matches_one_shot_reference(self, reference_params, chunk, horizon):
+        # many chunks, each carrying the running sum into the next
+        chunks = list(chunked_stream(reference_params, horizon, substream(12, "a"), chunk))
+        assert len(chunks) > 10
+        assert max(c.size for c in chunks) == chunk
+        reference = arrival_times(reference_params, horizon, substream(12, "a"))
+        assert np.concatenate(chunks).tobytes() == reference.tobytes()
 
     def test_dwell_duration(self, reference_params):
         # a vehicle attempts in exactly the rounds its dwell (z, z + t0)
         # overlaps, and every attempt lies inside that dwell
         sched = Schedule(8, 7.0)
-        times = mcsim.arrival_times(reference_params, 210.0, substream(7, "a"))
+        times = streamed(reference_params, 210.0, substream(7, "a"))
         table = mcsim.attempts(reference_params, sched, times, 0, 30,
                                substream(7, "d"))
         t0 = reference_params.dwell_time
@@ -94,33 +124,19 @@ class TestArrivals:
                               if k * sched.t < zm + t0 and (k + 1) * sched.t > zm]
 
     def test_deterministic(self, reference_params):
-        a = mcsim.arrival_times(reference_params, 300.0, substream(8, "a"))
-        b = mcsim.arrival_times(reference_params, 300.0, substream(8, "a"))
+        a = streamed(reference_params, 300.0, substream(8, "a"))
+        b = streamed(reference_params, 300.0, substream(8, "a"))
         assert np.array_equal(a, b)
 
     def test_bad_horizon(self, reference_params):
         with pytest.raises(InvalidParameterError):
-            mcsim.arrival_times(reference_params, 0.0, substream(9, "a"))
-
-    def test_peak_memory_is_one_buffer(self, reference_params):
-        # about 10**6 arrivals: one chunk of 1.1 times the expected count,
-        # computed in place, and no temporaries of the same size
-        rng = substream(10, "a")
-        tracemalloc.start()
-        try:
-            times = mcsim.arrival_times(reference_params, 1e7, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert times.size > 990_000
-        assert peak <= 1.5 * times.nbytes
+            mcsim.arrival_stream(reference_params, 0.0, substream(9, "a"))
 
 
 def recorded_table(params, sched, cfg):
     """The attempt table simulate_rounds aggregates, built in one piece."""
     k_total = cfg.warmup_rounds + cfg.num_rounds
-    arrivals = mcsim.arrival_times(params, k_total * sched.t,
-                                   substream(cfg.seed, "arrivals"))
+    arrivals = arrival_times(params, k_total * sched.t, substream(cfg.seed, "arrivals"))
     table = mcsim.attempts(params, sched, arrivals, cfg.warmup_rounds, k_total,
                            substream(cfg.seed, "delays"))
     return arrivals, table
@@ -213,34 +229,63 @@ class TestSimulateRounds:
     def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
         sched = Schedule(8, 10.0)
         cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
-        arrivals, whole_table = recorded_table(reference_params, sched, cfg)
-        monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 50)
-        small = mcsim.simulate_rounds(reference_params, sched, cfg)
-        blocks = [table for _, _, table in mcsim.attempt_blocks(
-            reference_params, sched, arrivals, cfg.warmup_rounds,
-            cfg.warmup_rounds + cfg.num_rounds, substream(cfg.seed, "delays"))]
-        assert len(blocks) > 100
-        for column, whole_column in zip(zip(*blocks), whole_table):
-            assert np.array_equal(np.concatenate(column), whole_column)
+        k_total = cfg.warmup_rounds + cfg.num_rounds
+        _, whole_table = recorded_table(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
-        assert np.array_equal(small, whole)
+        # blocks of about 50 rows, with arrival chunks of the same size, of
+        # fewer rows than a block, and of more
+        for rows, chunk in ((50, 50), (50, 7), (50, 1000)):
+            monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", rows)
+            small = mcsim.simulate_rounds(reference_params, sched, cfg)
+            stream = chunked_stream(reference_params, k_total * sched.t,
+                                    substream(cfg.seed, "arrivals"), chunk)
+            blocks = [table for _, _, table in mcsim.attempt_blocks(
+                reference_params, sched, stream, cfg.warmup_rounds, k_total,
+                substream(cfg.seed, "delays"))]
+            assert len(blocks) > 100
+            for column, whole_column in zip(zip(*blocks), whole_table):
+                assert np.array_equal(np.concatenate(column), whole_column)
+            assert np.array_equal(small, whole)
 
     def test_round_over_a_block_is_split(self, reference_params, monkeypatch):
         # about 3 rows per round, at most 2 per table
         sched = Schedule(8, 10.0)
         cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
-        arrivals, whole_table = recorded_table(reference_params, sched, cfg)
+        k_total = cfg.warmup_rounds + cfg.num_rounds
+        _, whole_table = recorded_table(reference_params, sched, cfg)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
-        blocks = list(mcsim.attempt_blocks(
-            reference_params, sched, arrivals, cfg.warmup_rounds,
-            cfg.warmup_rounds + cfg.num_rounds, substream(cfg.seed, "delays")))
-        assert all(end == begin + 1 and table.round.size <= 2 for begin, end, table in blocks)
-        assert len(blocks) > cfg.num_rounds
-        for column, whole_column in zip(zip(*(table for _, _, table in blocks)), whole_table):
-            assert np.array_equal(np.concatenate(column), whole_column)
+        # arrival chunks of a block's rows, of one arrival, and of many rounds'
+        for chunk in (2, 1, 64):
+            stream = chunked_stream(reference_params, k_total * sched.t,
+                                    substream(cfg.seed, "arrivals"), chunk)
+            blocks = list(mcsim.attempt_blocks(
+                reference_params, sched, stream, cfg.warmup_rounds, k_total,
+                substream(cfg.seed, "delays")))
+            assert all(end == begin + 1 and table.round.size <= 2
+                       for begin, end, table in blocks)
+            assert len(blocks) > cfg.num_rounds
+            for column, whole_column in zip(zip(*(table for _, _, table in blocks)),
+                                            whole_table):
+                assert np.array_equal(np.concatenate(column), whole_column)
         assert np.array_equal(mcsim.simulate_rounds(reference_params, sched, cfg), whole)
+
+    def test_peak_memory_follows_one_block(self):
+        # about 48 rows per round on the long_section schedule: a block and
+        # its window of arrivals, not the run's arrivals (4.8e6 at 10**5
+        # rounds, 37 MiB as one buffer), however many rounds there are
+        sched = Schedule(1463, 83.56)
+        for rounds in (10 ** 5, 4 * 10 ** 5):
+            tracemalloc.start()
+            try:
+                histogram = mcsim.simulate_rounds(LONG_SECTION, sched,
+                                                  mcsim.SimConfig(seed=703, num_rounds=rounds))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert histogram.sum() == rounds
+            assert peak <= 4 * 2 ** 20
 
     def test_attempt_cap_checked_before_any_delay(self, reference_params, monkeypatch):
         # expected rows are num_rounds * rate * (t + t0) = num_rounds * 0.1 * (10 + 20)
@@ -255,11 +300,6 @@ class TestSimulateRounds:
             mcsim.simulate_rounds(reference_params, sched,
                                   mcsim.SimConfig(seed=4, num_rounds=101))
         assert streams == []  # nothing drawn, no stream even made
-
-
-# the 2000 m section at 5 m/s of the long_section benchmark workload
-LONG_SECTION = SystemParams(length=2000, speed=5, arrival_rate=0.1, tau_down=1, tau_up=1,
-                            alpha=0.05, beta=0.05)
 
 
 @pytest.mark.parametrize("params,sched", [
@@ -278,7 +318,7 @@ def test_expected_attempts_is_the_mean_table_size(params, sched):
     """
     rounds = 10 ** 5
     horizon = rounds * sched.t
-    arrivals = mcsim.arrival_times(params, horizon, substream(21, "arrivals"))
+    arrivals = mcsim.arrival_stream(params, horizon, substream(21, "arrivals"))
     rows = sum(table.round.size for _, _, table in mcsim.attempt_blocks(
         params, sched, arrivals, 0, rounds, substream(21, "delays")))
     expected = mcsim.expected_attempts(params, sched.t, rounds)
