@@ -31,7 +31,8 @@ from .mcsim import (
     expected_arrivals,
     expected_attempts,
 )
-# perfbench/tracer.py counts delay draws by patching this name
+# unused here: delays are drawn in mcsim.attempts, but perfbench/tracer.py
+# patches this attribute when it installs, so the import stays
 from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
 from .types import (
@@ -59,13 +60,13 @@ TASK_CHUNK_VALUES = 2**15
 # arrays and a sweep's float64 (h, t) mesh are held at once (the rows are not)
 MAX_ROWS = 2**20
 # run_fl trains a round's winners in stacks; a stack holds W winners'
-# gathered batches, W x batch_size x (feature_dim + 1) values, batch
-# indices drawn ahead, up to W x h x batch_size, and data, W x
-# (samples_per_vehicle + feature_dim), but it has at least one winner
+# gathered batches, W x batch_size x (feature_dim + 1) values, and data,
+# W x (samples_per_vehicle + feature_dim), but it has at least one winner
 MAX_STACK_VALUES = 2**18
-# each win draws the winner's data, charged as DATA_DRAW_WORK multiply-adds
-# plus DATA_VALUE_WORK per value, then trains h steps of batch_size x
-# (feature_dim + 1) multiply-adds and a batch draw, charged BATCH_DRAW_WORK;
+# each win opens its data and sgd streams and draws the winner's data, charged
+# as DATA_DRAW_WORK multiply-adds plus DATA_VALUE_WORK per value, then trains
+# h steps of batch_size x (feature_dim + 1) multiply-adds and a batch draw,
+# charged BATCH_DRAW_WORK;
 # a loss evaluation, half a multiply-add per value plus EVAL_ROW_WORK per row.
 # MAX_SGD_WORK caps all of an fl command's runs (README's caps list has timings)
 BATCH_DRAW_WORK = 2**13
@@ -174,7 +175,7 @@ def mse_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def local_sgd(w: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
               shift: np.ndarray | None, h_steps: int, cfg: FLConfig,
-              rng: np.random.Generator) -> np.ndarray:
+              rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Run h_steps mini-batch SGD steps from the weights w (bias folded in
     as the last component) for each of a stack of W vehicles, and return
     their new weights as a (W, d + 1) array.
@@ -182,31 +183,21 @@ def local_sgd(w: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
     Vehicle i's local dataset is x[rows[i]], y[rows[i]] (rows is (W, n)),
     with shift[i] (shift is (W, d) or None) added to every feature but
     the trailing ones column. Each step samples a fresh batch per vehicle
-    uniformly without replacement and gathers only its rows. Batches are
-    drawn from rng vehicle by vehicle and then step by step, so a stack
-    trains bitwise as its vehicles would one at a time. All but the last
-    vehicle's batches are drawn ahead; the last vehicle's are drawn as the
-    steps run, so a stack of one holds no batch indices for later steps.
-    h_steps = 0 returns copies of w. Non-finite weights raise
-    DivergenceError.
+    uniformly without replacement from rngs[i] and gathers only its rows,
+    so a vehicle's weights depend on its own stream alone. h_steps = 0
+    returns copies of w. Non-finite weights raise DivergenceError.
     """
     n_stack, n_rows = rows.shape
     b = cfg.batch_size
-
-    def draw(own_rows: np.ndarray) -> np.ndarray:
-        return own_rows[rng.choice(n_rows, size=b, replace=False)]
-
-    ahead = np.array([[draw(r) for _ in range(h_steps)] for r in rows[:-1]],
-                     dtype=rows.dtype).reshape(n_stack - 1, h_steps, b)
     idx = np.empty((n_stack, b), dtype=rows.dtype)
     xb = np.empty((n_stack, b, x.shape[1]), dtype=x.dtype)
     if shift is not None:
         # 1.0 + 0.0 is exact, so the ones column is left as it is
         shift = np.pad(shift, [(0, 0), (0, 1)])[:, None, :]
     ws = np.repeat(w[None], n_stack, axis=0)
-    for s in range(h_steps):
-        idx[:-1] = ahead[:, s]
-        idx[-1] = draw(rows[-1])
+    for _ in range(h_steps):
+        for i, rng in enumerate(rngs):
+            idx[i] = rows[i, rng.choice(n_rows, size=b, replace=False)]
         # mode="clip" lets take write into out without a temporary
         np.take(x, idx, axis=0, out=xb, mode="clip")
         if shift is not None:
@@ -350,17 +341,17 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
     reproducible. Local training always restarts from the current global
     model, and only the vehicles whose uploads would arrive in time are
     trained, since no other model ever reaches the aggregator. A winner
-    redraws its data from its own stream, the same in every round it wins.
+    redraws its data from its own stream, the same in every round it wins,
+    and draws its batches from a stream of its own and the round's.
     A round's winners train together in stacks of at most MAX_STACK_VALUES
     values.
     """
     sched, rounds_total, winners = plan.schedule, plan.rounds_total, plan.winner
     task = _shared_task(cfg)
-    sgd_rng = _run_stream(cfg, "sgd", sched)
 
     bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))
     stack = max(1, MAX_STACK_VALUES
-                // (cfg.batch_size * (cfg.feature_dim + 1 + sched.h)
+                // (cfg.batch_size * (cfg.feature_dim + 1)
                     + cfg.samples_per_vehicle + cfg.feature_dim))
     w = np.zeros(cfg.feature_dim + 1)
     rounds_valid = 0
@@ -378,14 +369,15 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
                 continue
             models = []
             for i in range(0, round_winners.size, stack):
-                data = [_run_stream(cfg, "data", sched, m)
-                        for m in round_winners[i:i + stack].tolist()]
+                stacked = round_winners[i:i + stack].tolist()
+                data = [_run_stream(cfg, "data", sched, m) for m in stacked]
+                sgd = [_run_stream(cfg, "sgd", sched, k, m) for m in stacked]
                 rows = np.array([rng.choice(cfg.global_pool_size, cfg.samples_per_vehicle,
                                             replace=False) for rng in data])
                 shift = None if cfg.vehicle_shift_std == 0 else cfg.vehicle_shift_std \
                     * np.array([rng.standard_normal(cfg.feature_dim) for rng in data])
                 models.extend(local_sgd(w, task.x_pool, task.y_pool, rows, shift,
-                                        sched.h, cfg, sgd_rng))
+                                        sched.h, cfg, sgd))
             w = aggregate([(wm, cfg.samples_per_vehicle) for wm in models])
             rounds_valid += 1
             losses.append(mse_loss(w, task.x_val, task.y_val))

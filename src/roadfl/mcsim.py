@@ -292,9 +292,10 @@ def _poisson_pmf(k: np.ndarray, lam: float) -> np.ndarray:
 
 def poisson_rows(lambda_analytic: float) -> float:
     """Rows of the Poisson pmf compare_to_poisson computes for a positive
-    lambda before it trims the tail: k = 0 up to lam + 10 sqrt(lam) + 40,
-    which lies beyond the 1 - 1e-12 quantile for every lam (Bernstein
-    bound). It bounds the fit's support; inf for a lambda not finite."""
+    lambda: k = 0 up to lam + 10 sqrt(lam) + 40, which lies beyond the
+    1 - 1e-12 quantile for every lam (Bernstein bound), so no pmf value
+    of at least 1e-9 lies past it. It bounds the fit's support; inf for a
+    lambda not finite."""
     reach = lambda_analytic + 10 * math.sqrt(max(lambda_analytic, 0.0))
     return math.floor(reach) + 41 if math.isfinite(reach) else math.inf
 
@@ -313,11 +314,8 @@ def compare_to_poisson(histogram: np.ndarray, lambda_analytic: float) -> Poisson
         raise InvalidParameterError("histogram holds no rounds")
     n_emp = histogram.size - 1
     if lambda_analytic > 0:
-        # the cumulative sum reaches the tail within poisson_rows
         pmf = _poisson_pmf(np.arange(max(n_emp + 1, poisson_rows(lambda_analytic))),
                            lambda_analytic)
-        tail = int(np.searchsorted(np.cumsum(pmf), 1.0 - 1e-12)) + 2
-        pmf = pmf[:max(n_emp, tail) + 1]
     else:
         pmf = (np.arange(n_emp + 1) == 0).astype(float)
     support = np.arange(pmf.size)

@@ -105,8 +105,8 @@ def local_sgd_one_vehicle(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                           rng: np.random.Generator) -> np.ndarray:
     """flsim.local_sgd for a single vehicle, one step and one matrix-vector
     gradient at a time: rows is (n,), shift (d,) or None, and the result
-    (d + 1,). Calling it for each vehicle of a stack in turn draws the
-    batches in the order the stacked version must reproduce."""
+    (d + 1,). Given vehicle i's stream, it draws the batches the stacked
+    version must draw for vehicle i."""
     w = w.copy()
     for _ in range(h_steps):
         batch = rows[rng.choice(rows.size, size=cfg.batch_size, replace=False)]

@@ -125,7 +125,7 @@ class TestLocalSgd:
         rows = np.arange(cfg.samples_per_vehicle)
         w0 = substream(13, "w").standard_normal(cfg.feature_dim + 1)
         out, = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows[None], None, 1, cfg,
-                               substream(13, "sgd"))
+                               [substream(13, "sgd")])
         batch = rows[substream(13, "sgd").choice(rows.size, size=cfg.batch_size,
                                                  replace=False)]
         step = cfg.eta * flsim.mse_gradient(w0, task.x_pool[batch], task.y_pool[batch])
@@ -137,7 +137,7 @@ class TestLocalSgd:
         w0 = np.full(cfg.feature_dim + 1, 0.5)
         out = flsim.local_sgd(w0, task.x_pool, task.y_pool,
                               np.arange(cfg.global_pool_size)[None], None, 0, cfg,
-                              substream(8, "sgd"))
+                              [substream(8, "sgd")])
         assert np.array_equal(out, w0[None])
 
     def test_full_batch_descent_is_monotone(self):
@@ -155,7 +155,7 @@ class TestLocalSgd:
         losses = [flsim.mse_loss(w, x, y)]
         rng_sgd = substream(9, "sgd")
         for _ in range(25):
-            w, = flsim.local_sgd(w, x, y, np.arange(64)[None], None, 1, cfg, rng_sgd)
+            w, = flsim.local_sgd(w, x, y, np.arange(64)[None], None, 1, cfg, [rng_sgd])
             losses.append(flsim.mse_loss(w, x, y))
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-3 * losses[0]
@@ -173,10 +173,10 @@ class TestLocalSgd:
         x_copy[:, :-1] += shift
         w0 = np.zeros(cfg.feature_dim + 1)
         gathered = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows[None],
-                                   shift[None], 12, cfg, substream(12, "sgd"))
+                                   shift[None], 12, cfg, [substream(12, "sgd")])
         copied = flsim.local_sgd(w0, x_copy, task.y_pool[rows],
                                  np.arange(rows.size)[None], None, 12, cfg,
-                                 substream(12, "sgd"))
+                                 [substream(12, "sgd")])
         assert np.array_equal(gathered, copied)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -190,7 +190,7 @@ class TestLocalSgd:
         w = np.zeros(5)
         with pytest.raises(flsim.DivergenceError):
             for _ in range(400):
-                w, = flsim.local_sgd(w, x, y, np.arange(64)[None], None, 10, cfg, rng)
+                w, = flsim.local_sgd(w, x, y, np.arange(64)[None], None, 10, cfg, [rng])
 
     @settings(max_examples=40, deadline=None)
     @given(n_stack=st.integers(1, 20), h_steps=st.integers(0, 12),
@@ -198,8 +198,9 @@ class TestLocalSgd:
            seed=st.integers(0, 2**32 - 1))
     def test_stack_equals_one_vehicle_at_a_time(self, n_stack, h_steps, feature_dim,
                                                 shifted, seed):
-        # same batches in the same draw order and the same arithmetic, so
-        # the stacked weights are bitwise those of the per-vehicle loop
+        # each vehicle draws the same batches from its own stream and does
+        # the same arithmetic, so the stacked weights are bitwise those of
+        # the per-vehicle loop, whatever the vehicles' order in the stack
         cfg = small_cfg(feature_dim=feature_dim)
         task = flsim.generate_task(cfg, substream(seed, "task"))
         data = substream(seed, "data")
@@ -207,14 +208,21 @@ class TestLocalSgd:
                                      replace=False) for _ in range(n_stack)])
         shift = 0.3 * data.standard_normal((n_stack, feature_dim)) if shifted else None
         w0 = data.standard_normal(feature_dim + 1)
+
+        def streams():
+            return [substream(seed, "sgd", i) for i in range(n_stack)]
+
         stacked = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, shift, h_steps,
-                                  cfg, substream(seed, "sgd"))
-        rng = substream(seed, "sgd")
+                                  cfg, streams())
         one_at_a_time = [local_sgd_one_vehicle(w0, task.x_pool, task.y_pool, rows[i],
                                                None if shift is None else shift[i],
                                                h_steps, cfg, rng)
-                         for i in range(n_stack)]
+                         for i, rng in enumerate(streams())]
         assert np.array_equal(stacked, np.array(one_at_a_time))
+        reversed_stack = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows[::-1],
+                                         None if shift is None else shift[::-1],
+                                         h_steps, cfg, streams()[::-1])
+        assert np.array_equal(reversed_stack, stacked[::-1])
 
 
 class TestAggregate:
