@@ -131,7 +131,11 @@ def parse_config(path: str | Path | None,
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(str(path))
+        try:
+            read = parser.read(str(path), encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            # configparser's messages span lines; the error is printed as one
+            raise ConfigError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
@@ -167,16 +171,20 @@ def parse_config(path: str | Path | None,
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write lines atomically: temp file in the target dir, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    """Write lines atomically: temp file in the target dir, then rename.
+    An OSError, such as an output dir below a file, is a ConfigError."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -59,10 +59,6 @@ TASK_CHUNK_VALUES = 2**15
 # caps the rows of fl_runs.csv and surface.csv, since an fl command's loss
 # arrays and a sweep's float64 (h, t) mesh are held at once (the rows are not)
 MAX_ROWS = 2**20
-# run_fl trains a round's winners in stacks; a stack holds W winners'
-# gathered batches, W x batch_size x (feature_dim + 1) values, and data,
-# W x (samples_per_vehicle + feature_dim), but it has at least one winner
-MAX_STACK_VALUES = 2**18
 # each win opens its data and sgd streams and draws the winner's data, charged
 # as DATA_DRAW_WORK multiply-adds plus DATA_VALUE_WORK per value, then trains
 # h steps of batch_size x (feature_dim + 1) multiply-adds and a batch draw,
@@ -167,46 +163,39 @@ def mse_loss(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def mse_gradient(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of mse_loss in weights. Leading axes of weights (..., d),
-    x (..., n, d) and y (..., n) stack independent problems."""
-    r = (x @ weights[..., None])[..., 0] - y
-    return (r[..., None, :] @ x)[..., 0, :] / y.shape[-1]
+    """Gradient of mse_loss in weights."""
+    return (x @ weights - y) @ x / y.size
 
 
 def local_sgd(w: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
               shift: np.ndarray | None, h_steps: int, cfg: FLConfig,
-              rngs: Sequence[np.random.Generator]) -> np.ndarray:
+              rng: np.random.Generator) -> np.ndarray:
     """Run h_steps mini-batch SGD steps from the weights w (bias folded in
-    as the last component) for each of a stack of W vehicles, and return
-    their new weights as a (W, d + 1) array.
+    as the last component) for one vehicle, and return its new weights.
 
-    Vehicle i's local dataset is x[rows[i]], y[rows[i]] (rows is (W, n)),
-    with shift[i] (shift is (W, d) or None) added to every feature but
-    the trailing ones column. Each step samples a fresh batch per vehicle
-    uniformly without replacement from rngs[i] and gathers only its rows,
-    so a vehicle's weights depend on its own stream alone. h_steps = 0
-    returns copies of w. Non-finite weights raise DivergenceError.
+    The vehicle's local dataset is x[rows], y[rows], with shift (d,) or
+    None added to every feature but the trailing ones column. Each step
+    samples a fresh batch uniformly without replacement from rng and
+    gathers only its rows. h_steps = 0 returns a copy of w. Non-finite
+    weights raise DivergenceError.
     """
-    n_stack, n_rows = rows.shape
     b = cfg.batch_size
-    idx = np.empty((n_stack, b), dtype=rows.dtype)
-    xb = np.empty((n_stack, b, x.shape[1]), dtype=x.dtype)
+    xb = np.empty((b, x.shape[1]), dtype=x.dtype)
     if shift is not None:
         # 1.0 + 0.0 is exact, so the ones column is left as it is
-        shift = np.pad(shift, [(0, 0), (0, 1)])[:, None, :]
-    ws = np.repeat(w[None], n_stack, axis=0)
+        shift = np.append(shift, 0.0)
+    w = w.copy()
     for _ in range(h_steps):
-        for i, rng in enumerate(rngs):
-            idx[i] = rows[i, rng.choice(n_rows, size=b, replace=False)]
+        idx = rows[rng.choice(rows.size, size=b, replace=False)]
         # mode="clip" lets take write into out without a temporary
         np.take(x, idx, axis=0, out=xb, mode="clip")
         if shift is not None:
             xb += shift
-        ws -= cfg.eta * mse_gradient(ws, xb, y[idx])
-    if not np.all(np.isfinite(ws)):
+        w -= cfg.eta * mse_gradient(w, xb, y[idx])
+    if not np.all(np.isfinite(w)):
         raise DivergenceError(
             f"local training diverged after {h_steps} steps (eta={cfg.eta})")
-    return ws
+    return w
 
 
 def aggregate(models: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
@@ -343,16 +332,11 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
     trained, since no other model ever reaches the aggregator. A winner
     redraws its data from its own stream, the same in every round it wins,
     and draws its batches from a stream of its own and the round's.
-    A round's winners train together in stacks of at most MAX_STACK_VALUES
-    values.
     """
     sched, rounds_total, winners = plan.schedule, plan.rounds_total, plan.winner
     task = _shared_task(cfg)
 
     bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))
-    stack = max(1, MAX_STACK_VALUES
-                // (cfg.batch_size * (cfg.feature_dim + 1)
-                    + cfg.samples_per_vehicle + cfg.feature_dim))
     w = np.zeros(cfg.feature_dim + 1)
     rounds_valid = 0
 
@@ -368,16 +352,14 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
                 losses.append(losses[-1])
                 continue
             models = []
-            for i in range(0, round_winners.size, stack):
-                stacked = round_winners[i:i + stack].tolist()
-                data = [_run_stream(cfg, "data", sched, m) for m in stacked]
-                sgd = [_run_stream(cfg, "sgd", sched, k, m) for m in stacked]
-                rows = np.array([rng.choice(cfg.global_pool_size, cfg.samples_per_vehicle,
-                                            replace=False) for rng in data])
-                shift = None if cfg.vehicle_shift_std == 0 else cfg.vehicle_shift_std \
-                    * np.array([rng.standard_normal(cfg.feature_dim) for rng in data])
-                models.extend(local_sgd(w, task.x_pool, task.y_pool, rows, shift,
-                                        sched.h, cfg, sgd))
+            for m in round_winners.tolist():
+                data = _run_stream(cfg, "data", sched, m)
+                rows = data.choice(cfg.global_pool_size, cfg.samples_per_vehicle,
+                                   replace=False)
+                shift = None if cfg.vehicle_shift_std == 0 else \
+                    cfg.vehicle_shift_std * data.standard_normal(cfg.feature_dim)
+                models.append(local_sgd(w, task.x_pool, task.y_pool, rows, shift, sched.h,
+                                        cfg, _run_stream(cfg, "sgd", sched, k, m)))
             w = aggregate([(wm, cfg.samples_per_vehicle) for wm in models])
             rounds_valid += 1
             losses.append(mse_loss(w, task.x_val, task.y_val))
@@ -410,9 +392,9 @@ def proxy_correlation(results: Sequence[FLRunResult],
                       params: SystemParams) -> CorrelationReport:
     """Spearman rank correlation between g(h, t) and -l_min across runs.
 
-    Needs at least 8 distinct schedules. When either side is constant
-    the correlation is undefined and the report says so instead of
-    inventing a number.
+    Needs at least 8 runs. When either side is constant, as with 8
+    copies of one run, the correlation is undefined and the report says
+    so instead of inventing a number.
     """
     if len(results) < 8:
         raise InvalidParameterError(

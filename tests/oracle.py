@@ -1,7 +1,7 @@
 """Independent references for the tests: a brute-force grid search for
 the optimizer, one-shot arrival times for the arrival stream,
 pinned-arrival success counts for the sub-interval law,
-one-vehicle-at-a-time local training for the stacked SGD, a
+step-by-step local training for the SGD of one vehicle, a
 value-by-value CSV formatter for the row templates and the work an fl
 run is charged. No CLI path uses them."""
 
@@ -103,10 +103,10 @@ def local_sgd_one_vehicle(w: np.ndarray, x: np.ndarray, y: np.ndarray,
                           rows: np.ndarray, shift: np.ndarray | None,
                           h_steps: int, cfg: FLConfig,
                           rng: np.random.Generator) -> np.ndarray:
-    """flsim.local_sgd for a single vehicle, one step and one matrix-vector
-    gradient at a time: rows is (n,), shift (d,) or None, and the result
-    (d + 1,). Given vehicle i's stream, it draws the batches the stacked
-    version must draw for vehicle i."""
+    """flsim.local_sgd written out, one step and one matrix-vector gradient
+    at a time, shifting a gathered copy of the batch: rows is (n,), shift
+    (d,) or None, and the result (d + 1,). Given the vehicle's stream, it
+    draws the batches flsim.local_sgd must draw."""
     w = w.copy()
     for _ in range(h_steps):
         batch = rows[rng.choice(rows.size, size=cfg.batch_size, replace=False)]

@@ -101,6 +101,23 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError, match="not found"):
             cli.parse_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("text", [
+        b"[system]\nlength_m = 1\n[system]\nspeed_mps = 2\n",
+        b"[system]\nlength_m = 1\nlength_m = 2\n",
+        b"length_m = 1\n[system]\n",
+        b"[system]\n  stray continuation\nlength_m = 1\n",
+        b"[system]\nlength_m = 1\xff\n",
+    ], ids=["duplicate_section", "duplicate_key", "no_section_header",
+            "stray_continuation", "not_utf8"])
+    def test_malformed_file_is_one_line_error(self, tmp_path, capsys, text):
+        bad, out = tmp_path / "bad.cfg", tmp_path / "out"
+        bad.write_bytes(text)
+        assert cli.main(["optimize", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {bad}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_reference_summary(self, tmp_path):
@@ -126,6 +143,23 @@ class TestOptimizeCommand:
         rc = cli.main(["optimize", "--config", str(tmp_path / "missing.cfg"),
                        "--out", str(tmp_path)])
         assert rc == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["optimize"],
+    ["fl", "--fl.horizon_s=60", "--fl.feature_dim=8", "--fl.global_pool_size=256",
+     "--fl.validation_size=64", "--fl.samples_per_vehicle=128", "--schedules", "24:11.8"],
+], ids=["optimize", "fl"])
+def test_unwritable_output_is_one_line_error(tmp_path, capsys, args):
+    # the output dir would sit below a file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main([*args, "--config", str(BASELINE), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 class TestValidateCommand:

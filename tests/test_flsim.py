@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,8 +123,8 @@ class TestLocalSgd:
         task = flsim.generate_task(cfg, substream(13, "task"))
         rows = np.arange(cfg.samples_per_vehicle)
         w0 = substream(13, "w").standard_normal(cfg.feature_dim + 1)
-        out, = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows[None], None, 1, cfg,
-                               [substream(13, "sgd")])
+        out = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, None, 1, cfg,
+                              substream(13, "sgd"))
         batch = rows[substream(13, "sgd").choice(rows.size, size=cfg.batch_size,
                                                  replace=False)]
         step = cfg.eta * flsim.mse_gradient(w0, task.x_pool[batch], task.y_pool[batch])
@@ -136,9 +135,9 @@ class TestLocalSgd:
         task = flsim.generate_task(cfg, substream(8, "task"))
         w0 = np.full(cfg.feature_dim + 1, 0.5)
         out = flsim.local_sgd(w0, task.x_pool, task.y_pool,
-                              np.arange(cfg.global_pool_size)[None], None, 0, cfg,
-                              [substream(8, "sgd")])
-        assert np.array_equal(out, w0[None])
+                              np.arange(cfg.global_pool_size), None, 0, cfg,
+                              substream(8, "sgd"))
+        assert np.array_equal(out, w0) and out is not w0
 
     def test_full_batch_descent_is_monotone(self):
         # batch == dataset turns SGD into gradient descent; below 2/L the
@@ -155,7 +154,7 @@ class TestLocalSgd:
         losses = [flsim.mse_loss(w, x, y)]
         rng_sgd = substream(9, "sgd")
         for _ in range(25):
-            w, = flsim.local_sgd(w, x, y, np.arange(64)[None], None, 1, cfg, [rng_sgd])
+            w = flsim.local_sgd(w, x, y, np.arange(64), None, 1, cfg, rng_sgd)
             losses.append(flsim.mse_loss(w, x, y))
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-3 * losses[0]
@@ -172,11 +171,10 @@ class TestLocalSgd:
         x_copy = task.x_pool[rows]
         x_copy[:, :-1] += shift
         w0 = np.zeros(cfg.feature_dim + 1)
-        gathered = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows[None],
-                                   shift[None], 12, cfg, [substream(12, "sgd")])
-        copied = flsim.local_sgd(w0, x_copy, task.y_pool[rows],
-                                 np.arange(rows.size)[None], None, 12, cfg,
-                                 [substream(12, "sgd")])
+        gathered = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, shift, 12, cfg,
+                                   substream(12, "sgd"))
+        copied = flsim.local_sgd(w0, x_copy, task.y_pool[rows], np.arange(rows.size),
+                                 None, 12, cfg, substream(12, "sgd"))
         assert np.array_equal(gathered, copied)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -190,39 +188,26 @@ class TestLocalSgd:
         w = np.zeros(5)
         with pytest.raises(flsim.DivergenceError):
             for _ in range(400):
-                w, = flsim.local_sgd(w, x, y, np.arange(64)[None], None, 10, cfg, [rng])
+                w = flsim.local_sgd(w, x, y, np.arange(64), None, 10, cfg, rng)
 
     @settings(max_examples=40, deadline=None)
-    @given(n_stack=st.integers(1, 20), h_steps=st.integers(0, 12),
-           feature_dim=st.sampled_from([1, 8, 512]), shifted=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_stack_equals_one_vehicle_at_a_time(self, n_stack, h_steps, feature_dim,
-                                                shifted, seed):
-        # each vehicle draws the same batches from its own stream and does
-        # the same arithmetic, so the stacked weights are bitwise those of
-        # the per-vehicle loop, whatever the vehicles' order in the stack
+    @given(h_steps=st.integers(0, 12), feature_dim=st.sampled_from([1, 8, 512]),
+           shifted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_oracle(self, h_steps, feature_dim, shifted, seed):
+        # the same batches from the same stream and the same arithmetic,
+        # so the weights are bitwise the oracle's
         cfg = small_cfg(feature_dim=feature_dim)
         task = flsim.generate_task(cfg, substream(seed, "task"))
         data = substream(seed, "data")
-        rows = np.stack([data.choice(cfg.global_pool_size, size=cfg.samples_per_vehicle,
-                                     replace=False) for _ in range(n_stack)])
-        shift = 0.3 * data.standard_normal((n_stack, feature_dim)) if shifted else None
+        rows = data.choice(cfg.global_pool_size, size=cfg.samples_per_vehicle,
+                           replace=False)
+        shift = 0.3 * data.standard_normal(feature_dim) if shifted else None
         w0 = data.standard_normal(feature_dim + 1)
-
-        def streams():
-            return [substream(seed, "sgd", i) for i in range(n_stack)]
-
-        stacked = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, shift, h_steps,
-                                  cfg, streams())
-        one_at_a_time = [local_sgd_one_vehicle(w0, task.x_pool, task.y_pool, rows[i],
-                                               None if shift is None else shift[i],
-                                               h_steps, cfg, rng)
-                         for i, rng in enumerate(streams())]
-        assert np.array_equal(stacked, np.array(one_at_a_time))
-        reversed_stack = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows[::-1],
-                                         None if shift is None else shift[::-1],
-                                         h_steps, cfg, streams()[::-1])
-        assert np.array_equal(reversed_stack, stacked[::-1])
+        out = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, shift, h_steps, cfg,
+                              substream(seed, "sgd"))
+        assert np.array_equal(out, local_sgd_one_vehicle(
+            w0, task.x_pool, task.y_pool, rows, shift, h_steps, cfg,
+            substream(seed, "sgd")))
 
 
 class TestAggregate:
@@ -359,29 +344,6 @@ class TestRunFl:
         assert np.array_equal(small.losses, whole.losses)
         assert small.rounds_valid == whole.rounds_valid > 0
 
-    def test_stack_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
-        stacks = []
-        real = flsim.local_sgd
-
-        def recording(w, x, y, rows, *args):
-            stacks.append(rows.shape[0])
-            return real(w, x, y, rows, *args)
-
-        monkeypatch.setattr(flsim, "local_sgd", recording)
-        # five arrivals per dwell time, so rounds often have several winners
-        params = replace(reference_params, arrival_rate=0.25)
-        sched = Schedule(8, 6.0)
-        cfg = small_cfg(horizon=400.0, vehicle_shift_std=0.5, noise_std=0.1)
-        monkeypatch.setattr(flsim, "MAX_STACK_VALUES", 1)
-        single = train(params, sched, cfg)
-        assert set(stacks) == {1}
-        stacks.clear()
-        monkeypatch.setattr(flsim, "MAX_STACK_VALUES", 10 ** 12)
-        whole = train(params, sched, cfg)
-        assert max(stacks) > 1
-        assert np.array_equal(single.losses, whole.losses)
-        assert single.rounds_valid == whole.rounds_valid > 0
-
     def test_sgd_work_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
         sched, cfg = Schedule(16, 9.0), small_cfg()
         tag = f"{sched.h}:{sched.t:.9g}"
@@ -484,7 +446,7 @@ class TestRunFl:
             return substream(seed, purpose, *rest)
 
         def training(w, x, y, rows, shift, *args):
-            trained.extend(zip(rows.tolist(), shift.tolist()))
+            trained.append((rows.tolist(), shift.tolist()))
             return real(w, x, y, rows, shift, *args)
 
         real = flsim.local_sgd
