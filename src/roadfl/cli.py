@@ -17,8 +17,7 @@ command-line overrides, e.g. --system.speed_mps=25. All CSV output is
 deterministic for a fixed config and seed: floats are printed with 9
 significant digits and files are written atomically.
 
-Exit codes: 0 success, 1 config error, 2 infeasible environment,
-3 numerical failure.
+Exit codes: 0 success, 1 config or usage error, 2 infeasible environment.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Iterable, Iterator, NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .types import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
-EXIT_NUMERIC = 3
 
 # array columns become Python scalars this many rows at a time as their
 # CSV rows are written
@@ -132,12 +130,12 @@ def parse_config(path: str | Path | None,
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(str(path), encoding="utf-8")
-        except (configparser.Error, UnicodeDecodeError) as exc:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, configparser.Error, UnicodeDecodeError) as exc:
             # configparser's messages span lines; the error is printed as one
-            raise ConfigError(f"cannot read {path}: {' '.join(str(exc).split())}") from exc
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
+            reason = getattr(exc, "strerror", None) or str(exc)
+            raise ConfigError(f"cannot read {path}: {' '.join(reason.split())}") from exc
         for section in parser.sections():
             if section not in _KEYS:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -436,8 +434,13 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roadfl",
         description="Schedule optimization and validation for roadside "
                     "federated learning")
@@ -461,24 +464,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-
-    overrides = []
-    for token in extra:
-        if token.startswith("--") and "=" in token and "." in token.split("=", 1)[0]:
-            overrides.append(token[2:])
-        else:
-            parser.error(f"unrecognized argument: {token}")
-
     try:
-        cfg = parse_config(args.config, overrides)
+        args, extra = build_parser().parse_known_args(argv)
+        overrides = []
+        for token in extra:
+            if token.startswith("--") and "=" in token and "." in token.split("=", 1)[0]:
+                overrides.append(token[2:])
+            else:
+                raise ConfigError(f"unrecognized argument: {token}")
+        # --out and --seed come last, so they win over the dotted overrides
         if args.out is not None:
-            cfg = replace(cfg, output_dir=Path(args.out))
+            overrides.append(f"output.dir={args.out}")
         if args.seed is not None:
-            cfg = replace(cfg,
-                          sim=replace(cfg.sim, seed=args.seed),
-                          fl=replace(cfg.fl, seed=args.seed))
+            overrides += [f"sim.seed={args.seed}", f"fl.seed={args.seed}"]
+        cfg = parse_config(args.config, overrides)
 
         if args.command == "optimize":
             return cmd_optimize(cfg)
@@ -493,9 +492,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InfeasibleEnvironmentError, InfeasibleScheduleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except DivergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

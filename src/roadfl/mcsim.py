@@ -39,8 +39,9 @@ __all__ = [
 # expected rows per attempt-table block in attempt_blocks, and the
 # arrivals per chunk of arrival_stream: a block holds its rounds'
 # participants and at most one unread chunk, so memory follows one block,
-# or one round's participants when a round has more rows. Any value gives
-# the same bytes, since delays and arrival gaps are drawn sequentially
+# or two copies of one round's participants, as its chunks are joined,
+# when a round has more rows. Any value gives the same bytes, since
+# delays and arrival gaps are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 13
 
 # caps warm-up plus recorded rounds; it bounds time, not memory, since
@@ -215,41 +216,38 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.
     that block), drawing delays as one table over all the rounds would; a
     round of more rows comes as several tables of at most
     ATTEMPTS_PER_BLOCK rows, with its bounds. A table's vehicle is the
-    arrival's index in the whole stream. Only the chunks that hold the
-    block's participants are kept, so the last one read is the only one
-    that reaches past the block.
+    arrival's index in the whole stream. One window array holds the
+    block's participants and the rest of the last chunk read: a chunk
+    that ends before the block is dropped, the others are appended in one
+    concatenation per block, so a round bigger than a block is copied once.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
     chunks = iter(arrivals)
-    window, offset, newest = [], 0, -math.inf  # offset: stream index of window[0][0]
+    window, offset, newest = np.empty(0), 0, -math.inf  # offset: stream index of window[0]
     for begin in range(k_begin, k_end, block):
         end = min(begin + block, k_end)
         # the block's participants, arrivals in (begin*t - t0, end*t): read
-        # chunks until one passes end*t, dropping each that ends before
+        # chunks until one reaches end*t; one that ends by begin*t - t0 is
+        # dropped, with the window, since all before it end earlier
         low, high = begin * t - t0, end * t
-        while True:
-            while window and window[0][-1] <= low:
-                offset += window.pop(0).size
-            if newest >= high or (chunk := next(chunks, None)) is None:
-                break
-            window.append(chunk)
+        read = []
+        while newest < high and (chunk := next(chunks, None)) is not None:
             newest = chunk[-1]
-        parts = []
-        if window:
-            first = int(np.searchsorted(window[0], low, side="right"))
-            window[0], offset = window[0][first:], offset + first
-            parts = window[:-1] + [window[-1][:np.searchsorted(window[-1], high)]]
-        if end - begin > 1:
-            parts = [np.concatenate([np.empty(0), *parts])]
-        else:
-            parts = [part[i:i + ATTEMPTS_PER_BLOCK] for part in parts
-                     for i in range(0, part.size, ATTEMPTS_PER_BLOCK)] or [np.empty(0)]
-        index = offset
-        for part in parts:
-            table = attempts(params, sched, part, begin, end, delay_rng)
-            table.vehicle[:] += index  # a table numbers vehicles from its part
-            index += part.size
+            if newest <= low:
+                offset += window.size + chunk.size
+                window = np.empty(0)
+            else:
+                read.append(chunk)
+        if read:
+            window = np.concatenate([window, *read])
+        first = int(np.searchsorted(window, low, side="right"))
+        window, offset = window[first:], offset + first
+        part = window[:np.searchsorted(window, high)]
+        step = ATTEMPTS_PER_BLOCK if end - begin == 1 else max(part.size, 1)
+        for i in range(0, max(part.size, 1), step):
+            table = attempts(params, sched, part[i:i + step], begin, end, delay_rng)
+            table.vehicle[:] += offset + i  # a table numbers vehicles from its part
             yield begin, end, table
 
 
