@@ -294,7 +294,7 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
         # keep only each block's successful rows, so memory follows the winners
         won_round, won = [], []
         work, last = eval_work, -1
-        for _, _, table in attempt_blocks(params, sched, arrivals, 0, rounds_total,
+        for _, _, table in attempt_blocks(params, sched, arrivals, rounds_total,
                                           _run_stream(cfg, "delays", sched)):
             won_round.append(table.round[table.success])
             won.append(table.vehicle[table.success])

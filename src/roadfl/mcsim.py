@@ -44,14 +44,14 @@ __all__ = [
 # delays and arrival gaps are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 13
 
-# caps warm-up plus recorded rounds; it bounds time, not memory, since
-# a block of attempt_blocks holds at most ATTEMPTS_PER_BLOCK rounds and
-# simulate_rounds keeps only the success histogram of the recorded ones
+# caps the rounds of validate; it bounds time, not memory, since a block
+# of attempt_blocks holds at most ATTEMPTS_PER_BLOCK rounds and
+# simulate_rounds keeps only their success histogram
 MAX_ROUNDS = 10 ** 7
 
 # caps the expected arrivals of a run; it bounds time, not memory, since
 # arrival_stream draws them a chunk at a time and attempt_blocks drops
-# each once its rounds are built (warm-up arrivals are drawn and dropped)
+# each once its rounds are built
 MAX_ARRIVALS = 2 ** 25
 
 # attempt_blocks draws a delay for every (vehicle, round) attempt; this caps
@@ -64,14 +64,10 @@ MAX_ATTEMPTS = 2 ** 27
 class SimConfig:
     seed: int = 12345
     num_rounds: int = 100_000
-    warmup_rounds: int = 1
 
     def __post_init__(self) -> None:
         _positive_int(self.num_rounds, "number of rounds")
-        _require(isinstance(self.warmup_rounds, int) and self.warmup_rounds >= 0,
-                 "warmup rounds must be non-negative")
-        _require(self.num_rounds + self.warmup_rounds <= MAX_ROUNDS,
-                 f"number of rounds plus warmup rounds exceeds {MAX_ROUNDS}")
+        _require(self.num_rounds <= MAX_ROUNDS, f"number of rounds exceeds {MAX_ROUNDS}")
         _require(isinstance(self.seed, int), "seed must be an integer")
 
 
@@ -206,10 +202,10 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
 
 
 def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.ndarray],
-                   k_begin: int, k_end: int, delay_rng: np.random.Generator
+                   k_end: int, delay_rng: np.random.Generator
                    ) -> Iterator[tuple[int, int, Attempts]]:
-    """The attempt table of rounds k_begin <= k < k_end, in consecutive
-    blocks of rounds holding about ATTEMPTS_PER_BLOCK rows each.
+    """The attempt table of rounds 0 <= k < k_end, in consecutive blocks
+    of rounds holding about ATTEMPTS_PER_BLOCK rows each.
 
     arrivals is a run's arrival stream: increasing non-empty chunks, as
     arrival_stream yields them. Yields (block begin, block end, table of
@@ -217,28 +213,23 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.
     round of more rows comes as several tables of at most
     ATTEMPTS_PER_BLOCK rows, with its bounds. A table's vehicle is the
     arrival's index in the whole stream. One window array holds the
-    block's participants and the rest of the last chunk read: a chunk
-    that ends before the block is dropped, the others are appended in one
-    concatenation per block, so a round bigger than a block is copied once.
+    block's participants and the rest of the last chunk read, and the
+    chunks a block reads are appended in one concatenation, so a round
+    bigger than a block is copied once.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
     chunks = iter(arrivals)
     window, offset, newest = np.empty(0), 0, -math.inf  # offset: stream index of window[0]
-    for begin in range(k_begin, k_end, block):
+    for begin in range(0, k_end, block):
         end = min(begin + block, k_end)
         # the block's participants, arrivals in (begin*t - t0, end*t): read
-        # chunks until one reaches end*t; one that ends by begin*t - t0 is
-        # dropped, with the window, since all before it end earlier
+        # chunks until one reaches end*t
         low, high = begin * t - t0, end * t
         read = []
         while newest < high and (chunk := next(chunks, None)) is not None:
             newest = chunk[-1]
-            if newest <= low:
-                offset += window.size + chunk.size
-                window = np.empty(0)
-            else:
-                read.append(chunk)
+            read.append(chunk)
         if read:
             window = np.concatenate([window, *read])
         first = int(np.searchsorted(window, low, side="right"))
@@ -253,21 +244,22 @@ def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.
 
 def simulate_rounds(params: SystemParams, sched: Schedule,
                     cfg: SimConfig) -> np.ndarray:
-    """Simulate warmup + num_rounds rounds; return the success histogram.
+    """Simulate rounds 0 <= k < num_rounds; return the success histogram.
 
-    histogram[k] is the number of recorded rounds with exactly k
-    successes, as int64. The attempt table is built and counted block by
-    block (see attempt_blocks). Warm-up rounds only shape the arrival
-    stream; they are neither recorded nor given delays. More than
-    MAX_ATTEMPTS expected attempts is an InvalidParameterError.
+    histogram[k] is the number of rounds with exactly k successes, as
+    int64. The attempt table is built and counted block by block (see
+    attempt_blocks). Round 0 needs no warm-up: arrivals start a dwell
+    time before it (see arrival_stream), so its participants follow the
+    same law as any later round's. More than MAX_ATTEMPTS expected
+    attempts is an InvalidParameterError.
     """
     rows = expected_attempts(params, sched.t, cfg.num_rounds)
     _require(rows <= MAX_ATTEMPTS,
              f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
-    k_total = cfg.warmup_rounds + cfg.num_rounds
-    arrivals = arrival_stream(params, k_total * sched.t, substream(cfg.seed, "arrivals"))
+    arrivals = arrival_stream(params, cfg.num_rounds * sched.t,
+                              substream(cfg.seed, "arrivals"))
     histogram = np.zeros(1, dtype=np.int64)
-    blocks = attempt_blocks(params, sched, arrivals, cfg.warmup_rounds, k_total,
+    blocks = attempt_blocks(params, sched, arrivals, cfg.num_rounds,
                             substream(cfg.seed, "delays"))
     # a round split over several tables is counted once, over all of them
     for (k_begin, k_end), tables in itertools.groupby(blocks, key=lambda b: b[:2]):

@@ -61,8 +61,7 @@ def test_c02_poisson_law_fidelity(h, t, seed):
     lam = an.lambda_param(REFERENCE, sched.h, sched.t)
     started = time.perf_counter()
     histogram = simulate_rounds(REFERENCE, sched,
-                              SimConfig(seed=seed, num_rounds=100_000,
-                                        warmup_rounds=1))
+                              SimConfig(seed=seed, num_rounds=100_000))
     fit = compare_to_poisson(histogram, lam)
     elapsed = time.perf_counter() - started
     ok = (fit.tv_distance < 0.01 and fit.mean_rel_error < 0.02

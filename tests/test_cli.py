@@ -2,6 +2,7 @@ import csv
 import math
 import multiprocessing
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -79,6 +80,14 @@ class TestParseConfig:
         for override in ("system.turbo=1", "optimizer.grid_step_s=0.01"):
             with pytest.raises(cli.ConfigError, match="unknown config key"):
                 cli.parse_config(BASELINE, [override])
+
+    def test_readme_config_table_lists_every_key(self):
+        """Each [section] row of README's Configuration table lists exactly
+        the keys the schema reads."""
+        rows = re.findall(r"^\| `\[(\w+)\]` *\| `([^`]*)`", (REPO / "README.md").read_text(),
+                          re.MULTILINE)
+        assert {section: sorted(keys.split(", ")) for section, keys in rows} == \
+            {section: sorted(keys) for section, keys in cli._KEYS.items()}
 
     def test_defaults_are_the_dataclass_defaults(self, tmp_path):
         system_only = tmp_path / "system.cfg"
@@ -871,7 +880,8 @@ def test_any_input_ends_in_exit_code(invocation):
     ["optimize", "--seed=x"],
     ["frobnicate"],
     ["fl", "--schedules"],
-], ids=["unknown_token", "bad_seed", "unknown_command", "missing_value"])
+    ["validate", "--sim.warmup_rounds=1"],
+], ids=["unknown_token", "bad_seed", "unknown_command", "missing_value", "removed_key"])
 def test_usage_error_is_one_line_config_error(tmp_path, args):
     out = tmp_path / "out"
     proc = run_cli([args[0], "--config", str(BASELINE), "--out", str(out), *args[1:]])

@@ -15,16 +15,12 @@ from roadfl.types import InvalidParameterError, Schedule, SystemParams
 def test_sim_config_validation():
     with pytest.raises(InvalidParameterError):
         mcsim.SimConfig(num_rounds=0)
-    with pytest.raises(InvalidParameterError):
-        mcsim.SimConfig(warmup_rounds=-1)
 
 
-def test_round_cap_counts_warmup():
-    mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS - 1, warmup_rounds=1)
+def test_round_cap():
+    mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS)
     with pytest.raises(InvalidParameterError, match="exceeds"):
-        mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS, warmup_rounds=1)
-    with pytest.raises(InvalidParameterError, match="exceeds"):
-        mcsim.SimConfig(num_rounds=1, warmup_rounds=mcsim.MAX_ROUNDS)
+        mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS + 1)
 
 
 class TestComputingDelay:
@@ -135,17 +131,16 @@ class TestArrivals:
 
 def recorded_table(params, sched, cfg):
     """The attempt table simulate_rounds aggregates, built in one piece."""
-    k_total = cfg.warmup_rounds + cfg.num_rounds
-    arrivals = arrival_times(params, k_total * sched.t, substream(cfg.seed, "arrivals"))
-    table = mcsim.attempts(params, sched, arrivals, cfg.warmup_rounds, k_total,
+    arrivals = arrival_times(params, cfg.num_rounds * sched.t,
+                             substream(cfg.seed, "arrivals"))
+    table = mcsim.attempts(params, sched, arrivals, 0, cfg.num_rounds,
                            substream(cfg.seed, "delays"))
     return arrivals, table
 
 
 def per_round_successes(table, cfg):
-    """Successes of each recorded round, from its attempt table."""
-    return np.bincount(table.round[table.success] - cfg.warmup_rounds,
-                       minlength=cfg.num_rounds)
+    """Successes of each round, from its attempt table."""
+    return np.bincount(table.round[table.success], minlength=cfg.num_rounds)
 
 
 class TestSimulateRounds:
@@ -174,6 +169,20 @@ class TestSimulateRounds:
         sigma = math.sqrt(lam / 20_000)
         assert abs(mcsim.compare_to_poisson(hist, lam).mean_empirical - lam) <= 4 * sigma
 
+    @pytest.mark.parametrize("h,t", [(24, 11.8), (8, 5.0)])
+    def test_round_0_follows_the_stationary_law(self, reference_params, h, t):
+        # arrivals start a dwell time before round 0, so its successes are
+        # Poisson(lambda) as in any later round, also where t < t0; a
+        # stream starting at 0 would lose most of round 0's participants
+        lam = an.lambda_param(reference_params, h, t)
+        seeds = 2000
+        successes = sum(
+            int(np.arange(hist.size) @ hist) for hist in
+            (mcsim.simulate_rounds(reference_params, Schedule(h, t),
+                                   mcsim.SimConfig(seed=seed, num_rounds=1))
+             for seed in range(seeds)))
+        assert abs(successes / seeds - lam) <= 4 * math.sqrt(lam / seeds)
+
     def test_deterministic(self, reference_params):
         cfg = mcsim.SimConfig(seed=11, num_rounds=1000)
         a = mcsim.simulate_rounds(reference_params, Schedule(24, 11.8), cfg)
@@ -200,13 +209,12 @@ class TestSimulateRounds:
             + reference_params.tau_up, rel=1e-12)
         # round-major, then by arrival, and exactly the window's vehicles
         expected = [np.flatnonzero((arrivals > k * t - t0) & (arrivals < (k + 1) * t))
-                    for k in range(cfg.warmup_rounds, cfg.warmup_rounds + cfg.num_rounds)]
+                    for k in range(cfg.num_rounds)]
         assert np.array_equal(a.vehicle, np.concatenate(expected))
         assert np.all(np.diff(a.round) >= 0)
-        # every row is a recorded round's, and the histogram counts the
+        # every row is a simulated round's, and the histogram counts the
         # table's per-round successes
-        k_rec = a.round - cfg.warmup_rounds
-        participants = np.bincount(k_rec, minlength=cfg.num_rounds)
+        participants = np.bincount(a.round, minlength=cfg.num_rounds)
         successes = per_round_successes(a, cfg)
         assert participants.size == successes.size == cfg.num_rounds
         assert np.all(successes <= participants)
@@ -228,8 +236,7 @@ class TestSimulateRounds:
 
     def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
         sched = Schedule(8, 10.0)
-        cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
-        k_total = cfg.warmup_rounds + cfg.num_rounds
+        cfg = mcsim.SimConfig(seed=14, num_rounds=3000)
         _, whole_table = recorded_table(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
@@ -238,10 +245,10 @@ class TestSimulateRounds:
         for rows, chunk in ((50, 50), (50, 7), (50, 1000)):
             monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", rows)
             small = mcsim.simulate_rounds(reference_params, sched, cfg)
-            stream = chunked_stream(reference_params, k_total * sched.t,
+            stream = chunked_stream(reference_params, cfg.num_rounds * sched.t,
                                     substream(cfg.seed, "arrivals"), chunk)
             blocks = [table for _, _, table in mcsim.attempt_blocks(
-                reference_params, sched, stream, cfg.warmup_rounds, k_total,
+                reference_params, sched, stream, cfg.num_rounds,
                 substream(cfg.seed, "delays"))]
             assert len(blocks) > 100
             for column, whole_column in zip(zip(*blocks), whole_table):
@@ -251,17 +258,16 @@ class TestSimulateRounds:
     def test_round_over_a_block_is_split(self, reference_params, monkeypatch):
         # about 3 rows per round, at most 2 per table
         sched = Schedule(8, 10.0)
-        cfg = mcsim.SimConfig(seed=14, num_rounds=3000, warmup_rounds=3)
-        k_total = cfg.warmup_rounds + cfg.num_rounds
+        cfg = mcsim.SimConfig(seed=14, num_rounds=3000)
         _, whole_table = recorded_table(reference_params, sched, cfg)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
         # arrival chunks of a block's rows, of one arrival, and of many rounds'
         for chunk in (2, 1, 64):
-            stream = chunked_stream(reference_params, k_total * sched.t,
+            stream = chunked_stream(reference_params, cfg.num_rounds * sched.t,
                                     substream(cfg.seed, "arrivals"), chunk)
             blocks = list(mcsim.attempt_blocks(
-                reference_params, sched, stream, cfg.warmup_rounds, k_total,
+                reference_params, sched, stream, cfg.num_rounds,
                 substream(cfg.seed, "delays")))
             assert all(end == begin + 1 and table.round.size <= 2
                        for begin, end, table in blocks)
@@ -320,7 +326,7 @@ def test_expected_attempts_is_the_mean_table_size(params, sched):
     horizon = rounds * sched.t
     arrivals = mcsim.arrival_stream(params, horizon, substream(21, "arrivals"))
     rows = sum(table.round.size for _, _, table in mcsim.attempt_blocks(
-        params, sched, arrivals, 0, rounds, substream(21, "delays")))
+        params, sched, arrivals, rounds, substream(21, "delays")))
     expected = mcsim.expected_attempts(params, sched.t, rounds)
     c_max = math.floor((sched.t + params.dwell_time) / sched.t) + 1
     sigma = c_max * math.sqrt(params.arrival_rate * (horizon + params.dwell_time))
