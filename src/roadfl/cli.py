@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import math
 import os
@@ -53,7 +54,8 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 
 # array columns become Python scalars this many rows at a time as their
-# CSV rows are written
+# CSV rows are written; surface.csv is rendered this many round lengths
+# of one h per % call
 ROW_CHUNK = 2**14
 # printf codes of the CSV columns: integers in full, floats with 9
 # significant digits (nan and +-inf print as nan, inf and -inf)
@@ -286,15 +288,28 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
                           f"more than {MAX_ROWS}")
     h_col = np.array(hs, dtype=float)[:, None]
     t_row = ts[None, :]
-    # h-major rows: each h (kept a Python int) against every t
-    rows = zip(itertools.chain.from_iterable(itertools.repeat(h, ts.size) for h in hs),
-               itertools.chain.from_iterable(itertools.repeat(ts.tolist(), len(hs))),
-               _stream(analytic.g(cfg.system, h_col, t_row).ravel()),
-               _stream(analytic.lambda_param(cfg.system, h_col, t_row).ravel()),
-               _stream(analytic.success_probability(cfg.system, h_col, t_row).ravel()))
-    _write_rows(cfg.output_dir / "surface.csv",
-                (("h", INT), ("t_s", FLOAT), ("g", FLOAT), ("lambda", FLOAT),
-                 ("p_success", FLOAT)), rows)
+    surface = (analytic.g(cfg.system, h_col, t_row),
+               analytic.lambda_param(cfg.system, h_col, t_row),
+               analytic.success_probability(cfg.system, h_col, t_row))
+    row_end = ("," + FLOAT) * 3 + "\n"
+
+    # one t chunk's text at a time: every h reuses it when the grid is one chunk
+    @functools.lru_cache(maxsize=1)
+    def t_texts(k: int) -> list[str]:
+        """',t' and the value codes of each row of the t chunk from k."""
+        return ["," + FLOAT % t + row_end for t in ts[k:k + ROW_CHUNK].tolist()]
+
+    def chunks() -> Iterator[str]:
+        yield "h,t_s,g,lambda,p_success\n"
+        # h-major rows: each h (kept a Python int) against every t; one %
+        # call renders one t chunk of an h's rows
+        for i, h in enumerate(hs):
+            h_text = INT % h
+            for k in range(0, ts.size, ROW_CHUNK):
+                values = np.stack([a[i, k:k + ROW_CHUNK] for a in surface], axis=1)
+                yield (h_text + h_text.join(t_texts(k))) % tuple(values.ravel().tolist())
+
+    _write_lines(cfg.output_dir / "surface.csv", chunks())
     print(f"surface: {points} points")
     return EXIT_OK
 

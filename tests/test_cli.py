@@ -320,6 +320,26 @@ class TestSweepCommand:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "surface.csv").exists()
 
+    @pytest.mark.parametrize("chunk", [1, 7, 2**20])
+    def test_surface_matches_row_by_row_oracle(self, tmp_path, monkeypatch, chunk):
+        # a duplicate h, an h above 2**64 and one above h_max (90 on baseline)
+        hs = [24, 8, 24, 2**65, 100]
+        ts = [7 + 0.5 * k for k in range(39)]
+        monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
+        rc = cli.main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path),
+                       "--h-list", ",".join(map(str, hs)), "--t-grid", "7:26:0.5"])
+        assert rc == 0
+        system = cli.parse_config(BASELINE).system
+        lines = ["h,t_s,g,lambda,p_success"]
+        for h in hs:
+            for t in ts:
+                values = [float(f(system, float(h), t)) for f in
+                          (analytic.g, analytic.lambda_param, analytic.success_probability)]
+                lines.append(",".join(map(format_csv_value, [h, t, *values])))
+        text = (tmp_path / "surface.csv").read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert "\n36893488147419103232,7,0,0,0\n" in text
+
     def test_grid_matches_start_plus_k_steps(self):
         for text in ("7:26:0.1", "5:25:0.5", "1:401:4", "0.3:0.9:0.1", "11.8:11.8:1"):
             start, stop, step = (float(p) for p in text.split(":"))
@@ -519,18 +539,22 @@ class TestDeterminism:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_chunk_size_leaves_bytes_unchanged(self, tmp_path, monkeypatch):
-        # 41 round lengths per h and 12-, 51- and 1-row fl runs, so chunks
-        # of 7 rows cross every h and run boundary; eta=50 makes h=24 diverge
-        commands = {
-            "surface.csv": ["sweep", "--h-list", "8,16,24", "--t-grid", "5:25:0.5"],
-            "fl_runs.csv": ["fl", "--fl.eta=50", "--fl.horizon_s=100",
-                            "--schedules", "8:8.5,24:11.8,8:2"],
-        }
-        for name, args in commands.items():
+        # chunks of 7 rows split each h's 41 round lengths and cross every
+        # boundary of the 12-, 51- and 1-row fl runs; eta=50 makes h=24
+        # diverge. 39,001 round lengths span three chunks of the default
+        # size, so the sweep's cached chunk text misses on every chunk.
+        commands = [
+            ("surface.csv", 7, ["sweep", "--h-list", "8,16,24", "--t-grid", "5:25:0.5"]),
+            ("surface.csv", cli.ROW_CHUNK,
+             ["sweep", "--h-list", "8,24", "--t-grid", "1:40:0.001"]),
+            ("fl_runs.csv", 7, ["fl", "--fl.eta=50", "--fl.horizon_s=100",
+                                "--schedules", "8:8.5,24:11.8,8:2"]),
+        ]
+        for i, (name, small_chunk, args) in enumerate(commands):
             written = []
-            for chunk in (7, 2**20):
+            for chunk in (small_chunk, 2**20):
                 monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
-                out = tmp_path / name / str(chunk)
+                out = tmp_path / str(i) / str(chunk)
                 assert cli.main([*args, "--config", str(BASELINE), "--out", str(out)]) == 0
                 written.append((out / name).read_bytes())
             assert written[0] == written[1]
