@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence, get_type_hints
 import numpy as np
 
 from . import analytic, flsim, optimizer
-from .flsim import MAX_ROWS, FLConfig, FLRunResult, plan_runs, proxy_correlation, run_fl
+from .flsim import MAX_ROWS, FLConfig, plan_runs, proxy_correlation, run_fl
 from .mcsim import SimConfig, compare_to_poisson, poisson_rows, simulate_rounds
 from .optimizer import OptimizerConfig
 from .types import (
@@ -338,14 +338,15 @@ def _parse_schedules(text: str) -> list[Schedule]:
     return schedules
 
 
-def _fl_rows(sched: Schedule, res: FLRunResult | DivergenceError) -> Iterable[tuple]:
-    """The fl_runs.csv rows of one run, streamed as they are written; a
+def _fl_rows(sched: Schedule, losses: np.ndarray | DivergenceError) -> Iterable[tuple]:
+    """The fl_runs.csv rows of one run, streamed as they are written: each
+    round boundary's time, loss and running minimum of the losses; a
     diverged run has one row of nan."""
-    if isinstance(res, DivergenceError):
+    if isinstance(losses, DivergenceError):
         return [(sched.h, sched.t, math.nan, 0, math.nan, math.nan)]
     return zip(itertools.repeat(sched.h), itertools.repeat(sched.t),
-               _stream(res.times), itertools.count(),
-               _stream(res.losses), _stream(res.l_min_curve))
+               _stream(np.arange(losses.size) * sched.t), itertools.count(),
+               _stream(losses), _stream(np.minimum.accumulate(losses)))
 
 
 def _fl_processes(n_schedules: int) -> int:
@@ -382,10 +383,10 @@ def _split(works: Sequence[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _train(plans: Sequence[flsim.RunPlan],
-           fl_cfg: FLConfig) -> list[FLRunResult | DivergenceError]:
-    """Each plan's FLRunResult, or the DivergenceError its run raised."""
-    outcomes: list[FLRunResult | DivergenceError] = []
+def _train_share(plans: Sequence[flsim.RunPlan],
+                 fl_cfg: FLConfig) -> list[np.ndarray | DivergenceError]:
+    """Each plan's losses, or the DivergenceError its run raised."""
+    outcomes: list[np.ndarray | DivergenceError] = []
     for plan in plans:
         try:
             outcomes.append(run_fl(plan, fl_cfg))
@@ -394,24 +395,26 @@ def _train(plans: Sequence[flsim.RunPlan],
     return outcomes
 
 
-def _train_in_processes(cfg: ExperimentConfig, plans: Sequence[flsim.RunPlan],
-                        n: int) -> list:
-    """_train in this process and n - 1 workers, the plans split by
-    _split. The workers are forked, so they inherit the imported modules
+def _train(cfg: ExperimentConfig,
+           plans: Sequence[flsim.RunPlan]) -> list[np.ndarray | DivergenceError]:
+    """_train_share of every plan, in _fl_processes processes: the plans
+    are split by _split, and share 0 trains in this process. Each other
+    share trains in a forked worker, which inherits the imported modules
     and this process's task, copy-on-write, instead of building them again."""
+    shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
+    if len(shares) == 1:
+        return _train_share(plans, cfg.fl)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    shares = _split([plan.work for plan in plans], n)
     flsim._shared_task(cfg.fl)
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_train, [plans[i] for i in share], cfg.fl)
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=fork) as pool:
+        futures = [pool.submit(_train_share, [plans[i] for i in share], cfg.fl)
                    for share in shares[1:]]
-        done = [_train([plans[i] for i in shares[0]], cfg.fl)]
+        done = [_train_share([plans[i] for i in shares[0]], cfg.fl)]
         done += [future.result() for future in futures]
-    by_index = {}
-    for share, share_outcomes in zip(shares, done):
-        by_index.update(zip(share, share_outcomes))
+    by_index = dict(zip(itertools.chain(*shares), itertools.chain(*done)))
     return [by_index[i] for i in range(len(plans))]
 
 
@@ -419,9 +422,7 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     schedules = (_default_fl_grid(cfg) if schedules_arg is None
                  else _parse_schedules(schedules_arg))
     # every run is planned, and every cap checked, before any run trains
-    plans = plan_runs(cfg.system, schedules, cfg.fl)
-    n = _fl_processes(len(plans))
-    outcomes = _train(plans, cfg.fl) if n == 1 else _train_in_processes(cfg, plans, n)
+    outcomes = _train(cfg, plan_runs(cfg.system, schedules, cfg.fl))
 
     for sched, outcome in zip(schedules, outcomes):
         if isinstance(outcome, DivergenceError):
@@ -431,18 +432,20 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
                 (("h", INT), ("t_s", FLOAT), ("time_s", FLOAT), ("round", INT),
                  ("val_loss", FLOAT), ("l_min", FLOAT)),
                 itertools.chain.from_iterable(map(_fl_rows, schedules, outcomes)))
-    results = [res for res in outcomes if isinstance(res, FLRunResult)]
+    # each completed run's schedule and minimum loss
+    completed = [(sched, losses.min()) for sched, losses in zip(schedules, outcomes)
+                 if not isinstance(losses, DivergenceError)]
 
     grid_desc = ",".join(f"{s.h}:{s.t:.9g}" for s in schedules)
-    if len(results) >= 8:
-        report = proxy_correlation(results, cfg.system)
-        if report.degenerate:
+    if len(completed) >= 8:
+        rho = proxy_correlation(*zip(*completed), cfg.system)
+        if math.isnan(rho):
             rho_line = "spearman_rho=nan (degenerate: constant ranks)"
         else:
-            rho_line = f"spearman_rho={report.rho:.9g}"
+            rho_line = f"spearman_rho={rho:.9g}"
     else:
         rho_line = "spearman_rho=nan (fewer than 8 completed runs)"
-    lines = (rho_line, f"n_schedules={len(results)}", f"grid={grid_desc}",
+    lines = (rho_line, f"n_schedules={len(completed)}", f"grid={grid_desc}",
              f"horizon_s={cfg.fl.horizon:.9g}", f"seed={cfg.fl.seed}")
     _write_lines(cfg.output_dir / "correlation.txt", (line + "\n" for line in lines))
     print(rho_line)

@@ -9,8 +9,9 @@ attempt table, so training follows exactly the timing rules of the Monte
 Carlo replay; the winners' locally trained models are averaged by
 dataset size, and rounds with no success leave the model unchanged.
 
-The headline metric of a run is the running minimum of the validation
-loss over round boundaries, evaluated up to the training horizon.
+A run returns its validation loss at each round boundary up to the
+training horizon. Its headline metric is the running minimum of that
+curve, which cli writes next to each loss and ranks against g.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from .types import (
 )
 
 __all__ = [
-    "FLConfig", "LinearTask", "FLRunResult", "CorrelationReport",
-    "generate_task", "mse_loss", "mse_gradient", "local_sgd", "aggregate",
-    "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
+    "FLConfig", "LinearTask", "generate_task", "mse_loss", "mse_gradient", "local_sgd",
+    "aggregate", "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
 ]
 
 # run_fl holds the task at once; this caps its values (270 MB of float64),
@@ -145,9 +145,13 @@ def generate_task(cfg: FLConfig, rng: np.random.Generator) -> LinearTask:
     rows = max(1, TASK_CHUNK_VALUES // d)
     for i in range(0, n, rows):
         x[i:i + rows, :d] = rng.standard_normal((min(rows, n - i), d))
-    y = x @ w_true
-    if cfg.noise_std > 0:
-        y += cfg.noise_std * rng.standard_normal(n)
+    # targets too large for a float show as an infinite loss or a
+    # DivergenceError in run_fl, so numpy's overflow warning would only
+    # repeat it on stderr
+    with np.errstate(over="ignore"):
+        y = x @ w_true
+        if cfg.noise_std > 0:
+            y += cfg.noise_std * rng.standard_normal(n)
     return LinearTask(
         x_pool=x[:cfg.global_pool_size],
         y_pool=y[:cfg.global_pool_size],
@@ -218,27 +222,6 @@ def aggregate(models: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise DivergenceError("model weights are not finite")
     return out
-
-
-@dataclass(frozen=True)
-class FLRunResult:
-    """Loss trajectory of one schedule.
-
-    losses[k] is the validation loss of the global model at time k*t;
-    l_min_curve is its running minimum. rounds_valid counts rounds with
-    at least one successful upload.
-    """
-
-    schedule: Schedule
-    times: np.ndarray
-    losses: np.ndarray
-    l_min_curve: np.ndarray
-    rounds_total: int
-    rounds_valid: int
-
-    @property
-    def l_min(self) -> float:
-        return float(self.l_min_curve[-1])
 
 
 class RunPlan(NamedTuple):
@@ -320,9 +303,11 @@ def _shared_task(cfg: FLConfig) -> LinearTask:
     return task
 
 
-def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
+def run_fl(plan: RunPlan, cfg: FLConfig) -> np.ndarray:
     """Train plan's winners over its rounds of the simulated timeline;
-    plan is one of plan_runs' for the same cfg.
+    plan is one of plan_runs' for the same cfg. Returns the validation
+    loss of the global model at each of the rounds_total + 1 round
+    boundaries, losses[k] at time k*t.
 
     The task is derived from the seed alone so every schedule in a sweep
     sees the same data; arrivals, delays, each vehicle's data and batch
@@ -338,7 +323,6 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
 
     bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))
     w = np.zeros(cfg.feature_dim + 1)
-    rounds_valid = 0
 
     # a diverging run, or targets too large to square, shows as an infinite
     # loss or a DivergenceError, so numpy's overflow warnings would only
@@ -361,24 +345,8 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> FLRunResult:
                 models.append(local_sgd(w, task.x_pool, task.y_pool, rows, shift, sched.h,
                                         cfg, _run_stream(cfg, "sgd", sched, k, m)))
             w = aggregate([(wm, cfg.samples_per_vehicle) for wm in models])
-            rounds_valid += 1
             losses.append(mse_loss(w, task.x_val, task.y_val))
-
-    losses_arr = np.asarray(losses)
-    return FLRunResult(
-        schedule=sched,
-        times=np.arange(rounds_total + 1) * sched.t,
-        losses=losses_arr,
-        l_min_curve=np.minimum.accumulate(losses_arr),
-        rounds_total=rounds_total,
-        rounds_valid=rounds_valid,
-    )
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    rho: float
-    degenerate: bool
+    return np.asarray(losses)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -388,22 +356,21 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return (first + 1 + (counts - 1) / 2)[inverse]
 
 
-def proxy_correlation(results: Sequence[FLRunResult],
-                      params: SystemParams) -> CorrelationReport:
-    """Spearman rank correlation between g(h, t) and -l_min across runs.
+def proxy_correlation(schedules: Sequence[Schedule], l_min: Sequence[float],
+                      params: SystemParams) -> float:
+    """Spearman rank correlation between g(h, t) of schedules and -l_min,
+    the minimum validation loss of each schedule's run.
 
     Needs at least 8 runs. When either side is constant, as with 8
-    copies of one run, the correlation is undefined and the report says
-    so instead of inventing a number.
+    copies of one run, the correlation is undefined and it is nan
+    instead of an invented number.
     """
-    if len(results) < 8:
+    if len(schedules) < 8:
         raise InvalidParameterError(
             "need at least 8 schedules for a rank correlation")
-    g_vals = analytic.g(params, [r.schedule.h for r in results],
-                        [r.schedule.t for r in results])
-    score = np.array([-r.l_min for r in results])
+    g_vals = analytic.g(params, [s.h for s in schedules], [s.t for s in schedules])
+    score = -np.asarray(l_min, dtype=float)
     if np.all(g_vals == g_vals[0]) or np.all(score == score[0]):
-        return CorrelationReport(math.nan, True)
+        return math.nan
     # Spearman's rho: the Pearson correlation of average ranks
-    rho = float(np.corrcoef(_average_ranks(g_vals), _average_ranks(score))[1, 0])
-    return CorrelationReport(rho, not math.isfinite(rho))
+    return float(np.corrcoef(_average_ranks(g_vals), _average_ranks(score))[1, 0])

@@ -81,6 +81,9 @@ class SystemParams:
         _require(self.alpha > 0, "alpha must be positive")
         _require(self.beta > 0, "beta must be positive")
         _require(math.isfinite(self.dwell_time), "dwell time length / speed must be finite")
+        # the analytic kernel's tail term 2*beta*h, at the largest h that fits
+        _require(math.isfinite(2 * self.beta * (self.dwell_time / self.alpha)),
+                 "2 * beta * dwell time / alpha must be finite")
 
     @property
     def dwell_time(self) -> float:

@@ -53,20 +53,20 @@ def summary(values: list[float]) -> dict:
 
 
 def fl_rho(overrides: list[str]) -> dict:
-    """rho of the default fl grid at each seed, as cmd_fl trains it."""
+    """rho of the default fl grid at each seed, as cmd_fl trains it; a
+    diverged run fails here, since every figure assumes the whole grid."""
     rhos: dict[str, list[float]] = {"all": [], "g_positive": []}
     for seed in SEEDS:
         cfg = cli.parse_config(BASELINE, [*overrides, f"fl.seed={seed}"])
-        plans = flsim.plan_runs(cfg.system, cli._default_fl_grid(cfg), cfg.fl)
-        n = cli._fl_processes(len(plans))
-        outcomes = (cli._train(plans, cfg.fl) if n == 1
-                    else cli._train_in_processes(cfg, plans, n))
-        runs = [res for res in outcomes if isinstance(res, flsim.FLRunResult)]
-        positive = [res for res in runs
-                    if analytic.g(cfg.system, res.schedule.h, res.schedule.t) > 0]
-        rhos["all"].append(flsim.proxy_correlation(runs, cfg.system).rho)
-        rhos["g_positive"].append(flsim.proxy_correlation(positive, cfg.system).rho)
-    return {"schedules": len(runs), "g_positive_schedules": len(positive),
+        schedules = cli._default_fl_grid(cfg)
+        outcomes = cli._train(cfg, flsim.plan_runs(cfg.system, schedules, cfg.fl))
+        l_min = [losses.min() for losses in outcomes]
+        positive = [i for i, s in enumerate(schedules)
+                    if analytic.g(cfg.system, s.h, s.t) > 0]
+        rhos["all"].append(flsim.proxy_correlation(schedules, l_min, cfg.system))
+        rhos["g_positive"].append(flsim.proxy_correlation(
+            [schedules[i] for i in positive], [l_min[i] for i in positive], cfg.system))
+    return {"schedules": len(schedules), "g_positive_schedules": len(positive),
             **{key: summary(values) for key, values in rhos.items()}}
 
 

@@ -18,6 +18,7 @@ from conftest import random_feasible_params
 from oracle import brute_force_argmax, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import optimizer as opt
+from roadfl.cli import _fl_rows
 from roadfl.flsim import FLConfig, aggregate, mse_gradient, mse_loss, plan_runs, \
     proxy_correlation, run_fl
 from roadfl.mcsim import SimConfig, compare_to_poisson, simulate_rounds
@@ -169,10 +170,10 @@ def test_c07_update_frequency_predicts_training():
     rhos = []
     for seed in (1, 2):
         cfg = FLConfig(seed=seed, horizon=2000.0)
-        results = [run_fl(plan_runs(REFERENCE, [s], cfg)[0], cfg) for s in schedules]
-        rep = proxy_correlation(results, REFERENCE)
-        assert not rep.degenerate
-        rhos.append(rep.rho)
+        l_min = [run_fl(plan_runs(REFERENCE, [s], cfg)[0], cfg).min() for s in schedules]
+        rho = proxy_correlation(schedules, l_min, REFERENCE)
+        assert not math.isnan(rho)
+        rhos.append(rho)
     elapsed = time.perf_counter() - started
     ok = (min(rhos) >= 0.6 and abs(rhos[0] - rhos[1]) <= 0.15
           and elapsed <= 300.0)
@@ -192,12 +193,15 @@ def test_c08_fl_mechanics():
 
     sched = Schedule(24, 11.8)
     cfg = FLConfig(seed=5, horizon=2400.0)
-    res = run_fl(plan_runs(REFERENCE, [sched], cfg)[0], cfg)
-    monotone = bool(np.all(np.diff(res.l_min_curve) <= 0))
+    plan = plan_runs(REFERENCE, [sched], cfg)[0]
+    # the l_min column the fl command writes for this run
+    l_min = [row[-1] for row in _fl_rows(sched, run_fl(plan, cfg))]
+    monotone = bool(np.all(np.diff(l_min) <= 0))
     p_pos = an.success_probability(REFERENCE, sched.h, sched.t)
-    n = res.rounds_total
+    n = plan.rounds_total
+    rounds_valid = np.unique(plan.winner_round).size
     sigma = math.sqrt(p_pos * (1 - p_pos) / n)
-    rate_ok = n >= 200 and abs(res.rounds_valid / n - p_pos) <= 3 * sigma
+    rate_ok = n >= 200 and abs(rounds_valid / n - p_pos) <= 3 * sigma
 
     rng = substream(6, "grad-check")
     x = np.hstack([rng.standard_normal((50, 7)), np.ones((50, 1))])
@@ -215,7 +219,7 @@ def test_c08_fl_mechanics():
     ok = agg_ok and monotone and rate_ok and grad_ok
     report("C08 fl mechanics", ok,
            f"agg={agg_ok} monotone={monotone} "
-           f"rate={res.rounds_valid}/{n} (target {p_pos:.3f}+-{3*sigma:.3f}) "
+           f"rate={rounds_valid}/{n} (target {p_pos:.3f}+-{3*sigma:.3f}) "
            f"grad err={worst:.1e}")
 
 

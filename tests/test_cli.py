@@ -370,6 +370,21 @@ class TestFlCommand:
         assert text.startswith("spearman_rho=")
         assert "grid=" in text
 
+    def test_l_min_curve_non_increasing(self, reference_params):
+        # a run returns its losses; its rows add each boundary's time and
+        # the running minimum of the losses
+        sched = Schedule(16, 9.0)
+        fl_cfg = FLConfig(feature_dim=8, global_pool_size=256, validation_size=128,
+                          samples_per_vehicle=128, batch_size=32, horizon=200.0, seed=3)
+        losses = flsim.run_fl(flsim.plan_runs(reference_params, [sched], fl_cfg)[0], fl_cfg)
+        h, t, time_s, rounds, val_loss, l_min = map(np.array, zip(*cli._fl_rows(sched, losses)))
+        assert np.all(h == 16) and np.all(t == 9.0)
+        assert np.array_equal(rounds, np.arange(losses.size))
+        assert np.array_equal(time_s, rounds * 9.0)
+        assert np.array_equal(val_loss, losses)
+        assert np.all(np.diff(l_min) <= 0) and np.any(np.diff(l_min) < 0)
+        assert l_min[0] == losses[0] and l_min[-1] == losses.min()
+
     def test_default_grid_builds_the_task_once(self, tmp_path, monkeypatch):
         calls = []
         real = flsim.generate_task
@@ -699,6 +714,36 @@ def test_overflow_prints_no_numpy_warning(tmp_path, code, args):
     assert len(proc.stderr.splitlines()) == code, proc.stderr
 
 
+def test_overflowing_targets_only_warn_of_divergence(tmp_path):
+    """Label noise of 1e308 overflows the targets to inf, so every run
+    with a winner diverges: stderr holds its divergence warnings alone."""
+    proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                    "--fl.horizon_s=60", "--fl.noise_std=1e308"],
+                   timeout=60, env={"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: run h=") for line in lines), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+@pytest.mark.parametrize("beta", ["1e305", "1e306", "1e308"])
+def test_beta_whose_tail_term_overflows_is_rejected(tmp_path, capsys, command, beta):
+    """On the reference section h reaches t0 / alpha = 100, so 2*beta*h
+    overflows from beta = 1e306 on: a config error instead of a nan
+    answer. At 1e305 the outputs are finite and no warning is printed."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(BASELINE), "--out", str(out),
+                   f"--system.beta_s={beta}"])
+    err = capsys.readouterr().err
+    if beta == "1e305":
+        assert rc == 0 and err == ""
+        for path in out.iterdir():
+            assert not re.search(r"nan|inf", path.read_text()), path.name
+    else:
+        assert rc == 1 and not out.exists()
+        assert err == "config error: 2 * beta * dwell time / alpha must be finite\n"
+
+
 def test_winnerless_crowd_draws_no_data(tmp_path):
     """1.6e7 arrivals and no winner, since t_min(1000) = 202 s exceeds the
     20 s dwell time: no vehicle draws data, so the run ends in seconds."""
@@ -939,10 +984,15 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
 
 
-def test_benchmark_tracer_still_installs(tmp_path):
+def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):
     """perfbench's --trace 1 wraps the public functions of five modules and
     patches flsim's sample_computing_delay binding; a name it needs that
-    goes missing fails here before it fails a benchmark run."""
+    goes missing fails here before it fails a benchmark run. fl trains in
+    two processes, as in the benchmark's runs, and the parent's share
+    must show in its spans."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert cli._fl_processes(8) == 2
     path = REPO / "perfbench" / "tracer.py"
     tracer = types.ModuleType("tracer")
     tracer.__file__ = str(path)
@@ -962,5 +1012,5 @@ def test_benchmark_tracer_still_installs(tmp_path):
         for module, attr, original in undo:
             setattr(module, attr, original)
     recorded = {rec.names[i] for i in rec.name}
-    assert {"optimizer.optimize_schedule", "flsim.local_sgd",
+    assert {"optimizer.optimize_schedule", "flsim.run_fl", "flsim.local_sgd",
             "mcsim.sample_computing_delay"} <= recorded

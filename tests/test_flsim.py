@@ -25,8 +25,13 @@ def plan(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> flsim.Ru
     return flsim.plan_runs(params, [sched], cfg)[0]
 
 
-def train(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> flsim.FLRunResult:
+def train(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> np.ndarray:
     return flsim.run_fl(plan(params, sched, cfg), cfg)
+
+
+def rounds_valid(planned: flsim.RunPlan) -> int:
+    """The plan's rounds with a winner, which run_fl evaluates after training."""
+    return np.unique(planned.winner_round).size
 
 
 def test_config_validation():
@@ -255,52 +260,49 @@ class TestRunFl:
     def test_no_traffic_keeps_initial_model(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        res = train(p, Schedule(8, 10.0), small_cfg())
-        assert res.rounds_valid == 0
-        assert np.all(res.losses == res.losses[0])
-        assert res.l_min == res.losses[0]
+        planned = plan(p, Schedule(8, 10.0), small_cfg())
+        losses = flsim.run_fl(planned, small_cfg())
+        assert rounds_valid(planned) == 0
+        assert losses.size == planned.rounds_total + 1
+        assert np.all(losses == losses[0])
 
     def test_noiseless_feasible_run_improves(self, reference_params):
         cfg = small_cfg(horizon=500.0)
-        res = train(reference_params, Schedule(8, 6.0), cfg)
-        assert res.rounds_valid > 0
-        assert res.l_min <= res.losses[0] / 10
-
-    def test_l_min_curve_non_increasing(self, reference_params):
-        res = train(reference_params, Schedule(16, 9.0), small_cfg())
-        assert np.all(np.diff(res.l_min_curve) <= 0)
-        assert res.l_min_curve[0] == res.losses[0]
+        planned = plan(reference_params, Schedule(8, 6.0), cfg)
+        losses = flsim.run_fl(planned, cfg)
+        assert rounds_valid(planned) > 0
+        assert losses.min() <= losses[0] / 10
 
     def test_valid_round_rate_matches_analytic(self, reference_params):
         sched = Schedule(24, 11.8)
         cfg = small_cfg(horizon=2400.0, seed=5)
-        res = train(reference_params, sched, cfg)
+        planned = plan(reference_params, sched, cfg)
         p_pos = an.success_probability(reference_params, sched.h, sched.t)
-        n = res.rounds_total
+        n = planned.rounds_total
         assert n >= 200
         sigma = math.sqrt(p_pos * (1 - p_pos) / n)
-        assert abs(res.rounds_valid / n - p_pos) <= 3 * sigma
+        assert abs(rounds_valid(planned) / n - p_pos) <= 3 * sigma
 
     def test_deterministic(self, reference_params):
         cfg = small_cfg(seed=21)
         a = train(reference_params, Schedule(8, 6.0), cfg)
         b = train(reference_params, Schedule(8, 6.0), cfg)
-        assert np.array_equal(a.losses, b.losses)
-        assert a.rounds_valid == b.rounds_valid
+        assert np.array_equal(a, b)
 
     def test_rounds_valid_matches_attempt_table(self, reference_params):
         sched = Schedule(16, 9.0)
         cfg = small_cfg()
-        res = train(reference_params, sched, cfg)
+        planned = plan(reference_params, sched, cfg)
+        losses = flsim.run_fl(planned, cfg)
         tag = f"{sched.h}:{sched.t:.9g}"
-        arrivals = arrival_times(reference_params, res.rounds_total * sched.t,
+        arrivals = arrival_times(reference_params, planned.rounds_total * sched.t,
                                  substream(cfg.seed, "arrivals", tag))
-        table = mcsim.attempts(reference_params, sched, arrivals, 0, res.rounds_total,
+        table = mcsim.attempts(reference_params, sched, arrivals, 0, planned.rounds_total,
                                substream(cfg.seed, "delays", tag))
         won = np.unique(table.round[table.success])
-        assert res.rounds_valid == won.size > 0
+        assert rounds_valid(planned) == won.size > 0
         # the global model moves only in rounds with a success
-        assert set(np.flatnonzero(np.diff(res.losses) != 0)) <= set(won.tolist())
+        assert set(np.flatnonzero(np.diff(losses) != 0)) <= set(won.tolist())
 
     def test_infeasible_schedule_never_trains(self, reference_params, monkeypatch):
         # t = 6 s is below t_min(24) = 6.8 s: no upload can arrive in time
@@ -308,9 +310,10 @@ class TestRunFl:
             raise AssertionError("local_sgd called for an infeasible schedule")
 
         monkeypatch.setattr(flsim, "local_sgd", refuse)
-        res = train(reference_params, Schedule(24, 6.0), small_cfg())
-        assert res.rounds_valid == 0
-        assert np.all(res.losses == res.losses[0])
+        planned = plan(reference_params, Schedule(24, 6.0), small_cfg())
+        losses = flsim.run_fl(planned, small_cfg())
+        assert rounds_valid(planned) == 0
+        assert np.all(losses == losses[0])
 
     def test_loss_evaluated_only_after_training(self, reference_params, monkeypatch):
         # rounds without an upload leave the model, hence its loss, unchanged
@@ -322,9 +325,11 @@ class TestRunFl:
             return real(*args)
 
         monkeypatch.setattr(flsim, "mse_loss", counting)
-        res = train(reference_params, Schedule(24, 9.0), small_cfg(horizon=400.0))
-        assert 0 < res.rounds_valid < res.rounds_total
-        assert len(calls) == 1 + res.rounds_valid
+        cfg = small_cfg(horizon=400.0)
+        planned = plan(reference_params, Schedule(24, 9.0), cfg)
+        flsim.run_fl(planned, cfg)
+        assert 0 < rounds_valid(planned) < planned.rounds_total
+        assert len(calls) == 1 + rounds_valid(planned)
 
     def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
         blocks = []
@@ -337,12 +342,12 @@ class TestRunFl:
         monkeypatch.setattr(mcsim, "attempts", counting)
         sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 50)
-        small = train(reference_params, sched, cfg)
+        small = plan(reference_params, sched, cfg)
         assert len(blocks) > 1
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
-        whole = train(reference_params, sched, cfg)
-        assert np.array_equal(small.losses, whole.losses)
-        assert small.rounds_valid == whole.rounds_valid > 0
+        whole = plan(reference_params, sched, cfg)
+        assert np.array_equal(flsim.run_fl(small, cfg), flsim.run_fl(whole, cfg))
+        assert rounds_valid(small) == rounds_valid(whole) > 0
 
     def test_sgd_work_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
         sched, cfg = Schedule(16, 9.0), small_cfg()
@@ -473,11 +478,12 @@ class TestVehicleShiftMode:
     def test_shift_changes_training_but_not_timing(self, reference_params):
         iid = small_cfg(seed=30)
         shifted = small_cfg(seed=30, vehicle_shift_std=0.5)
-        a = train(reference_params, Schedule(8, 6.0), iid)
-        b = train(reference_params, Schedule(8, 6.0), shifted)
-        assert a.rounds_valid == b.rounds_valid  # timing path untouched
-        assert not np.array_equal(a.losses, b.losses)
-        assert np.all(np.diff(b.l_min_curve) <= 0)
+        a = plan(reference_params, Schedule(8, 6.0), iid)
+        b = plan(reference_params, Schedule(8, 6.0), shifted)
+        # timing path untouched
+        assert np.array_equal(a.winner_round, b.winner_round)
+        assert np.array_equal(a.winner, b.winner)
+        assert not np.array_equal(flsim.run_fl(a, iid), flsim.run_fl(b, shifted))
 
     def test_negative_shift_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -486,25 +492,22 @@ class TestVehicleShiftMode:
 
 class TestProxyCorrelation:
     def test_needs_eight_schedules(self, reference_params):
-        res = train(reference_params, Schedule(8, 6.0), small_cfg())
+        l_min = train(reference_params, Schedule(8, 6.0), small_cfg()).min()
         with pytest.raises(InvalidParameterError):
-            flsim.proxy_correlation([res] * 7, reference_params)
+            flsim.proxy_correlation([Schedule(8, 6.0)] * 7, [l_min] * 7, reference_params)
 
     def test_duplicated_schedule_is_degenerate(self, reference_params):
-        res = train(reference_params, Schedule(8, 6.0), small_cfg())
-        report = flsim.proxy_correlation([res] * 8, reference_params)
-        assert report.degenerate
-        assert math.isnan(report.rho)
+        l_min = train(reference_params, Schedule(8, 6.0), small_cfg()).min()
+        rho = flsim.proxy_correlation([Schedule(8, 6.0)] * 8, [l_min] * 8, reference_params)
+        assert math.isnan(rho)
 
     def test_positive_on_small_grid(self, reference_params):
         cfg = small_cfg(horizon=400.0, seed=13)
         schedules = [Schedule(8, 4.0), Schedule(8, 5.5), Schedule(8, 8.0),
                      Schedule(16, 6.0), Schedule(16, 8.5), Schedule(24, 8.0),
                      Schedule(24, 11.8), Schedule(24, 3.0)]
-        results = [train(reference_params, s, cfg) for s in schedules]
-        report = flsim.proxy_correlation(results, reference_params)
-        assert not report.degenerate
-        assert report.rho > 0
+        l_min = [train(reference_params, s, cfg).min() for s in schedules]
+        assert flsim.proxy_correlation(schedules, l_min, reference_params) > 0
 
     @pytest.mark.parametrize("case", ["ties", "no_ties", "reversed"])
     def test_rho_matches_scipy_spearman(self, reference_params, case):
@@ -520,12 +523,9 @@ class TestProxyCorrelation:
             l_min = [3.0, 1.0, 2.5, 2.0, 5.0, 1.5, 0.5, 0.75, 0.25]
         else:
             l_min = list(g)
-        results = [flsim.FLRunResult(s, np.zeros(1), np.array([l]), np.array([l]), 0, 0)
-                   for s, l in zip(schedules, l_min)]
-        report = flsim.proxy_correlation(results, reference_params)
+        rho = flsim.proxy_correlation(schedules, l_min, reference_params)
         g_all = an.g(reference_params, [s.h for s in schedules], [s.t for s in schedules])
         expected = stats.spearmanr(g_all, -np.array(l_min)).statistic
-        assert not report.degenerate
-        assert report.rho == pytest.approx(expected, rel=1e-12)
+        assert rho == pytest.approx(expected, rel=1e-12)
         if case == "reversed":
-            assert report.rho == pytest.approx(-1.0, rel=1e-12)
+            assert rho == pytest.approx(-1.0, rel=1e-12)
