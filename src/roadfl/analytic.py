@@ -39,8 +39,8 @@ import numpy as np
 from .types import InfeasibleEnvironmentError, InfeasibleScheduleError, SystemParams
 
 __all__ = [
-    "t_min", "xi", "lambda_param", "success_probability", "subinterval_probs",
-    "g", "dg_dt", "c0_c1", "t_max",
+    "t_min", "xi", "lambda_param", "success_probability", "g", "dg_dt",
+    "c0_c1", "t_max",
 ]
 
 
@@ -111,36 +111,6 @@ def dg_dt(params: SystemParams, h, t):
     # t * t overflows to inf only where its term is 0 to double precision
     with np.errstate(over="ignore"):
         return (h * (np.exp(-lam) * dlam / t - (-np.expm1(-lam)) / (t * t)))[()]
-
-
-def subinterval_probs(params: SystemParams, h, t):
-    """Success probability conditioned on where in the round window the
-    vehicle arrives.
-
-    A round-k participant arrives in (k*t - t0, (k+1)*t), which splits
-    into three sub-intervals: arrivals that can only be cut short by
-    departure, arrivals limited by neither boundary within the slack,
-    and arrivals that can only be cut short by the round end. For
-    t >= t0 the sub-interval measures are (t0, t - t0, t0); for t < t0
-    the roles mirror and the measures are (t, t0 - t, t).
-
-    Returns (p1, p2, p3) with
-
-        p1 = p3 = (xi - beta*h*(1 - exp(-xi/(beta*h)))) / min(t, t0)
-        p2 = 1 - exp(-xi/(beta*h))
-
-    and the identity
-        rate * min(t,t0) * (p1 + p3) + rate * |t - t0| * p2 == lam(h, t).
-    """
-    xi_v = xi(params, h, t)
-    if np.any(xi_v <= 0):
-        raise InfeasibleScheduleError(
-            "sub-interval probabilities undefined: no success window (xi <= 0)")
-    bh = params.beta * np.asarray(h, dtype=float)
-    p2 = (-np.expm1(-xi_v / bh))[()]
-    p13 = ((xi_v - bh * p2) / np.minimum(np.asarray(t, dtype=float),
-                                         params.dwell_time))[()]
-    return p13, p2, p13
 
 
 def c0_c1(params: SystemParams, h):

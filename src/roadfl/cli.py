@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import os
+import pickle
 import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields
@@ -209,7 +210,7 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
     out = cfg.output_dir
     _write_rows(out / "optimize.csv",
                 (("h", INT), ("t_opt_s", FLOAT), ("g_opt", FLOAT)),
-                result.per_h_table)
+                zip(*map(_stream, result.per_h_table)))
     _write_rows(out / "optimize_summary.csv",
                 (("h_star", INT), ("t_star_s", FLOAT), ("g_star", FLOAT),
                  ("search_steps", INT)),
@@ -395,25 +396,70 @@ def _train_share(plans: Sequence[flsim.RunPlan],
     return outcomes
 
 
+def _fork_share(plans: Sequence[flsim.RunPlan], fl_cfg: FLConfig,
+                inherited: Sequence[int]) -> tuple[int, int]:
+    """Fork a worker that runs _train_share(plans, fl_cfg) and writes its
+    outcomes, or the exception it raised, to a pipe as one pickle.
+    inherited are the read ends of earlier workers' pipes, which the
+    worker closes. Returns the worker's pid and the pipe's read end."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    # the worker never returns into the caller, whatever happens
+    code = 1
+    try:
+        for fd in (read_end, *inherited):
+            os.close(fd)
+        try:
+            result: object = _train_share(plans, fl_cfg)
+        except Exception as exc:
+            result = exc
+        with open(write_end, "wb") as fh:
+            pickle.dump(result, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _train(cfg: ExperimentConfig,
            plans: Sequence[flsim.RunPlan]) -> list[np.ndarray | DivergenceError]:
     """_train_share of every plan, in _fl_processes processes: the plans
     are split by _split, and share 0 trains in this process. Each other
-    share trains in a forked worker, which inherits the imported modules
-    and this process's task, copy-on-write, instead of building them again."""
+    share trains in a worker made by os.fork, which inherits the imported
+    modules and this process's task, copy-on-write, instead of building
+    them again, and returns its outcomes through a pipe. An exception a
+    worker raised is raised here. Every pipe is closed before its worker
+    is reaped, so a worker blocked on writing exits, and every worker is
+    reaped, also when this process's share raises."""
     shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
-    if len(shares) == 1:
-        return _train_share(plans, cfg.fl)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    flsim._shared_task(cfg.fl)
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=fork) as pool:
-        futures = [pool.submit(_train_share, [plans[i] for i in share], cfg.fl)
-                   for share in shares[1:]]
+    if len(shares) > 1:
+        flsim._shared_task(cfg.fl)
+    workers: list[tuple[int, int]] = []
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_share([plans[i] for i in share], cfg.fl,
+                                       [fd for _, fd in workers]))
         done = [_train_share([plans[i] for i in shares[0]], cfg.fl)]
-        done += [future.result() for future in futures]
+        for pid, fd in workers:
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError(f"fl worker {pid} exited without its outcomes")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            done.append(result)
+    finally:
+        for pid, fd in workers:
+            os.close(fd)
+            os.waitpid(pid, 0)
     by_index = dict(zip(itertools.chain(*shares), itertools.chain(*done)))
     return [by_index[i] for i in range(len(plans))]
 

@@ -50,14 +50,15 @@ class OptimizerConfig:
 class OptimizationResult:
     """Winning schedule plus the full per-h table that produced it.
 
-    per_h_table rows are (h, best t for that h, g at that point);
-    search_steps counts objective/derivative evaluations.
+    per_h_table holds three arrays of one entry per h: h, the best t for
+    that h and g at that point; search_steps counts objective/derivative
+    evaluations.
     """
 
     h_star: int
     t_star: float
     g_star: float
-    per_h_table: tuple[tuple[int, float, float], ...]
+    per_h_table: tuple[np.ndarray, np.ndarray, np.ndarray]
     search_steps: int
 
 
@@ -128,5 +129,5 @@ def optimize_schedule(params: SystemParams,
             "communication delays exceed the dwell time; no vehicle can finish")
     ts, gs, steps = optimize_round_lengths(params, hs, cfg)
     i = int(np.argmax(gs))  # the first maximum: ties go to the smaller h
-    table = tuple(zip(hs.tolist(), ts.tolist(), gs.tolist()))
-    return OptimizationResult(*table[i], table, int(steps.sum()))
+    return OptimizationResult(int(hs[i]), float(ts[i]), float(gs[i]), (hs, ts, gs),
+                              int(steps.sum()))

@@ -10,13 +10,14 @@ insensitive to the order in which other streams are consumed.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
 def substream(seed: int, *tags: object) -> np.random.Generator:
     """Return an independent generator keyed by (seed, tags)."""
+    # imported here: hashlib maps OpenSSL, which optimize and sweep never need
+    import hashlib
+
     material = ":".join([str(int(seed))] + [str(t) for t in tags]).encode()
     key = int.from_bytes(hashlib.blake2s(material, digest_size=16).digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))

@@ -1,6 +1,7 @@
 """Independent references for the tests: a brute-force grid search for
-the optimizer, one-shot arrival times for the arrival stream,
-pinned-arrival success counts for the sub-interval law,
+the optimizer, one-shot arrival times for the arrival stream, the
+sub-interval success probabilities and pinned-arrival success counts
+that check them,
 step-by-step local training for the SGD of one vehicle, a
 value-by-value CSV formatter for the row templates and the work an fl
 run is charged. No CLI path uses them."""
@@ -12,10 +13,16 @@ import math
 import numpy as np
 
 from roadfl import analytic, flsim
+from roadfl.analytic import xi
 from roadfl.flsim import FLConfig
 from roadfl.mcsim import attempts
 from roadfl.optimizer import OptimizationResult, h_max
-from roadfl.types import InfeasibleEnvironmentError, Schedule, SystemParams
+from roadfl.types import (
+    InfeasibleEnvironmentError,
+    InfeasibleScheduleError,
+    Schedule,
+    SystemParams,
+)
 
 
 def scan_round_lengths(params: SystemParams, h: int,
@@ -55,7 +62,7 @@ def brute_force_argmax(params: SystemParams,
         raise InfeasibleEnvironmentError(
             "grid step larger than every feasible search interval")
     best = max(table, key=lambda row: row[2])  # max keeps the first maximum
-    return OptimizationResult(*best, tuple(table), steps)
+    return OptimizationResult(*best, tuple(map(np.array, zip(*table))), steps)
 
 
 def arrival_times(params: SystemParams, horizon: float,
@@ -74,6 +81,36 @@ def arrival_times(params: SystemParams, horizon: float,
     times = np.cumsum(gaps) - params.dwell_time
     assert times[-1] >= horizon, "the one-shot draw fell short of the horizon"
     return times[times < horizon]
+
+
+def subinterval_probs(params: SystemParams, h, t):
+    """Success probability conditioned on where in the round window the
+    vehicle arrives.
+
+    A round-k participant arrives in (k*t - t0, (k+1)*t), which splits
+    into three sub-intervals: arrivals that can only be cut short by
+    departure, arrivals limited by neither boundary within the slack,
+    and arrivals that can only be cut short by the round end. For
+    t >= t0 the sub-interval measures are (t0, t - t0, t0); for t < t0
+    the roles mirror and the measures are (t, t0 - t, t).
+
+    Returns (p1, p2, p3) with
+
+        p1 = p3 = (xi - beta*h*(1 - exp(-xi/(beta*h)))) / min(t, t0)
+        p2 = 1 - exp(-xi/(beta*h))
+
+    and the identity
+        rate * min(t,t0) * (p1 + p3) + rate * |t - t0| * p2 == lam(h, t).
+    """
+    xi_v = xi(params, h, t)
+    if np.any(xi_v <= 0):
+        raise InfeasibleScheduleError(
+            "sub-interval probabilities undefined: no success window (xi <= 0)")
+    bh = params.beta * np.asarray(h, dtype=float)
+    p2 = (-np.expm1(-xi_v / bh))[()]
+    p13 = ((xi_v - bh * p2) / np.minimum(np.asarray(t, dtype=float),
+                                         params.dwell_time))[()]
+    return p13, p2, p13
 
 
 def subinterval_success_counts(params: SystemParams, sched: Schedule,

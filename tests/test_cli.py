@@ -1,9 +1,10 @@
 import csv
+import json
 import math
-import multiprocessing
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -450,6 +451,12 @@ DIVERGING_GRID = ["--fl.eta=100", "--schedules",
                   "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18,40:20,40:14"]
 
 
+def assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestFlProcesses:
     @pytest.mark.parametrize("blas,processes", [
         (None, 1), ("1", 4), ("2", 2), ("abc", 1), ("0", 1)])
@@ -477,7 +484,7 @@ class TestFlProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / str(cpus)
         rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(out), *args])
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         captured = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         return rc, captured.out, captured.err, files
@@ -533,6 +540,53 @@ class TestFlProcesses:
                               [*SMALL_TASK, *DIVERGING_GRID])
         assert rc == 0
         assert planned() == trained() == 10
+
+    def train_in_two(self, monkeypatch, run):
+        """cli._train of two small schedules in two processes, with run in
+        place of run_fl; a TimeoutError if it has not returned after 30 s."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "run_fl", run)
+        cfg = cli.parse_config(BASELINE, [arg[2:] for arg in SMALL_TASK])
+        plans = flsim.plan_runs(cfg.system, [Schedule(8, 4.0), Schedule(24, 11.8)], cfg.fl)
+        assert cli._fl_processes(len(plans)) == 2
+
+        def hung(signum, frame):
+            raise TimeoutError("cli._train has not returned after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            return cli._train(cfg, plans)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
+        parent = os.getpid()
+
+        def run(plan, fl_cfg):
+            if os.getpid() != parent:
+                raise ArithmeticError(f"worker {os.getpid()}")
+            return flsim.run_fl(plan, fl_cfg)
+
+        with pytest.raises(ArithmeticError, match="^worker "):
+            self.train_in_two(monkeypatch, run)
+        assert_no_children()
+
+    def test_parent_exception_reaps_a_writing_worker(self, monkeypatch):
+        # the worker's 8 MB of losses fill its pipe, which nothing reads:
+        # it exits only once the parent has closed the pipe
+        parent = os.getpid()
+
+        def run(plan, fl_cfg):
+            if os.getpid() == parent:
+                raise ArithmeticError("parent")
+            return np.zeros(2**20)
+
+        with pytest.raises(ArithmeticError, match="^parent$"):
+            self.train_in_two(monkeypatch, run)
+        assert_no_children()
 
     def test_piped_stdout_is_written_once(self, tmp_path):
         # an empty PYTHONUNBUFFERED leaves the piped stdout block-buffered
@@ -968,20 +1022,28 @@ def test_help_exits_0(capsys):
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    """The package runs on numpy alone; scipy is a test-only oracle. Only
-    fl in more than one process imports multiprocessing."""
-    code = ("import sys, roadfl.cli\n"
-            f"roadfl.cli.main(['validate', '--config', {str(BASELINE)!r}, "
-            f"'--out', {str(tmp_path)!r}, '--sim.num_rounds=100'])\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, cwd=REPO)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+    """Each subcommand, run cold, loads only what it runs. None imports
+    scipy, a test-only oracle, or multiprocessing and concurrent, since fl
+    forks its workers itself; fl runs in two processes here, whatever the
+    CPUs. optimize and sweep draw no random number, so they load neither
+    numpy.random nor OpenSSL's _hashlib."""
+    code = ("import json, os, sys, roadfl.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "assert roadfl.cli._fl_processes(2) == 2\n"
+            "assert roadfl.cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    for command, args in [("optimize", []), ("validate", ["--sim.num_rounds=100"]),
+                          ("sweep", []), ("fl", SMALL_TASK)]:
+        proc = subprocess.run([sys.executable, "-c", code, command, "--config",
+                               str(BASELINE), "--out", str(tmp_path), *args],
+                              capture_output=True, text=True, env=env, cwd=REPO)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert not {m.split(".")[0] for m in modules} \
+            & {"scipy", "multiprocessing", "concurrent"}, command
+        if command in ("optimize", "sweep"):
+            assert not modules & {"_hashlib", "numpy.random"}, command
 
 
 def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):

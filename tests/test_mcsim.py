@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracle import arrival_times, subinterval_success_counts
+from oracle import arrival_times, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import mcsim
 from roadfl.rng import substream
@@ -413,7 +413,7 @@ class TestPoissonFit:
 
 def test_subinterval_rates_match_probabilities(reference_params):
     sched = Schedule(24, 25.0)
-    expected = an.subinterval_probs(reference_params, sched.h, sched.t)
+    expected = subinterval_probs(reference_params, sched.h, sched.t)
     n = 20_000
     counts = subinterval_success_counts(reference_params, sched, n,
                                         substream(10, "subintervals"))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ class TestPerIterationSearch:
                 t, g_val, used = scalar_bisection(params, h, cfg)
                 table.append((h, float(t).hex(), float(g_val).hex()))
                 steps += used
-            assert [(h, t.hex(), g_val.hex()) for h, t, g_val in res.per_h_table] == table
+            assert [(h, t.hex(), g_val.hex()) for h, t, g_val in zip(*res.per_h_table)] == table
             assert res.search_steps == steps
 
     def test_lanes_are_independent(self, reference_params):
@@ -127,13 +128,13 @@ class TestJointSearch:
         res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
         assert res.h_star == 24
         assert abs(res.t_star - 11.8) <= 0.1
-        assert len(res.per_h_table) == 89
+        assert [column.size for column in res.per_h_table] == [89] * 3
         assert all(an.t_min(reference_params, h) < t <= an.t_max(reference_params, h)
-                   for h, t, _ in res.per_h_table)
+                   for h, t, _ in zip(*res.per_h_table))
 
     def test_argmax_dominates_table(self, reference_params):
         res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
-        assert res.g_star == max(row[2] for row in res.per_h_table)
+        assert res.g_star == res.per_h_table[2].max()
 
     def test_no_arrivals_is_infeasible(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
@@ -151,8 +152,11 @@ class TestJointSearch:
 
     def test_deterministic(self, reference_params):
         cfg = opt.OptimizerConfig()
-        assert opt.optimize_schedule(reference_params, cfg) \
-            == opt.optimize_schedule(reference_params, cfg)
+        a, b = (opt.optimize_schedule(reference_params, cfg) for _ in range(2))
+        # the table's arrays compare bitwise, the other fields by value
+        assert replace(a, per_h_table=None) == replace(b, per_h_table=None)
+        assert [column.tobytes() for column in a.per_h_table] \
+            == [column.tobytes() for column in b.per_h_table]
 
     def test_tie_breaks_toward_smaller_h(self, reference_params, monkeypatch):
         # h = 3 and h = 5 tie on g; the smaller h wins
@@ -164,7 +168,7 @@ class TestJointSearch:
         monkeypatch.setattr(opt, "optimize_round_lengths", tied)
         res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
         assert (res.h_star, res.t_star, res.g_star) == (3, 13.0, 1.5)
-        assert res.per_h_table[2] == (3, 13.0, 1.5)
+        assert tuple(column[2] for column in res.per_h_table) == (3, 13.0, 1.5)
         assert res.search_steps == opt.h_max(reference_params)
 
 
