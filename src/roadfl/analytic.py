@@ -27,9 +27,10 @@ precision when the slack is small.
 Every function takes the iteration count h and, where it depends on
 it, the round length t as scalars or arrays, and broadcasts them
 against each other with numpy's rules: the optimizer passes one lane
-per h, the sweep command an (h, 1) column against a (1, t) row.
-Scalar inputs give numpy scalars. An array result is bitwise equal to
-evaluating each element on its own.
+per h, the sweep command a column of h against a row of round lengths,
+one block of its grid at a time. Scalar inputs give numpy scalars. An
+array result is bitwise equal to evaluating each element on its own,
+so the block size never changes a value.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import numpy as np
 from .types import InfeasibleEnvironmentError, InfeasibleScheduleError, SystemParams
 
 __all__ = [
-    "t_min", "xi", "lambda_param", "success_probability", "g", "dg_dt",
-    "c0_c1", "t_max",
+    "t_min", "xi", "lambda_param", "surface", "success_probability", "g",
+    "dg_dt", "c0_c1", "t_max",
 ]
 
 
@@ -67,15 +68,22 @@ def lambda_param(params: SystemParams, h, t):
     return np.where(xi_v > 0.0, lam, 0.0)[()]
 
 
+def surface(params: SystemParams, h, t):
+    """(g, lam, P(at least one success)) from one evaluation of lam."""
+    lam = lambda_param(params, h, t)
+    p_success = -np.expm1(-lam)
+    g_v = np.asarray(h, dtype=float) / np.asarray(t, dtype=float) * p_success
+    return g_v[()], lam, p_success[()]
+
+
 def success_probability(params: SystemParams, h, t):
     """Probability that at least one vehicle succeeds in a round."""
-    return (-np.expm1(-lambda_param(params, h, t)))[()]
+    return surface(params, h, t)[2]
 
 
 def g(params: SystemParams, h, t):
     """Valid-update frequency (h/t) * P(at least one success)."""
-    return (np.asarray(h, dtype=float) / np.asarray(t, dtype=float)
-            * success_probability(params, h, t))[()]
+    return surface(params, h, t)[0]
 
 
 def dg_dt(params: SystemParams, h, t):

@@ -55,8 +55,9 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 
 # array columns become Python scalars this many rows at a time as their
-# CSV rows are written; surface.csv is rendered this many round lengths
-# of one h per % call
+# CSV rows are written; sweep evaluates and renders its surface in blocks
+# of at most this many points: whole rows of as many h as fit, or this
+# many round lengths of one h, one h's rows per % call
 ROW_CHUNK = 2**14
 # printf codes of the CSV columns: integers in full, floats with 9
 # significant digits (nan and +-inf print as nan, inf and -inf)
@@ -258,8 +259,9 @@ def _parse_h_list(text: str) -> list[int]:
     return hs
 
 
-def _parse_t_grid(text: str) -> np.ndarray:
-    """Round lengths start + k*step for k = 0, 1, ... up to stop."""
+def _parse_t_grid(text: str) -> tuple[float, float, int]:
+    """The round lengths start + k*step for k = 0, 1, ... up to stop, as
+    (start, step, count); _t_chunk builds them a chunk at a time."""
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
@@ -272,43 +274,55 @@ def _parse_t_grid(text: str) -> np.ndarray:
     span = (limit - start) / step
     if span >= MAX_ROWS:
         raise ConfigError(f"t grid {text!r} has more than {MAX_ROWS} points")
-    # one spare point absorbs rounding in span; the filter drops it
-    ts = start + step * np.arange(max(math.floor(span), -1) + 2)
-    ts = ts[ts <= limit]
-    if ts.size == 0:
+    # one spare candidate absorbs rounding in span (which is -inf when
+    # limit - start overflows). The candidates never decrease, and only
+    # the last two can be past limit, so those two decide the count.
+    candidates = math.floor(max(span, -1.0)) + 2
+    last = start + step * np.arange(max(candidates - 2, 0), candidates)
+    count = candidates - int(np.count_nonzero(last > limit))
+    if count == 0:
         raise ConfigError("t grid is empty")
-    return ts
+    return start, step, count
+
+
+def _t_chunk(start: float, step: float, count: int, k: int) -> np.ndarray:
+    """The round lengths start + j*step of a grid of count points, for j
+    from k to the end of its chunk of ROW_CHUNK."""
+    return start + step * np.arange(k, min(k + ROW_CHUNK, count))
 
 
 def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
     hs = _parse_h_list(h_list)
-    ts = _parse_t_grid(t_grid)
-    points = len(hs) * ts.size
+    start, step, n_t = _parse_t_grid(t_grid)
+    points = len(hs) * n_t
     if points > MAX_ROWS:
         raise ConfigError(f"sweep has {points} (h, t) points, "
                           f"more than {MAX_ROWS}")
-    h_col = np.array(hs, dtype=float)[:, None]
-    t_row = ts[None, :]
-    surface = (analytic.g(cfg.system, h_col, t_row),
-               analytic.lambda_param(cfg.system, h_col, t_row),
-               analytic.success_probability(cfg.system, h_col, t_row))
     row_end = ("," + FLOAT) * 3 + "\n"
 
     # one t chunk's text at a time: every h reuses it when the grid is one chunk
     @functools.lru_cache(maxsize=1)
     def t_texts(k: int) -> list[str]:
         """',t' and the value codes of each row of the t chunk from k."""
-        return ["," + FLOAT % t + row_end for t in ts[k:k + ROW_CHUNK].tolist()]
+        return ["," + FLOAT % t + row_end
+                for t in _t_chunk(start, step, n_t, k).tolist()]
 
     def chunks() -> Iterator[str]:
         yield "h,t_s,g,lambda,p_success\n"
-        # h-major rows: each h (kept a Python int) against every t; one %
-        # call renders one t chunk of an h's rows
-        for i, h in enumerate(hs):
-            h_text = INT % h
-            for k in range(0, ts.size, ROW_CHUNK):
-                values = np.stack([a[i, k:k + ROW_CHUNK] for a in surface], axis=1)
-                yield (h_text + h_text.join(t_texts(k))) % tuple(values.ravel().tolist())
+        # h-major rows, evaluated a block at a time: as many h as fit in
+        # ROW_CHUNK points against every t, or one h against one t chunk.
+        # Each h is kept a Python int; one % call renders one t chunk of
+        # an h's rows
+        rows = max(1, ROW_CHUNK // n_t)
+        for i in range(0, len(hs), rows):
+            block = hs[i:i + rows]
+            h_col = np.array(block, dtype=float)[:, None]
+            for k in range(0, n_t, ROW_CHUNK):
+                surface = analytic.surface(cfg.system, h_col,
+                                           _t_chunk(start, step, n_t, k))
+                for h, values in zip(block, np.stack(surface, axis=-1)):
+                    h_text = INT % h
+                    yield (h_text + h_text.join(t_texts(k))) % tuple(values.ravel().tolist())
 
     _write_lines(cfg.output_dir / "surface.csv", chunks())
     print(f"surface: {points} points")

@@ -12,10 +12,11 @@ import time
 import types
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import fl_work, format_csv_value
@@ -269,6 +270,26 @@ class TestValidateCommand:
         assert rc == 1
 
 
+# (start, stop, step) of t grids that reach stop in up to about 200 steps,
+# or stop before start, with stop moved by up to two ulps. Steps run from
+# about an ulp of start up, and from 1e-9 up, so that the 1e-12 slack
+# past stop adds at most a step; a large start against a small step, or a
+# stop an ulp short of a candidate, rounds the candidates the most.
+def _t_grid(start: float, ratio: float, steps: float, ulps: int) -> tuple[float, float, float]:
+    step = max(start * ratio, 1e-9)
+    stop = start + step * steps
+    for _ in range(abs(ulps)):
+        stop = math.nextafter(stop, math.copysign(math.inf, ulps))
+    return start, stop, step
+
+
+T_GRIDS = st.builds(
+    _t_grid, st.floats(1e-300, 1e295), st.floats(2.0**-55, 2.0**30),
+    st.builds(float.__add__, st.integers(-3, 200).map(float),
+              st.one_of(st.sampled_from([0.0, 1e-12, -1e-12, 0.5, -0.5]), st.floats(-1, 1))),
+    st.integers(-2, 2))
+
+
 class TestSweepCommand:
     def test_single_peak_along_t(self, tmp_path):
         rc = cli.main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path),
@@ -301,7 +322,7 @@ class TestSweepCommand:
         ("24", "1:nan:0.1"), ("24", "1:inf:1"), ("24", "nan:10:1"),
         ("24", "1:10:nan"), ("24", "1:10:-inf"),
         ("24", "1:1e300:1"), ("24", "1:2:1e-300"),
-        ("1,2,3,4,5", "1:300000:1"),
+        ("1,2,3,4,5", "1:300000:1"), ("24", "1.7e308:-1.7e308:1"),
     ])
     def test_unbounded_or_oversized_grid_is_error(self, tmp_path, capsys, h_list, t_grid):
         rc = cli.main(["sweep", "--config", str(BASELINE), "--out", str(tmp_path),
@@ -321,7 +342,8 @@ class TestSweepCommand:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "surface.csv").exists()
 
-    @pytest.mark.parametrize("chunk", [1, 7, 2**20])
+    # 80 points hold 2 of the 39 round lengths' rows: h blocks of 2, 2 and 1
+    @pytest.mark.parametrize("chunk", [1, 7, 80, 2**20])
     def test_surface_matches_row_by_row_oracle(self, tmp_path, monkeypatch, chunk):
         # a duplicate h, an h above 2**64 and one above h_max (90 on baseline)
         hs = [24, 8, 24, 2**65, 100]
@@ -347,7 +369,73 @@ class TestSweepCommand:
             expected = []
             while start + len(expected) * step <= stop + 1e-12:
                 expected.append(start + len(expected) * step)
-            assert cli._parse_t_grid(text).tolist() == expected
+            assert cli._t_chunk(*cli._parse_t_grid(text), 0).tolist() == expected
+
+    # 1e16 + 5 * 0.5 rounds to 1e16 + 2, so the spare candidate is kept;
+    # 0.3 + 7 * 0.1 is past 0.9, so it is dropped; in the third grid span
+    # rounds up to 84.0, and candidates 84 and 85 are both past stop
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(T_GRIDS, st.sampled_from([1, 2, 3, 64, 2**20]))
+    @example((1e16, 1.0000000000000002e16, 0.5), 2)
+    @example((0.3, 0.9, 0.1), 3)
+    @example((5664.574952904889, 2006917391.3706286, 23891806.271377094), 64)
+    def test_grid_chunks_match_whole_array_formula(self, grid, chunk):
+        start, stop, step = grid
+        # oracle: every candidate as one array, then those up to stop
+        limit = stop + 1e-12
+        span = (limit - start) / step
+        ts = None
+        if span < flsim.MAX_ROWS:
+            candidates = max(math.floor(span), -1) + 2
+            ts = start + step * np.arange(candidates)
+            ts = ts[ts <= limit]
+            event(("spare candidate kept", "spare candidate dropped",
+                   "both last candidates dropped")[min(candidates - ts.size, 2)])
+        text = f"{start!r}:{stop!r}:{step!r}"
+        if ts is None or ts.size == 0:
+            with pytest.raises(cli.ConfigError, match="more than" if ts is None else "empty"):
+                cli._parse_t_grid(text)
+            return
+        with mock.patch.object(cli, "ROW_CHUNK", chunk):
+            grid_start, grid_step, count = cli._parse_t_grid(text)
+            chunks = [cli._t_chunk(grid_start, grid_step, count, k)
+                      for k in range(0, count, chunk)]
+        assert count == ts.size
+        assert np.concatenate(chunks).tolist() == ts.tolist()
+
+    def test_memory_follows_one_chunk(self, tmp_path):
+        """A 2**20-point sweep holds one chunk of its surface at a time, so
+        its tracemalloc peak is within 1 MiB of a 2**14-point sweep's: for
+        one h against 2**20 round lengths and 32 h against 2**15 (t
+        chunks), and 1024 h against 1024 (h blocks of 16 rows). Each sweep
+        runs in a process of its own, after a warm-up sweep, and the
+        processes run at once: tracing makes a 2**20-point sweep take
+        10 to 20 s."""
+        code = ("import sys, tracemalloc, roadfl.cli\n"
+                "def sweep(*grid):\n"
+                "    assert roadfl.cli.main(['sweep', '--config', sys.argv[1], '--out',\n"
+                "                            sys.argv[2], '--h-list', grid[0],\n"
+                "                            '--t-grid', grid[1]]) == 0\n"
+                "sweep('24', '1:2:1')\n"
+                "tracemalloc.start()\n"
+                "sweep(*sys.argv[3:])\n"
+                "print(tracemalloc.get_traced_memory()[1])")
+        grids = [("24", "1:16384:1"), ("24", "1:1048576:1"),
+                 (",".join(map(str, range(1, 33))), "1:32768:1"),
+                 (",".join(map(str, range(1, 1025))), "1:1024:1")]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+        procs = [subprocess.Popen([sys.executable, "-c", code, str(BASELINE),
+                                   str(tmp_path / str(i)), *grid],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+                 for i, grid in enumerate(grids)]
+        peaks = []
+        for proc in procs:
+            out, _ = proc.communicate(timeout=300)
+            assert proc.returncode == 0
+            peaks.append(int(out.splitlines()[-1]))
+        for grid, peak in zip(grids[1:], peaks[1:]):
+            assert peak - peaks[0] < 2**20, (grid[1], peak, peaks[0])
+        assert (tmp_path / "1" / "surface.csv").stat().st_size > 2**25
 
 
 class TestFlCommand:
