@@ -6,8 +6,9 @@ grid sweeps over schedules stay cheap and every claim about the loss is
 checkable. A winner's local data is a fixed-size sample of the global
 pool from its own stream. Each round's winners are read from mcsim's
 attempt table, so training follows exactly the timing rules of the Monte
-Carlo replay; the winners' locally trained models are averaged by
-dataset size, and rounds with no success leave the model unchanged.
+Carlo replay; the winners' locally trained models get equal weights
+(every winner holds samples_per_vehicle rows, so FedAvg's size weights
+are equal), and rounds with no success leave the model unchanged.
 
 A run returns its validation loss at each round boundary up to the
 training horizon. Its headline metric is the running minimum of that
@@ -202,23 +203,20 @@ def local_sgd(w: np.ndarray, x: np.ndarray, y: np.ndarray, rows: np.ndarray,
     return w
 
 
-def aggregate(models: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
-    """Average weight vectors weighted by their dataset sizes.
+def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
+    """Average a round's weight vectors, each with the weight 1 / len(models).
 
-    Computed as base + sum(frac_i * (w_i - base)), which returns a list
-    of identical models exactly and keeps the weights summing to one.
-    Raises ValueError on an empty round and DivergenceError on a
-    non-finite average.
+    Computed as base + sum((1 / n) * (w_i - base)), which returns a list
+    of identical models exactly. Raises ValueError on an empty round and
+    DivergenceError on a non-finite average.
     """
     if not models:
         raise ValueError("cannot aggregate an empty round")
-    total = sum(size for _, size in models)
-    if total <= 0:
-        raise ValueError("aggregation weights must be positive")
-    base = models[0][0]
+    weight = 1 / len(models)
+    base = models[0]
     out = base.copy()
-    for w, size in models:
-        out += (size / total) * (w - base)
+    for w in models:
+        out += weight * (w - base)
     if not np.all(np.isfinite(out)):
         raise DivergenceError("model weights are not finite")
     return out
@@ -344,7 +342,7 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> np.ndarray:
                     cfg.vehicle_shift_std * data.standard_normal(cfg.feature_dim)
                 models.append(local_sgd(w, task.x_pool, task.y_pool, rows, shift, sched.h,
                                         cfg, _run_stream(cfg, "sgd", sched, k, m)))
-            w = aggregate([(wm, cfg.samples_per_vehicle) for wm in models])
+            w = aggregate(models)
             losses.append(mse_loss(w, task.x_val, task.y_val))
     return np.asarray(losses)
 

@@ -157,14 +157,11 @@ def expected_attempts(params: SystemParams, t: float, rounds: int) -> float:
 
 class Attempts(NamedTuple):
     """One row per (vehicle, round) upload attempt, ordered by round and
-    then by arrival. vehicle indexes the arrival array."""
+    then by arrival. vehicle indexes the arrival array, and success says
+    whether the upload arrived in time."""
 
     vehicle: np.ndarray
     round: np.ndarray
-    start: np.ndarray
-    tau_cp: np.ndarray
-    completion: np.ndarray
-    deadline: np.ndarray
     success: np.ndarray
 
 
@@ -185,20 +182,18 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     first = np.searchsorted(arrivals, begins - t0, side="right")
     counts = np.searchsorted(arrivals, ends, side="left") - first
     rnd = np.repeat(k, counts)
-    # each row's column is computed in place, in the order the formulas give
+    # each row's times are computed in place, in the order the formulas give
     vehicle = np.repeat(first - (np.cumsum(counts) - counts), counts)
     vehicle += np.arange(rnd.size)
-    z = arrivals[vehicle]
-    start = np.repeat(begins, counts)
-    np.maximum(start, z, out=start)
-    tau_cp = sample_computing_delay(params, sched.h, delay_rng, rnd.size)
-    completion = start + params.tau_down
-    completion += tau_cp
+    deadline = arrivals[vehicle]  # z, until t0 is added
+    completion = np.repeat(begins, counts)
+    np.maximum(completion, deadline, out=completion)
+    completion += params.tau_down
+    completion += sample_computing_delay(params, sched.h, delay_rng, rnd.size)
     completion += params.tau_up
-    deadline = z + t0
+    deadline += t0
     np.minimum(deadline, np.repeat(ends, counts), out=deadline)
-    return Attempts(vehicle, rnd, start, tau_cp, completion, deadline,
-                    completion <= deadline)
+    return Attempts(vehicle, rnd, completion <= deadline)
 
 
 def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.ndarray],

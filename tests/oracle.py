@@ -1,7 +1,7 @@
 """Independent references for the tests: a brute-force grid search for
 the optimizer, one-shot arrival times for the arrival stream, the
 sub-interval success probabilities and pinned-arrival success counts
-that check them,
+that check them, the upload rule applied row by row for the attempt table,
 step-by-step local training for the SGD of one vehicle, a
 value-by-value CSV formatter for the row templates and the work an fl
 run is charged. No CLI path uses them."""
@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from roadfl import analytic, flsim
+from roadfl import analytic, flsim, mcsim
 from roadfl.analytic import xi
 from roadfl.flsim import FLConfig
-from roadfl.mcsim import attempts
 from roadfl.optimizer import OptimizationResult, h_max
 from roadfl.types import (
     InfeasibleEnvironmentError,
@@ -132,8 +131,35 @@ def subinterval_success_counts(params: SystemParams, sched: Schedule,
     out = np.zeros(3, dtype=np.int64)
     for i, (a, b) in enumerate(bounds):
         z = np.sort(a + (b - a) * rng.random(n_per_interval))
-        out[i] = int(attempts(params, sched, z, 0, 1, rng).success.sum())
+        out[i] = int(mcsim.attempts(params, sched, z, 0, 1, rng).success.sum())
     return out
+
+
+def upload_rule_rows(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
+                     k_begin: int, k_end: int, delay_rng: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mcsim.attempts written out one row at a time: the (vehicle, round,
+    success) rows of rounds k_begin <= k < k_end.
+
+    Round k's rows are the arrivals z with k*t - t0 < z < (k+1)*t, in
+    arrival order. The rows' delays tau are one
+    mcsim.sample_computing_delay draw of the row count, and a row succeeds
+    iff max(k*t, z) + tau_down + tau + tau_up <= min(z + t0, (k+1)*t).
+    """
+    t, t0 = sched.t, params.dwell_time
+    z_all = arrivals.tolist()
+    vehicle, rnd = [], []
+    for k in range(k_begin, k_end):
+        for m, z in enumerate(z_all):
+            if k * t - t0 < z < (k + 1) * t:
+                vehicle.append(m)
+                rnd.append(k)
+    delays = mcsim.sample_computing_delay(params, sched.h, delay_rng, len(rnd)).tolist()
+    success = [max(k * t, z_all[m]) + params.tau_down + tau + params.tau_up
+               <= min(z_all[m] + t0, (k + 1) * t)
+               for m, k, tau in zip(vehicle, rnd, delays)]
+    return (np.array(vehicle, dtype=np.int64), np.array(rnd, dtype=np.int64),
+            np.array(success, dtype=bool))
 
 
 def local_sgd_one_vehicle(w: np.ndarray, x: np.ndarray, y: np.ndarray,

@@ -186,10 +186,8 @@ def test_c08_fl_mechanics():
     gradient matches finite differences."""
     a = np.array([0.0])
     b = np.array([4.0])
-    agg_ok = (aggregate([(a, 10), (b, 10)])[0] == 2.0
-              and aggregate([(a, 1), (b, 3)])[0] == 3.0)
     w = np.array([0.5, -1.5, 2.0])
-    agg_ok = agg_ok and np.array_equal(aggregate([(w, 7)]), w)
+    agg_ok = aggregate([a, b])[0] == 2.0 and np.array_equal(aggregate([w]), w)
 
     sched = Schedule(24, 11.8)
     cfg = FLConfig(seed=5, horizon=2400.0)

@@ -404,14 +404,14 @@ class TestSweepCommand:
         assert np.concatenate(chunks).tolist() == ts.tolist()
 
     def test_memory_follows_one_chunk(self, tmp_path):
-        """A 2**20-point sweep holds one chunk of its surface at a time, so
-        its tracemalloc peak is within 1 MiB of a 2**14-point sweep's: for
-        one h against 2**20 round lengths and 32 h against 2**15 (t
-        chunks), and 1024 h against 1024 (h blocks of 16 rows). Each sweep
-        runs in a process of its own, after a warm-up sweep, and the
-        processes run at once: tracing makes a 2**20-point sweep take
-        10 to 20 s."""
+        """A 2**16-point sweep in chunks of 2**10 points holds one chunk of
+        its surface at a time, so its tracemalloc peak is within 64 KiB of
+        a 2**10-point sweep's: for one h against 2**16 round lengths and
+        32 h against 2**11 (t chunks), and 1024 h against 64 (h blocks of
+        16 rows). Each sweep runs in a process of its own, after a warm-up
+        sweep, and the processes run at once."""
         code = ("import sys, tracemalloc, roadfl.cli\n"
+                "roadfl.cli.ROW_CHUNK = 2**10\n"
                 "def sweep(*grid):\n"
                 "    assert roadfl.cli.main(['sweep', '--config', sys.argv[1], '--out',\n"
                 "                            sys.argv[2], '--h-list', grid[0],\n"
@@ -420,9 +420,9 @@ class TestSweepCommand:
                 "tracemalloc.start()\n"
                 "sweep(*sys.argv[3:])\n"
                 "print(tracemalloc.get_traced_memory()[1])")
-        grids = [("24", "1:16384:1"), ("24", "1:1048576:1"),
-                 (",".join(map(str, range(1, 33))), "1:32768:1"),
-                 (",".join(map(str, range(1, 1025))), "1:1024:1")]
+        grids = [("24", "1:1024:1"), ("24", "1:65536:1"),
+                 (",".join(map(str, range(1, 33))), "1:2048:1"),
+                 (",".join(map(str, range(1, 1025))), "1:64:1")]
         env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
         procs = [subprocess.Popen([sys.executable, "-c", code, str(BASELINE),
                                    str(tmp_path / str(i)), *grid],
@@ -434,8 +434,8 @@ class TestSweepCommand:
             assert proc.returncode == 0
             peaks.append(int(out.splitlines()[-1]))
         for grid, peak in zip(grids[1:], peaks[1:]):
-            assert peak - peaks[0] < 2**20, (grid[1], peak, peaks[0])
-        assert (tmp_path / "1" / "surface.csv").stat().st_size > 2**25
+            assert peak - peaks[0] < 2**16, (grid[1], peak, peaks[0])
+        assert (tmp_path / "1" / "surface.csv").stat().st_size > 2**21
 
 
 class TestFlCommand:

@@ -218,31 +218,23 @@ class TestLocalSgd:
 class TestAggregate:
     def test_plain_average(self):
         a, b = np.array([0.0]), np.array([4.0])
-        assert flsim.aggregate([(a, 10), (b, 10)])[0] == 2.0
-
-    def test_weighted_average(self):
-        a, b = np.array([0.0]), np.array([4.0])
-        assert flsim.aggregate([(a, 1), (b, 3)])[0] == 3.0
+        assert flsim.aggregate([a, b])[0] == 2.0
 
     def test_single_uploader_unchanged(self):
         w = np.array([1.25, -2.5, 0.75])
-        out = flsim.aggregate([(w, 17)])
+        out = flsim.aggregate([w])
         assert np.array_equal(out, w)
         assert out is not w
 
     def test_identical_models_exact(self):
         w = np.array([0.1, 0.2, 0.3])
-        models = [(w.copy(), int(d)) for d in (1, 7, 42)]
-        assert np.array_equal(flsim.aggregate(models), w)
+        assert np.array_equal(flsim.aggregate([w.copy() for _ in range(3)]), w)
 
     def test_weights_sum_to_one(self):
         rng = substream(11, "agg")
-        models = [(rng.standard_normal(6), int(d))
-                  for d in rng.integers(1, 100, size=5)]
-        total = sum(d for _, d in models)
-        manual = sum((d / total) * w for w, d in models)
-        out = flsim.aggregate(models)
-        assert out == pytest.approx(manual, rel=1e-12)
+        models = [rng.standard_normal(6) for _ in range(5)]
+        manual = sum(models) / len(models)
+        assert flsim.aggregate(models) == pytest.approx(manual, rel=1e-12)
 
     def test_empty_round_rejected(self):
         with pytest.raises(ValueError, match="empty round"):
@@ -253,7 +245,7 @@ class TestAggregate:
         # each model is finite; their weighted difference overflows
         a, b = np.array([-1e308]), np.array([1e308])
         with pytest.raises(flsim.DivergenceError):
-            flsim.aggregate([(a, 1), (b, 1)])
+            flsim.aggregate([a, b])
 
 
 class TestRunFl:

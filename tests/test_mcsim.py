@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracle import arrival_times, subinterval_probs, subinterval_success_counts
+from oracle import (arrival_times, subinterval_probs, subinterval_success_counts,
+                    upload_rule_rows)
 from roadfl import analytic as an
 from roadfl import mcsim
 from roadfl.rng import substream
@@ -46,6 +47,9 @@ class TestComputingDelay:
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
 
 
+# the reference environment of baseline.cfg, as reference_params gives it
+REFERENCE = SystemParams(length=400, speed=20, arrival_rate=0.1, tau_down=1, tau_up=1,
+                         alpha=0.2, beta=0.2)
 # the 2000 m section at 5 m/s of the long_section benchmark workload
 LONG_SECTION = SystemParams(length=2000, speed=5, arrival_rate=0.1, tau_down=1, tau_up=1,
                             alpha=0.05, beta=0.05)
@@ -111,9 +115,8 @@ class TestArrivals:
         table = mcsim.attempts(reference_params, sched, times, 0, 30,
                                substream(7, "d"))
         t0 = reference_params.dwell_time
-        z = times[table.vehicle]
-        assert np.all(table.start >= z)
-        assert np.all(table.deadline <= z + t0)
+        assert_rows_equal(table, upload_rule_rows(reference_params, sched, times, 0, 30,
+                                                  substream(7, "d")))
         for m, zm in enumerate(times):
             rounds = table.round[table.vehicle == m].tolist()
             assert rounds == [k for k in range(30)
@@ -127,6 +130,14 @@ class TestArrivals:
     def test_bad_horizon(self, reference_params):
         with pytest.raises(InvalidParameterError):
             mcsim.arrival_stream(reference_params, 0.0, substream(9, "a"))
+
+
+def assert_rows_equal(table, rows):
+    """An attempt table's columns equal the oracle's (vehicle, round,
+    success) bit for bit."""
+    for column, expected in zip(table, rows, strict=True):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
 
 
 def recorded_table(params, sched, cfg):
@@ -197,16 +208,8 @@ class TestSimulateRounds:
         hist = mcsim.simulate_rounds(reference_params, sched, cfg)
         arrivals, a = recorded_table(reference_params, sched, cfg)
         t, t0 = sched.t, reference_params.dwell_time
-        z = arrivals[a.vehicle]
-        assert np.array_equal(a.success, a.completion <= a.deadline)
-        assert np.all(a.tau_cp >= reference_params.alpha * sched.h)
-        assert np.all(a.deadline <= (a.round + 1) * t)
-        assert np.all(a.deadline <= z + t0)  # departure cap
-        assert np.all(a.start >= a.round * t)
-        assert np.all(a.start >= z)
-        assert a.completion == pytest.approx(
-            a.start + reference_params.tau_down + a.tau_cp
-            + reference_params.tau_up, rel=1e-12)
+        assert_rows_equal(a, upload_rule_rows(reference_params, sched, arrivals, 0,
+                                              cfg.num_rounds, substream(cfg.seed, "delays")))
         # round-major, then by arrival, and exactly the window's vehicles
         expected = [np.flatnonzero((arrivals > k * t - t0) & (arrivals < (k + 1) * t))
                     for k in range(cfg.num_rounds)]
@@ -310,8 +313,7 @@ class TestSimulateRounds:
 
 @pytest.mark.parametrize("params,sched", [
     # about 3.2 and 48 attempts per round
-    (SystemParams(length=400, speed=20, arrival_rate=0.1, tau_down=1, tau_up=1,
-                  alpha=0.2, beta=0.2), Schedule(24, 11.8)),
+    (REFERENCE, Schedule(24, 11.8)),
     (LONG_SECTION, Schedule(1463, 83.56))])
 def test_expected_attempts_is_the_mean_table_size(params, sched):
     """Over 10**5 rounds the attempt table's rows match expected_attempts.
@@ -333,6 +335,30 @@ def test_expected_attempts_is_the_mean_table_size(params, sched):
     assert abs(rows - expected) <= 5 * sigma
     # t alone, without the dwell time, would be off by hundreds of sigma
     assert abs(rows - rounds * params.arrival_rate * sched.t) > 100 * sigma
+
+
+@pytest.mark.parametrize("params,sched", [
+    pytest.param(REFERENCE, Schedule(24, 11.8), id="reference"),
+    pytest.param(REFERENCE, Schedule(8, 5.0), id="t_below_t0"),
+    pytest.param(REFERENCE, Schedule(24, 6.0), id="no_success"),
+    pytest.param(REFERENCE, Schedule(8, 40.0), id="t_above_t0"),
+    pytest.param(LONG_SECTION, Schedule(1463, 83.56), id="long_section")])
+def test_attempts_follow_the_upload_rule(params, sched, monkeypatch):
+    """The attempt table is the upload rule applied row by row, bit for
+    bit, built in one piece and in blocks of split rounds."""
+    rounds = 300
+    arrivals = arrival_times(params, rounds * sched.t, substream(31, "arrivals"))
+    rows = upload_rule_rows(params, sched, arrivals, 0, rounds, substream(31, "delays"))
+    assert rows[1].size > rounds
+    assert_rows_equal(mcsim.attempts(params, sched, arrivals, 0, rounds,
+                                     substream(31, "delays")), rows)
+    # at most 2 rows per table, in arrival chunks of 2
+    monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
+    blocks = [table for _, _, table in mcsim.attempt_blocks(
+        params, sched, mcsim.arrival_stream(params, rounds * sched.t,
+                                            substream(31, "arrivals")),
+        rounds, substream(31, "delays"))]
+    assert_rows_equal([np.concatenate(column) for column in zip(*blocks)], rows)
 
 
 # Poisson means checked against scipy.stats.poisson, from nearly empty
