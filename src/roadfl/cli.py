@@ -17,7 +17,19 @@ command-line overrides, e.g. --system.speed_mps=25. All CSV output is
 deterministic for a fixed config and seed: floats are printed with 9
 significant digits and files are written atomically.
 
-Exit codes: 0 success, 1 config or usage error, 2 infeasible environment.
+Each command imports the roadfl modules it runs when it runs:
+optimize loads optimizer, sweep analytic, validate analytic and mcsim,
+and fl all of them.
+
+A process runs the CLI through entry, the console script's target and
+what python -m roadfl.cli calls. It keeps OpenSSL's _hashlib out of the
+process, so that hashlib and hmac, which numpy.random loads through
+secrets, fall back to the digests CPython builds in; roadfl hashes only
+with blake2s, one of them. Calling main in-process leaves the host's
+hashlib as it is.
+
+Exit codes: 0 success, 1 config or usage error, or a stdout closed by
+its reader, 2 infeasible environment.
 """
 
 from __future__ import annotations
@@ -33,22 +45,25 @@ import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
-from . import analytic, flsim, optimizer
-from .flsim import MAX_ROWS, FLConfig, plan_runs, proxy_correlation, run_fl
-from .mcsim import SimConfig, compare_to_poisson, poisson_rows, simulate_rounds
-from .optimizer import OptimizerConfig
 from .types import (
+    MAX_ROWS,
     DivergenceError,
+    FLConfig,
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
     InvalidParameterError,
+    OptimizerConfig,
     Schedule,
+    SimConfig,
     SystemParams,
 )
+
+if TYPE_CHECKING:
+    from .flsim import RunPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -207,6 +222,8 @@ def _stream(values: np.ndarray) -> Iterator:
 
 
 def cmd_optimize(cfg: ExperimentConfig) -> int:
+    from . import optimizer
+
     result = optimizer.optimize_schedule(cfg.system, cfg.optimizer)
     out = cfg.output_dir
     _write_rows(out / "optimize.csv",
@@ -225,13 +242,15 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 def cmd_validate(cfg: ExperimentConfig) -> int:
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
+    from . import analytic, mcsim
+
     lam = analytic.lambda_param(cfg.system, cfg.schedule.h, cfg.schedule.t)
-    rows = poisson_rows(lam)
+    rows = mcsim.poisson_rows(lam)
     if rows > MAX_ROWS:
         raise ConfigError(f"the Poisson fit of lambda={lam:.3g} needs {rows:.3g} "
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
-    histogram = simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
-    fit = compare_to_poisson(histogram, lam)
+    histogram = mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
+    fit = mcsim.compare_to_poisson(histogram, lam)
     out = cfg.output_dir
     _write_rows(out / "poisson_fit.csv",
                 (("m_suc", INT), ("empirical_freq", FLOAT), ("poisson_pmf", FLOAT)),
@@ -292,6 +311,8 @@ def _t_chunk(start: float, step: float, count: int, k: int) -> np.ndarray:
 
 
 def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
+    from . import analytic
+
     hs = _parse_h_list(h_list)
     start, step, n_t = _parse_t_grid(t_grid)
     points = len(hs) * n_t
@@ -331,6 +352,8 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
 
 def _default_fl_grid(cfg: ExperimentConfig) -> list[Schedule]:
     """Per-h optimum scaled by {0.6, 1.0, 1.6} for h in {8, 16, 24, 40}."""
+    from . import optimizer
+
     hs = (8, 16, 24, 40)
     t_opt, _, _ = optimizer.optimize_round_lengths(cfg.system, hs, cfg.optimizer)
     return [Schedule(h, factor * t) for h, t in zip(hs, t_opt.tolist())
@@ -398,31 +421,34 @@ def _split(works: Sequence[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _train_share(plans: Sequence[flsim.RunPlan],
+def _train_share(plans: Sequence[RunPlan],
                  fl_cfg: FLConfig) -> list[np.ndarray | DivergenceError]:
     """Each plan's losses, or the DivergenceError its run raised."""
+    from . import flsim
+
     outcomes: list[np.ndarray | DivergenceError] = []
     for plan in plans:
         try:
-            outcomes.append(run_fl(plan, fl_cfg))
+            outcomes.append(flsim.run_fl(plan, fl_cfg))
         except DivergenceError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _fork_share(plans: Sequence[flsim.RunPlan], fl_cfg: FLConfig,
-                inherited: Sequence[int]) -> tuple[int, int]:
+def _fork_share(plans: Sequence[RunPlan], fl_cfg: FLConfig,
+                inherited: Sequence[int]) -> tuple[int, int] | None:
     """Fork a worker that runs _train_share(plans, fl_cfg) and writes its
     outcomes, or the exception it raised, to a pipe as one pickle.
     inherited are the read ends of earlier workers' pipes, which the
-    worker closes. Returns the worker's pid and the pipe's read end."""
+    worker closes. Returns the worker's pid and the pipe's read end, or
+    None if the fork failed."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        raise
+        return None
     if pid:
         os.close(write_end)
         return pid, read_end
@@ -443,24 +469,34 @@ def _fork_share(plans: Sequence[flsim.RunPlan], fl_cfg: FLConfig,
 
 
 def _train(cfg: ExperimentConfig,
-           plans: Sequence[flsim.RunPlan]) -> list[np.ndarray | DivergenceError]:
+           plans: Sequence[RunPlan]) -> list[np.ndarray | DivergenceError]:
     """_train_share of every plan, in _fl_processes processes: the plans
     are split by _split, and share 0 trains in this process. Each other
     share trains in a worker made by os.fork, which inherits the imported
     modules and this process's task, copy-on-write, instead of building
-    them again, and returns its outcomes through a pipe. An exception a
+    them again, and returns its outcomes through a pipe; a share whose
+    fork fails trains in this process, after share 0. An exception a
     worker raised is raised here. Every pipe is closed before its worker
     is reaped, so a worker blocked on writing exits, and every worker is
     reaped, also when this process's share raises."""
+    from . import flsim
+
     shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
     if len(shares) > 1:
         flsim._shared_task(cfg.fl)
+    # the plans this process trains, and those the workers train
+    local, forked = list(shares[0]), []
     workers: list[tuple[int, int]] = []
     try:
         for share in shares[1:]:
-            workers.append(_fork_share([plans[i] for i in share], cfg.fl,
-                                       [fd for _, fd in workers]))
-        done = [_train_share([plans[i] for i in shares[0]], cfg.fl)]
+            worker = _fork_share([plans[i] for i in share], cfg.fl,
+                                 [fd for _, fd in workers])
+            if worker is None:
+                local += share
+            else:
+                workers.append(worker)
+                forked.append(share)
+        done = [_train_share([plans[i] for i in local], cfg.fl)]
         for pid, fd in workers:
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -474,15 +510,17 @@ def _train(cfg: ExperimentConfig,
         for pid, fd in workers:
             os.close(fd)
             os.waitpid(pid, 0)
-    by_index = dict(zip(itertools.chain(*shares), itertools.chain(*done)))
+    by_index = dict(zip(itertools.chain(local, *forked), itertools.chain(*done)))
     return [by_index[i] for i in range(len(plans))]
 
 
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
+    from . import flsim
+
     schedules = (_default_fl_grid(cfg) if schedules_arg is None
                  else _parse_schedules(schedules_arg))
     # every run is planned, and every cap checked, before any run trains
-    outcomes = _train(cfg, plan_runs(cfg.system, schedules, cfg.fl))
+    outcomes = _train(cfg, flsim.plan_runs(cfg.system, schedules, cfg.fl))
 
     for sched, outcome in zip(schedules, outcomes):
         if isinstance(outcome, DivergenceError):
@@ -498,7 +536,7 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
 
     grid_desc = ",".join(f"{s.h}:{s.t:.9g}" for s in schedules)
     if len(completed) >= 8:
-        rho = proxy_correlation(*zip(*completed), cfg.system)
+        rho = flsim.proxy_correlation(*zip(*completed), cfg.system)
         if math.isnan(rho):
             rho_line = "spearman_rho=nan (degenerate: constant ranks)"
         else:
@@ -572,5 +610,26 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INFEASIBLE
 
 
+def entry() -> NoReturn:
+    """Run main on this process's arguments and exit with its code.
+
+    _hashlib is blocked first (see the module docstring). A stdout whose
+    reader has gone ends the process with exit 1 and no traceback, as the
+    Python docs' note on SIGPIPE does it: the final flush is made here,
+    also after --help's SystemExit, and stdout is pointed at devnull,
+    where the flush at exit succeeds.
+    """
+    sys.modules.setdefault("_hashlib", None)
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

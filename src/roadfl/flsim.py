@@ -38,28 +38,22 @@ from .mcsim import (
 from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
 from .types import (
+    MAX_ROWS,
     DivergenceError,
+    FLConfig,
     InvalidParameterError,
     Schedule,
     SystemParams,
-    _finite_float,
-    _positive_int,
     _require,
 )
 
 __all__ = [
-    "FLConfig", "LinearTask", "generate_task", "mse_loss", "mse_gradient", "local_sgd",
+    "LinearTask", "generate_task", "mse_loss", "mse_gradient", "local_sgd",
     "aggregate", "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
 ]
 
-# run_fl holds the task at once; this caps its values (270 MB of float64),
-# and generate_task builds it in place, so the peak at the cap is one task
-MAX_VALUES = 2**25
 # generate_task draws the task's features this many values at a time
 TASK_CHUNK_VALUES = 2**15
-# caps the rows of fl_runs.csv and surface.csv, since an fl command's loss
-# arrays and a sweep's float64 (h, t) mesh are held at once (the rows are not)
-MAX_ROWS = 2**20
 # each win opens its data and sgd streams and draws the winner's data, charged
 # as DATA_DRAW_WORK multiply-adds plus DATA_VALUE_WORK per value, then trains
 # h steps of batch_size x (feature_dim + 1) multiply-adds and a batch draw,
@@ -71,52 +65,6 @@ DATA_DRAW_WORK = 2**15
 DATA_VALUE_WORK = 2**5
 EVAL_ROW_WORK = 2**2
 MAX_SGD_WORK = 2**31
-
-
-@dataclass(frozen=True)
-class FLConfig:
-    """Training hyper-parameters and task shape.
-
-    The default feature_dim sits at half the pool size on purpose: the
-    regression is then ill-conditioned (smallest pool eigenvalue around
-    0.09) and keeps improving over thousands of iterations, so loss
-    levels still discriminate between schedules at the end of a long
-    horizon instead of everything bottoming out at float precision.
-    """
-
-    eta: float = 0.1
-    batch_size: int = 64
-    samples_per_vehicle: int = 1024
-    feature_dim: int = 512
-    global_pool_size: int = 1024
-    validation_size: int = 1024
-    horizon: float = 2000.0
-    seed: int = 1
-    noise_std: float = 0.0
-    # optional feature-shift heterogeneity: each vehicle's local copy of
-    # its samples gets a private mean offset of this scale; 0 keeps the
-    # data identically distributed across vehicles
-    vehicle_shift_std: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require(_finite_float(self.eta, "eta") > 0, "learning rate must be positive")
-        for name in ("batch_size", "samples_per_vehicle", "feature_dim",
-                     "global_pool_size", "validation_size"):
-            _positive_int(getattr(self, name), name)
-        _require(self.batch_size <= self.samples_per_vehicle,
-                 "batch size cannot exceed the per-vehicle sample count")
-        _require(self.samples_per_vehicle <= self.global_pool_size,
-                 "per-vehicle sample count cannot exceed the global pool")
-        _require(_finite_float(self.horizon, "horizon") > 0,
-                 "training horizon must be positive")
-        _require(_finite_float(self.noise_std, "noise_std") >= 0,
-                 "noise level must be non-negative")
-        _require(_finite_float(self.vehicle_shift_std, "vehicle_shift_std") >= 0,
-                 "vehicle shift scale must be non-negative")
-        _require(isinstance(self.seed, int), "seed must be an integer")
-        values = (self.global_pool_size + self.validation_size) * (self.feature_dim + 1)
-        _require(values <= MAX_VALUES,
-                 f"the task holds {values} feature values, more than {MAX_VALUES}")
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,10 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .rng import substream
-from .types import InvalidParameterError, Schedule, SystemParams, _positive_int, _require
+from .types import InvalidParameterError, Schedule, SimConfig, SystemParams, _require
 
 __all__ = [
-    "SimConfig", "PoissonFit", "Attempts", "sample_computing_delay",
+    "PoissonFit", "Attempts", "sample_computing_delay",
     "expected_arrivals", "arrival_stream", "expected_attempts", "attempts",
     "attempt_blocks", "simulate_rounds", "poisson_rows", "compare_to_poisson",
 ]
@@ -44,11 +44,6 @@ __all__ = [
 # delays and arrival gaps are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 13
 
-# caps the rounds of validate; it bounds time, not memory, since a block
-# of attempt_blocks holds at most ATTEMPTS_PER_BLOCK rounds and
-# simulate_rounds keeps only their success histogram
-MAX_ROUNDS = 10 ** 7
-
 # caps the expected arrivals of a run; it bounds time, not memory, since
 # arrival_stream draws them a chunk at a time and attempt_blocks drops
 # each once its rounds are built
@@ -58,17 +53,6 @@ MAX_ARRIVALS = 2 ** 25
 # the expected attempts of validate and of a whole fl command (about 5 s at
 # the 26M attempts/s a 4e7-attempt fl plan ran at on a shared 2-vCPU machine)
 MAX_ATTEMPTS = 2 ** 27
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int = 12345
-    num_rounds: int = 100_000
-
-    def __post_init__(self) -> None:
-        _positive_int(self.num_rounds, "number of rounds")
-        _require(self.num_rounds <= MAX_ROUNDS, f"number of rounds exceeds {MAX_ROUNDS}")
-        _require(isinstance(self.seed, int), "seed must be an integer")
 
 
 @dataclass(frozen=True)

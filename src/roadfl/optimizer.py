@@ -20,13 +20,13 @@ from . import analytic
 from .types import (
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
+    OptimizerConfig,
     SystemParams,
-    _finite_float,
     _require,
 )
 
 __all__ = [
-    "OptimizerConfig", "OptimizationResult", "h_max",
+    "OptimizationResult", "h_max",
     "optimize_round_lengths", "optimize_schedule",
 ]
 
@@ -34,16 +34,6 @@ __all__ = [
 # time and memory grow with h_max; this caps h_max (the long-section
 # benchmark environment has 7,959 lanes)
 MAX_LANES = 2**20
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """gamma: bisection bracket width threshold, seconds."""
-
-    gamma: float = 1e-3
-
-    def __post_init__(self) -> None:
-        _require(_finite_float(self.gamma, "gamma") > 0, "gamma must be positive")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ import numpy as np
 
 def substream(seed: int, *tags: object) -> np.random.Generator:
     """Return an independent generator keyed by (seed, tags)."""
-    # imported here: hashlib maps OpenSSL, which optimize and sweep never need
+    # imported here, so that optimize and sweep, which draw nothing, never
+    # load it; blake2s is built into CPython, so cli.entry keeps OpenSSL's
+    # _hashlib out of the process and the digest stays the same
     import hashlib
 
     material = ":".join([str(int(seed))] + [str(t) for t in tags]).encode()

@@ -5,6 +5,10 @@ Every type validates its invariants at construction, so the numeric
 modules never re-check inputs. Instances are frozen and may be shared
 freely across threads. Per-attempt simulation data is not a type here:
 it lives as arrays in mcsim's attempt table.
+
+The config dataclasses of optimizer, mcsim and flsim live here too, with
+the caps they check, so that cli reads the whole config schema from this
+module and a command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -103,3 +107,86 @@ class Schedule:
         t = _finite_float(self.t, "round duration")
         _require(t > 0, "round duration must be positive")
         object.__setattr__(self, "t", t)
+
+
+# caps the rows of the CSV files whose length follows the input: a sweep's
+# surface.csv, validate's poisson_fit.csv and fl_runs.csv, whose loss arrays
+# an fl command holds at once
+MAX_ROWS = 2**20
+
+# caps the rounds of validate; it bounds time, not memory, since a block
+# of mcsim.attempt_blocks holds at most ATTEMPTS_PER_BLOCK rounds and
+# simulate_rounds keeps only their success histogram
+MAX_ROUNDS = 10 ** 7
+
+# flsim.run_fl holds the task at once; this caps its values (270 MB of
+# float64), and generate_task builds it in place, so the peak at the cap
+# is one task
+MAX_VALUES = 2**25
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """gamma: bisection bracket width threshold, seconds."""
+
+    gamma: float = 1e-3
+
+    def __post_init__(self) -> None:
+        _require(_finite_float(self.gamma, "gamma") > 0, "gamma must be positive")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    seed: int = 12345
+    num_rounds: int = 100_000
+
+    def __post_init__(self) -> None:
+        _positive_int(self.num_rounds, "number of rounds")
+        _require(self.num_rounds <= MAX_ROUNDS, f"number of rounds exceeds {MAX_ROUNDS}")
+        _require(isinstance(self.seed, int), "seed must be an integer")
+
+
+@dataclass(frozen=True)
+class FLConfig:
+    """Training hyper-parameters and task shape.
+
+    The default feature_dim sits at half the pool size on purpose: the
+    regression is then ill-conditioned (smallest pool eigenvalue around
+    0.09) and keeps improving over thousands of iterations, so loss
+    levels still discriminate between schedules at the end of a long
+    horizon instead of everything bottoming out at float precision.
+    """
+
+    eta: float = 0.1
+    batch_size: int = 64
+    samples_per_vehicle: int = 1024
+    feature_dim: int = 512
+    global_pool_size: int = 1024
+    validation_size: int = 1024
+    horizon: float = 2000.0
+    seed: int = 1
+    noise_std: float = 0.0
+    # optional feature-shift heterogeneity: each vehicle's local copy of
+    # its samples gets a private mean offset of this scale; 0 keeps the
+    # data identically distributed across vehicles
+    vehicle_shift_std: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require(_finite_float(self.eta, "eta") > 0, "learning rate must be positive")
+        for name in ("batch_size", "samples_per_vehicle", "feature_dim",
+                     "global_pool_size", "validation_size"):
+            _positive_int(getattr(self, name), name)
+        _require(self.batch_size <= self.samples_per_vehicle,
+                 "batch size cannot exceed the per-vehicle sample count")
+        _require(self.samples_per_vehicle <= self.global_pool_size,
+                 "per-vehicle sample count cannot exceed the global pool")
+        _require(_finite_float(self.horizon, "horizon") > 0,
+                 "training horizon must be positive")
+        _require(_finite_float(self.noise_std, "noise_std") >= 0,
+                 "noise level must be non-negative")
+        _require(_finite_float(self.vehicle_shift_std, "vehicle_shift_std") >= 0,
+                 "vehicle shift scale must be non-negative")
+        _require(isinstance(self.seed, int), "seed must be an integer")
+        values = (self.global_pool_size + self.validation_size) * (self.feature_dim + 1)
+        _require(values <= MAX_VALUES,
+                 f"the task holds {values} feature values, more than {MAX_VALUES}")

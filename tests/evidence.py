@@ -33,8 +33,8 @@ import numpy as np  # noqa: E402
 
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from roadfl import analytic, cli, flsim  # noqa: E402
-from roadfl.mcsim import SimConfig, compare_to_poisson, simulate_rounds  # noqa: E402
-from roadfl.types import Schedule  # noqa: E402
+from roadfl.mcsim import compare_to_poisson, simulate_rounds  # noqa: E402
+from roadfl.types import FLConfig, Schedule, SimConfig  # noqa: E402
 
 EVIDENCE = REPO / "tests" / "evidence.json"
 BASELINE = REPO / "baseline.cfg"
@@ -90,7 +90,7 @@ def c08(params) -> dict:
     rates = []
     for seed in SEEDS:
         plan = flsim.plan_runs(params, [C08_SCHEDULE],
-                               flsim.FLConfig(seed=seed, horizon=C08_HORIZON))[0]
+                               FLConfig(seed=seed, horizon=C08_HORIZON))[0]
         rates.append(np.unique(plan.winner_round).size / plan.rounds_total)
     return {"schedule": f"{C08_SCHEDULE.h}:{C08_SCHEDULE.t:.9g}", "horizon_s": C08_HORIZON,
             "rounds": plan.rounds_total,

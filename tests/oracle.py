@@ -14,9 +14,9 @@ import numpy as np
 
 from roadfl import analytic, flsim, mcsim
 from roadfl.analytic import xi
-from roadfl.flsim import FLConfig
 from roadfl.optimizer import OptimizationResult, h_max
 from roadfl.types import (
+    FLConfig,
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
     Schedule,

@@ -19,11 +19,11 @@ from oracle import brute_force_argmax, subinterval_probs, subinterval_success_co
 from roadfl import analytic as an
 from roadfl import optimizer as opt
 from roadfl.cli import _fl_rows
-from roadfl.flsim import FLConfig, aggregate, mse_gradient, mse_loss, plan_runs, \
-    proxy_correlation, run_fl
-from roadfl.mcsim import SimConfig, compare_to_poisson, simulate_rounds
+from roadfl.flsim import aggregate, mse_gradient, mse_loss, plan_runs, proxy_correlation, \
+    run_fl
+from roadfl.mcsim import compare_to_poisson, simulate_rounds
 from roadfl.rng import substream
-from roadfl.types import Schedule, SystemParams
+from roadfl.types import FLConfig, OptimizerConfig, Schedule, SimConfig, SystemParams
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline.cfg"
@@ -39,7 +39,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def test_c01_headline_schedule():
     """Best schedule is (24, ~11.8 s) and agrees with the grid oracle."""
-    cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 0.01
+    cfg, grid_step = OptimizerConfig(gamma=1e-3), 0.01
     started = time.perf_counter()
     fast = opt.optimize_schedule(REFERENCE, cfg)
     slow = brute_force_argmax(REFERENCE, grid_step)
@@ -159,7 +159,7 @@ def test_c06_upper_bound_certificate():
 
 def test_c07_update_frequency_predicts_training():
     """Spearman(g, -l_min) >= 0.6 on the 12-point grid, stable over seeds."""
-    ocfg = opt.OptimizerConfig(gamma=1e-3)
+    ocfg = OptimizerConfig(gamma=1e-3)
     hs = (8, 16, 24, 40)
     t_opt, _, _ = opt.optimize_round_lengths(REFERENCE, hs, ocfg)
     schedules = [Schedule(h, factor * t) for h, t in zip(hs, t_opt.tolist())
@@ -223,7 +223,7 @@ def test_c08_fl_mechanics():
 
 def test_c09_search_step_budget():
     """Bisection work within h_max * ceil(log2(width/gamma)) + 2*h_max."""
-    cfg = opt.OptimizerConfig(gamma=1e-3)
+    cfg = OptimizerConfig(gamma=1e-3)
     rng = np.random.default_rng(4321)
     cases = [REFERENCE] + [random_feasible_params(rng)[0] for _ in range(5)]
     details = []

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -21,10 +22,7 @@ from hypothesis import strategies as st
 
 from oracle import fl_work, format_csv_value
 from roadfl import analytic, cli, flsim, mcsim, optimizer
-from roadfl.flsim import FLConfig
-from roadfl.mcsim import SimConfig
-from roadfl.optimizer import OptimizerConfig
-from roadfl.types import Schedule
+from roadfl.types import MAX_ROWS, FLConfig, OptimizerConfig, Schedule, SimConfig
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline.cfg"
@@ -223,7 +221,7 @@ class TestValidateCommand:
         def must_not_run(*args):
             raise AssertionError("simulated past the round cap")
 
-        monkeypatch.setattr(cli, "simulate_rounds", must_not_run)
+        monkeypatch.setattr(mcsim, "simulate_rounds", must_not_run)
         rc = cli.main(["validate", "--config", str(BASELINE),
                        "--out", str(tmp_path), "--sim.num_rounds=1000000000"])
         assert rc == 1
@@ -246,7 +244,7 @@ class TestValidateCommand:
             raise AssertionError("simulated past the fit's row cap")
 
         monkeypatch.setattr(cli, "MAX_ROWS", 50)
-        monkeypatch.setattr(cli, "simulate_rounds", must_not_run)
+        monkeypatch.setattr(mcsim, "simulate_rounds", must_not_run)
         capsys.readouterr()
         rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(tmp_path / "b"),
                        "--sim.num_rounds=100"])
@@ -385,7 +383,7 @@ class TestSweepCommand:
         limit = stop + 1e-12
         span = (limit - start) / step
         ts = None
-        if span < flsim.MAX_ROWS:
+        if span < MAX_ROWS:
             candidates = max(math.floor(span), -1) + 2
             ts = start + step * np.arange(candidates)
             ts = ts[ts <= limit]
@@ -590,10 +588,24 @@ class TestFlProcesses:
             "warning: run h=24 t=11.8", "warning: run h=40 t=20"]
         assert sorted(files) == ["correlation.txt", "fl_runs.csv"]
 
+    def test_failed_fork_trains_its_share_here(self, tmp_path, monkeypatch, capsys):
+        # a fork that fails for want of processes starts none; the parent
+        # trains the share it was for, with the same outcome as one process
+        args = [*SMALL_TASK, *DIVERGING_GRID]
+        serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        unforked = self.fl(tmp_path, monkeypatch, capsys, 2, args)
+        assert cli._fl_processes(10) == 2
+        assert unforked == serial
+        assert serial[0] == 0 and sorted(serial[3]) == ["correlation.txt", "fl_runs.csv"]
+
     def counter(self, monkeypatch, path, name):
-        """Count the calls of flsim's name, through cli's binding too if it
-        has one, in the file at path, so that calls in forked workers count
-        as well."""
+        """Count the calls of flsim's name in the file at path, so that
+        calls in forked workers count as well."""
         real = getattr(flsim, name)
 
         def counting(*args):
@@ -602,8 +614,6 @@ class TestFlProcesses:
             return real(*args)
 
         monkeypatch.setattr(flsim, name, counting)
-        if hasattr(cli, name):
-            monkeypatch.setattr(cli, name, counting)
         path.write_text("")
         return lambda: len(path.read_text().splitlines())
 
@@ -631,10 +641,10 @@ class TestFlProcesses:
 
     def train_in_two(self, monkeypatch, run):
         """cli._train of two small schedules in two processes, with run in
-        place of run_fl; a TimeoutError if it has not returned after 30 s."""
+        place of flsim.run_fl; a TimeoutError if it has not returned after 30 s."""
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(cli, "run_fl", run)
+        monkeypatch.setattr(flsim, "run_fl", run)
         cfg = cli.parse_config(BASELINE, [arg[2:] for arg in SMALL_TASK])
         plans = flsim.plan_runs(cfg.system, [Schedule(8, 4.0), Schedule(24, 11.8)], cfg.fl)
         assert cli._fl_processes(len(plans)) == 2
@@ -651,12 +661,12 @@ class TestFlProcesses:
             signal.signal(signal.SIGALRM, previous)
 
     def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
-        parent = os.getpid()
+        parent, run_fl = os.getpid(), flsim.run_fl
 
         def run(plan, fl_cfg):
             if os.getpid() != parent:
                 raise ArithmeticError(f"worker {os.getpid()}")
-            return flsim.run_fl(plan, fl_cfg)
+            return run_fl(plan, fl_cfg)
 
         with pytest.raises(ArithmeticError, match="^worker "):
             self.train_in_two(monkeypatch, run)
@@ -684,6 +694,43 @@ class TestFlProcesses:
                        timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("spearman_rho=") == 1
+
+
+def run_into_closed_pipe(args, unbuffered):
+    """Run the CLI with its stdout a pipe whose read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONUNBUFFERED": unbuffered}
+    try:
+        return subprocess.run([sys.executable, "-m", "roadfl.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, cwd=REPO, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command,args,written", [
+    ("optimize", [], "optimize_summary.csv"),
+    ("fl", [*SMALL_TASK, "--schedules", "8:4,16:6"], "correlation.txt"),
+], ids=["optimize", "fl"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command, args, written,
+                                                 unbuffered):
+    """A stdout whose reader is gone fails the command's one print, at the
+    print when stdout is unbuffered and at the flush otherwise; either way
+    the process exits 1 and writes nothing to stderr. The files come
+    before the print, so they are written."""
+    proc = run_into_closed_pipe([command, "--config", str(BASELINE), "--out",
+                                 str(tmp_path), *args], unbuffered)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert (tmp_path / written).is_file()
+
+
+def test_help_into_closed_stdout_exits_1_without_traceback():
+    # argparse ends --help with SystemExit, before the buffered text is flushed
+    proc = run_into_closed_pipe(["optimize", "--help"], unbuffered="")
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestDeterminism:
@@ -1014,7 +1061,7 @@ def aimed_at_a_cap(draw):
     if cap == "fit rows":
         # lambda is proportional to the arrival rate, and the fit's rows
         # are about lambda
-        rate = factor * flsim.MAX_ROWS / analytic.lambda_param(
+        rate = factor * MAX_ROWS / analytic.lambda_param(
             replace(BASE.system, arrival_rate=1.0), h, t)
         rounds = draw(st.sampled_from([1, 10]))
         return ["validate", f"--system.arrival_rate_per_s={rate!r}", f"--sim.h={h}",
@@ -1027,7 +1074,7 @@ def aimed_at_a_cap(draw):
                 *_schedules_arg(h, ts)]
     if cap == "rows":
         # rows are the sum of floor(horizon / t) + 1 over the schedules
-        horizon = (factor * flsim.MAX_ROWS / n - 1) * t
+        horizon = (factor * MAX_ROWS / n - 1) * t
         return ["fl", f"--fl.horizon_s={horizon!r}", *_schedules_arg(h, ts)]
     if cap in ("attempts", "validate"):
         rounds = draw(st.sampled_from([1, 10, 1000, 100_000]))
@@ -1110,28 +1157,49 @@ def test_help_exits_0(capsys):
 
 
 def test_runtime_imports_no_scipy(tmp_path):
-    """Each subcommand, run cold, loads only what it runs. None imports
-    scipy, a test-only oracle, or multiprocessing and concurrent, since fl
-    forks its workers itself; fl runs in two processes here, whatever the
-    CPUs. optimize and sweep draw no random number, so they load neither
-    numpy.random nor OpenSSL's _hashlib."""
+    """Each subcommand, run cold through cli.entry, loads only what it runs.
+    None imports scipy, a test-only oracle, or multiprocessing and
+    concurrent, since fl forks its workers itself; fl runs in two
+    processes here, whatever the CPUs. None loads OpenSSL's _hashlib.
+    optimize and sweep load neither mcsim nor flsim, and draw no random
+    number, so they load no numpy.random either; validate loads neither
+    flsim nor optimizer. cli.main run in-process leaves _hashlib
+    importable."""
     code = ("import json, os, sys, roadfl.cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "assert roadfl.cli._fl_processes(2) == 2\n"
-            "assert roadfl.cli.main(sys.argv[1:]) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))")
+            "try:\n"
+            "    roadfl.cli.entry()\n"
+            "except SystemExit as exit_:\n"
+            "    assert exit_.code == 0, exit_.code\n"
+            "print(json.dumps(sorted(k for k, v in sys.modules.items() if v is not None)))")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    for command, args in [("optimize", []), ("validate", ["--sim.num_rounds=100"]),
-                          ("sweep", []), ("fl", SMALL_TASK)]:
-        proc = subprocess.run([sys.executable, "-c", code, command, "--config",
-                               str(BASELINE), "--out", str(tmp_path), *args],
+    base = ["--config", str(BASELINE), "--out", str(tmp_path)]
+    # command, its arguments, modules it loads and modules it does not
+    without_draws = {"numpy.random", "roadfl.mcsim", "roadfl.flsim"}
+    for command, args, loaded, not_loaded in [
+            ("optimize", [], {"roadfl.optimizer"}, without_draws),
+            ("validate", ["--sim.num_rounds=100"], {"roadfl.mcsim", "numpy.random"},
+             {"roadfl.flsim", "roadfl.optimizer"}),
+            ("sweep", [], {"roadfl.analytic"}, {"roadfl.optimizer", *without_draws}),
+            ("fl", SMALL_TASK, {"roadfl.flsim", "roadfl.optimizer"}, set())]:
+        proc = subprocess.run([sys.executable, "-c", code, command, *base, *args],
                               capture_output=True, text=True, env=env, cwd=REPO)
         assert proc.returncode == 0, proc.stderr
         modules = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert loaded <= modules, command
         assert not {m.split(".")[0] for m in modules} \
             & {"scipy", "multiprocessing", "concurrent"}, command
-        if command in ("optimize", "sweep"):
-            assert not modules & {"_hashlib", "numpy.random"}, command
+        assert not modules & {"_hashlib", *not_loaded}, command
+
+    in_process = ("import sys, roadfl.cli\n"
+                  "assert roadfl.cli.main(sys.argv[1:]) == 0\n"
+                  "assert 'numpy.random' in sys.modules\n"
+                  "import _hashlib")
+    proc = subprocess.run([sys.executable, "-c", in_process, "validate", *base,
+                           "--sim.num_rounds=100"],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):

@@ -11,21 +11,21 @@ from oracle import arrival_times, fl_work, local_sgd_one_vehicle
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
 from roadfl.rng import substream
-from roadfl.types import InvalidParameterError, Schedule, SystemParams
+from roadfl.types import FLConfig, InvalidParameterError, Schedule, SystemParams
 
 
-def small_cfg(**kw) -> flsim.FLConfig:
+def small_cfg(**kw) -> FLConfig:
     base = dict(feature_dim=8, global_pool_size=256, validation_size=128,
                 samples_per_vehicle=128, batch_size=32, horizon=200.0, seed=3)
     base.update(kw)
-    return flsim.FLConfig(**base)
+    return FLConfig(**base)
 
 
-def plan(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> flsim.RunPlan:
+def plan(params: SystemParams, sched: Schedule, cfg: FLConfig) -> flsim.RunPlan:
     return flsim.plan_runs(params, [sched], cfg)[0]
 
 
-def train(params: SystemParams, sched: Schedule, cfg: flsim.FLConfig) -> np.ndarray:
+def train(params: SystemParams, sched: Schedule, cfg: FLConfig) -> np.ndarray:
     return flsim.run_fl(plan(params, sched, cfg), cfg)
 
 
@@ -36,20 +36,20 @@ def rounds_valid(planned: flsim.RunPlan) -> int:
 
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
-        flsim.FLConfig(eta=0.0)
+        FLConfig(eta=0.0)
     with pytest.raises(InvalidParameterError):
-        flsim.FLConfig(batch_size=2048, samples_per_vehicle=1024)
+        FLConfig(batch_size=2048, samples_per_vehicle=1024)
     with pytest.raises(InvalidParameterError):
-        flsim.FLConfig(samples_per_vehicle=4096, global_pool_size=1024)
+        FLConfig(samples_per_vehicle=4096, global_pool_size=1024)
     with pytest.raises(InvalidParameterError):
-        flsim.FLConfig(horizon=0.0)
+        FLConfig(horizon=0.0)
     with pytest.raises(InvalidParameterError):
-        flsim.FLConfig(noise_std=-0.1)
+        FLConfig(noise_std=-0.1)
     # the task holds (pool + validation) x (feature_dim + 1) values, at
     # most MAX_VALUES = 2 * 2**14 * 2**10
-    flsim.FLConfig(global_pool_size=2**14, validation_size=2**14, feature_dim=2**10 - 1)
+    FLConfig(global_pool_size=2**14, validation_size=2**14, feature_dim=2**10 - 1)
     with pytest.raises(InvalidParameterError, match="task holds"):
-        flsim.FLConfig(global_pool_size=2**14, validation_size=2**14 + 1,
+        FLConfig(global_pool_size=2**14, validation_size=2**14 + 1,
                        feature_dim=2**10 - 1)
 
 
@@ -79,7 +79,7 @@ class TestTask:
     def test_task_is_the_one_shot_draw(self, feature_dim, noise_std):
         # the features of one (n, d) draw next to a ones column, as np.hstack
         # built them; d = 300 splits the rows into uneven chunks
-        cfg = flsim.FLConfig(feature_dim=feature_dim, noise_std=noise_std,
+        cfg = FLConfig(feature_dim=feature_dim, noise_std=noise_std,
                              global_pool_size=1024, validation_size=1000)
         n = cfg.global_pool_size + cfg.validation_size
         rng = substream(6, "task")
@@ -152,7 +152,7 @@ class TestLocalSgd:
         y = x @ rng.standard_normal(5)
         hessian = x.T @ x / 64
         eta = 1.0 / float(np.linalg.eigvalsh(hessian).max())
-        cfg = flsim.FLConfig(eta=eta, batch_size=64, samples_per_vehicle=64,
+        cfg = FLConfig(eta=eta, batch_size=64, samples_per_vehicle=64,
                              feature_dim=4, global_pool_size=64,
                              validation_size=16, horizon=10.0, seed=0)
         w = np.zeros(5)
@@ -187,7 +187,7 @@ class TestLocalSgd:
         rng = substream(10, "gd")
         x = np.hstack([rng.standard_normal((64, 4)), np.ones((64, 1))])
         y = x @ rng.standard_normal(5)
-        cfg = flsim.FLConfig(eta=1e6, batch_size=64, samples_per_vehicle=64,
+        cfg = FLConfig(eta=1e6, batch_size=64, samples_per_vehicle=64,
                              feature_dim=4, global_pool_size=64,
                              validation_size=16, horizon=10.0, seed=0)
         w = np.zeros(5)

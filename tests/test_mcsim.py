@@ -10,18 +10,18 @@ from oracle import (arrival_times, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import mcsim
 from roadfl.rng import substream
-from roadfl.types import InvalidParameterError, Schedule, SystemParams
+from roadfl.types import MAX_ROUNDS, InvalidParameterError, Schedule, SimConfig, SystemParams
 
 
 def test_sim_config_validation():
     with pytest.raises(InvalidParameterError):
-        mcsim.SimConfig(num_rounds=0)
+        SimConfig(num_rounds=0)
 
 
 def test_round_cap():
-    mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS)
+    SimConfig(num_rounds=MAX_ROUNDS)
     with pytest.raises(InvalidParameterError, match="exceeds"):
-        mcsim.SimConfig(num_rounds=mcsim.MAX_ROUNDS + 1)
+        SimConfig(num_rounds=MAX_ROUNDS + 1)
 
 
 class TestComputingDelay:
@@ -159,14 +159,14 @@ class TestSimulateRounds:
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         hist = mcsim.simulate_rounds(p, Schedule(24, 11.8),
-                                     mcsim.SimConfig(seed=1, num_rounds=500))
+                                     SimConfig(seed=1, num_rounds=500))
         assert mcsim.compare_to_poisson(hist, 0.0).mean_empirical == 0.0
         assert hist.tolist() == [500]
 
     def test_infeasible_round_never_succeeds(self, reference_params):
         # t below the pipeline floor: participants exist, successes cannot
         sched = Schedule(24, 6.0)
-        cfg = mcsim.SimConfig(seed=2, num_rounds=2000)
+        cfg = SimConfig(seed=2, num_rounds=2000)
         _, table = recorded_table(reference_params, sched, cfg)
         assert table.round.size > 0
         assert not table.success.any()
@@ -176,7 +176,7 @@ class TestSimulateRounds:
         sched = Schedule(24, 11.8)
         lam = an.lambda_param(reference_params, sched.h, sched.t)
         hist = mcsim.simulate_rounds(reference_params, sched,
-                                     mcsim.SimConfig(seed=3, num_rounds=20_000))
+                                     SimConfig(seed=3, num_rounds=20_000))
         sigma = math.sqrt(lam / 20_000)
         assert abs(mcsim.compare_to_poisson(hist, lam).mean_empirical - lam) <= 4 * sigma
 
@@ -190,12 +190,12 @@ class TestSimulateRounds:
         successes = sum(
             int(np.arange(hist.size) @ hist) for hist in
             (mcsim.simulate_rounds(reference_params, Schedule(h, t),
-                                   mcsim.SimConfig(seed=seed, num_rounds=1))
+                                   SimConfig(seed=seed, num_rounds=1))
              for seed in range(seeds)))
         assert abs(successes / seeds - lam) <= 4 * math.sqrt(lam / seeds)
 
     def test_deterministic(self, reference_params):
-        cfg = mcsim.SimConfig(seed=11, num_rounds=1000)
+        cfg = SimConfig(seed=11, num_rounds=1000)
         a = mcsim.simulate_rounds(reference_params, Schedule(24, 11.8), cfg)
         b = mcsim.simulate_rounds(reference_params, Schedule(24, 11.8), cfg)
         assert np.array_equal(a, b)
@@ -204,7 +204,7 @@ class TestSimulateRounds:
 
     def test_attempt_invariants(self, reference_params):
         sched = Schedule(24, 11.8)
-        cfg = mcsim.SimConfig(seed=4, num_rounds=200)
+        cfg = SimConfig(seed=4, num_rounds=200)
         hist = mcsim.simulate_rounds(reference_params, sched, cfg)
         arrivals, a = recorded_table(reference_params, sched, cfg)
         t, t0 = sched.t, reference_params.dwell_time
@@ -228,7 +228,7 @@ class TestSimulateRounds:
         # t < t0: each vehicle sits in several round windows
         sched = Schedule(8, 5.0)
         _, table = recorded_table(reference_params, sched,
-                                  mcsim.SimConfig(seed=5, num_rounds=400))
+                                  SimConfig(seed=5, num_rounds=400))
         per_vehicle = np.bincount(table.vehicle)
         spans = np.sort(per_vehicle[per_vehicle > 0])
         expected = reference_params.dwell_time / sched.t  # about 4 windows each
@@ -239,7 +239,7 @@ class TestSimulateRounds:
 
     def test_block_size_leaves_bytes_unchanged(self, reference_params, monkeypatch):
         sched = Schedule(8, 10.0)
-        cfg = mcsim.SimConfig(seed=14, num_rounds=3000)
+        cfg = SimConfig(seed=14, num_rounds=3000)
         _, whole_table = recorded_table(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
@@ -261,7 +261,7 @@ class TestSimulateRounds:
     def test_round_over_a_block_is_split(self, reference_params, monkeypatch):
         # about 3 rows per round, at most 2 per table
         sched = Schedule(8, 10.0)
-        cfg = mcsim.SimConfig(seed=14, num_rounds=3000)
+        cfg = SimConfig(seed=14, num_rounds=3000)
         _, whole_table = recorded_table(reference_params, sched, cfg)
         whole = mcsim.simulate_rounds(reference_params, sched, cfg)
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
@@ -289,7 +289,7 @@ class TestSimulateRounds:
             tracemalloc.start()
             try:
                 histogram = mcsim.simulate_rounds(LONG_SECTION, sched,
-                                                  mcsim.SimConfig(seed=703, num_rounds=rounds))
+                                                  SimConfig(seed=703, num_rounds=rounds))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -301,13 +301,13 @@ class TestSimulateRounds:
         sched = Schedule(8, 10.0)
         monkeypatch.setattr(mcsim, "MAX_ATTEMPTS", 301)
         histogram = mcsim.simulate_rounds(reference_params, sched,
-                                          mcsim.SimConfig(seed=4, num_rounds=100))
+                                          SimConfig(seed=4, num_rounds=100))
         assert histogram.sum() == 100
         streams = []
         monkeypatch.setattr(mcsim, "substream", lambda *tags: streams.append(tags))
         with pytest.raises(InvalidParameterError, match="expected upload attempts"):
             mcsim.simulate_rounds(reference_params, sched,
-                                  mcsim.SimConfig(seed=4, num_rounds=101))
+                                  SimConfig(seed=4, num_rounds=101))
         assert streams == []  # nothing drawn, no stream even made
 
 
@@ -371,7 +371,7 @@ class TestPoissonFit:
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         hist = mcsim.simulate_rounds(p, Schedule(24, 11.8),
-                                     mcsim.SimConfig(seed=1, num_rounds=100))
+                                     SimConfig(seed=1, num_rounds=100))
         fit = mcsim.compare_to_poisson(hist, 0.0)
         assert fit.tv_distance == 0.0
         assert fit.support.tolist() == [0]
@@ -394,7 +394,7 @@ class TestPoissonFit:
         """The histogram's mean and P(m > 0) equal m.mean() and
         (m > 0).mean() of the per-round success counts m, bitwise."""
         sched = Schedule(24, 11.8)
-        cfg = mcsim.SimConfig(seed=777, num_rounds=100_000)
+        cfg = SimConfig(seed=777, num_rounds=100_000)
         _, table = recorded_table(reference_params, sched, cfg)
         m_table = per_round_successes(table, cfg)
         assert np.array_equal(mcsim.simulate_rounds(reference_params, sched, cfg),
@@ -431,7 +431,7 @@ class TestPoissonFit:
         sched = Schedule(24, 25.0)
         lam = an.lambda_param(reference_params, sched.h, sched.t)
         hist = mcsim.simulate_rounds(reference_params, sched,
-                                     mcsim.SimConfig(seed=6, num_rounds=20_000))
+                                     SimConfig(seed=6, num_rounds=20_000))
         fit = mcsim.compare_to_poisson(hist, lam)
         assert fit.tv_distance < 0.02
         assert fit.mean_rel_error < 0.03

@@ -12,6 +12,7 @@ from roadfl.types import (
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
     InvalidParameterError,
+    OptimizerConfig,
     SystemParams,
 )
 
@@ -46,7 +47,7 @@ def test_h_max_lane_cap():
 
 def test_config_validation():
     with pytest.raises(InvalidParameterError):
-        opt.OptimizerConfig(gamma=0)
+        OptimizerConfig(gamma=0)
 
 
 def scalar_bisection(params, h, cfg):
@@ -71,13 +72,13 @@ def scalar_bisection(params, h, cfg):
 
 class TestPerIterationSearch:
     def test_reference_h24_matches_reported_optimum(self, reference_params):
-        cfg = opt.OptimizerConfig(gamma=1e-3)
+        cfg = OptimizerConfig(gamma=1e-3)
         (t,), (g_val,), _ = opt.optimize_round_lengths(reference_params, [24], cfg)
         assert abs(t - 11.8) <= 0.1
         assert g_val == pytest.approx(an.g(reference_params, 24, t))
 
     def test_matches_dense_scan(self, reference_params):
-        cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 1e-3
+        cfg, grid_step = OptimizerConfig(gamma=1e-3), 1e-3
         (t,), _, _ = opt.optimize_round_lengths(reference_params, [24], cfg)
         ts, gs = scan_round_lengths(reference_params, 24, grid_step)
         t_grid = ts[int(np.argmax(gs))]
@@ -86,7 +87,7 @@ class TestPerIterationSearch:
     def test_degenerate_threshold_returns_midpoint(self, reference_params):
         lo = an.t_min(reference_params, 24)
         hi = an.t_max(reference_params, 24)
-        cfg = opt.OptimizerConfig(gamma=2 * (hi - lo))
+        cfg = OptimizerConfig(gamma=2 * (hi - lo))
         (t,), _, (steps,) = opt.optimize_round_lengths(reference_params, [24], cfg)
         assert t == 0.5 * (lo + hi)
         assert steps == 1  # only the final objective evaluation
@@ -99,7 +100,7 @@ class TestPerIterationSearch:
         else:
             rng = np.random.default_rng(seed)
             cases = [random_feasible_params(rng)[0] for _ in range(10)]
-        cfg = opt.OptimizerConfig(gamma=1e-3)
+        cfg = OptimizerConfig(gamma=1e-3)
         for params in cases:
             res = opt.optimize_schedule(params, cfg)
             table, steps = [], 0
@@ -112,7 +113,7 @@ class TestPerIterationSearch:
 
     def test_lanes_are_independent(self, reference_params):
         # a lane's result does not depend on which other lanes run with it
-        cfg = opt.OptimizerConfig(gamma=1e-3)
+        cfg = OptimizerConfig(gamma=1e-3)
         ts, gs, steps = opt.optimize_round_lengths(reference_params, [40, 8, 24, 8], cfg)
         for i, h in enumerate((40, 8, 24, 8)):
             (t,), (g_val,), (used,) = opt.optimize_round_lengths(reference_params, [h], cfg)
@@ -120,12 +121,12 @@ class TestPerIterationSearch:
 
     def test_empty_interval_raises(self, reference_params):
         with pytest.raises(InfeasibleScheduleError):
-            opt.optimize_round_lengths(reference_params, [24, 90], opt.OptimizerConfig())
+            opt.optimize_round_lengths(reference_params, [24, 90], OptimizerConfig())
 
 
 class TestJointSearch:
     def test_reference_environment(self, reference_params):
-        res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
+        res = opt.optimize_schedule(reference_params, OptimizerConfig())
         assert res.h_star == 24
         assert abs(res.t_star - 11.8) <= 0.1
         assert [column.size for column in res.per_h_table] == [89] * 3
@@ -133,14 +134,14 @@ class TestJointSearch:
                    for h, t, _ in zip(*res.per_h_table))
 
     def test_argmax_dominates_table(self, reference_params):
-        res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
+        res = opt.optimize_schedule(reference_params, OptimizerConfig())
         assert res.g_star == res.per_h_table[2].max()
 
     def test_no_arrivals_is_infeasible(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         with pytest.raises(InfeasibleEnvironmentError, match="no arrivals"):
-            opt.optimize_schedule(p, opt.OptimizerConfig())
+            opt.optimize_schedule(p, OptimizerConfig())
         with pytest.raises(InfeasibleEnvironmentError):
             brute_force_argmax(p)
 
@@ -148,10 +149,10 @@ class TestJointSearch:
         p = SystemParams(length=100, speed=20, arrival_rate=0.1,
                          tau_down=4, tau_up=4, alpha=0.2, beta=0.2)
         with pytest.raises(InfeasibleEnvironmentError, match="communication delays"):
-            opt.optimize_schedule(p, opt.OptimizerConfig())
+            opt.optimize_schedule(p, OptimizerConfig())
 
     def test_deterministic(self, reference_params):
-        cfg = opt.OptimizerConfig()
+        cfg = OptimizerConfig()
         a, b = (opt.optimize_schedule(reference_params, cfg) for _ in range(2))
         # the table's arrays compare bitwise, the other fields by value
         assert replace(a, per_h_table=None) == replace(b, per_h_table=None)
@@ -166,7 +167,7 @@ class TestJointSearch:
             return hs + 10.0, gs, np.ones(hs.size, dtype=np.int64)
 
         monkeypatch.setattr(opt, "optimize_round_lengths", tied)
-        res = opt.optimize_schedule(reference_params, opt.OptimizerConfig())
+        res = opt.optimize_schedule(reference_params, OptimizerConfig())
         assert (res.h_star, res.t_star, res.g_star) == (3, 13.0, 1.5)
         assert tuple(column[2] for column in res.per_h_table) == (3, 13.0, 1.5)
         assert res.search_steps == opt.h_max(reference_params)
@@ -174,7 +175,7 @@ class TestJointSearch:
 
 class TestBruteForceOracle:
     def test_agrees_with_bisection_on_reference(self, reference_params):
-        cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 0.01
+        cfg, grid_step = OptimizerConfig(gamma=1e-3), 0.01
         fast = opt.optimize_schedule(reference_params, cfg)
         slow = brute_force_argmax(reference_params, grid_step)
         assert fast.h_star == slow.h_star
@@ -182,7 +183,7 @@ class TestBruteForceOracle:
 
     def test_agrees_on_random_environments(self):
         rng = np.random.default_rng(88)
-        cfg, grid_step = opt.OptimizerConfig(gamma=1e-3), 0.01
+        cfg, grid_step = OptimizerConfig(gamma=1e-3), 0.01
         for _ in range(10):
             params, _ = random_feasible_params(rng)
             fast = opt.optimize_schedule(params, cfg)
@@ -201,7 +202,7 @@ class TestBruteForceOracle:
 
 
 def test_search_step_bound(reference_params):
-    cfg = opt.OptimizerConfig(gamma=1e-3)
+    cfg = OptimizerConfig(gamma=1e-3)
     res = opt.optimize_schedule(reference_params, cfg)
     hm = opt.h_max(reference_params)
     width = max(an.t_max(reference_params, h) - an.t_min(reference_params, h)
