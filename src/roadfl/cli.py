@@ -19,7 +19,8 @@ significant digits and files are written atomically.
 
 Each command imports the roadfl modules it runs when it runs:
 optimize loads optimizer, sweep analytic, validate analytic and mcsim,
-and fl all of them.
+and fl all of them. So optimize and sweep, which draw nothing, load
+neither roadfl.rng nor hashlib.
 
 A process runs the CLI through entry, the console script's target and
 what python -m roadfl.cli calls. It keeps OpenSSL's _hashlib out of the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import itertools
 import math
 import os
@@ -63,7 +63,7 @@ from .types import (
 )
 
 if TYPE_CHECKING:
-    from .flsim import RunPlan
+    from .flsim import LinearTask, RunPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -321,13 +321,6 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
                           f"more than {MAX_ROWS}")
     row_end = ("," + FLOAT) * 3 + "\n"
 
-    # one t chunk's text at a time: every h reuses it when the grid is one chunk
-    @functools.lru_cache(maxsize=1)
-    def t_texts(k: int) -> list[str]:
-        """',t' and the value codes of each row of the t chunk from k."""
-        return ["," + FLOAT % t + row_end
-                for t in _t_chunk(start, step, n_t, k).tolist()]
-
     def chunks() -> Iterator[str]:
         yield "h,t_s,g,lambda,p_success\n"
         # h-major rows, evaluated a block at a time: as many h as fit in
@@ -335,15 +328,20 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
         # Each h is kept a Python int; one % call renders one t chunk of
         # an h's rows
         rows = max(1, ROW_CHUNK // n_t)
+        texts, texts_k = [], -1
         for i in range(0, len(hs), rows):
             block = hs[i:i + rows]
             h_col = np.array(block, dtype=float)[:, None]
             for k in range(0, n_t, ROW_CHUNK):
-                surface = analytic.surface(cfg.system, h_col,
-                                           _t_chunk(start, step, n_t, k))
+                ts = _t_chunk(start, step, n_t, k)
+                surface = analytic.surface(cfg.system, h_col, ts)
+                if k != texts_k:
+                    # ',t' and the value codes of each row of the chunk, made
+                    # once for every h of a one-chunk grid
+                    texts, texts_k = ["," + FLOAT % t + row_end for t in ts.tolist()], k
                 for h, values in zip(block, np.stack(surface, axis=-1)):
                     h_text = INT % h
-                    yield (h_text + h_text.join(t_texts(k))) % tuple(values.ravel().tolist())
+                    yield (h_text + h_text.join(texts)) % tuple(values.ravel().tolist())
 
     _write_lines(cfg.output_dir / "surface.csv", chunks())
     print(f"surface: {points} points")
@@ -421,27 +419,27 @@ def _split(works: Sequence[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _train_share(plans: Sequence[RunPlan],
+def _train_share(plans: Sequence[RunPlan], task: LinearTask,
                  fl_cfg: FLConfig) -> list[np.ndarray | DivergenceError]:
-    """Each plan's losses, or the DivergenceError its run raised."""
+    """Each plan's losses on task, or the DivergenceError its run raised."""
     from . import flsim
 
     outcomes: list[np.ndarray | DivergenceError] = []
     for plan in plans:
         try:
-            outcomes.append(flsim.run_fl(plan, fl_cfg))
+            outcomes.append(flsim.run_fl(plan, task, fl_cfg))
         except DivergenceError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _fork_share(plans: Sequence[RunPlan], fl_cfg: FLConfig,
+def _fork_share(plans: Sequence[RunPlan], task: LinearTask, fl_cfg: FLConfig,
                 inherited: Sequence[int]) -> tuple[int, int] | None:
-    """Fork a worker that runs _train_share(plans, fl_cfg) and writes its
-    outcomes, or the exception it raised, to a pipe as one pickle.
-    inherited are the read ends of earlier workers' pipes, which the
-    worker closes. Returns the worker's pid and the pipe's read end, or
-    None if the fork failed."""
+    """Fork a worker that runs _train_share(plans, task, fl_cfg) and writes
+    its outcomes, or the exception it raised, to a pipe as one pickle.
+    The worker inherits task copy-on-write. inherited are the read ends
+    of earlier workers' pipes, which the worker closes. Returns the
+    worker's pid and the pipe's read end, or None if the fork failed."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -458,7 +456,7 @@ def _fork_share(plans: Sequence[RunPlan], fl_cfg: FLConfig,
         for fd in (read_end, *inherited):
             os.close(fd)
         try:
-            result: object = _train_share(plans, fl_cfg)
+            result: object = _train_share(plans, task, fl_cfg)
         except Exception as exc:
             result = exc
         with open(write_end, "wb") as fh:
@@ -470,34 +468,36 @@ def _fork_share(plans: Sequence[RunPlan], fl_cfg: FLConfig,
 
 def _train(cfg: ExperimentConfig,
            plans: Sequence[RunPlan]) -> list[np.ndarray | DivergenceError]:
-    """_train_share of every plan, in _fl_processes processes: the plans
-    are split by _split, and share 0 trains in this process. Each other
-    share trains in a worker made by os.fork, which inherits the imported
-    modules and this process's task, copy-on-write, instead of building
-    them again, and returns its outcomes through a pipe; a share whose
-    fork fails trains in this process, after share 0. An exception a
-    worker raised is raised here. Every pipe is closed before its worker
-    is reaped, so a worker blocked on writing exits, and every worker is
-    reaped, also when this process's share raises."""
+    """_train_share of every plan, in _fl_processes processes. The task is
+    built once, here, from the "task" stream of cfg.fl.seed, and every
+    run trains on it. The plans are split by _split, and share 0 trains
+    in this process. Each other share trains in a worker made by
+    _fork_share and returns its outcomes through a pipe; a share whose
+    fork fails is added to share 0. An exception a worker raised is
+    raised here. Every pipe is closed before its worker is reaped, so a
+    worker blocked on writing exits, and every worker is reaped, also
+    when this process's share raises."""
     from . import flsim
+    from .rng import substream
 
+    task = flsim.generate_task(cfg.fl, substream(cfg.fl.seed, "task"))
     shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
-    if len(shares) > 1:
-        flsim._shared_task(cfg.fl)
-    # the plans this process trains, and those the workers train
-    local, forked = list(shares[0]), []
-    workers: list[tuple[int, int]] = []
+    # each plan's outcome, by schedule index
+    outcomes: list = [None] * len(plans)
+    # each forked share, with its worker's pid and pipe
+    workers: list[tuple[list[int], int, int]] = []
     try:
         for share in shares[1:]:
-            worker = _fork_share([plans[i] for i in share], cfg.fl,
-                                 [fd for _, fd in workers])
+            worker = _fork_share([plans[i] for i in share], task, cfg.fl,
+                                 [fd for _, _, fd in workers])
             if worker is None:
-                local += share
+                shares[0] += share
             else:
-                workers.append(worker)
-                forked.append(share)
-        done = [_train_share([plans[i] for i in local], cfg.fl)]
-        for pid, fd in workers:
+                workers.append((share, *worker))
+        own = _train_share([plans[i] for i in shares[0]], task, cfg.fl)
+        for i, outcome in zip(shares[0], own):
+            outcomes[i] = outcome
+        for share, pid, fd in workers:
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
             if not data:
@@ -505,13 +505,13 @@ def _train(cfg: ExperimentConfig,
             result = pickle.loads(data)
             if isinstance(result, BaseException):
                 raise result
-            done.append(result)
+            for i, outcome in zip(share, result):
+                outcomes[i] = outcome
     finally:
-        for pid, fd in workers:
+        for _, pid, fd in workers:
             os.close(fd)
             os.waitpid(pid, 0)
-    by_index = dict(zip(itertools.chain(local, *forked), itertools.chain(*done)))
-    return [by_index[i] for i in range(len(plans))]
+    return outcomes
 
 
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:

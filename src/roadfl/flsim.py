@@ -10,6 +10,10 @@ Carlo replay; the winners' locally trained models get equal weights
 (every winner holds samples_per_vehicle rows, so FedAvg's size weights
 are equal), and rounds with no success leave the model unchanged.
 
+The task, a global pool and a validation set, is built once per fl
+command by generate_task and passed to every run_fl call; its arrays
+are read-only, since every run of the command shares them.
+
 A run returns its validation loss at each round boundary up to the
 training horizon. Its headline metric is the running minimum of that
 curve, which cli writes next to each loss and ranks against g.
@@ -17,7 +21,6 @@ curve, which cli writes next to each loss and ranks against g.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -75,16 +78,16 @@ class LinearTask:
     y_pool: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
-    w_true: np.ndarray
 
 
 def generate_task(cfg: FLConfig, rng: np.random.Generator) -> LinearTask:
-    """Draw the global pool, a disjoint validation set and true weights.
+    """Draw the global pool and a disjoint validation set, as read-only arrays.
 
-    Features are i.i.d. standard normal; targets are the true linear map
-    plus optional gaussian label noise. With zero noise the optimal
-    validation loss is exactly 0; with noise std s it is s^2/2 in
-    expectation under the 0.5-MSE convention.
+    The true weights are rng's first d + 1 standard normals. Features are
+    i.i.d. standard normal; targets are the true linear map plus optional
+    gaussian label noise. With zero noise the optimal validation loss is
+    exactly 0; with noise std s it is s^2/2 in expectation under the
+    0.5-MSE convention.
     """
     d = cfg.feature_dim
     w_true = rng.standard_normal(d + 1)
@@ -101,12 +104,12 @@ def generate_task(cfg: FLConfig, rng: np.random.Generator) -> LinearTask:
         y = x @ w_true
         if cfg.noise_std > 0:
             y += cfg.noise_std * rng.standard_normal(n)
+    x.flags.writeable = y.flags.writeable = False
     return LinearTask(
         x_pool=x[:cfg.global_pool_size],
         y_pool=y[:cfg.global_pool_size],
         x_val=x[cfg.global_pool_size:],
         y_val=y[cfg.global_pool_size:],
-        w_true=w_true,
     )
 
 
@@ -239,24 +242,14 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
     return plans
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_task(cfg: FLConfig) -> LinearTask:
-    """The task of cfg, built once for all the schedules of a sweep. Its
-    arrays are read-only, since every run shares them."""
-    task = generate_task(cfg, substream(cfg.seed, "task"))
-    for values in vars(task).values():
-        values.flags.writeable = False
-    return task
+def run_fl(plan: RunPlan, task: LinearTask, cfg: FLConfig) -> np.ndarray:
+    """Train plan's winners on task over its rounds of the simulated
+    timeline; plan is one of plan_runs' and task generate_task's for the
+    same cfg. Returns the validation loss of the global model at each of
+    the rounds_total + 1 round boundaries, losses[k] at time k*t.
 
-
-def run_fl(plan: RunPlan, cfg: FLConfig) -> np.ndarray:
-    """Train plan's winners over its rounds of the simulated timeline;
-    plan is one of plan_runs' for the same cfg. Returns the validation
-    loss of the global model at each of the rounds_total + 1 round
-    boundaries, losses[k] at time k*t.
-
-    The task is derived from the seed alone so every schedule in a sweep
-    sees the same data; arrivals, delays, each vehicle's data and batch
+    The caller passes every schedule of a sweep the same task, so all
+    see the same data; arrivals, delays, each vehicle's data and batch
     sampling get schedule-tagged streams so runs are independent yet
     reproducible. Local training always restarts from the current global
     model, and only the vehicles whose uploads would arrive in time are
@@ -265,8 +258,6 @@ def run_fl(plan: RunPlan, cfg: FLConfig) -> np.ndarray:
     and draws its batches from a stream of its own and the round's.
     """
     sched, rounds_total, winners = plan.schedule, plan.rounds_total, plan.winner
-    task = _shared_task(cfg)
-
     bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))
     w = np.zeros(cfg.feature_dim + 1)
 

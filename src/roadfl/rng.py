@@ -10,16 +10,13 @@ insensitive to the order in which other streams are consumed.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 
 def substream(seed: int, *tags: object) -> np.random.Generator:
     """Return an independent generator keyed by (seed, tags)."""
-    # imported here, so that optimize and sweep, which draw nothing, never
-    # load it; blake2s is built into CPython, so cli.entry keeps OpenSSL's
-    # _hashlib out of the process and the digest stays the same
-    import hashlib
-
     material = ":".join([str(int(seed))] + [str(t) for t in tags]).encode()
     key = int.from_bytes(hashlib.blake2s(material, digest_size=16).digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))

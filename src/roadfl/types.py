@@ -119,7 +119,7 @@ MAX_ROWS = 2**20
 # simulate_rounds keeps only their success histogram
 MAX_ROUNDS = 10 ** 7
 
-# flsim.run_fl holds the task at once; this caps its values (270 MB of
+# an fl command holds its task at once; this caps its values (270 MB of
 # float64), and generate_task builds it in place, so the peak at the cap
 # is one task
 MAX_VALUES = 2**25

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_feasible_params
+from conftest import fl_task, random_feasible_params
 from oracle import brute_force_argmax, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import optimizer as opt
@@ -170,7 +170,8 @@ def test_c07_update_frequency_predicts_training():
     rhos = []
     for seed in (1, 2):
         cfg = FLConfig(seed=seed, horizon=2000.0)
-        l_min = [run_fl(plan_runs(REFERENCE, [s], cfg)[0], cfg).min() for s in schedules]
+        task = fl_task(cfg)
+        l_min = [run_fl(plan_runs(REFERENCE, [s], cfg)[0], task, cfg).min() for s in schedules]
         rho = proxy_correlation(schedules, l_min, REFERENCE)
         assert not math.isnan(rho)
         rhos.append(rho)
@@ -193,7 +194,7 @@ def test_c08_fl_mechanics():
     cfg = FLConfig(seed=5, horizon=2400.0)
     plan = plan_runs(REFERENCE, [sched], cfg)[0]
     # the l_min column the fl command writes for this run
-    l_min = [row[-1] for row in _fl_rows(sched, run_fl(plan, cfg))]
+    l_min = [row[-1] for row in _fl_rows(sched, run_fl(plan, fl_task(cfg), cfg))]
     monotone = bool(np.all(np.diff(l_min) <= 0))
     p_pos = an.success_probability(REFERENCE, sched.h, sched.t)
     n = plan.rounds_total

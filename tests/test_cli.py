@@ -20,6 +20,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fl_task
 from oracle import fl_work, format_csv_value
 from roadfl import analytic, cli, flsim, mcsim, optimizer
 from roadfl.types import MAX_ROWS, FLConfig, OptimizerConfig, Schedule, SimConfig
@@ -463,7 +464,8 @@ class TestFlCommand:
         sched = Schedule(16, 9.0)
         fl_cfg = FLConfig(feature_dim=8, global_pool_size=256, validation_size=128,
                           samples_per_vehicle=128, batch_size=32, horizon=200.0, seed=3)
-        losses = flsim.run_fl(flsim.plan_runs(reference_params, [sched], fl_cfg)[0], fl_cfg)
+        losses = flsim.run_fl(flsim.plan_runs(reference_params, [sched], fl_cfg)[0],
+                              fl_task(fl_cfg), fl_cfg)
         h, t, time_s, rounds, val_loss, l_min = map(np.array, zip(*cli._fl_rows(sched, losses)))
         assert np.all(h == 16) and np.all(t == 9.0)
         assert np.array_equal(rounds, np.arange(losses.size))
@@ -472,28 +474,50 @@ class TestFlCommand:
         assert np.all(np.diff(l_min) <= 0) and np.any(np.diff(l_min) < 0)
         assert l_min[0] == losses[0] and l_min[-1] == losses.min()
 
-    def test_default_grid_builds_the_task_once(self, tmp_path, monkeypatch):
-        calls = []
+    def counting_tasks(self, monkeypatch, path):
+        """Record each task flsim.generate_task builds in this process, and
+        count its calls in the file at path, so that a forked worker's
+        calls count as well."""
+        tasks = []
         real = flsim.generate_task
 
         def counting(*args):
-            calls.append(1)
-            return real(*args)
+            with open(path, "a") as fh:
+                fh.write("task\n")
+            tasks.append(real(*args))
+            return tasks[-1]
 
         monkeypatch.setattr(flsim, "generate_task", counting)
-        flsim._shared_task.cache_clear()
+        path.write_text("")
+        return tasks
+
+    def test_default_grid_builds_the_task_once(self, tmp_path, monkeypatch):
+        # in three processes, the workers inherit the parent's task
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        tasks = self.counting_tasks(monkeypatch, tmp_path / "built")
         overrides = ["--fl.horizon_s=60", "--fl.feature_dim=8", "--fl.global_pool_size=256",
                      "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
                      "--fl.batch_size=32"]
-        assert cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+        assert cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path / "out"),
                          *overrides]) == 0
-        assert "n_schedules=12" in (tmp_path / "correlation.txt").read_text()
-        assert len(calls) == 1
-        # every run shares the cached task, so none may write to it
-        fl_cfg = cli.parse_config(BASELINE, [o[2:] for o in overrides]).fl
-        task = flsim._shared_task(fl_cfg)
-        assert len(calls) == 1
-        assert not any(values.flags.writeable for values in vars(task).values())
+        assert "n_schedules=12" in (tmp_path / "out" / "correlation.txt").read_text()
+        assert cli._fl_processes(12) == 3
+        assert (tmp_path / "built").read_text() == "task\n"
+        # every run shares the task, so none may write to it
+        assert not any(values.flags.writeable for values in vars(tasks[0]).values())
+
+    def test_each_fl_command_builds_its_own_task(self, tmp_path, monkeypatch):
+        # no task outlives its command: a second command in this process
+        # builds its task again
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        self.counting_tasks(monkeypatch, tmp_path / "built")
+        for run in ("first", "second"):
+            assert cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path / run),
+                             *SMALL_TASK, "--schedules", "8:4,16:6"]) == 0
+        assert (tmp_path / "built").read_text() == "task\n" * 2
+        assert ((tmp_path / "first" / "fl_runs.csv").read_bytes()
+                == (tmp_path / "second" / "fl_runs.csv").read_bytes())
 
     def test_diverging_run_warns_in_one_line(self, tmp_path):
         # numpy's overflow warnings from a diverging run stay off stderr
@@ -663,10 +687,10 @@ class TestFlProcesses:
     def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
         parent, run_fl = os.getpid(), flsim.run_fl
 
-        def run(plan, fl_cfg):
+        def run(plan, task, fl_cfg):
             if os.getpid() != parent:
                 raise ArithmeticError(f"worker {os.getpid()}")
-            return run_fl(plan, fl_cfg)
+            return run_fl(plan, task, fl_cfg)
 
         with pytest.raises(ArithmeticError, match="^worker "):
             self.train_in_two(monkeypatch, run)
@@ -677,7 +701,7 @@ class TestFlProcesses:
         # it exits only once the parent has closed the pipe
         parent = os.getpid()
 
-        def run(plan, fl_cfg):
+        def run(plan, task, fl_cfg):
             if os.getpid() == parent:
                 raise ArithmeticError("parent")
             return np.zeros(2**20)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import fl_task
 from oracle import arrival_times, fl_work, local_sgd_one_vehicle
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
@@ -26,7 +27,7 @@ def plan(params: SystemParams, sched: Schedule, cfg: FLConfig) -> flsim.RunPlan:
 
 
 def train(params: SystemParams, sched: Schedule, cfg: FLConfig) -> np.ndarray:
-    return flsim.run_fl(plan(params, sched, cfg), cfg)
+    return flsim.run_fl(plan(params, sched, cfg), fl_task(cfg), cfg)
 
 
 def rounds_valid(planned: flsim.RunPlan) -> int:
@@ -57,13 +58,15 @@ class TestTask:
     def test_noiseless_optimum_is_zero(self):
         cfg = small_cfg(noise_std=0.0)
         task = flsim.generate_task(cfg, substream(1, "task"))
-        assert flsim.mse_loss(task.w_true, task.x_val, task.y_val) == 0.0
+        w_true = substream(1, "task").standard_normal(cfg.feature_dim + 1)
+        assert flsim.mse_loss(w_true, task.x_val, task.y_val) == 0.0
 
     def test_noisy_optimum_is_half_variance(self):
         cfg = small_cfg(noise_std=0.5, validation_size=4096, global_pool_size=4096,
                         samples_per_vehicle=256)
         task = flsim.generate_task(cfg, substream(2, "task"))
-        loss = flsim.mse_loss(task.w_true, task.x_val, task.y_val)
+        w_true = substream(2, "task").standard_normal(cfg.feature_dim + 1)
+        loss = flsim.mse_loss(w_true, task.x_val, task.y_val)
         assert loss == pytest.approx(0.5 * 0.5 ** 2, rel=0.1)
 
     def test_pools_are_disjoint_and_deterministic(self):
@@ -94,10 +97,10 @@ class TestTask:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        for got, want in ((task.w_true, w_true), (task.x_pool, x[:1024]),
-                          (task.x_val, x[1024:]), (task.y_pool, y[:1024]),
-                          (task.y_val, y[1024:])):
+        for got, want in ((task.x_pool, x[:1024]), (task.x_val, x[1024:]),
+                          (task.y_pool, y[:1024]), (task.y_val, y[1024:])):
             assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
         task_bytes = x.nbytes + y.nbytes + w_true.nbytes
         if feature_dim > 1:
             # no temporary of the task's size; the 48 KB task of d = 1 is
@@ -252,8 +255,9 @@ class TestRunFl:
     def test_no_traffic_keeps_initial_model(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        planned = plan(p, Schedule(8, 10.0), small_cfg())
-        losses = flsim.run_fl(planned, small_cfg())
+        cfg = small_cfg()
+        planned = plan(p, Schedule(8, 10.0), cfg)
+        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
         assert rounds_valid(planned) == 0
         assert losses.size == planned.rounds_total + 1
         assert np.all(losses == losses[0])
@@ -261,7 +265,7 @@ class TestRunFl:
     def test_noiseless_feasible_run_improves(self, reference_params):
         cfg = small_cfg(horizon=500.0)
         planned = plan(reference_params, Schedule(8, 6.0), cfg)
-        losses = flsim.run_fl(planned, cfg)
+        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
         assert rounds_valid(planned) > 0
         assert losses.min() <= losses[0] / 10
 
@@ -285,7 +289,7 @@ class TestRunFl:
         sched = Schedule(16, 9.0)
         cfg = small_cfg()
         planned = plan(reference_params, sched, cfg)
-        losses = flsim.run_fl(planned, cfg)
+        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
         tag = f"{sched.h}:{sched.t:.9g}"
         arrivals = arrival_times(reference_params, planned.rounds_total * sched.t,
                                  substream(cfg.seed, "arrivals", tag))
@@ -302,8 +306,9 @@ class TestRunFl:
             raise AssertionError("local_sgd called for an infeasible schedule")
 
         monkeypatch.setattr(flsim, "local_sgd", refuse)
-        planned = plan(reference_params, Schedule(24, 6.0), small_cfg())
-        losses = flsim.run_fl(planned, small_cfg())
+        cfg = small_cfg()
+        planned = plan(reference_params, Schedule(24, 6.0), cfg)
+        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
         assert rounds_valid(planned) == 0
         assert np.all(losses == losses[0])
 
@@ -319,7 +324,7 @@ class TestRunFl:
         monkeypatch.setattr(flsim, "mse_loss", counting)
         cfg = small_cfg(horizon=400.0)
         planned = plan(reference_params, Schedule(24, 9.0), cfg)
-        flsim.run_fl(planned, cfg)
+        flsim.run_fl(planned, fl_task(cfg), cfg)
         assert 0 < rounds_valid(planned) < planned.rounds_total
         assert len(calls) == 1 + rounds_valid(planned)
 
@@ -338,7 +343,8 @@ class TestRunFl:
         assert len(blocks) > 1
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
         whole = plan(reference_params, sched, cfg)
-        assert np.array_equal(flsim.run_fl(small, cfg), flsim.run_fl(whole, cfg))
+        task = fl_task(cfg)
+        assert np.array_equal(flsim.run_fl(small, task, cfg), flsim.run_fl(whole, task, cfg))
         assert rounds_valid(small) == rounds_valid(whole) > 0
 
     def test_sgd_work_cap_checked_before_any_dataset(self, reference_params, monkeypatch):
@@ -452,7 +458,7 @@ class TestRunFl:
         # 6 s rounds in a 20 s dwell time, so vehicles win more than once
         sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0, vehicle_shift_std=0.5)
         planned = plan(reference_params, sched, cfg)
-        flsim.run_fl(planned, cfg)
+        flsim.run_fl(planned, fl_task(cfg), cfg)
         winners = planned.winner.tolist()
         assert tags == [("8:6", m) for m in winners]
         assert len(trained) == len(winners)
@@ -475,7 +481,8 @@ class TestVehicleShiftMode:
         # timing path untouched
         assert np.array_equal(a.winner_round, b.winner_round)
         assert np.array_equal(a.winner, b.winner)
-        assert not np.array_equal(flsim.run_fl(a, iid), flsim.run_fl(b, shifted))
+        assert not np.array_equal(flsim.run_fl(a, fl_task(iid), iid),
+                                  flsim.run_fl(b, fl_task(shifted), shifted))
 
     def test_negative_shift_rejected(self):
         with pytest.raises(InvalidParameterError):
