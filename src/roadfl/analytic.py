@@ -40,8 +40,7 @@ import numpy as np
 from .types import InfeasibleEnvironmentError, InfeasibleScheduleError, SystemParams
 
 __all__ = [
-    "t_min", "xi", "lambda_param", "surface", "success_probability", "g",
-    "dg_dt", "c0_c1", "t_max",
+    "t_min", "xi", "lambda_param", "surface", "g", "dg_dt", "c0_c1", "t_max",
 ]
 
 
@@ -74,11 +73,6 @@ def surface(params: SystemParams, h, t):
     p_success = -np.expm1(-lam)
     g_v = np.asarray(h, dtype=float) / np.asarray(t, dtype=float) * p_success
     return g_v[()], lam, p_success[()]
-
-
-def success_probability(params: SystemParams, h, t):
-    """Probability that at least one vehicle succeeds in a round."""
-    return surface(params, h, t)[2]
 
 
 def g(params: SystemParams, h, t):

@@ -3,24 +3,26 @@
 Subcommands:
     optimize   search the best (h, t) schedule, write optimize.csv and
                optimize_summary.csv
-    validate   simulate rounds for one schedule and fit the success-count
-               histogram, write poisson_fit.csv and fit_report.csv
+    validate   write validate(cfg), the Poisson fit of one schedule's
+               simulated rounds, to poisson_fit.csv and fit_report.csv
     sweep      evaluate the analytic surface on an (h, t) grid, write
                surface.csv
-    fl         run synthetic federated training over a schedule grid,
-               write fl_runs.csv and correlation.txt; the runs are
-               spread over as many processes as the CPUs hold BLAS
-               thread pools (see _fl_processes)
+    fl         write train(cfg, schedules), synthetic federated training's
+               losses over a schedule grid (default_fl_grid by default),
+               to fl_runs.csv and correlation.txt, in as many processes
+               as the CPUs hold BLAS thread pools (see _fl_processes)
+
+validate, default_fl_grid and train compute; cmd_validate and cmd_fl
+only render what they return, so any caller runs the commands' code.
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is
 deterministic for a fixed config and seed: floats are printed with 9
 significant digits and files are written atomically.
 
-Each command imports the roadfl modules it runs when it runs:
-optimize loads optimizer, sweep analytic, validate analytic and mcsim,
-and fl all of them. So optimize and sweep, which draw nothing, load
-neither roadfl.rng nor hashlib.
+Each command imports the roadfl modules it runs when it runs: optimize
+loads optimizer, sweep analytic, validate analytic and mcsim, and fl
+all of them, so optimize and sweep load neither roadfl.rng nor hashlib.
 
 A process runs the CLI through entry, the console script's target and
 what python -m roadfl.cli calls. It keeps OpenSSL's _hashlib out of the
@@ -64,6 +66,7 @@ from .types import (
 
 if TYPE_CHECKING:
     from .flsim import LinearTask, RunPlan
+    from .mcsim import PoissonFit
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -239,7 +242,9 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: ExperimentConfig) -> int:
+def validate(cfg: ExperimentConfig) -> PoissonFit:
+    """The Poisson fit of cfg.schedule's simulated rounds, which validate
+    renders; the fit's row cap is checked before any draw."""
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
     from . import analytic, mcsim
@@ -249,19 +254,22 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     if rows > MAX_ROWS:
         raise ConfigError(f"the Poisson fit of lambda={lam:.3g} needs {rows:.3g} "
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
-    histogram = mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim)
-    fit = mcsim.compare_to_poisson(histogram, lam)
-    out = cfg.output_dir
-    _write_rows(out / "poisson_fit.csv",
+    return mcsim.compare_to_poisson(
+        mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim), lam)
+
+
+def cmd_validate(cfg: ExperimentConfig) -> int:
+    fit = validate(cfg)
+    _write_rows(cfg.output_dir / "poisson_fit.csv",
                 (("m_suc", INT), ("empirical_freq", FLOAT), ("poisson_pmf", FLOAT)),
                 zip(fit.support.tolist(), fit.empirical_freq, fit.pmf))
-    _write_rows(out / "fit_report.csv",
+    _write_rows(cfg.output_dir / "fit_report.csv",
                 (("lambda_analytic", FLOAT), ("mean_empirical", FLOAT),
                  ("tv_distance", FLOAT), ("p_pos_analytic", FLOAT),
                  ("p_pos_empirical", FLOAT)),
                 [(fit.lambda_analytic, fit.mean_empirical, fit.tv_distance,
                   fit.p_pos_analytic, fit.p_pos_empirical)])
-    print(f"lambda={lam:.9g} empirical_mean={fit.mean_empirical:.9g} "
+    print(f"lambda={fit.lambda_analytic:.9g} empirical_mean={fit.mean_empirical:.9g} "
           f"tv_distance={fit.tv_distance:.9g}")
     return EXIT_OK
 
@@ -348,7 +356,7 @@ def cmd_sweep(cfg: ExperimentConfig, h_list: str, t_grid: str) -> int:
     return EXIT_OK
 
 
-def _default_fl_grid(cfg: ExperimentConfig) -> list[Schedule]:
+def default_fl_grid(cfg: ExperimentConfig) -> list[Schedule]:
     """Per-h optimum scaled by {0.6, 1.0, 1.6} for h in {8, 16, 24, 40}."""
     from . import optimizer
 
@@ -466,20 +474,19 @@ def _fork_share(plans: Sequence[RunPlan], task: LinearTask, fl_cfg: FLConfig,
         os._exit(code)
 
 
-def _train(cfg: ExperimentConfig,
-           plans: Sequence[RunPlan]) -> list[np.ndarray | DivergenceError]:
-    """_train_share of every plan, in _fl_processes processes. The task is
-    built once, here, from the "task" stream of cfg.fl.seed, and every
-    run trains on it. The plans are split by _split, and share 0 trains
-    in this process. Each other share trains in a worker made by
-    _fork_share and returns its outcomes through a pipe; a share whose
-    fork fails is added to share 0. An exception a worker raised is
-    raised here. Every pipe is closed before its worker is reaped, so a
-    worker blocked on writing exits, and every worker is reaped, also
-    when this process's share raises."""
+def train(cfg: ExperimentConfig,
+          schedules: Sequence[Schedule]) -> list[np.ndarray | DivergenceError]:
+    """Each schedule's losses, or the DivergenceError its run raised. All
+    are planned, and every cap checked, before any trains, on one task
+    from the "task" stream of cfg.fl.seed. _split shares the plans over
+    _fl_processes processes: share 0 trains here, the others in
+    _fork_share workers, or here if a fork fails; a worker's exception is
+    raised here. Every worker is reaped, its pipe closed first so that a
+    blocked writer exits, also when this process's share raises."""
     from . import flsim
     from .rng import substream
 
+    plans = flsim.plan_runs(cfg.system, schedules, cfg.fl)
     task = flsim.generate_task(cfg.fl, substream(cfg.fl.seed, "task"))
     shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
     # each plan's outcome, by schedule index
@@ -517,10 +524,9 @@ def _train(cfg: ExperimentConfig,
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     from . import flsim
 
-    schedules = (_default_fl_grid(cfg) if schedules_arg is None
+    schedules = (default_fl_grid(cfg) if schedules_arg is None
                  else _parse_schedules(schedules_arg))
-    # every run is planned, and every cap checked, before any run trains
-    outcomes = _train(cfg, flsim.plan_runs(cfg.system, schedules, cfg.fl))
+    outcomes = train(cfg, schedules)
 
     for sched, outcome in zip(schedules, outcomes):
         if isinstance(outcome, DivergenceError):

@@ -2,16 +2,21 @@
 C08 over seeds 1-12, kept in tests/evidence.json.
 
     python tests/evidence.py --update    rewrite tests/evidence.json from this tree
+    python tests/evidence.py --check     exit 1, naming the first differing
+                                         key, unless this tree rewrites
+                                         tests/evidence.json byte for byte
 
 It records, for each benchmark workload with its fl settings, Spearman's
-rho of the default fl grid over all schedules and over those with
-g > 0; the TV distance and mean relative error of C02's four schedules
-at 100,000 rounds; and the valid-round rate of C08's run. Each figure
-has its per-seed values, min, median, max and sample sd. A change that
-moves a random stream reruns this and quotes the old and new figures;
-test_golden.py checks that the seed-1 figures equal those of the golden
-cases that are the same runs. It takes about 25 s on a shared 2-vCPU
-machine, where fl trains in two processes of one BLAS thread each.
+rho of the default fl grid (cli.default_fl_grid, trained by cli.train as
+the fl command trains it) over all schedules and over those with g > 0;
+the TV distance and mean relative error of C02's four schedules at
+100,000 rounds, each fitted by cli.validate as the validate command fits
+it; and the valid-round rate of C08's run. Each figure has its per-seed
+values, min, median, max and sample sd. A change that moves a random
+stream reruns this and quotes the old and new figures; test_golden.py
+checks that the seed-1 figures equal those of the golden cases that are
+the same runs. It takes about 25 s on a shared 2-vCPU machine, where fl
+trains in two processes of one BLAS thread each.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ import numpy as np  # noqa: E402
 
 from perfbench.workloads import WORKLOADS  # noqa: E402
 from roadfl import analytic, cli, flsim  # noqa: E402
-from roadfl.mcsim import compare_to_poisson, simulate_rounds  # noqa: E402
-from roadfl.types import FLConfig, Schedule, SimConfig  # noqa: E402
+from roadfl.types import FLConfig, Schedule  # noqa: E402
 
 EVIDENCE = REPO / "tests" / "evidence.json"
 BASELINE = REPO / "baseline.cfg"
@@ -53,14 +57,13 @@ def summary(values: list[float]) -> dict:
 
 
 def fl_rho(overrides: list[str]) -> dict:
-    """rho of the default fl grid at each seed, as cmd_fl trains it; a
+    """rho of the default fl grid at each seed, as the fl command trains it; a
     diverged run fails here, since every figure assumes the whole grid."""
     rhos: dict[str, list[float]] = {"all": [], "g_positive": []}
     for seed in SEEDS:
         cfg = cli.parse_config(BASELINE, [*overrides, f"fl.seed={seed}"])
-        schedules = cli._default_fl_grid(cfg)
-        outcomes = cli._train(cfg, flsim.plan_runs(cfg.system, schedules, cfg.fl))
-        l_min = [losses.min() for losses in outcomes]
+        schedules = cli.default_fl_grid(cfg)
+        l_min = [losses.min() for losses in cli.train(cfg, schedules)]
         positive = [i for i, s in enumerate(schedules)
                     if analytic.g(cfg.system, s.h, s.t) > 0]
         rhos["all"].append(flsim.proxy_correlation(schedules, l_min, cfg.system))
@@ -70,15 +73,16 @@ def fl_rho(overrides: list[str]) -> dict:
             **{key: summary(values) for key, values in rhos.items()}}
 
 
-def c02(params) -> dict:
+def c02() -> dict:
+    """C02's fits at each seed, as the validate command of baseline.cfg
+    fits them."""
     cases = {}
     for sched in C02_SCHEDULES:
-        lam = analytic.lambda_param(params, sched.h, sched.t)
-        fits = [compare_to_poisson(simulate_rounds(params, sched,
-                                                   SimConfig(seed=seed, num_rounds=C02_ROUNDS)),
-                                   lam) for seed in SEEDS]
+        fits = [cli.validate(cli.parse_config(BASELINE, [
+            f"sim.h={sched.h}", f"sim.t_s={sched.t!r}", f"sim.seed={seed}",
+            f"sim.num_rounds={C02_ROUNDS}"])) for seed in SEEDS]
         cases[f"{sched.h}:{sched.t:.9g}"] = {
-            "lambda": lam,
+            "lambda": fits[0].lambda_analytic,
             "tv_distance": summary([fit.tv_distance for fit in fits]),
             "mean_rel_error": summary([fit.mean_rel_error for fit in fits])}
     return {"rounds": C02_ROUNDS, "cases": cases}
@@ -94,25 +98,62 @@ def c08(params) -> dict:
         rates.append(np.unique(plan.winner_round).size / plan.rounds_total)
     return {"schedule": f"{C08_SCHEDULE.h}:{C08_SCHEDULE.t:.9g}", "horizon_s": C08_HORIZON,
             "rounds": plan.rounds_total,
-            "p_pos": analytic.success_probability(params, C08_SCHEDULE.h, C08_SCHEDULE.t),
+            "p_pos": analytic.surface(params, C08_SCHEDULE.h, C08_SCHEDULE.t)[2],
             "valid_rate": summary(rates)}
 
 
-def update() -> None:
-    started = time.perf_counter()
-    reference = cli.parse_config(BASELINE).system
+def snapshot() -> str:
+    """The text of tests/evidence.json as this tree computes it."""
     evidence = {
         "seeds": [SEEDS.start, SEEDS.stop - 1],
         "rho": {name: fl_rho([token[2:] for token in (*w.overrides, *w.args["fl"])])
                 for name, w in WORKLOADS.items()},
-        "c02": c02(reference),
-        "c08": c08(reference),
+        "c02": c02(),
+        "c08": c08(cli.parse_config(BASELINE).system),
     }
-    EVIDENCE.write_text(json.dumps(evidence, indent=1) + "\n")
-    print(f"wrote {EVIDENCE.relative_to(REPO)} in {time.perf_counter() - started:.1f} s")
+    return json.dumps(evidence, indent=1) + "\n"
+
+
+def first_difference(old, new, path: str = "") -> str | None:
+    """The key path of the first value at which two JSON documents differ,
+    in new's key order, or None if they differ in formatting only."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in dict.fromkeys([*new, *old]):
+            where = f"{path}.{key}" if path else key
+            if key not in old or key not in new:
+                return where
+            found = first_difference(old[key], new[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None
+    return None if json.dumps(old) == json.dumps(new) else path or "(the whole document)"
+
+
+def main(mode: str) -> int:
+    started = time.perf_counter()
+    text = snapshot()
+    name = EVIDENCE.relative_to(REPO)
+    if mode == "--update":
+        EVIDENCE.write_text(text)
+        print(f"wrote {name} in {time.perf_counter() - started:.1f} s")
+        return 0
+    old = EVIDENCE.read_bytes()
+    if old == text.encode():
+        print(f"{name} matches this tree, checked in {time.perf_counter() - started:.1f} s")
+        return 0
+    where = first_difference(json.loads(old), json.loads(text)) or "(formatting only)"
+    print(f"{name} differs from this tree's snapshot, first at {where}; "
+          "rerun with --update", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--update"]:
-        sys.exit("usage: python tests/evidence.py --update")
-    update()
+    if sys.argv[1:] not in (["--update"], ["--check"]):
+        sys.exit("usage: python tests/evidence.py --update | --check")
+    sys.exit(main(sys.argv[1]))

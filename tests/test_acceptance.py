@@ -17,13 +17,13 @@ import pytest
 from conftest import fl_task, random_feasible_params
 from oracle import brute_force_argmax, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
+from roadfl import cli
 from roadfl import optimizer as opt
 from roadfl.cli import _fl_rows
 from roadfl.flsim import aggregate, mse_gradient, mse_loss, plan_runs, proxy_correlation, \
     run_fl
-from roadfl.mcsim import compare_to_poisson, simulate_rounds
 from roadfl.rng import substream
-from roadfl.types import FLConfig, OptimizerConfig, Schedule, SimConfig, SystemParams
+from roadfl.types import FLConfig, OptimizerConfig, Schedule, SystemParams
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline.cfg"
@@ -57,18 +57,18 @@ def test_c01_headline_schedule():
 @pytest.mark.parametrize("h,t,seed", [(24, 11.8, 777), (24, 25.0, 778),
                                       (8, 10.0, 779), (40, 15.0, 780)])
 def test_c02_poisson_law_fidelity(h, t, seed):
-    """100k-round histogram within TV < 0.01 and mean within 2%."""
-    sched = Schedule(h, t)
-    lam = an.lambda_param(REFERENCE, sched.h, sched.t)
+    """100k-round histogram within TV < 0.01 and mean within 2%, as the
+    validate command fits it."""
+    cfg = cli.parse_config(BASELINE, [f"sim.h={h}", f"sim.t_s={t}", f"sim.seed={seed}",
+                                      "sim.num_rounds=100000"])
+    assert cfg.system == REFERENCE
     started = time.perf_counter()
-    histogram = simulate_rounds(REFERENCE, sched,
-                              SimConfig(seed=seed, num_rounds=100_000))
-    fit = compare_to_poisson(histogram, lam)
+    fit = cli.validate(cfg)
     elapsed = time.perf_counter() - started
     ok = (fit.tv_distance < 0.01 and fit.mean_rel_error < 0.02
           and elapsed <= 60.0)
     report(f"C02 poisson fidelity ({h},{t})", ok,
-           f"lam={lam:.4f} mean={fit.mean_empirical:.4f} "
+           f"lam={fit.lambda_analytic:.4f} mean={fit.mean_empirical:.4f} "
            f"rel={fit.mean_rel_error:.4f} tv={fit.tv_distance:.4f} "
            f"{elapsed:.1f}s")
 
@@ -158,20 +158,16 @@ def test_c06_upper_bound_certificate():
 
 
 def test_c07_update_frequency_predicts_training():
-    """Spearman(g, -l_min) >= 0.6 on the 12-point grid, stable over seeds."""
-    ocfg = OptimizerConfig(gamma=1e-3)
-    hs = (8, 16, 24, 40)
-    t_opt, _, _ = opt.optimize_round_lengths(REFERENCE, hs, ocfg)
-    schedules = [Schedule(h, factor * t) for h, t in zip(hs, t_opt.tolist())
-                 for factor in (0.6, 1.0, 1.6)]
-    assert len(schedules) == 12
-
+    """Spearman(g, -l_min) >= 0.6 on fl's default 12-point grid, trained
+    as the fl command trains it, stable over seeds."""
     started = time.perf_counter()
     rhos = []
     for seed in (1, 2):
-        cfg = FLConfig(seed=seed, horizon=2000.0)
-        task = fl_task(cfg)
-        l_min = [run_fl(plan_runs(REFERENCE, [s], cfg)[0], task, cfg).min() for s in schedules]
+        cfg = cli.parse_config(BASELINE, [f"fl.seed={seed}"])
+        assert cfg.system == REFERENCE
+        schedules = cli.default_fl_grid(cfg)
+        assert len(schedules) == 12
+        l_min = [losses.min() for losses in cli.train(cfg, schedules)]
         rho = proxy_correlation(schedules, l_min, REFERENCE)
         assert not math.isnan(rho)
         rhos.append(rho)
@@ -196,7 +192,7 @@ def test_c08_fl_mechanics():
     # the l_min column the fl command writes for this run
     l_min = [row[-1] for row in _fl_rows(sched, run_fl(plan, fl_task(cfg), cfg))]
     monotone = bool(np.all(np.diff(l_min) <= 0))
-    p_pos = an.success_probability(REFERENCE, sched.h, sched.t)
+    p_pos = an.surface(REFERENCE, sched.h, sched.t)[2]
     n = plan.rounds_total
     rounds_valid = np.unique(plan.winner_round).size
     sigma = math.sqrt(p_pos * (1 - p_pos) / n)

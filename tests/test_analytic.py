@@ -87,10 +87,10 @@ class TestPoissonMean:
 
 class TestSuccessProbability:
     def test_zero_mean(self, reference_params):
-        assert an.success_probability(reference_params, 24, 6.0) == 0.0
+        assert an.surface(reference_params, 24, 6.0)[2] == 0.0
 
     def test_reference_point(self, reference_params):
-        p = an.success_probability(reference_params, 24, 11.8)
+        p = an.surface(reference_params, 24, 11.8)[2]
         expected = 1 - math.exp(-direct_lambda(reference_params, 24, 11.8))
         assert p == pytest.approx(expected, rel=1e-12)
         assert p == pytest.approx(0.5972, abs=5e-5)
@@ -109,7 +109,7 @@ class TestSuccessProbability:
                                   arrival_rate=float(rate),
                                   tau_down=params.tau_down, tau_up=params.tau_up,
                                   alpha=params.alpha, beta=params.beta)
-                probs.append(an.success_probability(p2, h, t))
+                probs.append(an.surface(p2, h, t)[2])
                 means.append(an.lambda_param(p2, h, t))
             assert all(a < b for a, b in zip(means, means[1:]))
             # strict until the probability saturates at 1 in floats
@@ -340,7 +340,7 @@ def test_broadcast_matches_elementwise_bitwise(inputs):
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.array(want).tobytes()
 
-    for fn in (an.xi, an.lambda_param, an.success_probability, an.g):
+    for fn in (an.xi, an.lambda_param, lambda p, h, t: an.surface(p, h, t)[2], an.g):
         check(fn, ts_any)
     check(an.dg_dt, ts)
     check(lambda p, h, t: subinterval_probs(p, h, t)[0], ts)

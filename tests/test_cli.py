@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from conftest import fl_task
 from oracle import fl_work, format_csv_value
 from roadfl import analytic, cli, flsim, mcsim, optimizer
-from roadfl.types import MAX_ROWS, FLConfig, OptimizerConfig, Schedule, SimConfig
+from roadfl.types import MAX_ROWS, DivergenceError, FLConfig, OptimizerConfig, Schedule, \
+    SimConfig
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline.cfg"
@@ -255,6 +256,29 @@ class TestValidateCommand:
                        "poisson_fit.csv rows, more than 50\n")
         assert not (tmp_path / "b").exists()
 
+    def test_renders_the_fit_validate_computes(self, tmp_path, capsys):
+        # the command's files and line are cli.validate's fit of the same config
+        overrides = ["sim.num_rounds=2000", "sim.seed=7"]
+        assert cli.main(["validate", "--config", str(BASELINE), "--out", str(tmp_path),
+                         *("--" + o for o in overrides)]) == 0
+        fit = cli.validate(cli.parse_config(BASELINE, overrides))
+
+        def csv_bytes(header, rows):
+            return "".join([header + "\n", *(",".join(map(format_csv_value, row)) + "\n"
+                                             for row in rows)]).encode()
+
+        assert fit.support.size > 5
+        assert (tmp_path / "poisson_fit.csv").read_bytes() == csv_bytes(
+            "m_suc,empirical_freq,poisson_pmf",
+            zip(fit.support.tolist(), fit.empirical_freq.tolist(), fit.pmf.tolist()))
+        assert (tmp_path / "fit_report.csv").read_bytes() == csv_bytes(
+            "lambda_analytic,mean_empirical,tv_distance,p_pos_analytic,p_pos_empirical",
+            [(fit.lambda_analytic, fit.mean_empirical, fit.tv_distance,
+              fit.p_pos_analytic, fit.p_pos_empirical)])
+        assert capsys.readouterr().out == (
+            f"lambda={fit.lambda_analytic:.9g} empirical_mean={fit.mean_empirical:.9g} "
+            f"tv_distance={fit.tv_distance:.9g}\n")
+
     def test_requires_schedule(self, tmp_path):
         rc = cli.main(["validate", "--config", str(BASELINE),
                        "--out", str(tmp_path), "--sim.h=24",
@@ -356,7 +380,8 @@ class TestSweepCommand:
         for h in hs:
             for t in ts:
                 values = [float(f(system, float(h), t)) for f in
-                          (analytic.g, analytic.lambda_param, analytic.success_probability)]
+                          (analytic.g, analytic.lambda_param,
+                           lambda *args: analytic.surface(*args)[2])]
                 lines.append(",".join(map(format_csv_value, [h, t, *values])))
         text = (tmp_path / "surface.csv").read_text()
         assert text == "\n".join(lines) + "\n"
@@ -530,6 +555,29 @@ class TestFlCommand:
         lines = proc.stderr.splitlines()
         assert lines and all(line.startswith("warning: run h=") for line in lines)
 
+    def test_renders_the_losses_train_computes(self, tmp_path, capsys):
+        # val_loss holds each run's losses from cli.train on the same
+        # config, and one nan for a run that diverged, which a warning names
+        assert cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                         *SMALL_TASK, *DIVERGING_GRID]) == 0
+        cfg = cli.parse_config(BASELINE, [arg[2:] for arg in (*SMALL_TASK, DIVERGING_GRID[0])])
+        schedules = cli._parse_schedules(DIVERGING_GRID[-1])
+        outcomes = cli.train(cfg, schedules)
+        val_loss: dict[tuple[str, str], list[str]] = {}
+        for row in read_csv(tmp_path / "fl_runs.csv"):
+            val_loss.setdefault((row["h"], row["t_s"]), []).append(row["val_loss"])
+        keys = [(str(sched.h), format_csv_value(sched.t)) for sched in schedules]
+        assert list(val_loss) == keys
+        warnings = capsys.readouterr().err.splitlines()
+        diverged = []
+        for sched, key, outcome in zip(schedules, keys, outcomes):
+            if isinstance(outcome, DivergenceError):
+                diverged.append(f"warning: run h={sched.h} t={sched.t:.9g} diverged: {outcome}")
+                assert val_loss[key] == ["nan"]
+            else:
+                assert val_loss[key] == list(map(format_csv_value, outcome.tolist()))
+        assert warnings == diverged and len(diverged) == 2
+
     def test_zero_horizon_is_error(self, tmp_path):
         rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
                        "--fl.horizon_s=0"])
@@ -664,22 +712,22 @@ class TestFlProcesses:
         assert planned() == trained() == 10
 
     def train_in_two(self, monkeypatch, run):
-        """cli._train of two small schedules in two processes, with run in
+        """cli.train of two small schedules in two processes, with run in
         place of flsim.run_fl; a TimeoutError if it has not returned after 30 s."""
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(flsim, "run_fl", run)
         cfg = cli.parse_config(BASELINE, [arg[2:] for arg in SMALL_TASK])
-        plans = flsim.plan_runs(cfg.system, [Schedule(8, 4.0), Schedule(24, 11.8)], cfg.fl)
-        assert cli._fl_processes(len(plans)) == 2
+        schedules = [Schedule(8, 4.0), Schedule(24, 11.8)]
+        assert cli._fl_processes(len(schedules)) == 2
 
         def hung(signum, frame):
-            raise TimeoutError("cli._train has not returned after 30 s")
+            raise TimeoutError("cli.train has not returned after 30 s")
 
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(30)
         try:
-            return cli._train(cfg, plans)
+            return cli.train(cfg, schedules)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -981,7 +1029,7 @@ def test_default_grid_is_admitted(name, monkeypatch):
     workload = WORKLOADS[name]
     cfg = cli.parse_config(BASELINE, [arg[2:] for arg in (*workload.overrides,
                                                           *workload.args["fl"])])
-    grid = cli._default_fl_grid(cfg)
+    grid = cli.default_fl_grid(cfg)
     for seed in (1, 2, 703):
         plans = flsim.plan_runs(cfg.system, grid, replace(cfg.fl, seed=seed))
         assert [plan.schedule for plan in plans] == grid
@@ -1118,7 +1166,7 @@ def aimed_at_a_cap(draw):
         task = [*EVALUATION_TASK, f"--fl.validation_size={size}"]
     fl_cfg = cli.parse_config(BASELINE, [arg[2:] for arg in task]).fl
     lam = analytic.lambda_param(BASE.system, h, np.array(ts))
-    p_pos = analytic.success_probability(BASE.system, h, np.array(ts))
+    p_pos = analytic.surface(BASE.system, h, np.array(ts))[2]
     # expected work: rounds x (lam winners and p_pos valid rounds) per run
     per_round = sum(fl_work(h, fl_cfg, lam, p_pos) - fl_work(h, fl_cfg, 0, 0))
     rounds = max(1, (factor * flsim.MAX_SGD_WORK - n * fl_work(h, fl_cfg, 0, 0)) / per_round)

@@ -273,7 +273,7 @@ class TestRunFl:
         sched = Schedule(24, 11.8)
         cfg = small_cfg(horizon=2400.0, seed=5)
         planned = plan(reference_params, sched, cfg)
-        p_pos = an.success_probability(reference_params, sched.h, sched.t)
+        p_pos = an.surface(reference_params, sched.h, sched.t)[2]
         n = planned.rounds_total
         assert n >= 200
         sigma = math.sqrt(p_pos * (1 - p_pos) / n)
