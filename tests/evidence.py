@@ -16,7 +16,9 @@ values, min, median, max and sample sd. A change that moves a random
 stream reruns this and quotes the old and new figures; test_golden.py
 checks that the seed-1 figures equal those of the golden cases that are
 the same runs. It takes about 25 s on a shared 2-vCPU machine, where fl
-trains in two processes of one BLAS thread each.
+trains in two processes of one BLAS thread each. Run it on Python 3.11 or
+later, whose statistics.stdev is correctly rounded: 3.10's differs in the
+last digit of one sd.
 """
 
 from __future__ import annotations
