@@ -3,8 +3,9 @@ the optimizer, one-shot arrival times for the arrival stream, the
 sub-interval success probabilities and pinned-arrival success counts
 that check them, the upload rule applied row by row for the attempt table,
 step-by-step local training for the SGD of one vehicle, a
-value-by-value CSV formatter for the row templates and the work an fl
-run is charged. No CLI path uses them."""
+value-by-value CSV formatter for the row templates, the t grid's count
+taken with np.arange and the work an fl run is charged. No CLI path
+uses them."""
 
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ import numpy as np
 
 from roadfl import analytic, flsim, mcsim
 from roadfl.analytic import xi
+from roadfl.cli import ConfigError
 from roadfl.optimizer import OptimizationResult, h_max
 from roadfl.types import (
+    MAX_ROWS,
     FLConfig,
     InfeasibleEnvironmentError,
     InfeasibleScheduleError,
@@ -193,6 +196,30 @@ def format_csv_value(value) -> str:
             return "nan"
         return f"{value:.9g}"
     return str(value)
+
+
+def parse_t_grid_with_arange(text: str) -> tuple[float, float, int]:
+    """cli._parse_t_grid with its last two candidates start + step * k
+    taken from one np.arange, which the CLI computes in Python floats:
+    (start, step, count), or the ConfigError the CLI raises."""
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"t grid {text!r} must be start:stop:step")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"t grid {text!r} must have finite start, stop and step")
+    if step <= 0 or start <= 0:
+        raise ConfigError("t grid needs positive start and step")
+    limit = stop + 1e-12
+    span = (limit - start) / step
+    if span >= MAX_ROWS:
+        raise ConfigError(f"t grid {text!r} has more than {MAX_ROWS} points")
+    candidates = math.floor(max(span, -1.0)) + 2
+    last = start + step * np.arange(max(candidates - 2, 0), candidates)
+    count = candidates - int(np.count_nonzero(last > limit))
+    if count == 0:
+        raise ConfigError("t grid is empty")
+    return start, step, count
 
 
 def fl_work(h: int, cfg: FLConfig, winners: float, rounds_valid: float) -> float:

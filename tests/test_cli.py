@@ -21,7 +21,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fl_task
-from oracle import fl_work, format_csv_value
+from oracle import fl_work, format_csv_value, parse_t_grid_with_arange
 from roadfl import analytic, cli, flsim, mcsim, optimizer
 from roadfl.types import MAX_ROWS, DivergenceError, FLConfig, OptimizerConfig, Schedule, \
     SimConfig
@@ -394,6 +394,35 @@ class TestSweepCommand:
             while start + len(expected) * step <= stop + 1e-12:
                 expected.append(start + len(expected) * step)
             assert cli._t_chunk(*cli._parse_t_grid(text), 0).tolist() == expected
+
+    def test_parse_matches_the_arange_oracle(self):
+        """_parse_t_grid's Python-float count is the count np.arange gives:
+        on the grids of the other sweep tests, a step that rounds, spans
+        an ulp or two either side of MAX_ROWS - 1 and MAX_ROWS steps, and
+        spans whose limit - start overflows."""
+        texts = ["7:26:0.1", "5:25:0.5", "1:401:4", "0.3:0.9:0.1", "11.8:11.8:1",
+                 "20:10:1", "1:40:0.1", "1:40:0.001", "7:26:0.5", "7:8:1",
+                 "1:1048576:1", "1:300000:1", "1:1e300:1", "1:2:1e-300",
+                 "1:nan:0.1", "1:inf:1", "nan:10:1", "1:10:nan", "1:10:-inf", "1:x:1",
+                 "1e16:1.0000000000000002e16:0.5",
+                 "5664.574952904889:2006917391.3706286:23891806.271377094",
+                 "0.1:1:0.1", "1.7e308:-1.7e308:1", "1e308:-1e308:1e-300"]
+        for start, step in ((1.0, 1.0), (0.1, 0.1), (7.0, 0.37), (1e-3, 3e-7)):
+            for steps in (MAX_ROWS - 1, MAX_ROWS):
+                for ulps in range(-2, 3):
+                    stop = start + steps * step
+                    for _ in range(abs(ulps)):
+                        stop = math.nextafter(stop, math.copysign(math.inf, ulps))
+                    texts.append(f"{start!r}:{stop!r}:{step!r}")
+        for text in texts:
+            try:
+                expected = parse_t_grid_with_arange(text)
+            except cli.ConfigError as exc:
+                with pytest.raises(cli.ConfigError) as raised:
+                    cli._parse_t_grid(text)
+                assert str(raised.value) == str(exc), text
+            else:
+                assert cli._parse_t_grid(text) == expected, text
 
     # 1e16 + 5 * 0.5 rounds to 1e16 + 2, so the spare candidate is kept;
     # 0.3 + 7 * 0.1 is past 0.9, so it is dropped; in the third grid span
@@ -1235,8 +1264,9 @@ def test_runtime_imports_no_scipy(tmp_path):
     processes here, whatever the CPUs. None loads OpenSSL's _hashlib.
     optimize and sweep load neither mcsim nor flsim, and draw no random
     number, so they load no numpy.random either; validate loads neither
-    flsim nor optimizer. cli.main run in-process leaves _hashlib
-    importable."""
+    flsim nor optimizer. Each loads numpy, so the modules it does not load
+    are not missing for want of a run. cli.main run in-process leaves
+    _hashlib importable."""
     code = ("import json, os, sys, roadfl.cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "assert roadfl.cli._fl_processes(2) == 2\n"
@@ -1250,11 +1280,11 @@ def test_runtime_imports_no_scipy(tmp_path):
     # command, its arguments, modules it loads and modules it does not
     without_draws = {"numpy.random", "roadfl.mcsim", "roadfl.flsim"}
     for command, args, loaded, not_loaded in [
-            ("optimize", [], {"roadfl.optimizer"}, without_draws),
-            ("validate", ["--sim.num_rounds=100"], {"roadfl.mcsim", "numpy.random"},
-             {"roadfl.flsim", "roadfl.optimizer"}),
-            ("sweep", [], {"roadfl.analytic"}, {"roadfl.optimizer", *without_draws}),
-            ("fl", SMALL_TASK, {"roadfl.flsim", "roadfl.optimizer"}, set())]:
+            ("optimize", [], {"numpy", "roadfl.optimizer"}, without_draws),
+            ("validate", ["--sim.num_rounds=100"],
+             {"numpy", "roadfl.mcsim", "numpy.random"}, {"roadfl.flsim", "roadfl.optimizer"}),
+            ("sweep", [], {"numpy", "roadfl.analytic"}, {"roadfl.optimizer", *without_draws}),
+            ("fl", SMALL_TASK, {"numpy", "roadfl.flsim", "roadfl.optimizer"}, set())]:
         proc = subprocess.run([sys.executable, "-c", code, command, *base, *args],
                               capture_output=True, text=True, env=env, cwd=REPO)
         assert proc.returncode == 0, proc.stderr
@@ -1272,6 +1302,47 @@ def test_runtime_imports_no_scipy(tmp_path):
                            "--sim.num_rounds=100"],
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_front_end_loads_no_numpy(tmp_path):
+    """Importing cli, --help, and the usage and config errors that each
+    command finds before it computes, run cold through cli.entry, end
+    with their usual exit code and one stderr line, and never import
+    numpy: each command checks its own arguments before it loads a model
+    module."""
+    code = ("import json, sys, roadfl.cli\n"
+            "code = None\n"
+            "if sys.argv[1:]:\n"
+            "    try:\n"
+            "        roadfl.cli.entry()\n"
+            "    except SystemExit as exit_:\n"
+            "        code = exit_.code\n"
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    base = ["--config", str(BASELINE), "--out", str(tmp_path)]
+    # arguments, exit status (None: no command runs), start of the stderr line
+    for args, status, err in [
+            ([], None, None),
+            (["optimize", "-h"], 0, None),
+            (["optimize", "--bogus"], 1, "config error: unrecognized argument"),
+            (["validate", *base, "--sim.warmup_rounds=1"], 1,
+             "config error: unknown config key"),
+            (["sweep", *base, "--t-grid", "1:0:1"], 1, "config error: t grid is empty"),
+            (["sweep", *base, "--h-list", "1,2", "--t-grid", f"1:{MAX_ROWS}:1"], 1,
+             f"config error: sweep has {2 * MAX_ROWS} (h, t) points"),
+            (["fl", *base, "--schedules", "8:x"], 1, "config error: bad schedule")]:
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, env=env, cwd=REPO)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert exit_code == status, args
+        assert not {m for m in modules if m.split(".")[0] == "numpy"}, args
+        if err is None:
+            assert proc.stderr == "", args
+        else:
+            assert proc.stderr.startswith(err), (args, proc.stderr)
+            assert len(proc.stderr.splitlines()) == 1, args
+    assert not any(tmp_path.iterdir())
 
 
 def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):
