@@ -58,6 +58,10 @@ def _cases() -> dict[str, list[str]]:
         "fl_plan_error": ["fl", "--fl.eta=100", "--system.alpha_s=1e-6",
                           "--system.beta_s=1e-6", "--fl.horizon_s=60",
                           "--schedules", "24:11.8,1000000:30"],
+        # the environments that end in exit 2
+        "infeasible_optimize": ["optimize", "--system.arrival_rate_per_s=0"],
+        "infeasible_delays": ["optimize", "--system.tau_down_s=20"],
+        "infeasible_fl": ["fl", "--system.alpha_s=0.5"],
     }
     # the benchmark's workloads; reference fl at seed 1 is the default fl
     # grid of baseline.cfg, whose fl seed is 1
