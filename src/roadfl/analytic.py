@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import InfeasibleEnvironmentError, InfeasibleScheduleError, SystemParams
+from .types import InfeasibleError, SystemParams
 
 __all__ = [
     "t_min", "xi", "lambda_param", "surface", "g", "dg_dt", "c0_c1", "t_max",
@@ -101,7 +101,7 @@ def dg_dt(params: SystemParams, h, t):
     rate = params.arrival_rate
 
     if np.any(xi(params, h, t) <= 0.0):
-        raise InfeasibleScheduleError(
+        raise InfeasibleError(
             "derivative undefined: schedule leaves no success window (xi <= 0)")
 
     c0, _ = c0_c1(params, h)
@@ -125,7 +125,7 @@ def c0_c1(params: SystemParams, h):
     h = np.asarray(h, dtype=float)
     gap = params.dwell_time - t_min(params, h)
     if np.any(gap <= 0):
-        raise InfeasibleScheduleError(
+        raise InfeasibleError(
             f"iteration count {h[gap <= 0][0]:g} cannot fit inside the dwell time")
     bh = params.beta * h
     c0 = -np.expm1(-gap / bh)
@@ -144,7 +144,7 @@ def t_max(params: SystemParams, h):
     c0, c1 = c0_c1(params, h)
     rate = params.arrival_rate
     if rate == 0:
-        raise InfeasibleEnvironmentError("no arrivals")
+        raise InfeasibleError("no arrivals")
     beyond = c1 < 0
     # t0 + 0.0 is exactly t0, so the c1 >= 0 lanes keep the dwell time
     excess = np.divide(1.0 - 12.0 * rate * c1, 4.0 * rate * c0,

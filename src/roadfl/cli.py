@@ -27,9 +27,7 @@ numpy, too, loads only once a command computes: the functions that use
 it import it, and each command checks its own arguments before it
 imports a model module. So importing cli, --help, every usage and config
 error, validate without a schedule, sweep's h list, t grid and point cap
-errors and fl's schedule list errors all exit without numpy. On a
-shared 2-vCPU machine, that took a cold import of cli, the benchmark's
-setup_s, from 0.17 to 0.09 s.
+errors and fl's schedule list errors all exit without numpy.
 
 A process runs the CLI through entry, the console script's target and
 what python -m roadfl.cli calls. It keeps OpenSSL's _hashlib out of the
@@ -38,8 +36,9 @@ secrets, fall back to the digests CPython builds in; roadfl hashes only
 with blake2s, one of them. Calling main in-process leaves the host's
 hashlib as it is.
 
-Exit codes: 0 success, 1 config or usage error, or a stdout closed by
-its reader, 2 infeasible environment.
+Exit codes: 0 success, 1 a ConfigError (a config or usage error) or a
+stdout closed by its reader, 2 an InfeasibleError (an infeasible
+environment or schedule); both classes live in roadfl.types.
 """
 
 from __future__ import annotations
@@ -56,11 +55,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence, get_ty
 
 from .types import (
     MAX_ROWS,
+    ConfigError,
     DivergenceError,
     FLConfig,
-    InfeasibleEnvironmentError,
-    InfeasibleScheduleError,
-    InvalidParameterError,
+    InfeasibleError,
     OptimizerConfig,
     Schedule,
     SimConfig,
@@ -88,10 +86,6 @@ INT = "%d"
 FLOAT = "%.9g"
 # the variables OpenBLAS reads its thread count from, first match wins
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # INI section -> the config dataclass it builds. Each field is read from
@@ -185,11 +179,8 @@ def parse_config(path: str | Path | None,
 
     h = values["sim"].pop("h", None)
     t = values["sim"].pop("t", None)
-    try:
-        sections = {s: cls(**values[s]) for s, cls in _SECTIONS.items()}
-        schedule = Schedule(h, t) if h is not None and t is not None else None
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    sections = {s: cls(**values[s]) for s, cls in _SECTIONS.items()}
+    schedule = Schedule(h, t) if h is not None and t is not None else None
 
     return ExperimentConfig(**sections, schedule=schedule,
                             output_dir=Path(values["output"].get("dir", "out")))
@@ -387,7 +378,7 @@ def _parse_schedules(text: str) -> list[Schedule]:
         try:
             h_raw, t_raw = part.split(":")
             schedules.append(Schedule(int(h_raw), float(t_raw)))
-        except (ValueError, InvalidParameterError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad schedule {part!r}: {exc}")
     if not schedules:
         raise ConfigError("schedule list is empty")
@@ -502,10 +493,9 @@ def train(cfg: ExperimentConfig,
     import pickle
 
     from . import flsim
-    from .rng import substream
 
     plans = flsim.plan_runs(cfg.system, schedules, cfg.fl)
-    task = flsim.generate_task(cfg.fl, substream(cfg.fl.seed, "task"))
+    task = flsim.generate_task(cfg.fl)
     shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
     # each plan's outcome, by schedule index
     outcomes: list = [None] * len(plans)
@@ -626,10 +616,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.h_list, args.t_grid)
         return cmd_fl(cfg, args.schedules)
-    except (ConfigError, InvalidParameterError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleEnvironmentError, InfeasibleScheduleError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -42,9 +42,9 @@ from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
 from .types import (
     MAX_ROWS,
+    ConfigError,
     DivergenceError,
     FLConfig,
-    InvalidParameterError,
     Schedule,
     SystemParams,
     _require,
@@ -80,15 +80,17 @@ class LinearTask:
     y_val: np.ndarray
 
 
-def generate_task(cfg: FLConfig, rng: np.random.Generator) -> LinearTask:
-    """Draw the global pool and a disjoint validation set, as read-only arrays.
+def generate_task(cfg: FLConfig) -> LinearTask:
+    """Draw the global pool and a disjoint validation set, as read-only
+    arrays, from the "task" stream of cfg.seed.
 
-    The true weights are rng's first d + 1 standard normals. Features are
-    i.i.d. standard normal; targets are the true linear map plus optional
-    gaussian label noise. With zero noise the optimal validation loss is
-    exactly 0; with noise std s it is s^2/2 in expectation under the
-    0.5-MSE convention.
+    The true weights are the stream's first d + 1 standard normals.
+    Features are i.i.d. standard normal; targets are the true linear map
+    plus optional gaussian label noise. With zero noise the optimal
+    validation loss is exactly 0; with noise std s it is s^2/2 in
+    expectation under the 0.5-MSE convention.
     """
+    rng = substream(cfg.seed, "task")
     d = cfg.feature_dim
     w_true = rng.standard_normal(d + 1)
     n = cfg.global_pool_size + cfg.validation_size
@@ -200,7 +202,7 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
 
     A run without a round or of more than MAX_ARRIVALS expected arrivals,
     or more than MAX_ROWS fl_runs.csv rows or MAX_ATTEMPTS expected upload
-    attempts over all the runs, is an InvalidParameterError raised before
+    attempts over all the runs, is a ConfigError raised before
     any plan. A run's work charges its wins and its rounds_valid + 1 loss
     evaluations; the running total over the runs is checked against
     MAX_SGD_WORK after each attempt-table block, so the winners held pass
@@ -305,8 +307,7 @@ def proxy_correlation(schedules: Sequence[Schedule], l_min: Sequence[float],
     instead of an invented number.
     """
     if len(schedules) < 8:
-        raise InvalidParameterError(
-            "need at least 8 schedules for a rank correlation")
+        raise ConfigError("need at least 8 schedules for a rank correlation")
     g_vals = analytic.g(params, [s.h for s in schedules], [s.t for s in schedules])
     score = -np.asarray(l_min, dtype=float)
     if np.all(g_vals == g_vals[0]) or np.all(score == score[0]):

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .rng import substream
-from .types import InvalidParameterError, Schedule, SimConfig, SystemParams, _require
+from .types import ConfigError, Schedule, SimConfig, SystemParams, _require
 
 __all__ = [
     "PoissonFit", "Attempts", "sample_computing_delay",
@@ -101,7 +101,7 @@ def arrival_stream(params: SystemParams, horizon: float,
     uniforms at a time (but never more than 1.1 times the expected count
     plus 64) and summed with one running sum carried across chunks, so
     every arrival is the same whatever the chunk size. More than
-    MAX_ARRIVALS expected arrivals is an InvalidParameterError, raised by
+    MAX_ARRIVALS expected arrivals is a ConfigError, raised by
     this call before anything is drawn.
     """
     _require(horizon > 0, "horizon must be positive")
@@ -230,7 +230,7 @@ def simulate_rounds(params: SystemParams, sched: Schedule,
     attempt_blocks). Round 0 needs no warm-up: arrivals start a dwell
     time before it (see arrival_stream), so its participants follow the
     same law as any later round's. More than MAX_ATTEMPTS expected
-    attempts is an InvalidParameterError.
+    attempts is a ConfigError.
     """
     rows = expected_attempts(params, sched.t, cfg.num_rounds)
     _require(rows <= MAX_ATTEMPTS,
@@ -280,7 +280,7 @@ def compare_to_poisson(histogram: np.ndarray, lambda_analytic: float) -> Poisson
     """
     rounds = int(histogram.sum())
     if rounds < 1:
-        raise InvalidParameterError("histogram holds no rounds")
+        raise ConfigError("histogram holds no rounds")
     n_emp = histogram.size - 1
     if lambda_analytic > 0:
         pmf = _poisson_pmf(np.arange(max(n_emp + 1, poisson_rows(lambda_analytic))),

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .types import (
-    InfeasibleEnvironmentError,
-    InfeasibleScheduleError,
-    OptimizerConfig,
-    SystemParams,
-    _require,
-)
+from .types import InfeasibleError, OptimizerConfig, SystemParams, _require
 
 __all__ = [
     "OptimizationResult", "h_max",
@@ -58,7 +52,7 @@ def h_max(params: SystemParams) -> int:
     floor((t0 - tau_down - tau_up) / alpha), trimmed down while
     t_min(h) >= t0 so feasibility stays strict. 0 means no vehicle can
     ever succeed, whatever the schedule. More than MAX_LANES iteration
-    counts is an InvalidParameterError.
+    counts is a ConfigError.
     """
     budget = params.dwell_time - params.tau_down - params.tau_up
     if budget <= 0:
@@ -87,7 +81,7 @@ def optimize_round_lengths(params: SystemParams, hs,
     hi = analytic.t_max(params, hs)
     empty = ~(hi > lo)
     if empty.any():
-        raise InfeasibleScheduleError(
+        raise InfeasibleError(
             f"empty search interval for h={hs[empty][0]}: t_max <= t_min")
     # The left endpoint itself has xi = 0; probes stay this far inside.
     eps = max(cfg.gamma / 10.0, 1e-9)
@@ -115,7 +109,7 @@ def optimize_schedule(params: SystemParams,
     """Lane-wise bisection over h = 1 .. h_max, then argmax over h."""
     hs = np.arange(1, h_max(params) + 1)
     if hs.size == 0:
-        raise InfeasibleEnvironmentError(
+        raise InfeasibleError(
             "communication delays exceed the dwell time; no vehicle can finish")
     ts, gs, steps = optimize_round_lengths(params, hs, cfg)
     i = int(np.argmax(gs))  # the first maximum: ties go to the smaller h

@@ -1,10 +1,11 @@
 """Shared value types for the road-section federated learning model.
 
 All times are seconds held as 64-bit floats, all counts are plain ints.
-Every type validates its invariants at construction, so the numeric
-modules never re-check inputs. Instances are frozen and may be shared
-freely across threads. Per-attempt simulation data is not a type here:
-it lives as arrays in mcsim's attempt table.
+Every type validates its invariants at construction and raises
+ConfigError on a violation, so the numeric modules never re-check
+inputs. Instances are frozen and may be shared freely across threads.
+Per-attempt simulation data is not a type here: it lives as arrays in
+mcsim's attempt table.
 
 The config dataclasses of optimizer, mcsim and flsim live here too, with
 the caps they check, so that cli reads the whole config schema from this
@@ -17,16 +18,13 @@ import math
 from dataclasses import dataclass
 
 
-class InvalidParameterError(ValueError):
-    """A physical or statistical parameter violates its constraint."""
+class ConfigError(ValueError):
+    """An input violates its constraint or cap; the CLI exits with 1."""
 
 
-class InfeasibleScheduleError(ValueError):
-    """The schedule leaves no window in which an upload can ever succeed."""
-
-
-class InfeasibleEnvironmentError(ValueError):
-    """No schedule at all can produce a successful upload here."""
+class InfeasibleError(ValueError):
+    """No upload can ever succeed, under this schedule or under any; the
+    CLI exits with 2."""
 
 
 class DivergenceError(RuntimeError):
@@ -35,7 +33,7 @@ class DivergenceError(RuntimeError):
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise InvalidParameterError(message)
+        raise ConfigError(message)
 
 
 def _finite_float(value: object, name: str) -> float:

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from roadfl.flsim import LinearTask, generate_task
 from roadfl.optimizer import h_max
-from roadfl.rng import substream
-from roadfl.types import FLConfig, SystemParams
+from roadfl.types import SystemParams
 
 # Example counts of the hypothesis tests that do not set their own (every
 # other one does): 30 by default, and 500 with --hypothesis-profile=deep.
@@ -20,11 +18,6 @@ def reference_params() -> SystemParams:
     """400 m section, 20 m/s, 0.1 arrivals/s, 1 s links, 0.2 s/iter."""
     return SystemParams(length=400, speed=20, arrival_rate=0.1,
                         tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-
-
-def fl_task(cfg: FLConfig) -> LinearTask:
-    """The task an fl command of cfg trains every run on."""
-    return generate_task(cfg, substream(cfg.seed, "task"))
 
 
 def random_feasible_params(rng: np.random.Generator) -> tuple[SystemParams, int]:

@@ -15,13 +15,12 @@ import numpy as np
 
 from roadfl import analytic, flsim, mcsim
 from roadfl.analytic import xi
-from roadfl.cli import ConfigError
 from roadfl.optimizer import OptimizationResult, h_max
 from roadfl.types import (
     MAX_ROWS,
+    ConfigError,
     FLConfig,
-    InfeasibleEnvironmentError,
-    InfeasibleScheduleError,
+    InfeasibleError,
     Schedule,
     SystemParams,
 )
@@ -61,7 +60,7 @@ def brute_force_argmax(params: SystemParams,
         i = int(np.argmax(gs))
         table.append((h, float(ts[i]), float(gs[i])))
     if not table:
-        raise InfeasibleEnvironmentError(
+        raise InfeasibleError(
             "grid step larger than every feasible search interval")
     best = max(table, key=lambda row: row[2])  # max keeps the first maximum
     return OptimizationResult(*best, tuple(map(np.array, zip(*table))), steps)
@@ -106,7 +105,7 @@ def subinterval_probs(params: SystemParams, h, t):
     """
     xi_v = xi(params, h, t)
     if np.any(xi_v <= 0):
-        raise InfeasibleScheduleError(
+        raise InfeasibleError(
             "sub-interval probabilities undefined: no success window (xi <= 0)")
     bh = params.beta * np.asarray(h, dtype=float)
     p2 = (-np.expm1(-xi_v / bh))[()]

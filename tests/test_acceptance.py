@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fl_task, random_feasible_params
+from conftest import random_feasible_params
 from oracle import brute_force_argmax, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import cli
 from roadfl import optimizer as opt
 from roadfl.cli import _fl_rows
-from roadfl.flsim import aggregate, mse_gradient, mse_loss, plan_runs, proxy_correlation, \
-    run_fl
+from roadfl.flsim import aggregate, generate_task, mse_gradient, mse_loss, plan_runs, \
+    proxy_correlation, run_fl
 from roadfl.rng import substream
 from roadfl.types import FLConfig, OptimizerConfig, Schedule, SystemParams
 
@@ -190,7 +190,7 @@ def test_c08_fl_mechanics():
     cfg = FLConfig(seed=5, horizon=2400.0)
     plan = plan_runs(REFERENCE, [sched], cfg)[0]
     # the l_min column the fl command writes for this run
-    l_min = [row[-1] for row in _fl_rows(sched, run_fl(plan, fl_task(cfg), cfg))]
+    l_min = [row[-1] for row in _fl_rows(sched, run_fl(plan, generate_task(cfg), cfg))]
     monotone = bool(np.all(np.diff(l_min) <= 0))
     p_pos = an.surface(REFERENCE, sched.h, sched.t)[2]
     n = plan.rounds_total

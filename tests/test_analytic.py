@@ -9,12 +9,7 @@ from scipy import integrate
 from conftest import random_feasible_params
 from oracle import subinterval_probs
 from roadfl import analytic as an
-from roadfl.types import (
-    InfeasibleEnvironmentError,
-    InfeasibleScheduleError,
-    Schedule,
-    SystemParams,
-)
+from roadfl.types import InfeasibleError, Schedule, SystemParams
 
 
 # Direct evaluations of the closed forms, written out with plain exp so
@@ -181,7 +176,7 @@ class TestSubintervalProbs:
         assert p1 == pytest.approx(xi / 20.0, rel=1e-6)
 
     def test_infeasible_raises(self, reference_params):
-        with pytest.raises(InfeasibleScheduleError):
+        with pytest.raises(InfeasibleError, match="sub-interval probabilities"):
             subinterval_probs(reference_params, 24, 6.0)
 
 
@@ -249,7 +244,7 @@ class TestDerivative:
             assert below == pytest.approx(at, rel=1e-6)
 
     def test_infeasible_raises(self, reference_params):
-        with pytest.raises(InfeasibleScheduleError):
+        with pytest.raises(InfeasibleError, match="derivative undefined"):
             an.dg_dt(reference_params, 24, 6.0)
 
 
@@ -285,7 +280,7 @@ class TestSearchBoundCoefficients:
         assert c0 == pytest.approx(1.0, abs=1e-12)
 
     def test_oversized_h_raises(self, reference_params):
-        with pytest.raises(InfeasibleScheduleError):
+        with pytest.raises(InfeasibleError, match="cannot fit"):
             an.c0_c1(reference_params, 90)
 
 
@@ -308,7 +303,7 @@ class TestSearchUpperBound:
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         _, c1 = an.c0_c1(p, 24)
         assert c1 < 0
-        with pytest.raises(InfeasibleEnvironmentError):
+        with pytest.raises(InfeasibleError, match="no arrivals"):
             an.t_max(p, 24)
 
 

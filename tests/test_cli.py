@@ -20,7 +20,6 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fl_task
 from oracle import fl_work, format_csv_value, parse_t_grid_with_arange
 from roadfl import analytic, cli, flsim, mcsim, optimizer
 from roadfl.types import MAX_ROWS, DivergenceError, FLConfig, OptimizerConfig, Schedule, \
@@ -519,7 +518,7 @@ class TestFlCommand:
         fl_cfg = FLConfig(feature_dim=8, global_pool_size=256, validation_size=128,
                           samples_per_vehicle=128, batch_size=32, horizon=200.0, seed=3)
         losses = flsim.run_fl(flsim.plan_runs(reference_params, [sched], fl_cfg)[0],
-                              fl_task(fl_cfg), fl_cfg)
+                              flsim.generate_task(fl_cfg), fl_cfg)
         h, t, time_s, rounds, val_loss, l_min = map(np.array, zip(*cli._fl_rows(sched, losses)))
         assert np.all(h == 16) and np.all(t == 9.0)
         assert np.array_equal(rounds, np.arange(losses.size))
@@ -835,14 +834,6 @@ def test_help_into_closed_stdout_exits_1_without_traceback():
 
 
 class TestDeterminism:
-    def test_validate_rerun_is_byte_identical(self, tmp_path):
-        args = ["validate", "--config", str(BASELINE), "--sim.num_rounds=2000"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run_cli(args + ["--out", str(out_a)]).returncode == 0
-        assert run_cli(args + ["--out", str(out_b)]).returncode == 0
-        for name in ("poisson_fit.csv", "fit_report.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
     def test_chunk_size_leaves_bytes_unchanged(self, tmp_path, monkeypatch):
         # chunks of 7 rows split each h's 41 round lengths and cross every
         # boundary of the 12-, 51- and 1-row fl runs; eta=50 makes h=24

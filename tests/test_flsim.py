@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import fl_task
 from oracle import arrival_times, fl_work, local_sgd_one_vehicle
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
 from roadfl.rng import substream
-from roadfl.types import FLConfig, InvalidParameterError, Schedule, SystemParams
+from roadfl.types import ConfigError, FLConfig, Schedule, SystemParams
 
 
 def small_cfg(**kw) -> FLConfig:
@@ -27,7 +26,7 @@ def plan(params: SystemParams, sched: Schedule, cfg: FLConfig) -> flsim.RunPlan:
 
 
 def train(params: SystemParams, sched: Schedule, cfg: FLConfig) -> np.ndarray:
-    return flsim.run_fl(plan(params, sched, cfg), fl_task(cfg), cfg)
+    return flsim.run_fl(plan(params, sched, cfg), flsim.generate_task(cfg), cfg)
 
 
 def rounds_valid(planned: flsim.RunPlan) -> int:
@@ -36,43 +35,43 @@ def rounds_valid(planned: flsim.RunPlan) -> int:
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         FLConfig(eta=0.0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         FLConfig(batch_size=2048, samples_per_vehicle=1024)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         FLConfig(samples_per_vehicle=4096, global_pool_size=1024)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         FLConfig(horizon=0.0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         FLConfig(noise_std=-0.1)
     # the task holds (pool + validation) x (feature_dim + 1) values, at
     # most MAX_VALUES = 2 * 2**14 * 2**10
     FLConfig(global_pool_size=2**14, validation_size=2**14, feature_dim=2**10 - 1)
-    with pytest.raises(InvalidParameterError, match="task holds"):
+    with pytest.raises(ConfigError, match="task holds"):
         FLConfig(global_pool_size=2**14, validation_size=2**14 + 1,
                        feature_dim=2**10 - 1)
 
 
 class TestTask:
     def test_noiseless_optimum_is_zero(self):
-        cfg = small_cfg(noise_std=0.0)
-        task = flsim.generate_task(cfg, substream(1, "task"))
+        cfg = small_cfg(noise_std=0.0, seed=1)
+        task = flsim.generate_task(cfg)
         w_true = substream(1, "task").standard_normal(cfg.feature_dim + 1)
         assert flsim.mse_loss(w_true, task.x_val, task.y_val) == 0.0
 
     def test_noisy_optimum_is_half_variance(self):
         cfg = small_cfg(noise_std=0.5, validation_size=4096, global_pool_size=4096,
-                        samples_per_vehicle=256)
-        task = flsim.generate_task(cfg, substream(2, "task"))
+                        samples_per_vehicle=256, seed=2)
+        task = flsim.generate_task(cfg)
         w_true = substream(2, "task").standard_normal(cfg.feature_dim + 1)
         loss = flsim.mse_loss(w_true, task.x_val, task.y_val)
         assert loss == pytest.approx(0.5 * 0.5 ** 2, rel=0.1)
 
     def test_pools_are_disjoint_and_deterministic(self):
-        cfg = small_cfg()
-        a = flsim.generate_task(cfg, substream(5, "task"))
-        b = flsim.generate_task(cfg, substream(5, "task"))
+        cfg = small_cfg(seed=5)
+        a = flsim.generate_task(cfg)
+        b = flsim.generate_task(cfg)
         assert np.array_equal(a.x_pool, b.x_pool)
         assert np.array_equal(a.y_val, b.y_val)
         assert a.x_pool.shape == (cfg.global_pool_size, cfg.feature_dim + 1)
@@ -83,7 +82,7 @@ class TestTask:
         # the features of one (n, d) draw next to a ones column, as np.hstack
         # built them; d = 300 splits the rows into uneven chunks
         cfg = FLConfig(feature_dim=feature_dim, noise_std=noise_std,
-                             global_pool_size=1024, validation_size=1000)
+                             global_pool_size=1024, validation_size=1000, seed=6)
         n = cfg.global_pool_size + cfg.validation_size
         rng = substream(6, "task")
         w_true = rng.standard_normal(feature_dim + 1)
@@ -93,7 +92,7 @@ class TestTask:
             y = y + noise_std * rng.standard_normal(n)
         tracemalloc.start()
         try:
-            task = flsim.generate_task(cfg, substream(6, "task"))
+            task = flsim.generate_task(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -127,8 +126,8 @@ class TestGradient:
 
 class TestLocalSgd:
     def test_step_is_a_gradient_step(self):
-        cfg = small_cfg()
-        task = flsim.generate_task(cfg, substream(13, "task"))
+        cfg = small_cfg(seed=13)
+        task = flsim.generate_task(cfg)
         rows = np.arange(cfg.samples_per_vehicle)
         w0 = substream(13, "w").standard_normal(cfg.feature_dim + 1)
         out = flsim.local_sgd(w0, task.x_pool, task.y_pool, rows, None, 1, cfg,
@@ -139,8 +138,8 @@ class TestLocalSgd:
         assert np.array_equal(out, w0 - step)
 
     def test_zero_steps_is_identity(self):
-        cfg = small_cfg()
-        task = flsim.generate_task(cfg, substream(8, "task"))
+        cfg = small_cfg(seed=8)
+        task = flsim.generate_task(cfg)
         w0 = np.full(cfg.feature_dim + 1, 0.5)
         out = flsim.local_sgd(w0, task.x_pool, task.y_pool,
                               np.arange(cfg.global_pool_size), None, 0, cfg,
@@ -170,8 +169,8 @@ class TestLocalSgd:
     def test_rows_and_shift_match_shifted_copy(self):
         # gathering and shifting only the batch rows is bitwise the same
         # as training on a shifted copy of the vehicle's dataset
-        cfg = small_cfg()
-        task = flsim.generate_task(cfg, substream(12, "task"))
+        cfg = small_cfg(seed=12)
+        task = flsim.generate_task(cfg)
         rng = substream(12, "data")
         rows = rng.choice(cfg.global_pool_size, size=cfg.samples_per_vehicle,
                           replace=False)
@@ -204,8 +203,8 @@ class TestLocalSgd:
     def test_equals_the_oracle(self, h_steps, feature_dim, shifted, seed):
         # the same batches from the same stream and the same arithmetic,
         # so the weights are bitwise the oracle's
-        cfg = small_cfg(feature_dim=feature_dim)
-        task = flsim.generate_task(cfg, substream(seed, "task"))
+        cfg = small_cfg(feature_dim=feature_dim, seed=seed)
+        task = flsim.generate_task(cfg)
         data = substream(seed, "data")
         rows = data.choice(cfg.global_pool_size, size=cfg.samples_per_vehicle,
                            replace=False)
@@ -257,7 +256,7 @@ class TestRunFl:
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
         cfg = small_cfg()
         planned = plan(p, Schedule(8, 10.0), cfg)
-        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
+        losses = flsim.run_fl(planned, flsim.generate_task(cfg), cfg)
         assert rounds_valid(planned) == 0
         assert losses.size == planned.rounds_total + 1
         assert np.all(losses == losses[0])
@@ -265,7 +264,7 @@ class TestRunFl:
     def test_noiseless_feasible_run_improves(self, reference_params):
         cfg = small_cfg(horizon=500.0)
         planned = plan(reference_params, Schedule(8, 6.0), cfg)
-        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
+        losses = flsim.run_fl(planned, flsim.generate_task(cfg), cfg)
         assert rounds_valid(planned) > 0
         assert losses.min() <= losses[0] / 10
 
@@ -289,7 +288,7 @@ class TestRunFl:
         sched = Schedule(16, 9.0)
         cfg = small_cfg()
         planned = plan(reference_params, sched, cfg)
-        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
+        losses = flsim.run_fl(planned, flsim.generate_task(cfg), cfg)
         tag = f"{sched.h}:{sched.t:.9g}"
         arrivals = arrival_times(reference_params, planned.rounds_total * sched.t,
                                  substream(cfg.seed, "arrivals", tag))
@@ -308,7 +307,7 @@ class TestRunFl:
         monkeypatch.setattr(flsim, "local_sgd", refuse)
         cfg = small_cfg()
         planned = plan(reference_params, Schedule(24, 6.0), cfg)
-        losses = flsim.run_fl(planned, fl_task(cfg), cfg)
+        losses = flsim.run_fl(planned, flsim.generate_task(cfg), cfg)
         assert rounds_valid(planned) == 0
         assert np.all(losses == losses[0])
 
@@ -324,7 +323,7 @@ class TestRunFl:
         monkeypatch.setattr(flsim, "mse_loss", counting)
         cfg = small_cfg(horizon=400.0)
         planned = plan(reference_params, Schedule(24, 9.0), cfg)
-        flsim.run_fl(planned, fl_task(cfg), cfg)
+        flsim.run_fl(planned, flsim.generate_task(cfg), cfg)
         assert 0 < rounds_valid(planned) < planned.rounds_total
         assert len(calls) == 1 + rounds_valid(planned)
 
@@ -343,7 +342,7 @@ class TestRunFl:
         assert len(blocks) > 1
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 10 ** 9)
         whole = plan(reference_params, sched, cfg)
-        task = fl_task(cfg)
+        task = flsim.generate_task(cfg)
         assert np.array_equal(flsim.run_fl(small, task, cfg), flsim.run_fl(whole, task, cfg))
         assert rounds_valid(small) == rounds_valid(whole) > 0
 
@@ -370,7 +369,7 @@ class TestRunFl:
             return substream(seed, purpose, *tags)
 
         monkeypatch.setattr(flsim, "substream", recording)
-        with pytest.raises(InvalidParameterError, match="multiply-adds"):
+        with pytest.raises(ConfigError, match="multiply-adds"):
             train(reference_params, sched, cfg)
         assert "delays" in purposes and "data" not in purposes
 
@@ -392,7 +391,7 @@ class TestRunFl:
 
         monkeypatch.setattr(flsim, "substream", recording)
         monkeypatch.setattr(flsim, "MAX_ARRIVALS", 21.7)
-        with pytest.raises(InvalidParameterError, match="^a schedule needs 21.8 expected "
+        with pytest.raises(ConfigError, match="^a schedule needs 21.8 expected "
                            "arrivals, more than 21.7"):
             flsim.plan_runs(reference_params, scheds, cfg)
         assert purposes == []  # not even the first run is planned
@@ -420,7 +419,7 @@ class TestRunFl:
         monkeypatch.setattr(flsim, "MAX_SGD_WORK", fl_work(sched.h, cfg, 1, 1))
         tables.clear()
         total = fl_work(sched.h, cfg, 2, np.unique(whole.winner_round[:2]).size)
-        with pytest.raises(InvalidParameterError, match=f"^the schedules need {total} "
+        with pytest.raises(ConfigError, match=f"^the schedules need {total} "
                            "multiply-adds of local training, more than"):
             plan(reference_params, sched, cfg)
         assert len(tables) == second + 1
@@ -458,7 +457,7 @@ class TestRunFl:
         # 6 s rounds in a 20 s dwell time, so vehicles win more than once
         sched, cfg = Schedule(8, 6.0), small_cfg(horizon=400.0, vehicle_shift_std=0.5)
         planned = plan(reference_params, sched, cfg)
-        flsim.run_fl(planned, fl_task(cfg), cfg)
+        flsim.run_fl(planned, flsim.generate_task(cfg), cfg)
         winners = planned.winner.tolist()
         assert tags == [("8:6", m) for m in winners]
         assert len(trained) == len(winners)
@@ -468,7 +467,7 @@ class TestRunFl:
         assert len(first) < len(winners)
 
     def test_horizon_shorter_than_round_rejected(self, reference_params):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             plan(reference_params, Schedule(8, 300.0), small_cfg())
 
 
@@ -481,18 +480,18 @@ class TestVehicleShiftMode:
         # timing path untouched
         assert np.array_equal(a.winner_round, b.winner_round)
         assert np.array_equal(a.winner, b.winner)
-        assert not np.array_equal(flsim.run_fl(a, fl_task(iid), iid),
-                                  flsim.run_fl(b, fl_task(shifted), shifted))
+        assert not np.array_equal(flsim.run_fl(a, flsim.generate_task(iid), iid),
+                                  flsim.run_fl(b, flsim.generate_task(shifted), shifted))
 
     def test_negative_shift_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             small_cfg(vehicle_shift_std=-1.0)
 
 
 class TestProxyCorrelation:
     def test_needs_eight_schedules(self, reference_params):
         l_min = train(reference_params, Schedule(8, 6.0), small_cfg()).min()
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             flsim.proxy_correlation([Schedule(8, 6.0)] * 7, [l_min] * 7, reference_params)
 
     def test_duplicated_schedule_is_degenerate(self, reference_params):

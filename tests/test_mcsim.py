@@ -10,17 +10,17 @@ from oracle import (arrival_times, subinterval_probs, subinterval_success_counts
 from roadfl import analytic as an
 from roadfl import mcsim
 from roadfl.rng import substream
-from roadfl.types import MAX_ROUNDS, InvalidParameterError, Schedule, SimConfig, SystemParams
+from roadfl.types import MAX_ROUNDS, ConfigError, Schedule, SimConfig, SystemParams
 
 
 def test_sim_config_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         SimConfig(num_rounds=0)
 
 
 def test_round_cap():
     SimConfig(num_rounds=MAX_ROUNDS)
-    with pytest.raises(InvalidParameterError, match="exceeds"):
+    with pytest.raises(ConfigError, match="exceeds"):
         SimConfig(num_rounds=MAX_ROUNDS + 1)
 
 
@@ -80,7 +80,7 @@ class TestArrivals:
         assert mcsim.expected_arrivals(reference_params, 980.0) == 100.0
         assert streamed(reference_params, 980.0, substream(4, "a")).size > 0
         rng = substream(4, "a")
-        with pytest.raises(InvalidParameterError, match="expected arrivals"):
+        with pytest.raises(ConfigError, match="expected arrivals"):
             mcsim.arrival_stream(reference_params, 990.0, rng)
         assert rng.random() == substream(4, "a").random()  # nothing drawn
 
@@ -128,7 +128,7 @@ class TestArrivals:
         assert np.array_equal(a, b)
 
     def test_bad_horizon(self, reference_params):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             mcsim.arrival_stream(reference_params, 0.0, substream(9, "a"))
 
 
@@ -305,7 +305,7 @@ class TestSimulateRounds:
         assert histogram.sum() == 100
         streams = []
         monkeypatch.setattr(mcsim, "substream", lambda *tags: streams.append(tags))
-        with pytest.raises(InvalidParameterError, match="expected upload attempts"):
+        with pytest.raises(ConfigError, match="expected upload attempts"):
             mcsim.simulate_rounds(reference_params, sched,
                                   SimConfig(seed=4, num_rounds=101))
         assert streams == []  # nothing drawn, no stream even made
@@ -406,7 +406,7 @@ class TestPoissonFit:
             assert fit.p_pos_empirical == float((m > 0).mean())
 
     def test_empty_histogram_rejected(self):
-        with pytest.raises(InvalidParameterError, match="no rounds"):
+        with pytest.raises(ConfigError, match="no rounds"):
             mcsim.compare_to_poisson(np.zeros(1, np.int64), 0.9)
 
     @pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids="{:.3g}".format)

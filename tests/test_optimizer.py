@@ -8,13 +8,7 @@ from conftest import random_feasible_params
 from oracle import brute_force_argmax, scan_round_lengths
 from roadfl import analytic as an
 from roadfl import optimizer as opt
-from roadfl.types import (
-    InfeasibleEnvironmentError,
-    InfeasibleScheduleError,
-    InvalidParameterError,
-    OptimizerConfig,
-    SystemParams,
-)
+from roadfl.types import ConfigError, InfeasibleError, OptimizerConfig, SystemParams
 
 
 def test_h_max_reference(reference_params):
@@ -41,12 +35,12 @@ def test_h_max_lane_cap():
     assert opt.h_max(p) == opt.MAX_LANES - 1  # t_min(MAX_LANES) == t0
     p = SystemParams(length=400, speed=20, arrival_rate=0.1,
                      tau_down=1, tau_up=1, alpha=9 / opt.MAX_LANES, beta=0.2)
-    with pytest.raises(InvalidParameterError, match="local iterations"):
+    with pytest.raises(ConfigError, match="local iterations"):
         opt.h_max(p)
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         OptimizerConfig(gamma=0)
 
 
@@ -120,7 +114,9 @@ class TestPerIterationSearch:
             assert (ts[i], gs[i], steps[i]) == (t, g_val, used)
 
     def test_empty_interval_raises(self, reference_params):
-        with pytest.raises(InfeasibleScheduleError):
+        # h = 90 has no interval: t_max's c0_c1 finds it does not fit the
+        # dwell time before any lane is bracketed
+        with pytest.raises(InfeasibleError, match="iteration count 90 cannot fit"):
             opt.optimize_round_lengths(reference_params, [24, 90], OptimizerConfig())
 
 
@@ -140,15 +136,15 @@ class TestJointSearch:
     def test_no_arrivals_is_infeasible(self):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        with pytest.raises(InfeasibleEnvironmentError, match="no arrivals"):
+        with pytest.raises(InfeasibleError, match="no arrivals"):
             opt.optimize_schedule(p, OptimizerConfig())
-        with pytest.raises(InfeasibleEnvironmentError):
+        with pytest.raises(InfeasibleError):
             brute_force_argmax(p)
 
     def test_blocked_environment_is_infeasible(self):
         p = SystemParams(length=100, speed=20, arrival_rate=0.1,
                          tau_down=4, tau_up=4, alpha=0.2, beta=0.2)
-        with pytest.raises(InfeasibleEnvironmentError, match="communication delays"):
+        with pytest.raises(InfeasibleError, match="communication delays"):
             opt.optimize_schedule(p, OptimizerConfig())
 
     def test_deterministic(self, reference_params):

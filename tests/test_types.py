@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roadfl.types import (
-    InvalidParameterError,
-    Schedule,
-    SystemParams,
-)
+from roadfl.types import ConfigError, Schedule, SystemParams
 
 
 def test_reference_environment_is_valid(reference_params):
@@ -17,13 +13,13 @@ def test_reference_environment_is_valid(reference_params):
 
 
 def test_zero_speed_rejected():
-    with pytest.raises(InvalidParameterError, match="speed must be positive"):
+    with pytest.raises(ConfigError, match="speed must be positive"):
         SystemParams(length=400, speed=0, arrival_rate=0.1,
                      tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
 
 
 def test_negative_arrival_rate_rejected():
-    with pytest.raises(InvalidParameterError, match="arrival rate must be non-negative"):
+    with pytest.raises(ConfigError, match="arrival rate must be non-negative"):
         SystemParams(length=400, speed=20, arrival_rate=-1,
                      tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
 
@@ -40,7 +36,7 @@ def test_bad_fields_rejected(field, value):
     good = dict(length=400, speed=20, arrival_rate=0.1,
                 tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
     good[field] = value
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         SystemParams(**good)
 
 
@@ -62,7 +58,7 @@ def test_randomized_invalid_inputs_rejected():
                 continue  # zero is legal for rates and link delays
             bad = 0.0
         good[field] = bad
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(ConfigError):
             SystemParams(**good)
 
 
@@ -74,7 +70,7 @@ def test_params_are_immutable(reference_params):
 @pytest.mark.parametrize("h,t", [(0, 10.0), (-3, 10.0), (5, 0.0), (5, -1.0),
                                  (5, math.inf), (2.5, 10.0)])
 def test_bad_schedules_rejected(h, t):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ConfigError):
         Schedule(h, t)
 
 
