@@ -50,21 +50,26 @@ def t_min(params: SystemParams, h):
             + params.tau_down + params.tau_up)[()]
 
 
+def _kernel(params: SystemParams, h, t):
+    """beta*h, the slack xi(h, t), the ramp 1 - exp(-xi/(beta*h)) and
+    lam(h, t), from one t_min(h); the ramp and lam are 0 where xi <= 0."""
+    t = np.asarray(t, dtype=float)
+    bh = params.beta * np.asarray(h, dtype=float)
+    xi_v = np.minimum(t, params.dwell_time) - t_min(params, h)
+    ramp = -np.expm1(-np.maximum(xi_v, 0.0) / bh)
+    lam = 2.0 * params.arrival_rate * xi_v \
+        + params.arrival_rate * ramp * (np.abs(t - params.dwell_time) - 2.0 * bh)
+    return bh, xi_v, ramp, np.where(xi_v > 0.0, lam, 0.0)
+
+
 def xi(params: SystemParams, h, t):
     """Success slack min(t, t0) - t_min(h). May be <= 0 (infeasible)."""
-    return (np.minimum(np.asarray(t, dtype=float), params.dwell_time)
-            - t_min(params, h))[()]
+    return _kernel(params, h, t)[1][()]
 
 
 def lambda_param(params: SystemParams, h, t):
     """Poisson mean of the per-round success count, 0 where xi <= 0."""
-    t = np.asarray(t, dtype=float)
-    bh = params.beta * np.asarray(h, dtype=float)
-    xi_v = xi(params, h, t)
-    ramp = -np.expm1(-np.maximum(xi_v, 0.0) / bh)
-    lam = 2.0 * params.arrival_rate * xi_v \
-        + params.arrival_rate * ramp * (np.abs(t - params.dwell_time) - 2.0 * bh)
-    return np.where(xi_v > 0.0, lam, 0.0)[()]
+    return _kernel(params, h, t)[3][()]
 
 
 def surface(params: SystemParams, h, t):
@@ -91,25 +96,20 @@ def dg_dt(params: SystemParams, h, t):
                                - (1 - exp(-x)))
 
     The two branches agree in the limit t -> t0, so the derivative is
-    continuous there. Requires xi > 0 everywhere.
+    continuous there. The caller guarantees xi > 0 everywhere, as the
+    optimizer's probes above t_min do; it is not checked here.
     """
     h = np.asarray(h, dtype=float)
     t = np.asarray(t, dtype=float)
     t0 = params.dwell_time
-    tmin = t_min(params, h)
-    bh = params.beta * h
     rate = params.arrival_rate
-
-    if np.any(xi(params, h, t) <= 0.0):
-        raise InfeasibleError(
-            "derivative undefined: schedule leaves no success window (xi <= 0)")
-
-    c0, _ = c0_c1(params, h)
-    x = (t - tmin) / bh
-    below = rate * (2.0 + ((t0 - t - 2.0 * bh) / bh) * np.exp(-x) + np.expm1(-x))
-    dlam = np.where(t >= t0, rate * c0, below)
-
-    lam = lambda_param(params, h, t)
+    bh, xi_v, ramp, lam = _kernel(params, h, t)
+    # with xi > 0 the ramp is 1 - exp(-x) below t0, and c0 from t0 on, where
+    # xi is exactly t0 - t_min. np.where discards the branch below t0 from
+    # t0 on, where its terms may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = rate * (2.0 + ((t0 - t - 2.0 * bh) / bh) * np.exp(-xi_v / bh) - ramp)
+    dlam = np.where(t >= t0, rate * ramp, below)
     # t * t overflows to inf only where its term is 0 to double precision
     with np.errstate(over="ignore"):
         return (h * (np.exp(-lam) * dlam / t - (-np.expm1(-lam)) / (t * t)))[()]
@@ -118,17 +118,15 @@ def dg_dt(params: SystemParams, h, t):
 def c0_c1(params: SystemParams, h):
     """Saturated-slack coefficients used by the search upper bound.
 
-    c0 = 1 - exp(-(t0 - t_min)/(beta*h)), in (0, 1);
+    c0 = 1 - exp(-(t0 - t_min)/(beta*h)), in (0, 1), the ramp at t >= t0;
     c1 = 2*(t0 - t_min) - (t0 + 2*beta*h) * c0, sign decides whether the
     per-h optimum can lie beyond t0. Defined only when t_min(h) < t0.
     """
     h = np.asarray(h, dtype=float)
-    gap = params.dwell_time - t_min(params, h)
+    bh, gap, c0, _ = _kernel(params, h, params.dwell_time)
     if np.any(gap <= 0):
         raise InfeasibleError(
             f"iteration count {h[gap <= 0][0]:g} cannot fit inside the dwell time")
-    bh = params.beta * h
-    c0 = -np.expm1(-gap / bh)
     c1 = 2.0 * gap - (params.dwell_time + 2.0 * bh) * c0
     return c0[()], c1[()]
 

@@ -42,7 +42,6 @@ from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
 from .types import (
     MAX_ROWS,
-    ConfigError,
     DivergenceError,
     FLConfig,
     Schedule,
@@ -162,11 +161,9 @@ def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
     """Average a round's weight vectors, each with the weight 1 / len(models).
 
     Computed as base + sum((1 / n) * (w_i - base)), which returns a list
-    of identical models exactly. Raises ValueError on an empty round and
+    of identical models exactly; the round holds at least one. Raises
     DivergenceError on a non-finite average.
     """
-    if not models:
-        raise ValueError("cannot aggregate an empty round")
     weight = 1 / len(models)
     base = models[0]
     out = base.copy()
@@ -302,12 +299,10 @@ def proxy_correlation(schedules: Sequence[Schedule], l_min: Sequence[float],
     """Spearman rank correlation between g(h, t) of schedules and -l_min,
     the minimum validation loss of each schedule's run.
 
-    Needs at least 8 runs. When either side is constant, as with 8
-    copies of one run, the correlation is undefined and it is nan
+    The caller passes at least 8 runs. When either side is constant, as
+    with 8 copies of one run, the correlation is undefined and it is nan
     instead of an invented number.
     """
-    if len(schedules) < 8:
-        raise ConfigError("need at least 8 schedules for a rank correlation")
     g_vals = analytic.g(params, [s.h for s in schedules], [s.t for s in schedules])
     score = -np.asarray(l_min, dtype=float)
     if np.all(g_vals == g_vals[0]) or np.all(score == score[0]):

@@ -79,11 +79,7 @@ def optimize_round_lengths(params: SystemParams, hs,
     hs = np.asarray(hs)
     lo = analytic.t_min(params, hs)
     hi = analytic.t_max(params, hs)
-    empty = ~(hi > lo)
-    if empty.any():
-        raise InfeasibleError(
-            f"empty search interval for h={hs[empty][0]}: t_max <= t_min")
-    # The left endpoint itself has xi = 0; probes stay this far inside.
+    # t_min itself has xi = 0; probes stay this far inside, as dg_dt requires.
     eps = max(cfg.gamma / 10.0, 1e-9)
     floor = lo + eps
     t = 0.5 * (lo + hi)

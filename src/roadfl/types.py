@@ -84,8 +84,16 @@ class SystemParams:
         _require(self.beta > 0, "beta must be positive")
         _require(math.isfinite(self.dwell_time), "dwell time length / speed must be finite")
         # the analytic kernel's tail term 2*beta*h, at the largest h that fits
-        _require(math.isfinite(2 * self.beta * (self.dwell_time / self.alpha)),
-                 "2 * beta * dwell time / alpha must be finite")
+        tail = 2 * self.beta * (self.dwell_time / self.alpha)
+        _require(math.isfinite(tail), "2 * beta * dwell time / alpha must be finite")
+        # bounds the kernel's (t0 - t) / (beta*h) for t below the dwell time
+        _require(math.isfinite(self.dwell_time / self.beta),
+                 "dwell time / beta must be finite")
+        # bounds the search bound's 12*rate*c1, since |c1| < 3*t0 + 2*beta*h
+        _require(self.arrival_rate == 0
+                 or math.isfinite(12 * self.arrival_rate * (3 * self.dwell_time + tail)),
+                 "12 * arrival rate * (3 * dwell time + 2 * beta * dwell time / alpha) "
+                 "must be finite")
 
     @property
     def dwell_time(self) -> float:

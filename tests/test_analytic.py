@@ -243,10 +243,6 @@ class TestDerivative:
             at = an.dg_dt(reference_params, h, t0)
             assert below == pytest.approx(at, rel=1e-6)
 
-    def test_infeasible_raises(self, reference_params):
-        with pytest.raises(InfeasibleError, match="derivative undefined"):
-            an.dg_dt(reference_params, 24, 6.0)
-
 
 class TestSearchBoundCoefficients:
     def test_reference_h24(self, reference_params):

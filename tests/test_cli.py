@@ -511,6 +511,21 @@ class TestFlCommand:
         assert text.startswith("spearman_rho=")
         assert "grid=" in text
 
+    def test_fewer_than_eight_runs_are_not_ranked(self, tmp_path, monkeypatch):
+        # proxy_correlation trusts its caller with at least 8 runs
+        def refuse(*args):
+            raise AssertionError("proxy_correlation called with fewer than 8 runs")
+
+        monkeypatch.setattr(flsim, "proxy_correlation", refuse)
+        rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
+                       "--fl.horizon_s=60", "--fl.feature_dim=8",
+                       "--fl.global_pool_size=256", "--fl.validation_size=64",
+                       "--fl.samples_per_vehicle=128", "--fl.batch_size=32",
+                       "--schedules", "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8"])
+        assert rc == 0
+        assert (tmp_path / "correlation.txt").read_text().startswith(
+            "spearman_rho=nan (fewer than 8 completed runs)\nn_schedules=7\n")
+
     def test_l_min_curve_non_increasing(self, reference_params):
         # a run returns its losses; its rows add each boundary's time and
         # the running minimum of the losses
@@ -1023,6 +1038,46 @@ def test_beta_whose_tail_term_overflows_is_rejected(tmp_path, capsys, command, b
     else:
         assert rc == 1 and not out.exists()
         assert err == "config error: 2 * beta * dwell time / alpha must be finite\n"
+
+
+RATE_RULE = "12 * arrival rate * (3 * dwell time + 2 * beta * dwell time / alpha)"
+
+
+@pytest.mark.parametrize("command,override,message", [
+    ("optimize", "arrival_rate_per_s=1e306", RATE_RULE),
+    ("optimize", "arrival_rate_per_s=1e307", RATE_RULE),
+    ("optimize", "arrival_rate_per_s=1e308", RATE_RULE),
+    ("optimize", "arrival_rate_per_s=1.6e305", RATE_RULE),
+    ("sweep", "arrival_rate_per_s=1e308", RATE_RULE),
+    ("fl", "arrival_rate_per_s=1e307", RATE_RULE),
+    ("optimize", "beta_s=1e-310", "dwell time / beta"),
+    ("sweep", "beta_s=1e-310", "dwell time / beta")])
+def test_environment_the_kernel_overflows_on_is_rejected(tmp_path, capsys, command,
+                                                         override, message):
+    """On the reference section 12*rate*c1 of the search bound overflows
+    from a rate of 1.5e305 on, and (t0 - t)/(beta*h) from a subnormal
+    beta on: one config error line, where a nan answer, numpy warnings or
+    an exit 2 followed."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(BASELINE), "--out", str(out),
+                   f"--system.{override}"])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == f"config error: {message} must be finite\n"
+
+
+@pytest.mark.parametrize("overrides", [
+    ["--system.arrival_rate_per_s=1e305"],
+    ["--system.arrival_rate_per_s=1.4e305"],
+    ["--system.arrival_rate_per_s=1e-300", "--system.beta_s=1e-300"]])
+def test_environment_near_the_overflow_rules_is_answered(tmp_path, capsys, overrides):
+    """Just inside the rate rule, and with a tail so short that the branch
+    of dg/dt below t0 overflows beyond it, optimize answers without a
+    warning (one would fail this test) and without a nan."""
+    out = tmp_path / "out"
+    rc = cli.main(["optimize", "--config", str(BASELINE), "--out", str(out), *overrides])
+    assert rc == 0 and capsys.readouterr().err == ""
+    for path in out.iterdir():
+        assert "nan" not in path.read_text(), path.name
 
 
 def test_winnerless_crowd_draws_no_data(tmp_path):

@@ -127,10 +127,6 @@ class TestArrivals:
         b = streamed(reference_params, 300.0, substream(8, "a"))
         assert np.array_equal(a, b)
 
-    def test_bad_horizon(self, reference_params):
-        with pytest.raises(ConfigError):
-            mcsim.arrival_stream(reference_params, 0.0, substream(9, "a"))
-
 
 def assert_rows_equal(table, rows):
     """An attempt table's columns equal the oracle's (vehicle, round,
@@ -405,10 +401,6 @@ class TestPoissonFit:
             assert fit.mean_empirical == float(m.mean())
             assert fit.p_pos_empirical == float((m > 0).mean())
 
-    def test_empty_histogram_rejected(self):
-        with pytest.raises(ConfigError, match="no rounds"):
-            mcsim.compare_to_poisson(np.zeros(1, np.int64), 0.9)
-
     @pytest.mark.parametrize("lam", ORACLE_LAMBDAS, ids="{:.3g}".format)
     def test_pmf_matches_scipy(self, lam):
         k = np.arange(int(lam + 10 * math.sqrt(lam)) + 41)
@@ -434,7 +426,7 @@ class TestPoissonFit:
                                      SimConfig(seed=6, num_rounds=20_000))
         fit = mcsim.compare_to_poisson(hist, lam)
         assert fit.tv_distance < 0.02
-        assert fit.mean_rel_error < 0.03
+        assert abs(fit.mean_empirical - lam) / lam < 0.03
 
 
 def test_subinterval_rates_match_probabilities(reference_params):

@@ -205,3 +205,27 @@ def test_search_step_bound(reference_params):
                 for h in range(1, hm + 1))
     bound = hm * math.ceil(math.log2(width / cfg.gamma)) + 2 * hm
     assert res.search_steps <= bound
+
+
+@pytest.mark.parametrize("case", ["reference", "long_section", "random"])
+def test_every_probe_has_positive_slack(reference_params, monkeypatch, case):
+    """dg_dt trusts its caller to keep xi > 0: each of optimize_schedule's
+    probes lies above its lane's lower bracket, which starts at t_min."""
+    if case == "reference":
+        cases = [reference_params]
+    elif case == "long_section":
+        cases = [SystemParams(length=2000, speed=5, arrival_rate=0.1, tau_down=1,
+                              tau_up=1, alpha=0.05, beta=0.05)]
+    else:
+        rng = np.random.default_rng(29)
+        cases = [random_feasible_params(rng)[0] for _ in range(5)]
+    dg_dt, slack = an.dg_dt, []
+
+    def checked(params, h, t):
+        slack.append(np.min(an.xi(params, h, t)))
+        return dg_dt(params, h, t)
+
+    monkeypatch.setattr(an, "dg_dt", checked)
+    for params in cases:
+        opt.optimize_schedule(params, OptimizerConfig())
+    assert len(slack) >= len(cases) and min(slack) > 0
