@@ -136,8 +136,9 @@ def t_max(params: SystemParams, h):
 
     Beyond this point the derivative of g in t is provably negative:
     t0 itself when c1 >= 0, otherwise
-    t0 + (1 - 12*rate*c1) / (4*rate*c0). With no arrivals g is zero for
-    every t, so there is no optimum to bracket.
+    t0 + (1 - 12*rate*c1) / (4*rate*c0), inf where that overflows, as at
+    a tiny rate. With no arrivals g is zero for every t, so there is no
+    optimum to bracket.
     """
     c0, c1 = c0_c1(params, h)
     rate = params.arrival_rate
@@ -145,6 +146,7 @@ def t_max(params: SystemParams, h):
         raise InfeasibleError("no arrivals")
     beyond = c1 < 0
     # t0 + 0.0 is exactly t0, so the c1 >= 0 lanes keep the dwell time
-    excess = np.divide(1.0 - 12.0 * rate * c1, 4.0 * rate * c0,
-                       out=np.zeros_like(c1), where=beyond)
+    with np.errstate(over="ignore", divide="ignore"):
+        excess = np.divide(1.0 - 12.0 * rate * c1, 4.0 * rate * c0,
+                           out=np.zeros_like(c1), where=beyond)
     return (params.dwell_time + excess)[()]

@@ -31,7 +31,6 @@ from . import analytic
 from .mcsim import (
     MAX_ARRIVALS,
     MAX_ATTEMPTS,
-    arrival_stream,
     attempt_blocks,
     expected_arrivals,
     expected_attempts,
@@ -219,15 +218,14 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
     eval_work = cfg.validation_size * ((cfg.feature_dim + 1) // 2 + EVAL_ROW_WORK)
     plans, total = [], 0
     for sched, rounds_total in zip(schedules, rounds):
-        arrivals = arrival_stream(params, rounds_total * sched.t,
-                                  _run_stream(cfg, "arrivals", sched))
         win_work = (sched.h * (cfg.batch_size * (cfg.feature_dim + 1) + BATCH_DRAW_WORK)
                     + DATA_DRAW_WORK
                     + DATA_VALUE_WORK * (cfg.samples_per_vehicle + cfg.feature_dim))
         # keep only each block's successful rows, so memory follows the winners
         won_round, won = [], []
         work, last = eval_work, -1
-        for _, _, table in attempt_blocks(params, sched, arrivals, rounds_total,
+        for _, _, table in attempt_blocks(params, sched, rounds_total,
+                                          _run_stream(cfg, "arrivals", sched),
                                           _run_stream(cfg, "delays", sched)):
             won_round.append(table.round[table.success])
             won.append(table.vehicle[table.success])

@@ -5,7 +5,7 @@ Poisson arrivals over the road section, per-round participant sets,
 fresh shifted-exponential computing delays for every (vehicle, round)
 attempt, and the success rule completion <= deadline. All of it lives
 in one round-major attempt table (attempts), built in blocks of rounds
-(attempt_blocks) from a stream of arrival chunks (arrival_stream), which
+(attempt_blocks) as the run's arrivals are drawn a chunk at a time, which
 simulate_rounds folds into a histogram of per-round success counts and
 flsim reads for each round's winners. The histogram alone feeds a
 goodness-of-fit report against the analytic Poisson law.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,12 +32,12 @@ from .types import Schedule, SimConfig, SystemParams, _require
 
 __all__ = [
     "PoissonFit", "Attempts", "sample_computing_delay",
-    "expected_arrivals", "arrival_stream", "expected_attempts", "attempts",
+    "expected_arrivals", "expected_attempts", "attempts",
     "attempt_blocks", "simulate_rounds", "poisson_rows", "compare_to_poisson",
 ]
 
-# expected rows per attempt-table block in attempt_blocks, and the
-# arrivals per chunk of arrival_stream: a block holds its rounds'
+# expected rows per attempt-table block in attempt_blocks, and the most
+# arrivals it draws per chunk: a block holds its rounds'
 # participants and at most one unread chunk, so memory follows one block,
 # or two copies of one round's participants, as its chunks are joined,
 # when a round has more rows. Any value gives the same bytes, since
@@ -90,41 +90,32 @@ def expected_arrivals(params: SystemParams, horizon: float) -> float:
     return params.arrival_rate * (horizon + params.dwell_time)
 
 
-def arrival_stream(params: SystemParams, horizon: float,
-                   rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _arrivals(params: SystemParams, horizon: float,
+              rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Poisson arrival instants on (-t0, horizon) as consecutive non-empty
     chunks, strictly increasing within and across chunks.
 
-    Starting a dwell time before zero populates round 0's participant
-    window correctly. Gaps -log1p(-U) / rate are drawn ATTEMPTS_PER_BLOCK
-    uniforms at a time (but never more than 1.1 times the expected count
-    plus 64) and summed with one running sum carried across chunks, so
-    every arrival is the same whatever the chunk size. The caller passes
-    a positive horizon. More than MAX_ARRIVALS expected arrivals is a
-    ConfigError, raised by this call before anything is drawn.
+    Gaps -log1p(-U) / rate are drawn ATTEMPTS_PER_BLOCK uniforms at a time
+    (but never more than 1.1 times the expected count plus 64) and summed
+    with one running sum carried across chunks, so every arrival is the
+    same whatever the chunk size. A gap or sum that overflows is inf: no
+    further arrival.
     """
-    expected = expected_arrivals(params, horizon)
-    _require(expected <= MAX_ARRIVALS,
-             f"{expected:.3g} expected arrivals, more than {MAX_ARRIVALS}")
     if params.arrival_rate == 0:
-        return iter(())
-    size = min(ATTEMPTS_PER_BLOCK, int(expected * 1.1) + 64)
-    return _arrivals(params.arrival_rate, -params.dwell_time, horizon, rng, size)
-
-
-def _arrivals(rate: float, start: float, horizon: float, rng: np.random.Generator,
-              size: int) -> Iterator[np.ndarray]:
+        return
+    size = min(ATTEMPTS_PER_BLOCK, int(expected_arrivals(params, horizon) * 1.1) + 64)
     carry = 0.0  # the running sum of the gaps drawn so far
     while True:
         # the gaps and their running sum, all in the one buffer of uniforms
         times = rng.random(size)
         np.negative(times, out=times)
         np.log1p(times, out=times)
-        times /= -rate
-        times[0] += carry
-        np.cumsum(times, out=times)
+        with np.errstate(over="ignore"):
+            times /= -params.arrival_rate
+            times[0] += carry
+            np.cumsum(times, out=times)
         carry = times[-1]
-        times += start
+        times -= params.dwell_time
         inside = int(np.searchsorted(times, horizon))
         if inside:
             yield times[:inside]
@@ -178,25 +169,26 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     return Attempts(vehicle, rnd, completion <= deadline)
 
 
-def attempt_blocks(params: SystemParams, sched: Schedule, arrivals: Iterable[np.ndarray],
-                   k_end: int, delay_rng: np.random.Generator
+def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
+                   arrival_rng: np.random.Generator, delay_rng: np.random.Generator
                    ) -> Iterator[tuple[int, int, Attempts]]:
     """The attempt table of rounds 0 <= k < k_end, in consecutive blocks
     of rounds holding about ATTEMPTS_PER_BLOCK rows each.
 
-    arrivals is a run's arrival stream: increasing non-empty chunks, as
-    arrival_stream yields them. Yields (block begin, block end, table of
+    The run's arrivals on (-t0, k_end*t), from a dwell time before round
+    0 so that its participants are complete, are drawn from arrival_rng
+    as the blocks reach them. Yields (block begin, block end, table of
     that block), drawing delays as one table over all the rounds would; a
     round of more rows comes as several tables of at most
     ATTEMPTS_PER_BLOCK rows, with its bounds. A table's vehicle is the
-    arrival's index in the whole stream. One window array holds the
-    block's participants and the rest of the last chunk read, and the
-    chunks a block reads are appended in one concatenation, so a round
-    bigger than a block is copied once.
+    arrival's index in the run. One window array holds the block's
+    participants and the rest of the last chunk drawn, and the chunks a
+    block reads are appended in one concatenation, so a round bigger
+    than a block is copied once. The caller checks MAX_ARRIVALS.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
-    chunks = iter(arrivals)
+    chunks = _arrivals(params, k_end * t, arrival_rng)
     window, offset, newest = np.empty(0), 0, -math.inf  # offset: stream index of window[0]
     for begin in range(0, k_end, block):
         end = min(begin + block, k_end)
@@ -226,17 +218,19 @@ def simulate_rounds(params: SystemParams, sched: Schedule,
     histogram[k] is the number of rounds with exactly k successes, as
     int64. The attempt table is built and counted block by block (see
     attempt_blocks). Round 0 needs no warm-up: arrivals start a dwell
-    time before it (see arrival_stream), so its participants follow the
+    time before it (see attempt_blocks), so its participants follow the
     same law as any later round's. More than MAX_ATTEMPTS expected
-    attempts is a ConfigError.
+    attempts, then more than MAX_ARRIVALS expected arrivals, is a
+    ConfigError raised before any stream is made.
     """
     rows = expected_attempts(params, sched.t, cfg.num_rounds)
     _require(rows <= MAX_ATTEMPTS,
              f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
-    arrivals = arrival_stream(params, cfg.num_rounds * sched.t,
-                              substream(cfg.seed, "arrivals"))
+    expected = expected_arrivals(params, cfg.num_rounds * sched.t)
+    _require(expected <= MAX_ARRIVALS,
+             f"{expected:.3g} expected arrivals, more than {MAX_ARRIVALS}")
     histogram = np.zeros(1, dtype=np.int64)
-    blocks = attempt_blocks(params, sched, arrivals, cfg.num_rounds,
+    blocks = attempt_blocks(params, sched, cfg.num_rounds, substream(cfg.seed, "arrivals"),
                             substream(cfg.seed, "delays"))
     # a round split over several tables is counted once, over all of them
     for (k_begin, k_end), tables in itertools.groupby(blocks, key=lambda b: b[:2]):

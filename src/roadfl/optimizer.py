@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .types import InfeasibleError, OptimizerConfig, SystemParams, _require
+from .types import ConfigError, InfeasibleError, OptimizerConfig, SystemParams, _require
 
 __all__ = [
     "OptimizationResult", "h_max",
@@ -75,10 +75,14 @@ def optimize_round_lengths(params: SystemParams, hs,
     evaluates dg/dt only on the lanes still open. Returns per-lane
     arrays (round length, g value, evaluation count). Each result is
     within gamma of the true per-h optimum because g is unimodal in t.
+    A lane whose t_max is not finite is a ConfigError.
     """
     hs = np.asarray(hs)
     lo = analytic.t_min(params, hs)
     hi = analytic.t_max(params, hs)
+    unbounded = ~np.isfinite(hi)
+    if unbounded.any():
+        raise ConfigError(f"search bound t_max at h={hs[unbounded][0]} must be finite")
     # t_min itself has xi = 0; probes stay this far inside, as dg_dt requires.
     eps = max(cfg.gamma / 10.0, 1e-9)
     floor = lo + eps

@@ -70,7 +70,7 @@ def arrival_times(params: SystemParams, horizon: float,
                   rng: np.random.Generator) -> np.ndarray:
     """Poisson arrival instants on (-t0, horizon) in one array: every gap
     -log1p(-U) / rate drawn at once and summed by one np.cumsum, which is
-    what mcsim.arrival_stream computes a chunk at a time."""
+    what mcsim.attempt_blocks draws a chunk at a time."""
     rate = params.arrival_rate
     if rate == 0:
         return np.empty(0)

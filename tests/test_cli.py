@@ -1051,13 +1051,21 @@ RATE_RULE = "12 * arrival rate * (3 * dwell time + 2 * beta * dwell time / alpha
     ("sweep", "arrival_rate_per_s=1e308", RATE_RULE),
     ("fl", "arrival_rate_per_s=1e307", RATE_RULE),
     ("optimize", "beta_s=1e-310", "dwell time / beta"),
-    ("sweep", "beta_s=1e-310", "dwell time / beta")])
+    ("sweep", "beta_s=1e-310", "dwell time / beta"),
+    ("optimize", "arrival_rate_per_s=5e-324", "search bound t_max at h=22"),
+    ("optimize", "arrival_rate_per_s=1e-310", "search bound t_max at h=22"),
+    ("optimize", "arrival_rate_per_s=1e-307", "search bound t_max at h=89"),
+    ("fl", "arrival_rate_per_s=5e-324", "search bound t_max at h=24"),
+    ("fl", "arrival_rate_per_s=1e-310", "search bound t_max at h=24")])
 def test_environment_the_kernel_overflows_on_is_rejected(tmp_path, capsys, command,
                                                          override, message):
     """On the reference section 12*rate*c1 of the search bound overflows
     from a rate of 1.5e305 on, and (t0 - t)/(beta*h) from a subnormal
-    beta on: one config error line, where a nan answer, numpy warnings or
-    an exit 2 followed."""
+    beta on. At a rate of 1e-307 and below, 4*rate*c0 underflows or the
+    bound's quotient overflows, so t_max is inf for some h with c1 < 0
+    (fl's default grid, h in {8, 16, 24, 40}, first meets one at 24).
+    Each is one config error line, where a nan or partial answer, numpy
+    warnings or an exit 2 followed."""
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(BASELINE), "--out", str(out),
                    f"--system.{override}"])
@@ -1078,6 +1086,24 @@ def test_environment_near_the_overflow_rules_is_answered(tmp_path, capsys, overr
     assert rc == 0 and capsys.readouterr().err == ""
     for path in out.iterdir():
         assert "nan" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("command,rate,answer", [
+    ("validate", "5e-324", "lambda=4.44659081e-323 empirical_mean=0 tv_distance=0\n"),
+    ("validate", "1e-310", "lambda=9.09401251e-310 empirical_mean=0 tv_distance=0\n"),
+    ("validate", "1e-307", "lambda=9.09401251e-307 empirical_mean=0 tv_distance=0\n"),
+    ("optimize", "2e-307", "h_star=42 t_star_s=524800436 ")])
+def test_tiny_rate_is_answered(tmp_path, capsys, command, rate, answer):
+    """validate at a tiny rate draws arrival gaps and sums that overflow
+    to inf, which means no further arrival; optimize answers from 2e-307
+    on, where no search bound overflows. No warning (one would fail this
+    test)."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(BASELINE), "--out", str(out),
+                   f"--system.arrival_rate_per_s={rate}", "--sim.num_rounds=2000"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert captured.out.startswith(answer)
 
 
 def test_winnerless_crowd_draws_no_data(tmp_path):
@@ -1126,8 +1152,8 @@ def test_one_round_of_many_attempts_is_built_in_blocks(tmp_path):
 
 
 # config values from 0, 1, tiny and huge to non-finite, as the CLI reads them
-FLOAT_TEXT = st.sampled_from(["0", "1", "-1", "1e-300", "1e-6", "0.05", "0.5", "20",
-                              "1e6", "1e300", "inf", "-inf", "nan"])
+FLOAT_TEXT = st.sampled_from(["0", "1", "-1", "5e-324", "1e-310", "1e-300", "1e-6", "0.05",
+                              "0.5", "20", "1e6", "1e300", "inf", "-inf", "nan"])
 INT_TEXT = st.sampled_from(["0", "1", "2", "-1", "64", "1000", "1000000", "1000000000",
                             str(2**63)])
 

@@ -55,34 +55,56 @@ LONG_SECTION = SystemParams(length=2000, speed=5, arrival_rate=0.1, tau_down=1, 
                             alpha=0.05, beta=0.05)
 
 
-def chunked_stream(params, horizon, rng, chunk):
-    """arrival_stream drawing chunk arrivals at a time; the size is fixed
-    when the stream is made."""
+# the arrival generator attempt_blocks draws from, kept before any test
+# replaces it
+ARRIVALS = mcsim._arrivals
+
+
+def arrival_chunks(params, horizon, rng, chunk):
+    """The arrival generator's chunks, drawn chunk arrivals at a time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcsim, "ATTEMPTS_PER_BLOCK", chunk)
-        return mcsim.arrival_stream(params, horizon, rng)
+        return list(ARRIVALS(params, horizon, rng))
+
+
+def chunked_blocks(params, sched, k_end, seed, chunk):
+    """Every block of attempt_blocks over k_end rounds on seed's arrival
+    and delay streams, with the arrivals drawn chunk at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcsim, "_arrivals", lambda *args: iter(arrival_chunks(*args, chunk)))
+        return list(mcsim.attempt_blocks(params, sched, k_end, substream(seed, "arrivals"),
+                                         substream(seed, "delays")))
 
 
 def streamed(params, horizon, rng):
-    """Every arrival of arrival_stream, in one array."""
-    return np.concatenate([np.empty(0), *mcsim.arrival_stream(params, horizon, rng)])
+    """Every arrival the generator draws, in one array."""
+    return np.concatenate([np.empty(0), *ARRIVALS(params, horizon, rng)])
 
 
 class TestArrivals:
     def test_no_traffic(self, reference_params):
         p = SystemParams(length=400, speed=20, arrival_rate=0.0,
                          tau_down=1, tau_up=1, alpha=0.2, beta=0.2)
-        assert list(mcsim.arrival_stream(p, 100.0, substream(1, "a"))) == []
+        assert list(ARRIVALS(p, 100.0, substream(1, "a"))) == []
 
     def test_expected_count_cap(self, reference_params, monkeypatch):
-        # expected count is rate * (horizon + t0) = 0.1 * (horizon + 20)
+        # expected count is rate * (rounds * t + t0) = 0.1 * (rounds * 10 + 20),
+        # and expected attempts rounds * 0.1 * (10 + 20) stay below the cap
+        sched = Schedule(8, 10.0)
         monkeypatch.setattr(mcsim, "MAX_ARRIVALS", 100)
-        assert mcsim.expected_arrivals(reference_params, 980.0) == 100.0
-        assert streamed(reference_params, 980.0, substream(4, "a")).size > 0
-        rng = substream(4, "a")
-        with pytest.raises(ConfigError, match="expected arrivals"):
-            mcsim.arrival_stream(reference_params, 990.0, rng)
-        assert rng.random() == substream(4, "a").random()  # nothing drawn
+        assert mcsim.expected_arrivals(reference_params, 98 * sched.t) == 100.0
+        histogram = mcsim.simulate_rounds(reference_params, sched,
+                                          SimConfig(seed=4, num_rounds=98))
+        assert histogram.sum() == 98
+        streams = []
+        monkeypatch.setattr(mcsim, "substream", lambda *tags: streams.append(tags))
+        with pytest.raises(ConfigError, match="^101 expected arrivals, more than 100$"):
+            mcsim.simulate_rounds(reference_params, sched, SimConfig(seed=4, num_rounds=99))
+        # the attempt cap is checked first
+        monkeypatch.setattr(mcsim, "MAX_ATTEMPTS", 100)
+        with pytest.raises(ConfigError, match="expected upload attempts"):
+            mcsim.simulate_rounds(reference_params, sched, SimConfig(seed=4, num_rounds=99))
+        assert streams == []  # nothing drawn, no stream even made
 
     def test_count_confidence_interval(self, reference_params):
         horizon = 1e5
@@ -91,7 +113,7 @@ class TestArrivals:
         assert abs(times.size - expected) <= 3 * math.sqrt(expected)
 
     def test_strictly_increasing_and_window(self, reference_params):
-        chunks = list(chunked_stream(reference_params, 500.0, substream(6, "a"), 7))
+        chunks = arrival_chunks(reference_params, 500.0, substream(6, "a"), 7)
         assert len(chunks) > 5 and all(chunk.size > 0 for chunk in chunks)
         times = np.concatenate(chunks)
         assert np.all(np.diff(times) > 0)
@@ -101,7 +123,7 @@ class TestArrivals:
     @pytest.mark.parametrize("chunk,horizon", [(1, 2e3), (7, 2e4), (8192, 1e6)])
     def test_stream_matches_one_shot_reference(self, reference_params, chunk, horizon):
         # many chunks, each carrying the running sum into the next
-        chunks = list(chunked_stream(reference_params, horizon, substream(12, "a"), chunk))
+        chunks = arrival_chunks(reference_params, horizon, substream(12, "a"), chunk)
         assert len(chunks) > 10
         assert max(c.size for c in chunks) == chunk
         reference = arrival_times(reference_params, horizon, substream(12, "a"))
@@ -244,11 +266,8 @@ class TestSimulateRounds:
         for rows, chunk in ((50, 50), (50, 7), (50, 1000)):
             monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", rows)
             small = mcsim.simulate_rounds(reference_params, sched, cfg)
-            stream = chunked_stream(reference_params, cfg.num_rounds * sched.t,
-                                    substream(cfg.seed, "arrivals"), chunk)
-            blocks = [table for _, _, table in mcsim.attempt_blocks(
-                reference_params, sched, stream, cfg.num_rounds,
-                substream(cfg.seed, "delays"))]
+            blocks = [table for _, _, table in chunked_blocks(
+                reference_params, sched, cfg.num_rounds, cfg.seed, chunk)]
             assert len(blocks) > 100
             for column, whole_column in zip(zip(*blocks), whole_table):
                 assert np.array_equal(np.concatenate(column), whole_column)
@@ -263,11 +282,7 @@ class TestSimulateRounds:
         monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
         # arrival chunks of a block's rows, of one arrival, and of many rounds'
         for chunk in (2, 1, 64):
-            stream = chunked_stream(reference_params, cfg.num_rounds * sched.t,
-                                    substream(cfg.seed, "arrivals"), chunk)
-            blocks = list(mcsim.attempt_blocks(
-                reference_params, sched, stream, cfg.num_rounds,
-                substream(cfg.seed, "delays")))
+            blocks = chunked_blocks(reference_params, sched, cfg.num_rounds, cfg.seed, chunk)
             assert all(end == begin + 1 and table.round.size <= 2
                        for begin, end, table in blocks)
             assert len(blocks) > cfg.num_rounds
@@ -322,9 +337,8 @@ def test_expected_attempts_is_the_mean_table_size(params, sched):
     """
     rounds = 10 ** 5
     horizon = rounds * sched.t
-    arrivals = mcsim.arrival_stream(params, horizon, substream(21, "arrivals"))
     rows = sum(table.round.size for _, _, table in mcsim.attempt_blocks(
-        params, sched, arrivals, rounds, substream(21, "delays")))
+        params, sched, rounds, substream(21, "arrivals"), substream(21, "delays")))
     expected = mcsim.expected_attempts(params, sched.t, rounds)
     c_max = math.floor((sched.t + params.dwell_time) / sched.t) + 1
     sigma = c_max * math.sqrt(params.arrival_rate * (horizon + params.dwell_time))
@@ -351,9 +365,7 @@ def test_attempts_follow_the_upload_rule(params, sched, monkeypatch):
     # at most 2 rows per table, in arrival chunks of 2
     monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
     blocks = [table for _, _, table in mcsim.attempt_blocks(
-        params, sched, mcsim.arrival_stream(params, rounds * sched.t,
-                                            substream(31, "arrivals")),
-        rounds, substream(31, "delays"))]
+        params, sched, rounds, substream(31, "arrivals"), substream(31, "delays"))]
     assert_rows_equal([np.concatenate(column) for column in zip(*blocks)], rows)
 
 
