@@ -40,7 +40,7 @@ import numpy as np
 from .types import InfeasibleError, SystemParams
 
 __all__ = [
-    "t_min", "xi", "lambda_param", "surface", "g", "dg_dt", "c0_c1", "t_max",
+    "t_min", "lambda_param", "surface", "g", "dg_dt", "c0_c1", "t_max",
 ]
 
 
@@ -60,11 +60,6 @@ def _kernel(params: SystemParams, h, t):
     lam = 2.0 * params.arrival_rate * xi_v \
         + params.arrival_rate * ramp * (np.abs(t - params.dwell_time) - 2.0 * bh)
     return bh, xi_v, ramp, np.where(xi_v > 0.0, lam, 0.0)
-
-
-def xi(params: SystemParams, h, t):
-    """Success slack min(t, t0) - t_min(h). May be <= 0 (infeasible)."""
-    return _kernel(params, h, t)[1][()]
 
 
 def lambda_param(params: SystemParams, h, t):

@@ -9,11 +9,19 @@ Subcommands:
                surface.csv
     fl         write train(cfg, schedules), synthetic federated training's
                losses over a schedule grid (default_fl_grid by default),
-               to fl_runs.csv and correlation.txt, in as many processes
-               as the CPUs hold BLAS thread pools (see _fl_processes)
+               to fl_runs.csv and correlation.txt
 
 validate, default_fl_grid and train compute; cmd_validate and cmd_fl
 only render what they return, so any caller runs the commands' code.
+
+validate and fl compute in as many processes as the CPUs hold BLAS
+thread pools (see _processes); validate also uses at most one per
+ATTEMPTS_PER_PROCESS expected attempts, so a small replay stays in one
+process. Every cap is checked first; then _in_processes forks the
+workers, each of which starts on a CPU of its own while the parent moves
+to the first (see _place), runs the parent's share and gathers theirs.
+Every output byte is the one a single process writes. A profile of the
+parent shows only the parent's share.
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is
@@ -45,13 +53,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence, get_type_hints
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence,
+                    get_type_hints)
 
 from .types import (
     MAX_ROWS,
@@ -86,6 +96,10 @@ INT = "%d"
 FLOAT = "%.9g"
 # the variables OpenBLAS reads its thread count from, first match wins
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# validate adds a process per this many expected attempts. The reference
+# replay, 318,000 attempts in about 0.03 s, took as long in two processes
+# as in one on a 2-vCPU machine, so it stays in one
+ATTEMPTS_PER_PROCESS = 2**20
 
 
 # INI section -> the config dataclass it builds. Each field is read from
@@ -222,6 +236,120 @@ def _stream(values: np.ndarray) -> Iterator:
         values[k:k + ROW_CHUNK].tolist() for k in range(0, values.size, ROW_CHUNK))
 
 
+def _processes(most: int) -> int:
+    """How many processes a command computes in: as many BLAS thread
+    pools as fit on the CPUs this process may use, and at most most. The
+    pool size is the first positive integer among BLAS_THREAD_VARS, or
+    every CPU if none holds one. Without sched_getaffinity or fork it is 1.
+    """
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    blas_threads = cpus
+    for var in BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas_threads = value
+            break
+    return max(1, min(most, cpus // blas_threads))
+
+
+def _place(cpu: int, allowed: set[int]) -> None:
+    """Move this process onto cpu, then let it run on every allowed CPU
+    again; an OSError, such as a cpu it may not use, leaves it where it
+    is. The move completes before sched_setaffinity returns, and the
+    scheduler leaves a running process where it is, so the process starts
+    on cpu: a freshly forked worker left alone shared its parent's CPU
+    for 0.2-0.5 s on a 2-vCPU machine."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
+def _fork(job: Callable[[], object], cpu: int, allowed: set[int],
+          inherited: Sequence[int]) -> tuple[int, int] | None:
+    """Fork a worker that moves to cpu (see _place), runs job() and writes
+    its result, or the exception it raised, to a pipe as one pickle.
+    inherited are the read ends of earlier workers' pipes, which the
+    worker closes. Returns the worker's pid and the pipe's read end, or
+    None if the fork failed."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    # the worker never returns into the caller, whatever happens
+    code = 1
+    try:
+        for fd in (read_end, *inherited):
+            os.close(fd)
+        _place(cpu, allowed)
+        try:
+            result = job()
+        except Exception as exc:
+            result = exc
+        with open(write_end, "wb") as fh:
+            pickle.dump(result, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _in_processes(jobs: Sequence[Callable[[], object]]) -> list:
+    """Each job's result. jobs[0] runs here, and each other job in a
+    worker that _fork starts on an allowed CPU of its own, or here if its
+    fork fails; this process moves to the first allowed CPU first (see
+    _place). A worker's exception is raised here. Every worker is reaped,
+    its pipe closed first so that a blocked writer exits, also when a job
+    here raises."""
+    import pickle
+
+    if len(jobs) == 1:
+        return [jobs[0]()]
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    _place(cpus[0], allowed)
+    results: list = [None] * len(jobs)
+    here = [0]  # the jobs that run in this process
+    # each forked job's index, with its worker's pid and pipe
+    workers: list[tuple[int, int, int]] = []
+    try:
+        for i in range(1, len(jobs)):
+            worker = _fork(jobs[i], cpus[i % len(cpus)], allowed,
+                           [fd for _, _, fd in workers])
+            if worker is None:
+                here.append(i)
+            else:
+                workers.append((i, *worker))
+        for i in here:
+            results[i] = jobs[i]()
+        for i, pid, fd in workers:
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError(f"worker {pid} exited without its result")
+            results[i] = pickle.loads(data)
+            if isinstance(results[i], BaseException):
+                raise results[i]
+    finally:
+        for _, pid, fd in workers:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return results
+
+
 def cmd_optimize(cfg: ExperimentConfig) -> int:
     from . import optimizer
 
@@ -242,7 +370,11 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 
 def validate(cfg: ExperimentConfig) -> PoissonFit:
     """The Poisson fit of cfg.schedule's simulated rounds, which validate
-    renders; the fit's row cap is checked before any draw."""
+    renders. The fit's row cap and mcsim.check_rounds' caps are checked
+    first; then the rounds' attempt blocks are split into _processes
+    contiguous shares, at most one per ATTEMPTS_PER_PROCESS expected
+    attempts, which _in_processes simulates and whose histograms add up
+    to the one of a single process."""
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
     from . import analytic, mcsim
@@ -252,8 +384,17 @@ def validate(cfg: ExperimentConfig) -> PoissonFit:
     if rows > MAX_ROWS:
         raise ConfigError(f"the Poisson fit of lambda={lam:.3g} needs {rows:.3g} "
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
-    return mcsim.compare_to_poisson(
-        mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim), lam)
+    attempts = mcsim.check_rounds(cfg.system, cfg.schedule, cfg.sim)
+    n = _processes(max(1, int(attempts // ATTEMPTS_PER_PROCESS)))
+    histograms = _in_processes([
+        functools.partial(mcsim.simulate_rounds, cfg.system, cfg.schedule, cfg.sim, share, n)
+        for share in range(n)])
+    import numpy as np
+
+    histogram = np.zeros(max(h.size for h in histograms), dtype=np.int64)
+    for h in histograms:
+        histogram[:h.size] += h
+    return mcsim.compare_to_poisson(histogram, lam)
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
@@ -398,27 +539,6 @@ def _fl_rows(sched: Schedule, losses: np.ndarray | DivergenceError) -> Iterable[
                _stream(losses), _stream(np.minimum.accumulate(losses)))
 
 
-def _fl_processes(n_schedules: int) -> int:
-    """How many processes fl trains in: as many BLAS thread pools as fit
-    on the CPUs this process may use, and at most one per schedule. The
-    pool size is the first positive integer among BLAS_THREAD_VARS, or
-    every CPU if none holds one. Without sched_getaffinity or fork it is 1.
-    """
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    blas_threads = cpus
-    for var in BLAS_THREAD_VARS:
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas_threads = value
-            break
-    return max(1, min(n_schedules, cpus // blas_threads))
-
-
 def _split(works: Sequence[int], n: int) -> list[list[int]]:
     """Schedule indices in n shares: the largest work first, each to the
     share with the least work so far, then the fewest schedules. Share 0
@@ -446,86 +566,26 @@ def _train_share(plans: Sequence[RunPlan], task: LinearTask,
     return outcomes
 
 
-def _fork_share(plans: Sequence[RunPlan], task: LinearTask, fl_cfg: FLConfig,
-                inherited: Sequence[int]) -> tuple[int, int] | None:
-    """Fork a worker that runs _train_share(plans, task, fl_cfg) and writes
-    its outcomes, or the exception it raised, to a pipe as one pickle.
-    The worker inherits task copy-on-write. inherited are the read ends
-    of earlier workers' pipes, which the worker closes. Returns the
-    worker's pid and the pipe's read end, or None if the fork failed."""
-    import pickle
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    # the worker never returns into the caller, whatever happens
-    code = 1
-    try:
-        for fd in (read_end, *inherited):
-            os.close(fd)
-        try:
-            result: object = _train_share(plans, task, fl_cfg)
-        except Exception as exc:
-            result = exc
-        with open(write_end, "wb") as fh:
-            pickle.dump(result, fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def train(cfg: ExperimentConfig,
           schedules: Sequence[Schedule]) -> list[np.ndarray | DivergenceError]:
     """Each schedule's losses, or the DivergenceError its run raised. All
     are planned, and every cap checked, before any trains, on one task
     from the "task" stream of cfg.fl.seed. _split shares the plans over
-    _fl_processes processes: share 0 trains here, the others in
-    _fork_share workers, or here if a fork fails; a worker's exception is
-    raised here. Every worker is reaped, its pipe closed first so that a
-    blocked writer exits, also when this process's share raises."""
-    import pickle
-
+    _processes processes, which train them in _in_processes; the workers
+    inherit the task copy-on-write."""
     from . import flsim
 
     plans = flsim.plan_runs(cfg.system, schedules, cfg.fl)
     task = flsim.generate_task(cfg.fl)
-    shares = _split([plan.work for plan in plans], _fl_processes(len(plans)))
+    shares = _split([plan.work for plan in plans], _processes(len(plans)))
+    results = _in_processes([
+        functools.partial(_train_share, [plans[i] for i in share], task, cfg.fl)
+        for share in shares])
     # each plan's outcome, by schedule index
     outcomes: list = [None] * len(plans)
-    # each forked share, with its worker's pid and pipe
-    workers: list[tuple[list[int], int, int]] = []
-    try:
-        for share in shares[1:]:
-            worker = _fork_share([plans[i] for i in share], task, cfg.fl,
-                                 [fd for _, _, fd in workers])
-            if worker is None:
-                shares[0] += share
-            else:
-                workers.append((share, *worker))
-        own = _train_share([plans[i] for i in shares[0]], task, cfg.fl)
-        for i, outcome in zip(shares[0], own):
+    for share, result in zip(shares, results):
+        for i, outcome in zip(share, result):
             outcomes[i] = outcome
-        for share, pid, fd in workers:
-            with open(fd, "rb", closefd=False) as fh:
-                data = fh.read()
-            if not data:
-                raise RuntimeError(f"fl worker {pid} exited without its outcomes")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):
-                raise result
-            for i, outcome in zip(share, result):
-                outcomes[i] = outcome
-    finally:
-        for _, pid, fd in workers:
-            os.close(fd)
-            os.waitpid(pid, 0)
     return outcomes
 
 

@@ -32,8 +32,8 @@ from .types import Schedule, SimConfig, SystemParams, _require
 
 __all__ = [
     "PoissonFit", "Attempts", "sample_computing_delay",
-    "expected_arrivals", "expected_attempts", "attempts",
-    "attempt_blocks", "simulate_rounds", "poisson_rows", "compare_to_poisson",
+    "expected_arrivals", "expected_attempts", "attempts", "attempt_blocks",
+    "check_rounds", "simulate_rounds", "poisson_rows", "compare_to_poisson",
 ]
 
 # expected rows per attempt-table block in attempt_blocks, and the most
@@ -138,6 +138,16 @@ class Attempts(NamedTuple):
     success: np.ndarray
 
 
+def _participants(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
+                  k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each round k's begin k*t, end (k+1)*t, and the index of its first
+    participant in arrivals and its count: the arrivals z in
+    (k*t - t0, (k+1)*t), which are its rows of the attempt table."""
+    begins, ends = k * sched.t, (k + 1) * sched.t
+    first = np.searchsorted(arrivals, begins - params.dwell_time, side="right")
+    return begins, ends, first, np.searchsorted(arrivals, ends, side="left") - first
+
+
 def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
              k_begin: int, k_end: int, delay_rng: np.random.Generator) -> Attempts:
     """Attempt table of rounds k_begin <= k < k_end.
@@ -149,11 +159,8 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     building consecutive blocks consumes delay_rng exactly as one table
     over their union would.
     """
-    t, t0 = sched.t, params.dwell_time
     k = np.arange(k_begin, k_end)
-    begins, ends = k * t, (k + 1) * t
-    first = np.searchsorted(arrivals, begins - t0, side="right")
-    counts = np.searchsorted(arrivals, ends, side="left") - first
+    begins, ends, first, counts = _participants(params, sched, arrivals, k)
     rnd = np.repeat(k, counts)
     # each row's times are computed in place, in the order the formulas give
     vehicle = np.repeat(first - (np.cumsum(counts) - counts), counts)
@@ -164,14 +171,14 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     completion += params.tau_down
     completion += sample_computing_delay(params, sched.h, delay_rng, rnd.size)
     completion += params.tau_up
-    deadline += t0
+    deadline += params.dwell_time
     np.minimum(deadline, np.repeat(ends, counts), out=deadline)
     return Attempts(vehicle, rnd, completion <= deadline)
 
 
 def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
-                   arrival_rng: np.random.Generator, delay_rng: np.random.Generator
-                   ) -> Iterator[tuple[int, int, Attempts]]:
+                   arrival_rng: np.random.Generator, delay_rng: np.random.Generator,
+                   share: int = 0, shares: int = 1) -> Iterator[tuple[int, int, Attempts]]:
     """The attempt table of rounds 0 <= k < k_end, in consecutive blocks
     of rounds holding about ATTEMPTS_PER_BLOCK rows each.
 
@@ -185,12 +192,24 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
     participants and the rest of the last chunk drawn, and the chunks a
     block reads are appended in one concatenation, so a round bigger
     than a block is copied once. The caller checks MAX_ARRIVALS.
+
+    Only the share-th of shares contiguous runs of blocks, as equal in
+    count as they divide, is built; so no round is split between shares.
+    Arrivals are drawn up to its last block. The rows of the blocks
+    before its first are counted, not built, and delay_rng, which must
+    be fresh when share > 0, skips their delays: Philox gives four
+    doubles per counter step, so advance(rows // 4) and then rows % 4
+    draws leave it where the whole table's delays would. Each table is
+    then the one the whole run yields.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
+    blocks = range(0, k_end, block)
+    first_built = len(blocks) * share // shares * block  # the share's first round
     chunks = _arrivals(params, k_end * t, arrival_rng)
     window, offset, newest = np.empty(0), 0, -math.inf  # offset: stream index of window[0]
-    for begin in range(0, k_end, block):
+    skipped = 0  # rows of the blocks before this share's, not yet skipped
+    for begin in blocks[:len(blocks) * (share + 1) // shares]:
         end = min(begin + block, k_end)
         # the block's participants, arrivals in (begin*t - t0, end*t): read
         # chunks until one reaches end*t
@@ -204,6 +223,13 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
         first = int(np.searchsorted(window, low, side="right"))
         window, offset = window[first:], offset + first
         part = window[:np.searchsorted(window, high)]
+        if begin < first_built:
+            skipped += int(_participants(params, sched, part, np.arange(begin, end))[3].sum())
+            continue
+        if skipped:
+            delay_rng.bit_generator.advance(skipped // 4)
+            delay_rng.random(skipped % 4)
+            skipped = 0
         step = ATTEMPTS_PER_BLOCK if end - begin == 1 else max(part.size, 1)
         for i in range(0, max(part.size, 1), step):
             table = attempts(params, sched, part[i:i + step], begin, end, delay_rng)
@@ -211,27 +237,37 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
             yield begin, end, table
 
 
-def simulate_rounds(params: SystemParams, sched: Schedule,
-                    cfg: SimConfig) -> np.ndarray:
-    """Simulate rounds 0 <= k < num_rounds; return the success histogram.
-
-    histogram[k] is the number of rounds with exactly k successes, as
-    int64. The attempt table is built and counted block by block (see
-    attempt_blocks). Round 0 needs no warm-up: arrivals start a dwell
-    time before it (see attempt_blocks), so its participants follow the
-    same law as any later round's. More than MAX_ATTEMPTS expected
-    attempts, then more than MAX_ARRIVALS expected arrivals, is a
-    ConfigError raised before any stream is made.
-    """
+def check_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig) -> float:
+    """The expected attempts of simulate_rounds' run. More than
+    MAX_ATTEMPTS of them, then more than MAX_ARRIVALS expected arrivals,
+    is a ConfigError."""
     rows = expected_attempts(params, sched.t, cfg.num_rounds)
     _require(rows <= MAX_ATTEMPTS,
              f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
     expected = expected_arrivals(params, cfg.num_rounds * sched.t)
     _require(expected <= MAX_ARRIVALS,
              f"{expected:.3g} expected arrivals, more than {MAX_ARRIVALS}")
+    return rows
+
+
+def simulate_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig,
+                    share: int = 0, shares: int = 1) -> np.ndarray:
+    """Simulate rounds 0 <= k < num_rounds; return the success histogram.
+
+    histogram[k] is the number of rounds with exactly k successes, as
+    int64. The attempt table is built and counted block by block (see
+    attempt_blocks). Round 0 needs no warm-up: arrivals start a dwell
+    time before it (see attempt_blocks), so its participants follow the
+    same law as any later round's. With shares > 1, only the rounds of
+    the share-th of shares runs of blocks are counted (see
+    attempt_blocks): the histograms of shares 0 to shares - 1 sum to the
+    whole run's, once each is padded to the longest. check_rounds'
+    ConfigError is raised before any stream is made.
+    """
+    check_rounds(params, sched, cfg)
     histogram = np.zeros(1, dtype=np.int64)
     blocks = attempt_blocks(params, sched, cfg.num_rounds, substream(cfg.seed, "arrivals"),
-                            substream(cfg.seed, "delays"))
+                            substream(cfg.seed, "delays"), share, shares)
     # a round split over several tables is counted once, over all of them
     for (k_begin, k_end), tables in itertools.groupby(blocks, key=lambda b: b[:2]):
         m_suc = np.zeros(k_end - k_begin, dtype=np.int64)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +13,20 @@ from roadfl.types import SystemParams
 settings.register_profile("suite", max_examples=30)
 settings.register_profile("deep", max_examples=500)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def keep_cpu_affinity():
+    """Give this process back the CPUs it had before the test. A command
+    that forks moves itself to one CPU and back to the CPUs that
+    sched_getaffinity names, which a test may replace with more or fewer
+    than this process has."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, allowed)
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """Independent references for the tests: a brute-force grid search for
-the optimizer, one-shot arrival times for the arrival stream, the
+the optimizer, the success slack, one-shot arrival times for the arrival stream, the
 sub-interval success probabilities and pinned-arrival success counts
 that check them, the upload rule applied row by row for the attempt table,
 step-by-step local training for the SGD of one vehicle, a
@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from roadfl import analytic, flsim, mcsim
-from roadfl.analytic import xi
 from roadfl.optimizer import OptimizationResult, h_max
 from roadfl.types import (
     MAX_ROWS,
@@ -24,6 +23,13 @@ from roadfl.types import (
     Schedule,
     SystemParams,
 )
+
+
+def slack(params: SystemParams, h, t):
+    """The success slack xi(h, t) = min(t, t0) - t_min(h); no upload
+    succeeds where it is <= 0."""
+    return (np.minimum(np.asarray(t, dtype=float), params.dwell_time)
+            - analytic.t_min(params, h))[()]
 
 
 def scan_round_lengths(params: SystemParams, h: int,
@@ -103,7 +109,7 @@ def subinterval_probs(params: SystemParams, h, t):
     and the identity
         rate * min(t,t0) * (p1 + p3) + rate * |t - t0| * p2 == lam(h, t).
     """
-    xi_v = xi(params, h, t)
+    xi_v = slack(params, h, t)
     if np.any(xi_v <= 0):
         raise InfeasibleError(
             "sub-interval probabilities undefined: no success window (xi <= 0)")

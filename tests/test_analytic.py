@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import random_feasible_params
-from oracle import subinterval_probs
+from oracle import slack, subinterval_probs
 from roadfl import analytic as an
 from roadfl.types import InfeasibleError, Schedule, SystemParams
 
@@ -41,14 +41,14 @@ class TestPipelineFloor:
 
 class TestSlack:
     def test_reference_point(self, reference_params):
-        assert an.xi(reference_params, 24, 11.8) == pytest.approx(5.0, rel=1e-12)
+        assert slack(reference_params, 24, 11.8) == pytest.approx(5.0, rel=1e-12)
 
     def test_saturates_for_long_rounds(self, reference_params):
-        wide = an.xi(reference_params, 24, 1e9)
+        wide = slack(reference_params, 24, 1e9)
         assert wide == pytest.approx(20.0 - 6.8, rel=1e-12)
 
     def test_boundary_is_zero_not_error(self, reference_params):
-        assert an.xi(reference_params, 90, 25) == pytest.approx(0.0, abs=1e-12)
+        assert slack(reference_params, 90, 25) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPoissonMean:
@@ -171,7 +171,7 @@ class TestSubintervalProbs:
         p = SystemParams(length=400, speed=20, arrival_rate=0.1,
                          tau_down=1, tau_up=1, alpha=0.2, beta=1e-9)
         p1, p2, _ = subinterval_probs(p, 24, 25)
-        xi = an.xi(p, 24, 25)
+        xi = slack(p, 24, 25)
         assert p2 == pytest.approx(1.0, abs=1e-12)
         assert p1 == pytest.approx(xi / 20.0, rel=1e-6)
 
@@ -331,7 +331,7 @@ def test_broadcast_matches_elementwise_bitwise(inputs):
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.array(want).tobytes()
 
-    for fn in (an.xi, an.lambda_param, lambda p, h, t: an.surface(p, h, t)[2], an.g):
+    for fn in (an.lambda_param, lambda p, h, t: an.surface(p, h, t)[2], an.g):
         check(fn, ts_any)
     check(an.dg_dt, ts)
     check(lambda p, h, t: subinterval_probs(p, h, t)[0], ts)

@@ -570,7 +570,7 @@ class TestFlCommand:
         assert cli.main(["fl", "--config", str(BASELINE), "--out", str(tmp_path / "out"),
                          *overrides]) == 0
         assert "n_schedules=12" in (tmp_path / "out" / "correlation.txt").read_text()
-        assert cli._fl_processes(12) == 3
+        assert cli._processes(12) == 3
         assert (tmp_path / "built").read_text() == "task\n"
         # every run shares the task, so none may write to it
         assert not any(values.flags.writeable for values in vars(tasks[0]).values())
@@ -667,13 +667,13 @@ class TestFlProcesses:
             monkeypatch.delenv(var, raising=False)
         if blas is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        assert cli._fl_processes(12) == processes
-        assert cli._fl_processes(3) == min(3, processes)
+        assert cli._processes(12) == processes
+        assert cli._processes(3) == min(3, processes)
         # a value that is not a positive integer defers to the next variable
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        assert cli._fl_processes(12) == (processes if blas in ("1", "2") else 1)
+        assert cli._processes(12) == (processes if blas in ("1", "2") else 1)
         monkeypatch.setenv("GOTO_NUM_THREADS", "2")
-        assert cli._fl_processes(12) == (processes if blas in ("1", "2") else 2)
+        assert cli._processes(12) == (processes if blas in ("1", "2") else 2)
 
     def test_split_balances_work_largest_first(self):
         assert cli._split([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]
@@ -693,9 +693,9 @@ class TestFlProcesses:
     def test_processes_match_one_process(self, tmp_path, monkeypatch, capsys):
         args = [*SMALL_TASK, *DIVERGING_GRID]
         serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
-        assert cli._fl_processes(10) == 1
+        assert cli._processes(10) == 1
         parallel = self.fl(tmp_path, monkeypatch, capsys, 3, args)
-        assert cli._fl_processes(10) == 3
+        assert cli._processes(10) == 3
         assert serial == parallel
         rc, out, err, files = serial
         assert rc == 0 and out.startswith("spearman_rho=")
@@ -714,7 +714,7 @@ class TestFlProcesses:
 
         monkeypatch.setattr(os, "fork", no_fork)
         unforked = self.fl(tmp_path, monkeypatch, capsys, 2, args)
-        assert cli._fl_processes(10) == 2
+        assert cli._processes(10) == 2
         assert unforked == serial
         assert serial[0] == 0 and sorted(serial[3]) == ["correlation.txt", "fl_runs.csv"]
 
@@ -762,7 +762,7 @@ class TestFlProcesses:
         monkeypatch.setattr(flsim, "run_fl", run)
         cfg = cli.parse_config(BASELINE, [arg[2:] for arg in SMALL_TASK])
         schedules = [Schedule(8, 4.0), Schedule(24, 11.8)]
-        assert cli._fl_processes(len(schedules)) == 2
+        assert cli._processes(len(schedules)) == 2
 
         def hung(signum, frame):
             raise TimeoutError("cli.train has not returned after 30 s")
@@ -809,6 +809,149 @@ class TestFlProcesses:
                        timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("spearman_rho=") == 1
+
+
+# about 64,000 expected attempts, which with one process per 2**10 of
+# them run in as many processes as there are CPUs
+VALIDATE_ARGS = ["--sim.num_rounds=20000", "--seed", "5"]
+# the long_section benchmark workload's validate
+LONG_SECTION_VALIDATE = ["system.length_m=2000", "system.speed_mps=5", "system.alpha_s=0.05",
+                         "system.beta_s=0.05", "sim.h=1463", "sim.t_s=83.56",
+                         "sim.num_rounds=100000"]
+
+
+class TestValidateProcesses:
+    def validate(self, tmp_path, monkeypatch, capsys, cpus, args=VALIDATE_ARGS):
+        """validate on cpus mocked CPUs: its exit code, stdout, stderr,
+        files and forks."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(cpus)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        out = tmp_path / str(cpus)
+        rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(out), *args])
+        assert_no_children()
+        monkeypatch.setattr(os, "fork", fork)
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return (rc, captured.out, captured.err, files), len(forks)
+
+    def test_processes_match_one_process(self, tmp_path, monkeypatch, capsys):
+        serial, forks = self.validate(tmp_path, monkeypatch, capsys, 1)
+        assert forks == 0
+        rc, out, err, files = serial
+        assert rc == 0 and out.startswith("lambda=0.909401251 ") and err == ""
+        assert sorted(files) == ["fit_report.csv", "poisson_fit.csv"]
+        for cpus in (2, 3):
+            assert self.validate(tmp_path, monkeypatch, capsys, cpus) == (serial, cpus - 1)
+
+    @pytest.mark.parametrize("overrides,cpus,processes", [
+        ([], 2, 1), ([], 8, 1), (LONG_SECTION_VALIDATE, 2, 2), (LONG_SECTION_VALIDATE, 8, 4)],
+        ids=["reference-2", "reference-8", "long_section-2", "long_section-8"])
+    def test_one_process_per_2_20_expected_attempts(self, monkeypatch, overrides, cpus,
+                                                    processes):
+        # the benchmark's validate workloads, with 318,000 and 4.84M
+        # expected attempts; no fork starts, so every share runs here
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        shares = []
+
+        def simulate(params, sched, cfg, share=0, shares_=1):
+            # one round, of share + 1 successes
+            shares.append((share, shares_))
+            return np.bincount([share + 1])
+
+        monkeypatch.setattr(mcsim, "simulate_rounds", simulate)
+        fit = cli.validate(cli.parse_config(BASELINE, overrides))
+        assert shares == [(share, processes) for share in range(processes)]
+        # the shares' histograms of different lengths are summed
+        assert fit.mean_empirical == (processes + 1) / 2
+
+    def test_failed_fork_runs_its_share_here(self, tmp_path, monkeypatch, capsys):
+        serial, _ = self.validate(tmp_path, monkeypatch, capsys, 1)
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        unforked, _ = self.validate(tmp_path, monkeypatch, capsys, 3)
+        assert unforked == serial
+
+    def test_unusable_cpu_is_ignored(self, tmp_path, monkeypatch, capsys):
+        # a process that may not move to its CPU stays where it is
+        serial, _ = self.validate(tmp_path, monkeypatch, capsys, 1)
+
+        def refused(pid, cpus):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused)
+        assert self.validate(tmp_path, monkeypatch, capsys, 3) == (serial, 2)
+
+    def test_each_process_starts_on_a_cpu_of_its_own(self, tmp_path, monkeypatch, capsys):
+        # the parent moves to the first CPU, each worker to the next, and
+        # each then gets every CPU back; calls are recorded in a file, so
+        # that a forked worker's count as well, and no process moves
+        path = tmp_path / "placed"
+
+        def record(pid, cpus):
+            with open(path, "a") as fh:
+                fh.write(json.dumps([os.getpid(), sorted(cpus)]) + "\n")
+
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        parent = os.getpid()
+        self.validate(tmp_path, monkeypatch, capsys, 3)
+        calls: dict[int, list] = {}
+        for line in path.read_text().splitlines():
+            pid, cpus = json.loads(line)
+            calls.setdefault(pid, []).append(cpus)
+        assert calls.pop(parent) == [[0], [0, 1, 2]]
+        assert sorted(calls.values()) == [[[1], [0, 1, 2]], [[2], [0, 1, 2]]]
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
+        parent, simulate = os.getpid(), mcsim.simulate_rounds
+
+        def run(*args):
+            if os.getpid() != parent:
+                raise ArithmeticError(f"worker {os.getpid()}")
+            return simulate(*args)
+
+        monkeypatch.setattr(mcsim, "simulate_rounds", run)
+        cfg = cli.parse_config(BASELINE, ["sim.num_rounds=20000"])
+        with pytest.raises(ArithmeticError, match="^worker "):
+            cli.validate(cfg)
+        assert_no_children()
+
+    @pytest.mark.parametrize("cap,value,message", [
+        ("MAX_ATTEMPTS", 63_000, "6.36e+04 expected upload attempts, more than 63000"),
+        ("MAX_ARRIVALS", 23_000, "2.36e+04 expected arrivals, more than 23000")])
+    def test_over_cap_exits_1_without_forking(self, tmp_path, monkeypatch, capsys, cap,
+                                              value, message):
+        def must_not_fork():
+            raise AssertionError("forked past a cap")
+
+        monkeypatch.setattr(mcsim, cap, value)
+        monkeypatch.setattr(os, "fork", must_not_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
+        rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(tmp_path / "out"),
+                       *VALIDATE_ARGS])
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def run_into_closed_pipe(args, unbuffered):
@@ -1341,7 +1484,7 @@ def test_runtime_imports_no_scipy(tmp_path):
     _hashlib importable."""
     code = ("import json, os, sys, roadfl.cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "assert roadfl.cli._fl_processes(2) == 2\n"
+            "assert roadfl.cli._processes(2) == 2\n"
             "try:\n"
             "    roadfl.cli.entry()\n"
             "except SystemExit as exit_:\n"
@@ -1425,7 +1568,7 @@ def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):
     must show in its spans."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert cli._fl_processes(8) == 2
+    assert cli._processes(8) == 2
     path = REPO / "perfbench" / "tracer.py"
     tracer = types.ModuleType("tracer")
     tracer.__file__ = str(path)

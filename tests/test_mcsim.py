@@ -322,6 +322,72 @@ class TestSimulateRounds:
         assert streams == []  # nothing drawn, no stream even made
 
 
+def shared(params, sched, cfg, shares):
+    """Each share's histogram, and its blocks, as simulate_rounds and
+    attempt_blocks give them for share of shares."""
+    histograms, blocks = [], []
+    for share in range(shares):
+        histograms.append(mcsim.simulate_rounds(params, sched, cfg, share, shares))
+        blocks.append(list(mcsim.attempt_blocks(
+            params, sched, cfg.num_rounds, substream(cfg.seed, "arrivals"),
+            substream(cfg.seed, "delays"), share, shares)))
+    return histograms, blocks
+
+
+class TestShares:
+    @pytest.mark.parametrize("params,sched,rounds,block_rows", [
+        # the reference schedule, in 4 blocks of about 2,600 rounds
+        (REFERENCE, Schedule(24, 11.8), 10_000, None),
+        # the long_section schedule, in about 120 blocks of 170 rounds
+        (LONG_SECTION, Schedule(1463, 83.56), 20_000, None),
+        # about 3 rows per round and at most 2 per table, as in
+        # test_round_over_a_block_is_split: a round comes as several tables
+        (REFERENCE, Schedule(8, 10.0), 1000, 2),
+        # 2 blocks of about 2,600 rounds, and one block: more shares than blocks
+        (REFERENCE, Schedule(24, 11.8), 5000, None),
+        (REFERENCE, Schedule(24, 11.8), 10, None),
+    ], ids=["reference", "long_section", "round_over_a_block", "two_blocks", "one_block"])
+    def test_shares_add_up_to_the_whole_run(self, monkeypatch, params, sched, rounds,
+                                            block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", block_rows)
+        cfg = SimConfig(seed=31, num_rounds=rounds)
+        (whole,), (whole_blocks,) = shared(params, sched, cfg, 1)
+        assert whole.sum() == rounds and whole.size > 2
+        for shares in (2, 3, 7):
+            histograms, blocks = shared(params, sched, cfg, shares)
+            total = np.zeros(max(h.size for h in histograms), dtype=np.int64)
+            for histogram in histograms:
+                total[:histogram.size] += histogram
+            assert total.dtype == whole.dtype
+            assert total.tobytes() == whole.tobytes()
+            # the shares' blocks are the whole run's, in order, and each
+            # share counts the rounds of its blocks: no round is split
+            built = [block for share in blocks for block in share]
+            assert len(built) == len(whole_blocks)
+            for (begin, end, table), (whole_begin, whole_end, whole_table) in zip(
+                    built, whole_blocks):
+                assert (begin, end) == (whole_begin, whole_end)
+                assert_rows_equal(table, whole_table)
+            for histogram, share in zip(histograms, blocks):
+                assert histogram.sum() == sum(end - begin for begin, end in
+                                              dict.fromkeys(block[:2] for block in share))
+        if rounds == 10:
+            assert len(whole_blocks) == 1
+
+    @pytest.mark.parametrize("rest", range(4))
+    def test_skip_rule_matches_drawing_every_double(self, rest):
+        # attempt_blocks moves a fresh stream past rows delays by
+        # advance(rows // 4) and rows % 4 draws: Philox gives 4 doubles
+        # per counter step
+        for steps in (0, 1, 5, 1000):
+            drawn = substream(31, "delays").random(4 * steps + rest + 9)
+            skipped = substream(31, "delays")
+            skipped.bit_generator.advance(steps)
+            skipped.random(rest)
+            assert skipped.random(9).tobytes() == drawn[4 * steps + rest:].tobytes()
+
+
 @pytest.mark.parametrize("params,sched", [
     # about 3.2 and 48 attempts per round
     (REFERENCE, Schedule(24, 11.8)),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_params
-from oracle import brute_force_argmax, scan_round_lengths
+from oracle import brute_force_argmax, scan_round_lengths, slack
 from roadfl import analytic as an
 from roadfl import optimizer as opt
 from roadfl.types import ConfigError, InfeasibleError, OptimizerConfig, SystemParams
@@ -219,13 +219,13 @@ def test_every_probe_has_positive_slack(reference_params, monkeypatch, case):
     else:
         rng = np.random.default_rng(29)
         cases = [random_feasible_params(rng)[0] for _ in range(5)]
-    dg_dt, slack = an.dg_dt, []
+    dg_dt, slacks = an.dg_dt, []
 
     def checked(params, h, t):
-        slack.append(np.min(an.xi(params, h, t)))
+        slacks.append(np.min(slack(params, h, t)))
         return dg_dt(params, h, t)
 
     monkeypatch.setattr(an, "dg_dt", checked)
     for params in cases:
         opt.optimize_schedule(params, OptimizerConfig())
-    assert len(slack) >= len(cases) and min(slack) > 0
+    assert len(slacks) >= len(cases) and min(slacks) > 0
