@@ -17,11 +17,11 @@ only render what they return, so any caller runs the commands' code.
 validate and fl compute in as many processes as the CPUs hold BLAS
 thread pools (see _processes); validate also uses at most one per
 ATTEMPTS_PER_PROCESS expected attempts, so a small replay stays in one
-process. Every cap is checked first; then _in_processes forks the
-workers, each of which starts on a CPU of its own while the parent moves
-to the first (see _place), runs the parent's share and gathers theirs.
-Every output byte is the one a single process writes. A profile of the
-parent shows only the parent's share.
+process. Every cap is checked first. Then _in_processes moves this
+process to the first allowed CPU, forks the workers, each of which
+starts on a CPU of its own (see _place), runs this process's share and
+gathers theirs. Every output byte is the one a single process writes. A
+profile of the parent shows only the parent's share.
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is

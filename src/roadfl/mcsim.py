@@ -8,7 +8,9 @@ in one round-major attempt table (attempts), built in blocks of rounds
 (attempt_blocks) as the run's arrivals are drawn a chunk at a time, which
 simulate_rounds folds into a histogram of per-round success counts and
 flsim reads for each round's winners. The histogram alone feeds a
-goodness-of-fit report against the analytic Poisson law.
+goodness-of-fit report against the analytic Poisson law. A contiguous
+share of the blocks can be simulated on its own, with the same draws,
+so that several processes can replay one run (see attempt_blocks).
 
 A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
