@@ -1,11 +1,11 @@
 """Independent references for the tests: a brute-force grid search for
-the optimizer, the success slack, one-shot arrival times for the arrival stream, the
-sub-interval success probabilities and pinned-arrival success counts
-that check them, the upload rule applied row by row for the attempt table,
-step-by-step local training for the SGD of one vehicle, a
-value-by-value CSV formatter for the row templates, the t grid's count
-taken with np.arange and the work an fl run is charged. No CLI path
-uses them."""
+the optimizer, the success slack, one-shot arrival times for the
+arrival stream, the sub-interval success probabilities and
+pinned-arrival success counts that check them, the upload rule applied
+row by row for the attempt table, step-by-step local training for the
+SGD of one vehicle, a value-by-value CSV formatter for the row
+templates, the t grid's count taken with np.arange and the work an fl
+run is charged. No CLI path uses them."""
 
 from __future__ import annotations
 
