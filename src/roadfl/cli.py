@@ -96,9 +96,12 @@ INT = "%d"
 FLOAT = "%.9g"
 # the variables OpenBLAS reads its thread count from, first match wins
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# validate adds a process per this many expected attempts. The reference
-# replay, 318,000 attempts in about 0.03 s, took as long in two processes
-# as in one on a 2-vCPU machine, so it stays in one
+# validate adds a process per this many expected attempts. On a 2-vCPU
+# machine the reference replay, 318,000 attempts, was slower in two
+# processes than in one (benchmark validate_s 0.233 against 0.221 s in
+# 10 of 10 pairs), so it stays in one; cold replays of 954,000 and more
+# were faster in two in 7 or 8 of 10 pairs, so the rule, which forks
+# from 2**21, is on the safe side of where they cross
 ATTEMPTS_PER_PROCESS = 2**20
 
 

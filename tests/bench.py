@@ -1,17 +1,17 @@
 """The performance trajectory: the benchmark's end-to-end figures for this
 tree, summarised over several runs, for a BENCH_<n>.json file.
 
-    python tests/bench.py --summary BENCH_31.json [--runs 5] [--seconds 60]
+    python tests/bench.py --summary BENCH_31.json
 
-It runs perfbench/run.py, unchanged, --runs times per workload with
---trace 0 (seeds 1 to --runs), and reads the report each run writes
-under .perfbench_work/reports/. For each end-to-end metric it writes
-every run's value and their median and quartiles, and with them the
-runs, the seeds, the commit and source hash the reports name, and the
-OpenBLAS core that runs numpy's BLAS kernels on this machine, as
-OPENBLAS_VERBOSE=2 prints it (the reports name only the build's base
-target). A run takes about --seconds plus 10 s, so the default takes
-about 12 minutes. Run it from anywhere; it runs the benchmark from the
+It runs perfbench/run.py, unchanged, RUNS times per workload with
+--trace 0 and --seconds SECONDS (seeds 1 to RUNS), and reads the
+report each run writes under .perfbench_work/reports/. For each
+end-to-end metric it writes every run's value and their median and
+quartiles, and with them the runs, the seeds, the commit and source
+hash the reports name, and the OpenBLAS core that runs numpy's BLAS
+kernels on this machine, as OPENBLAS_VERBOSE=2 prints it (the reports
+name only the build's base target). A run takes about SECONDS plus
+10 s, so the script takes about 12 minutes. Run it from anywhere; it runs the benchmark from the
 repository root. pytest does not collect it.
 """
 
@@ -29,6 +29,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 REPORTS = REPO / ".perfbench_work" / "reports"
 WORKLOADS = ("reference", "long_section")
+# every BENCH_<n>.json holds this many runs per workload, each this long,
+# so that any two of them compare
+RUNS = 5
+SECONDS = 60.0
 
 
 def openblas_core() -> str | None:
@@ -39,10 +43,10 @@ def openblas_core() -> str | None:
     return found.group(1) if found else None
 
 
-def run(workload: str, seed: int, seconds: float) -> dict:
+def run(workload: str, seed: int) -> dict:
     """One benchmark run's report; a run that fails ends the script."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=REPO, capture_output=True, text=True)
     last = json.loads(proc.stdout.splitlines()[-1]) if proc.stdout else {}
     if proc.returncode != 0 or last.get("correct") is not True or last.get("failed") != 0:
@@ -59,17 +63,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--summary", required=True, type=Path,
                         help="the JSON file to write, e.g. BENCH_31.json")
-    parser.add_argument("--runs", type=int, default=5, help="runs per workload, at least 5")
-    parser.add_argument("--seconds", type=float, default=60.0,
-                        help="the --seconds of each run")
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
 
-    seeds = list(range(1, args.runs + 1))
+    seeds = list(range(1, RUNS + 1))
     workloads, environments = {}, set()
     for workload in WORKLOADS:
-        reports = [run(workload, seed, args.seconds) for seed in seeds]
+        reports = [run(workload, seed) for seed in seeds]
         for report in reports:
             env = report["environment"]
             environments.add((env["git_commit"], env["source_sha256"]))
@@ -83,7 +82,7 @@ def main(argv=None) -> int:
     (commit, source), = environments
     env = reports[0]["environment"]
     result = {
-        "runs": args.runs, "seeds": seeds, "seconds": args.seconds,
+        "runs": RUNS, "seeds": seeds, "seconds": SECONDS,
         "git_commit": commit, "source_sha256": source,
         "openblas_core": openblas_core(),
         "nproc": env["nproc"], "python": env["python"], "numpy": env["numpy"],
