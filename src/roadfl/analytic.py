@@ -40,7 +40,7 @@ import numpy as np
 from .types import InfeasibleError, SystemParams
 
 __all__ = [
-    "t_min", "lambda_param", "surface", "g", "dg_dt", "c0_c1", "t_max",
+    "t_min", "lambda_param", "surface", "g", "dg_dt", "t_max",
 ]
 
 

@@ -17,7 +17,8 @@ only render what they return, so any caller runs the commands' code.
 validate and fl compute in as many processes as the CPUs hold BLAS
 thread pools (see _processes); validate also uses at most one per
 ATTEMPTS_PER_PROCESS expected attempts, so a small replay stays in one
-process. Every cap is checked first. Then _in_processes moves this
+process. Every cap is checked first, the attempt and arrival caps of
+both commands by mcsim.check_runs, once. Then _in_processes moves this
 process to the first allowed CPU, forks the workers, each of which
 starts on a CPU of its own (see _place), runs this process's share and
 gathers theirs. Every output byte is the one a single process writes. A
@@ -373,7 +374,7 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 
 def validate(cfg: ExperimentConfig) -> PoissonFit:
     """The Poisson fit of cfg.schedule's simulated rounds, which validate
-    renders. The fit's row cap and mcsim.check_rounds' caps are checked
+    renders. The fit's row cap and mcsim.check_runs' caps are checked
     first; then the rounds' attempt blocks are split into _processes
     contiguous shares, at most one per ATTEMPTS_PER_PROCESS expected
     attempts, which _in_processes simulates and whose histograms add up
@@ -387,7 +388,7 @@ def validate(cfg: ExperimentConfig) -> PoissonFit:
     if rows > MAX_ROWS:
         raise ConfigError(f"the Poisson fit of lambda={lam:.3g} needs {rows:.3g} "
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
-    attempts = mcsim.check_rounds(cfg.system, cfg.schedule, cfg.sim)
+    attempts = mcsim.check_runs(cfg.system, [(cfg.schedule, cfg.sim.num_rounds)])
     n = _processes(max(1, int(attempts // ATTEMPTS_PER_PROCESS)))
     histograms = _in_processes([
         functools.partial(mcsim.simulate_rounds, cfg.system, cfg.schedule, cfg.sim, share, n)

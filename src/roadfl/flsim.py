@@ -28,13 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import analytic
-from .mcsim import (
-    MAX_ARRIVALS,
-    MAX_ATTEMPTS,
-    attempt_blocks,
-    expected_arrivals,
-    expected_attempts,
-)
+from .mcsim import attempt_blocks, check_runs
 # unused here: delays are drawn in mcsim.attempts, but perfbench/tracer.py
 # patches this attribute when it installs, so the import stays
 from .mcsim import sample_computing_delay  # noqa: F401
@@ -49,8 +43,8 @@ from .types import (
 )
 
 __all__ = [
-    "LinearTask", "generate_task", "mse_loss", "mse_gradient", "local_sgd",
-    "aggregate", "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
+    "LinearTask", "generate_task", "mse_loss", "local_sgd", "aggregate",
+    "RunPlan", "plan_runs", "run_fl", "proxy_correlation",
 ]
 
 # generate_task draws the task's features this many values at a time
@@ -196,25 +190,19 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
     """The runs of schedules up to the horizon and their winners, with each
     cap of an fl command checked once and before any data is drawn.
 
-    A run without a round or of more than MAX_ARRIVALS expected arrivals,
-    or more than MAX_ROWS fl_runs.csv rows or MAX_ATTEMPTS expected upload
-    attempts over all the runs, is a ConfigError raised before
-    any plan. A run's work charges its wins and its rounds_valid + 1 loss
-    evaluations; the running total over the runs is checked against
-    MAX_SGD_WORK after each attempt-table block, so the winners held pass
-    the cap by at most one block's.
+    A run without a round, more than MAX_ROWS fl_runs.csv rows over all
+    the runs, then mcsim.check_runs' caps on their attempts and arrivals,
+    are ConfigErrors raised before any plan. A run's work charges its wins
+    and its rounds_valid + 1 loss evaluations; the running total over the
+    runs is checked against MAX_SGD_WORK after each attempt-table block,
+    so the winners held pass the cap by at most one block's.
     """
     # min keeps the floor finite; a run that reaches it fails the row cap
     rounds = [math.floor(min(cfg.horizon / s.t, MAX_ROWS)) for s in schedules]
     _require(min(rounds) >= 1, "training horizon is shorter than a single round")
     _require(sum(rounds) + len(rounds) <= MAX_ROWS,
              f"the schedules need more than {MAX_ROWS} fl_runs.csv rows")
-    attempts = sum(expected_attempts(params, s.t, k) for s, k in zip(schedules, rounds))
-    _require(attempts <= MAX_ATTEMPTS, f"the schedules need {attempts:.3g} expected "
-             f"upload attempts, more than {MAX_ATTEMPTS}")
-    most = max(expected_arrivals(params, k * s.t) for s, k in zip(schedules, rounds))
-    _require(most <= MAX_ARRIVALS, f"a schedule needs {most:.3g} expected arrivals, "
-             f"more than {MAX_ARRIVALS}")
+    check_runs(params, list(zip(schedules, rounds)))
     eval_work = cfg.validation_size * ((cfg.feature_dim + 1) // 2 + EVAL_ROW_WORK)
     plans, total = [], 0
     for sched, rounds_total in zip(schedules, rounds):

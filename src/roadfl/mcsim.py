@@ -11,6 +11,8 @@ flsim reads for each round's winners. The histogram alone feeds a
 goodness-of-fit report against the analytic Poisson law. A contiguous
 share of the blocks can be simulated on its own, with the same draws,
 so that several processes can replay one run (see attempt_blocks).
+check_runs holds the caps on a run's expected attempts and arrivals;
+validate and fl call it once, before anything is drawn.
 
 A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +35,8 @@ from .rng import substream
 from .types import Schedule, SimConfig, SystemParams, _require
 
 __all__ = [
-    "PoissonFit", "Attempts", "sample_computing_delay",
-    "expected_arrivals", "expected_attempts", "attempts", "attempt_blocks",
-    "check_rounds", "simulate_rounds", "poisson_rows", "compare_to_poisson",
+    "PoissonFit", "sample_computing_delay", "attempt_blocks", "check_runs",
+    "simulate_rounds", "poisson_rows", "compare_to_poisson",
 ]
 
 # expected rows per attempt-table block in attempt_blocks, and the most
@@ -193,7 +194,8 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
     arrival's index in the run. One window array holds the block's
     participants and the rest of the last chunk drawn, and the chunks a
     block reads are appended in one concatenation, so a round bigger
-    than a block is copied once. The caller checks MAX_ARRIVALS.
+    than a block is copied once. The caller checks the run's caps with
+    check_runs.
 
     Only the share-th of shares contiguous runs of blocks, as equal in
     count as they divide, is built; so no round is split between shares.
@@ -239,16 +241,16 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
             yield begin, end, table
 
 
-def check_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig) -> float:
-    """The expected attempts of simulate_rounds' run. More than
-    MAX_ATTEMPTS of them, then more than MAX_ARRIVALS expected arrivals,
-    is a ConfigError."""
-    rows = expected_attempts(params, sched.t, cfg.num_rounds)
+def check_runs(params: SystemParams, runs: Sequence[tuple[Schedule, int]]) -> float:
+    """The summed expected upload attempts of runs, each a schedule and
+    its round count. More than MAX_ATTEMPTS of them, then a run of more
+    than MAX_ARRIVALS expected arrivals, is a ConfigError."""
+    rows = sum(expected_attempts(params, s.t, k) for s, k in runs)
     _require(rows <= MAX_ATTEMPTS,
              f"{rows:.3g} expected upload attempts, more than {MAX_ATTEMPTS}")
-    expected = expected_arrivals(params, cfg.num_rounds * sched.t)
-    _require(expected <= MAX_ARRIVALS,
-             f"{expected:.3g} expected arrivals, more than {MAX_ARRIVALS}")
+    most = max(expected_arrivals(params, k * s.t) for s, k in runs)
+    _require(most <= MAX_ARRIVALS,
+             f"{most:.3g} expected arrivals, more than {MAX_ARRIVALS}")
     return rows
 
 
@@ -263,10 +265,9 @@ def simulate_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig,
     same law as any later round's. With shares > 1, only the rounds of
     the share-th of shares runs of blocks are counted (see
     attempt_blocks): the histograms of shares 0 to shares - 1 sum to the
-    whole run's, once each is padded to the longest. check_rounds'
-    ConfigError is raised before any stream is made.
+    whole run's, once each is padded to the longest. The caller checks
+    the run's caps first, with check_runs.
     """
-    check_rounds(params, sched, cfg)
     histogram = np.zeros(1, dtype=np.int64)
     blocks = attempt_blocks(params, sched, cfg.num_rounds, substream(cfg.seed, "arrivals"),
                             substream(cfg.seed, "delays"), share, shares)

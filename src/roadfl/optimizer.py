@@ -20,8 +20,7 @@ from . import analytic
 from .types import ConfigError, InfeasibleError, OptimizerConfig, SystemParams, _require
 
 __all__ = [
-    "OptimizationResult", "h_max",
-    "optimize_round_lengths", "optimize_schedule",
+    "OptimizationResult", "optimize_round_lengths", "optimize_schedule",
 ]
 
 # optimize_schedule holds one bisection lane per h = 1 .. h_max, so its

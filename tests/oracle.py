@@ -1,6 +1,7 @@
 """Independent references for the tests: a brute-force grid search for
 the optimizer, the success slack, one-shot arrival times for the
-arrival stream, the sub-interval success probabilities and
+arrival stream, the success probability given the arrival instant,
+the sub-interval success probabilities and
 pinned-arrival success counts that check them, the upload rule applied
 row by row for the attempt table, step-by-step local training for the
 SGD of one vehicle, a value-by-value CSV formatter for the row
@@ -88,6 +89,17 @@ def arrival_times(params: SystemParams, horizon: float,
     times = np.cumsum(gaps) - params.dwell_time
     assert times[-1] >= horizon, "the one-shot draw fell short of the horizon"
     return times[times < horizon]
+
+
+def success_given_arrival(params: SystemParams, h: int, t: float, z) -> np.ndarray:
+    """P(a round-0 upload arrives in time | the vehicle arrives at z), for
+    an array of z: the shifted-exponential delay CDF at the budget
+    min(z + t0, t) - max(z, 0) - tau_down - tau_up, which is 0 outside
+    the participation window (-t0, t). Round k's is this at z - k*t, and
+    lam(h, t) is rate times its integral over z."""
+    budget = (np.minimum(np.asarray(z, dtype=float) + params.dwell_time, t)
+              - np.maximum(z, 0.0) - params.tau_down - params.tau_up - params.alpha * h)
+    return -np.expm1(-np.maximum(budget, 0.0) / (params.beta * h))
 
 
 def subinterval_probs(params: SystemParams, h, t):

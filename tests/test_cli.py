@@ -940,18 +940,30 @@ class TestValidateProcesses:
         ("MAX_ARRIVALS", 23_000, "2.36e+04 expected arrivals, more than 23000")])
     def test_over_cap_exits_1_without_forking(self, tmp_path, monkeypatch, capsys, cap,
                                               value, message):
+        """A cap patched on mcsim alone stops validate and fl with the same
+        line, before any stream is made or any worker forked, though both
+        would compute in several processes. fl's two runs of 4,100 rounds
+        of 57.56 s have 63,598 expected attempts, and 23,602 expected
+        arrivals each, to validate's 63,600 and 23,602."""
         def must_not_fork():
             raise AssertionError("forked past a cap")
 
+        streams = []
+        for module in (mcsim, flsim):
+            monkeypatch.setattr(module, "substream", lambda *tags: streams.append(tags))
         monkeypatch.setattr(mcsim, cap, value)
         monkeypatch.setattr(os, "fork", must_not_fork)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
-        rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(tmp_path / "out"),
-                       *VALIDATE_ARGS])
-        assert rc == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        for args in (["validate", *VALIDATE_ARGS],
+                     ["fl", "--fl.horizon_s=236005", "--schedules", "24:57.56,8:57.56"]):
+            out = tmp_path / args[0]
+            rc = cli.main([*args, "--config", str(BASELINE), "--out", str(out)])
+            assert rc == 1
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+            assert not out.exists()
+        assert streams == []
 
 
 def run_into_closed_pipe(args, unbuffered):
@@ -1563,9 +1575,10 @@ def test_front_end_loads_no_numpy(tmp_path):
 def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):
     """perfbench's --trace 1 wraps the public functions of five modules and
     patches flsim's sample_computing_delay binding; a name it needs that
-    goes missing fails here before it fails a benchmark run. fl trains in
-    two processes, as in the benchmark's runs, and the parent's share
-    must show in its spans."""
+    goes missing fails here before it fails a benchmark run. Each command
+    records every span that the tracer's layer_metrics reads of it. fl
+    trains in two processes, as in the benchmark's runs, and the parent's
+    share must show in its spans."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert cli._processes(8) == 2
@@ -1575,18 +1588,30 @@ def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):
     exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
     from roadfl import analytic, flsim, mcsim, optimizer
     rec = tracer.Recorder()
+    commands = {
+        "optimize": [],
+        "validate": ["--sim.num_rounds=2000"],
+        "sweep": ["--h-list", "8,24", "--t-grid", "7:12:1"],
+        "fl": ["--fl.horizon_s=60", "--fl.feature_dim=8", "--fl.global_pool_size=256",
+               "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
+               "--fl.batch_size=32",
+               "--schedules", "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18"]}
     undo = tracer.install(rec, {"cli": cli, "analytic": analytic, "optimizer": optimizer,
                                 "mcsim": mcsim, "flsim": flsim})
     try:
-        base = ["--config", str(BASELINE), "--out", str(tmp_path)]
-        assert cli.main(["optimize", *base]) == 0
-        assert cli.main(["fl", *base, "--fl.horizon_s=60", "--fl.feature_dim=8",
-                         "--fl.global_pool_size=256", "--fl.validation_size=64",
-                         "--fl.samples_per_vehicle=128", "--fl.batch_size=32",
-                         "--schedules", "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18"]) == 0
+        for run_id, (command, args) in enumerate(commands.items()):
+            rec.run_id = run_id
+            assert cli.main([command, "--config", str(BASELINE), "--out", str(tmp_path),
+                             *args]) == 0
     finally:
         for module, attr, original in undo:
             setattr(module, attr, original)
-    recorded = {rec.names[i] for i in rec.name}
-    assert {"optimizer.optimize_schedule", "flsim.run_fl", "flsim.local_sgd",
-            "mcsim.sample_computing_delay"} <= recorded
+    recorded = {(list(commands)[run], rec.names[i]) for i, run in zip(rec.name, rec.run)}
+    layers = {(command, name.split(".")[0]) for command, name in recorded}
+    assert {("optimize", "analytic"), ("sweep", "analytic")} <= layers
+    assert {("sweep", "cli.cmd_sweep"), ("optimize", "optimizer.optimize_schedule"),
+            *(("validate", f"mcsim.{name}") for name in
+              ("simulate_rounds", "sample_computing_delay", "compare_to_poisson")),
+            *(("fl", f"flsim.{name}") for name in
+              ("run_fl", "local_sgd", "aggregate", "mse_loss", "generate_task",
+               "proxy_correlation"))} <= recorded

@@ -1,16 +1,22 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import random_feasible_params
 from oracle import (arrival_times, subinterval_probs, subinterval_success_counts,
-                    upload_rule_rows)
+                    success_given_arrival, upload_rule_rows)
 from roadfl import analytic as an
-from roadfl import mcsim
+from roadfl import cli, mcsim
 from roadfl.rng import substream
 from roadfl.types import MAX_ROUNDS, ConfigError, Schedule, SimConfig, SystemParams
+
+BASELINE = Path(__file__).resolve().parents[1] / "baseline.cfg"
+# the config overrides of Schedule(8, 10.0) for validate
+SCHEDULE_8_10 = ["sim.h=8", "sim.t_s=10"]
 
 
 def test_sim_config_validation():
@@ -93,18 +99,23 @@ class TestArrivals:
         sched = Schedule(8, 10.0)
         monkeypatch.setattr(mcsim, "MAX_ARRIVALS", 100)
         assert mcsim.expected_arrivals(reference_params, 98 * sched.t) == 100.0
+        assert mcsim.check_runs(reference_params, [(sched, 98)]) == pytest.approx(294)
         histogram = mcsim.simulate_rounds(reference_params, sched,
                                           SimConfig(seed=4, num_rounds=98))
         assert histogram.sum() == 98
+        # the largest run's arrivals count, not their sum
+        assert mcsim.check_runs(reference_params, [(sched, 98)] * 3) == pytest.approx(882)
+        with pytest.raises(ConfigError, match="^101 expected arrivals, more than 100$"):
+            mcsim.check_runs(reference_params, [(sched, 98), (sched, 99)])
         streams = []
         monkeypatch.setattr(mcsim, "substream", lambda *tags: streams.append(tags))
         with pytest.raises(ConfigError, match="^101 expected arrivals, more than 100$"):
-            mcsim.simulate_rounds(reference_params, sched, SimConfig(seed=4, num_rounds=99))
+            cli.validate(cli.parse_config(BASELINE, [*SCHEDULE_8_10, "sim.num_rounds=99"]))
+        assert streams == []  # nothing drawn, no stream even made
         # the attempt cap is checked first
         monkeypatch.setattr(mcsim, "MAX_ATTEMPTS", 100)
-        with pytest.raises(ConfigError, match="expected upload attempts"):
-            mcsim.simulate_rounds(reference_params, sched, SimConfig(seed=4, num_rounds=99))
-        assert streams == []  # nothing drawn, no stream even made
+        with pytest.raises(ConfigError, match="^297 expected upload attempts, more than 100$"):
+            mcsim.check_runs(reference_params, [(sched, 99)])
 
     def test_count_confidence_interval(self, reference_params):
         horizon = 1e5
@@ -311,14 +322,18 @@ class TestSimulateRounds:
         # expected rows are num_rounds * rate * (t + t0) = num_rounds * 0.1 * (10 + 20)
         sched = Schedule(8, 10.0)
         monkeypatch.setattr(mcsim, "MAX_ATTEMPTS", 301)
+        assert mcsim.check_runs(reference_params, [(sched, 100)]) == pytest.approx(300)
+        # the attempts of all the runs count
+        with pytest.raises(ConfigError, match="^303 expected upload attempts, more than 301$"):
+            mcsim.check_runs(reference_params, [(sched, 50), (sched, 51)])
+        # the caller checks: simulate_rounds makes no check of its own
         histogram = mcsim.simulate_rounds(reference_params, sched,
-                                          SimConfig(seed=4, num_rounds=100))
-        assert histogram.sum() == 100
+                                          SimConfig(seed=4, num_rounds=101))
+        assert histogram.sum() == 101
         streams = []
         monkeypatch.setattr(mcsim, "substream", lambda *tags: streams.append(tags))
-        with pytest.raises(ConfigError, match="expected upload attempts"):
-            mcsim.simulate_rounds(reference_params, sched,
-                                  SimConfig(seed=4, num_rounds=101))
+        with pytest.raises(ConfigError, match="^303 expected upload attempts, more than 301$"):
+            cli.validate(cli.parse_config(BASELINE, [*SCHEDULE_8_10, "sim.num_rounds=101"]))
         assert streams == []  # nothing drawn, no stream even made
 
 
@@ -433,6 +448,55 @@ def test_attempts_follow_the_upload_rule(params, sched, monkeypatch):
     blocks = [table for _, _, table in mcsim.attempt_blocks(
         params, sched, rounds, substream(31, "arrivals"), substream(31, "delays"))]
     assert_rows_equal([np.concatenate(column) for column in zip(*blocks)], rows)
+
+
+def lag_covariances(params, sched, lags):
+    """Cov(m_k, m_k+d) of the success counts of rounds d apart, for each
+    lag d: rate times the integral over the arrival instant z of both
+    rounds' success probabilities given z, since a vehicle draws a fresh
+    delay in each round (trapezoid rule, 20,001 points)."""
+    z = np.linspace(-params.dwell_time, sched.t, 20_001)
+    p0 = success_given_arrival(params, sched.h, sched.t, z)
+    return np.array([params.arrival_rate * np.trapezoid(
+        p0 * success_given_arrival(params, sched.h, sched.t, z - d * sched.t), z)
+        for d in lags])
+
+
+def test_replay_matches_lambda_over_random_environments():
+    """On 40 environments of random_feasible_params, each with a random h
+    and, in turn, a round length below t0 and one above, simulate_rounds
+    over min(20,000, 3e6 / attempts per round) rounds gives a mean
+    success count within 4.5 standard deviations of lam, and a share of
+    rounds with a success within 4.5 of 1 - exp(-lam).
+
+    A vehicle takes part in about (t + t0) / t consecutive rounds,
+    so the counts of rounds d apart covary by C(d) (lag_covariances),
+    which raised the variance of the mean up to 2-fold here. With K
+    rounds, the success total has variance K lam + 2 sum (K - d) C(d),
+    and the rounds without a success K p0 (1 - p0) + 2 sum (K - d)
+    p0**2 expm1(C(d)), p0 = exp(-lam), since both rounds are empty with
+    probability exp(-2 lam + C(d)).
+    """
+    rng = np.random.default_rng(9)
+    for i in range(40):
+        params, hm = random_feasible_params(rng)
+        t0 = params.dwell_time
+        h = int(rng.integers(1, hm + 1))
+        tmin = float(an.t_min(params, h))
+        t = float(rng.uniform(tmin, t0) if i % 2 == 0 else rng.uniform(t0, 3 * t0))
+        sched = Schedule(h, t)
+        rounds = int(min(20_000, 3e6 / mcsim.expected_attempts(params, t, 1)))
+        histogram = mcsim.simulate_rounds(params, sched, SimConfig(seed=i, num_rounds=rounds))
+        lam = float(an.lambda_param(params, h, t))
+        p0 = math.exp(-lam)
+        lags = np.arange(1, min(rounds, math.floor((t + t0) / t) + 2))
+        cov = lag_covariances(params, sched, lags)
+        pairs = 2 * (rounds - lags)
+        total = int(np.arange(histogram.size) @ histogram)
+        assert abs(total - rounds * lam) <= 4.5 * math.sqrt(rounds * lam + pairs @ cov), i
+        empty = int(histogram[0])
+        assert abs(empty - rounds * p0) <= 4.5 * math.sqrt(
+            rounds * p0 * (1 - p0) + pairs @ (p0 * p0 * np.expm1(cov))), i
 
 
 # Poisson means checked against scipy.stats.poisson, from nearly empty
