@@ -612,7 +612,7 @@ def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:
     completed = [(sched, losses.min()) for sched, losses in zip(schedules, outcomes)
                  if not isinstance(losses, DivergenceError)]
 
-    grid_desc = ",".join(f"{s.h}:{s.t:.9g}" for s in schedules)
+    grid_desc = ",".join(map(str, schedules))
     if len(completed) >= 8:
         rho = flsim.proxy_correlation(*zip(*completed), cfg.system)
         if math.isnan(rho):

@@ -35,6 +35,7 @@ from .mcsim import sample_computing_delay  # noqa: F401
 from .rng import substream
 from .types import (
     MAX_ROWS,
+    MAX_SGD_WORK,
     DivergenceError,
     FLConfig,
     Schedule,
@@ -53,13 +54,11 @@ TASK_CHUNK_VALUES = 2**15
 # as DATA_DRAW_WORK multiply-adds plus DATA_VALUE_WORK per value, then trains
 # h steps of batch_size x (feature_dim + 1) multiply-adds and a batch draw,
 # charged BATCH_DRAW_WORK;
-# a loss evaluation, half a multiply-add per value plus EVAL_ROW_WORK per row.
-# MAX_SGD_WORK caps all of an fl command's runs (README's caps list has timings)
+# a loss evaluation, half a multiply-add per value plus EVAL_ROW_WORK per row
 BATCH_DRAW_WORK = 2**13
 DATA_DRAW_WORK = 2**15
 DATA_VALUE_WORK = 2**5
 EVAL_ROW_WORK = 2**2
-MAX_SGD_WORK = 2**31
 
 
 @dataclass(frozen=True)
@@ -180,11 +179,6 @@ class RunPlan(NamedTuple):
     work: int
 
 
-def _run_stream(cfg: FLConfig, name: str, sched: Schedule, *tags) -> np.random.Generator:
-    """The stream of one run's name draws, tagged with its schedule, then tags."""
-    return substream(cfg.seed, name, f"{sched.h}:{sched.t:.9g}", *tags)
-
-
 def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
               cfg: FLConfig) -> list[RunPlan]:
     """The runs of schedules up to the horizon and their winners, with each
@@ -212,9 +206,7 @@ def plan_runs(params: SystemParams, schedules: Sequence[Schedule],
         # keep only each block's successful rows, so memory follows the winners
         won_round, won = [], []
         work, last = eval_work, -1
-        for _, _, table in attempt_blocks(params, sched, rounds_total,
-                                          _run_stream(cfg, "arrivals", sched),
-                                          _run_stream(cfg, "delays", sched)):
+        for _, _, table in attempt_blocks(params, sched, rounds_total, cfg.seed, str(sched)):
             won_round.append(table.round[table.success])
             won.append(table.vehicle[table.success])
             # a round with winners is evaluated once, though it may span blocks
@@ -261,13 +253,13 @@ def run_fl(plan: RunPlan, task: LinearTask, cfg: FLConfig) -> np.ndarray:
                 continue
             models = []
             for m in round_winners.tolist():
-                data = _run_stream(cfg, "data", sched, m)
+                data = substream(cfg.seed, "data", str(sched), m)
                 rows = data.choice(cfg.global_pool_size, cfg.samples_per_vehicle,
                                    replace=False)
                 shift = None if cfg.vehicle_shift_std == 0 else \
                     cfg.vehicle_shift_std * data.standard_normal(cfg.feature_dim)
                 models.append(local_sgd(w, task.x_pool, task.y_pool, rows, shift, sched.h,
-                                        cfg, _run_stream(cfg, "sgd", sched, k, m)))
+                                        cfg, substream(cfg.seed, "sgd", str(sched), k, m)))
             w = aggregate(models)
             losses.append(mse_loss(w, task.x_val, task.y_val))
     return np.asarray(losses)

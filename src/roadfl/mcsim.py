@@ -18,8 +18,9 @@ A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
 newly distributed global model, so its computing delay is redrawn.
 
-Sampling is inverse-CDF from Philox uniforms throughout (see rng.py),
-which keeps every run reproducible from (seed, purpose tag) alone.
+Sampling is inverse-CDF from Philox uniforms throughout (see rng.py).
+attempt_blocks opens a run's arrivals and delays streams from the seed
+and tags its caller passes, so every run replays from those alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .rng import substream
-from .types import Schedule, SimConfig, SystemParams, _require
+from .types import MAX_ARRIVALS, MAX_ATTEMPTS, Schedule, SimConfig, SystemParams, _require
 
 __all__ = [
     "PoissonFit", "sample_computing_delay", "attempt_blocks", "check_runs",
@@ -46,16 +47,6 @@ __all__ = [
 # when a round has more rows. Any value gives the same bytes, since
 # delays and arrival gaps are drawn sequentially
 ATTEMPTS_PER_BLOCK = 2 ** 13
-
-# caps the expected arrivals of a run; it bounds memory as well as time, since
-# attempt_blocks holds all of a round's participants at once (a one-round
-# validate expecting 1.1e7 arrivals peaked at 202 MiB RSS)
-MAX_ARRIVALS = 2 ** 25
-
-# attempt_blocks draws a delay for every (vehicle, round) attempt; this caps
-# the expected attempts of validate and of a whole fl command (about 5 s at
-# the 26M attempts/s a 4e7-attempt fl plan ran at on a shared 2-vCPU machine)
-MAX_ATTEMPTS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -179,40 +170,40 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
     return Attempts(vehicle, rnd, completion <= deadline)
 
 
-def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
-                   arrival_rng: np.random.Generator, delay_rng: np.random.Generator,
+def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int, seed: int, *tags,
                    share: int = 0, shares: int = 1) -> Iterator[tuple[int, int, Attempts]]:
     """The attempt table of rounds 0 <= k < k_end, in consecutive blocks
-    of rounds holding about ATTEMPTS_PER_BLOCK rows each.
+    of rounds holding about ATTEMPTS_PER_BLOCK rows each, drawn from the
+    run's arrivals and delays streams, each keyed by seed, its name, tags.
 
     The run's arrivals on (-t0, k_end*t), from a dwell time before round
-    0 so that its participants are complete, are drawn from arrival_rng
-    as the blocks reach them. Yields (block begin, block end, table of
-    that block), drawing delays as one table over all the rounds would; a
-    round of more rows comes as several tables of at most
-    ATTEMPTS_PER_BLOCK rows, with its bounds. A table's vehicle is the
-    arrival's index in the run. One window array holds the block's
-    participants and the rest of the last chunk drawn, and the chunks a
-    block reads are appended in one concatenation, so a round bigger
-    than a block is copied once. The caller checks the run's caps with
-    check_runs.
+    0 so that its participants are complete, are drawn as the blocks
+    reach them. Yields (block begin, block end, table of that block),
+    drawing delays as one table over all the rounds would; a round of
+    more rows comes as several tables of at most ATTEMPTS_PER_BLOCK
+    rows, with its bounds. A table's vehicle is the arrival's index in
+    the run. One window array holds the block's participants and the
+    rest of the last chunk drawn, and the chunks a block reads are
+    appended in one concatenation, so a round bigger than a block is
+    copied once. The caller checks the run's caps with check_runs.
 
     Only the share-th of shares contiguous runs of blocks, as equal in
     count as they divide, is built; so no round is split between shares.
     Arrivals are drawn up to its last block. The rows of the blocks
-    before its first are counted, not built, and delay_rng, which must
-    be fresh when share > 0, skips their delays: Philox gives four
-    doubles per counter step, so advance(rows // 4) and then rows % 4
-    draws leave it where the whole table's delays would. Each table is
-    then the one the whole run yields.
+    before its first are counted, not built, and the delay stream skips
+    their delays: Philox gives four doubles per counter step, so
+    advance(rows // 4) and then rows % 4 draws leave it where the whole
+    table's delays would. Each table is then the one the whole run
+    yields.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
     blocks = range(0, k_end, block)
     first_built = len(blocks) * share // shares * block  # the share's first round
-    chunks = _arrivals(params, k_end * t, arrival_rng)
+    chunks = _arrivals(params, k_end * t, substream(seed, "arrivals", *tags))
+    delay_rng = substream(seed, "delays", *tags)
     window, offset, newest = np.empty(0), 0, -math.inf  # offset: stream index of window[0]
-    skipped = 0  # rows of the blocks before this share's, not yet skipped
+    skipped = 0  # rows of the blocks before this share's
     for begin in blocks[:len(blocks) * (share + 1) // shares]:
         end = min(begin + block, k_end)
         # the block's participants, arrivals in (begin*t - t0, end*t): read
@@ -230,10 +221,9 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int,
         if begin < first_built:
             skipped += int(_participants(params, sched, part, np.arange(begin, end))[3].sum())
             continue
-        if skipped:
+        if begin == first_built:  # the share's first block: skip the rows before it
             delay_rng.bit_generator.advance(skipped // 4)
             delay_rng.random(skipped % 4)
-            skipped = 0
         step = ATTEMPTS_PER_BLOCK if end - begin == 1 else max(part.size, 1)
         for i in range(0, max(part.size, 1), step):
             table = attempts(params, sched, part[i:i + step], begin, end, delay_rng)
@@ -259,18 +249,17 @@ def simulate_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig,
     """Simulate rounds 0 <= k < num_rounds; return the success histogram.
 
     histogram[k] is the number of rounds with exactly k successes, as
-    int64. The attempt table is built and counted block by block (see
-    attempt_blocks). Round 0 needs no warm-up: arrivals start a dwell
-    time before it (see attempt_blocks), so its participants follow the
-    same law as any later round's. With shares > 1, only the rounds of
-    the share-th of shares runs of blocks are counted (see
-    attempt_blocks): the histograms of shares 0 to shares - 1 sum to the
+    int64, counted block by block from attempt_blocks on the streams of
+    cfg.seed. Round 0 needs no warm-up: arrivals start a dwell time
+    before it, so its participants follow the same law as any later
+    round's. With shares > 1, only the share-th of shares runs of blocks
+    is counted: the histograms of shares 0 to shares - 1 sum to the
     whole run's, once each is padded to the longest. The caller checks
     the run's caps first, with check_runs.
     """
     histogram = np.zeros(1, dtype=np.int64)
-    blocks = attempt_blocks(params, sched, cfg.num_rounds, substream(cfg.seed, "arrivals"),
-                            substream(cfg.seed, "delays"), share, shares)
+    blocks = attempt_blocks(params, sched, cfg.num_rounds, cfg.seed, share=share,
+                            shares=shares)
     # a round split over several tables is counted once, over all of them
     for (k_begin, k_end), tables in itertools.groupby(blocks, key=lambda b: b[:2]):
         m_suc = np.zeros(k_end - k_begin, dtype=np.int64)

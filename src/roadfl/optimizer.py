@@ -17,16 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .types import ConfigError, InfeasibleError, OptimizerConfig, SystemParams, _require
+from .types import (MAX_LANES, ConfigError, InfeasibleError, OptimizerConfig, SystemParams,
+                    _require)
 
 __all__ = [
     "OptimizationResult", "optimize_round_lengths", "optimize_schedule",
 ]
-
-# optimize_schedule holds one bisection lane per h = 1 .. h_max, so its
-# time and memory grow with h_max; this caps h_max (the long-section
-# benchmark environment has 7,959 lanes)
-MAX_LANES = 2**20
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Per-attempt simulation data is not a type here: it lives as arrays in
 mcsim's attempt table.
 
 The config dataclasses of optimizer, mcsim and flsim live here too, with
-the caps they check, so that cli reads the whole config schema from this
-module and a command loads only the modules it runs.
+every cap, so that cli reads the whole config schema from this module and
+a command loads only the modules it runs; each checker imports its caps.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Schedule:
-    """One scheduling decision: local iteration count h and round length t."""
+    """One scheduling decision: local iteration count h and round length t,
+    written h:t by str, as --schedules takes it and fl tags a run's streams."""
 
     h: int
     t: float
@@ -113,6 +114,9 @@ class Schedule:
         t = _finite_float(self.t, "round duration")
         _require(t > 0, "round duration must be positive")
         object.__setattr__(self, "t", t)
+
+    def __str__(self) -> str:
+        return f"{self.h}:{self.t:.9g}"
 
 
 # caps the rows of the CSV files whose length follows the input: a sweep's
@@ -129,6 +133,24 @@ MAX_ROUNDS = 10 ** 7
 # float64), and generate_task builds it in place, so the peak at the cap
 # is one task
 MAX_VALUES = 2**25
+
+# optimizer.optimize_schedule holds one bisection lane per h = 1 .. h_max,
+# so its time and memory grow with h_max; this caps h_max (the long-section
+# benchmark environment has 7,959 lanes)
+MAX_LANES = 2**20
+
+# caps the expected arrivals of a run; it bounds memory as well as time, since
+# mcsim.attempt_blocks holds all of a round's participants at once (a
+# one-round validate expecting 1.1e7 arrivals peaked at 202 MiB RSS)
+MAX_ARRIVALS = 2 ** 25
+
+# mcsim.attempt_blocks draws a delay for every (vehicle, round) attempt; this
+# caps the expected attempts of validate and of a whole fl command (about 5 s
+# at the 26M attempts/s a 4e7-attempt fl plan ran at on a shared 2-vCPU machine)
+MAX_ATTEMPTS = 2 ** 27
+
+# caps the work of an fl command's runs, in flsim's multiply-adds (README has timings)
+MAX_SGD_WORK = 2**31
 
 
 @dataclass(frozen=True)

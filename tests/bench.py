@@ -9,7 +9,7 @@ report each run writes under .perfbench_work/reports/. For each
 end-to-end metric it writes every run's value and their median and
 quartiles, and with them the runs, the seeds, the commit and source
 hash the reports name, and the OpenBLAS core that runs numpy's BLAS
-kernels on this machine, as OPENBLAS_VERBOSE=2 prints it (the reports
+kernels on this machine, as golden.openblas_core reads it (the reports
 name only the build's base target). A run takes about SECONDS plus
 10 s, so the script takes about 12 minutes. Run it from anywhere; it runs the benchmark from the
 repository root. pytest does not collect it.
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from golden import openblas_core
 
 REPO = Path(__file__).resolve().parents[1]
 REPORTS = REPO / ".perfbench_work" / "reports"
@@ -33,14 +33,6 @@ WORKLOADS = ("reference", "long_section")
 # so that any two of them compare
 RUNS = 5
 SECONDS = 60.0
-
-
-def openblas_core() -> str | None:
-    """The core OpenBLAS picks at run time, as it prints it when loaded."""
-    proc = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
-                          text=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
-    found = re.search(r"Core: (\S+)", proc.stdout + proc.stderr)
-    return found.group(1) if found else None
 
 
 def run(workload: str, seed: int) -> dict:

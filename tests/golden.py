@@ -4,9 +4,10 @@ stderr and every file it writes, kept under tests/golden/.
     python tests/golden.py --update    rewrite tests/golden/ from this tree
 
 test_golden.py re-runs every case and compares. Bytes are compared only
-where numpy, its BLAS and the SIMD features numpy found are those the
-files were written with (the fingerprint), since exp, log and BLAS
-kernels may round differently elsewhere. The parsed comparison always
+where numpy, its BLAS, the OpenBLAS core that runs its kernels and the
+SIMD features numpy found are those the files were written with (the
+fingerprint), since exp, log and BLAS kernels may round differently
+elsewhere. The parsed comparison always
 runs: line counts, integers and text exactly, other numbers at a
 relative 1e-8. A file over BIG_FILE bytes is kept only as its sha256
 and line count, so without the bytes only its line count is checked.
@@ -77,13 +78,23 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
+def openblas_core() -> str | None:
+    """The core OpenBLAS picks at run time, as it prints it when loaded
+    with OPENBLAS_VERBOSE=2 (it honours OPENBLAS_CORETYPE); None if it
+    prints none."""
+    proc = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                          text=True, env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+    found = re.search(r"Core: (\S+)", proc.stdout + proc.stderr)
+    return found.group(1) if found else None
+
+
 def fingerprint() -> dict:
     import numpy as np
 
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "simd": config["SIMD Extensions"]}
+            "simd": config["SIMD Extensions"], "openblas_core": openblas_core()}
 
 
 def run_case(args: list[str], out: Path) -> dict[str, bytes]:

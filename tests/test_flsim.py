@@ -11,7 +11,7 @@ from oracle import arrival_times, fl_work, local_sgd_one_vehicle
 from roadfl import analytic as an
 from roadfl import flsim, mcsim
 from roadfl.rng import substream
-from roadfl.types import ConfigError, FLConfig, Schedule, SystemParams
+from roadfl.types import ConfigError, FLConfig, Schedule, SimConfig, SystemParams
 
 
 def small_cfg(**kw) -> FLConfig:
@@ -364,7 +364,9 @@ class TestRunFl:
             purposes.append(purpose)
             return substream(seed, purpose, *tags)
 
-        monkeypatch.setattr(flsim, "substream", recording)
+        # the replay's streams are opened in mcsim, the data streams in flsim
+        for module in (mcsim, flsim):
+            monkeypatch.setattr(module, "substream", recording)
         with pytest.raises(ConfigError, match="multiply-adds"):
             train(reference_params, sched, cfg)
         assert "delays" in purposes and "data" not in purposes
@@ -385,11 +387,41 @@ class TestRunFl:
             purposes.append(purpose)
             return substream(seed, purpose, *tags)
 
-        monkeypatch.setattr(flsim, "substream", recording)
+        for module in (mcsim, flsim):
+            monkeypatch.setattr(module, "substream", recording)
         monkeypatch.setattr(mcsim, "MAX_ARRIVALS", 21.7)
         with pytest.raises(ConfigError, match="^21.8 expected arrivals, more than 21.7$"):
             flsim.plan_runs(reference_params, scheds, cfg)
         assert purposes == []  # not even the first run is planned
+
+    def test_each_replay_opens_its_two_streams_once_in_mcsim(self, reference_params,
+                                                             monkeypatch):
+        # every substream call made through mcsim and flsim, with the module
+        opened = []
+
+        def recording(module):
+            def opening(seed, *tags):
+                opened.append((module.__name__, seed, *tags))
+                return substream(seed, *tags)
+            return opening
+
+        for module in (mcsim, flsim):
+            monkeypatch.setattr(module, "substream", recording(module))
+        # 6,000 rounds of about 3.2 rows in blocks of about 2,600 rounds, so
+        # that share 1 of 2 builds blocks and skips the delays of share 0's
+        sched, sim = Schedule(24, 11.8), SimConfig(seed=5, num_rounds=6000)
+        histograms = []
+        for share in (0, 1):
+            opened.clear()
+            histograms.append(mcsim.simulate_rounds(reference_params, sched, sim, share, 2))
+            assert opened == [("roadfl.mcsim", 5, "arrivals"), ("roadfl.mcsim", 5, "delays")]
+        assert all(0 < histogram.sum() < 6000 for histogram in histograms)
+        cfg = small_cfg()
+        opened.clear()
+        flsim.plan_runs(reference_params, [Schedule(8, 7.0), Schedule(16, 9.0), sched], cfg)
+        assert opened == [("roadfl.mcsim", cfg.seed, name, tag)
+                          for tag in ("8:7", "16:9", "24:11.8")
+                          for name in ("arrivals", "delays")]
 
     def test_work_cap_stops_at_the_first_block_over_it(self, reference_params,
                                                        monkeypatch):

@@ -24,6 +24,18 @@ def test_outputs_match_golden(tmp_path):
     assert set(golden.CASES) == {p.name for p in golden.GOLDEN.iterdir() if p.is_dir()}
 
 
+def test_fingerprint_names_the_openblas_core(monkeypatch):
+    """Two forced OpenBLAS cores give two fingerprints, so bytes are
+    compared only on the core the golden files were written with."""
+    prints = []
+    for core in ("Haswell", "Prescott"):
+        monkeypatch.setenv("OPENBLAS_CORETYPE", core)
+        prints.append(golden.fingerprint())
+    assert prints[0]["openblas_core"] == "Haswell"
+    assert prints[1]["openblas_core"] not in (None, "Haswell")  # OpenBLAS 0.3.31 says Katmai
+    assert prints[0] != prints[1]
+
+
 def test_evidence_snapshot_matches_golden_seed_1():
     """tests/evidence.json's seed-1 figures are those of the golden cases
     that are the same runs, so a stream change must refresh both."""

@@ -78,8 +78,7 @@ def chunked_blocks(params, sched, k_end, seed, chunk):
     and delay streams, with the arrivals drawn chunk at a time."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcsim, "_arrivals", lambda *args: iter(arrival_chunks(*args, chunk)))
-        return list(mcsim.attempt_blocks(params, sched, k_end, substream(seed, "arrivals"),
-                                         substream(seed, "delays")))
+        return list(mcsim.attempt_blocks(params, sched, k_end, seed))
 
 
 def streamed(params, horizon, rng):
@@ -343,9 +342,8 @@ def shared(params, sched, cfg, shares):
     histograms, blocks = [], []
     for share in range(shares):
         histograms.append(mcsim.simulate_rounds(params, sched, cfg, share, shares))
-        blocks.append(list(mcsim.attempt_blocks(
-            params, sched, cfg.num_rounds, substream(cfg.seed, "arrivals"),
-            substream(cfg.seed, "delays"), share, shares)))
+        blocks.append(list(mcsim.attempt_blocks(params, sched, cfg.num_rounds, cfg.seed,
+                                                share=share, shares=shares)))
     return histograms, blocks
 
 
@@ -419,7 +417,7 @@ def test_expected_attempts_is_the_mean_table_size(params, sched):
     rounds = 10 ** 5
     horizon = rounds * sched.t
     rows = sum(table.round.size for _, _, table in mcsim.attempt_blocks(
-        params, sched, rounds, substream(21, "arrivals"), substream(21, "delays")))
+        params, sched, rounds, 21))
     expected = mcsim.expected_attempts(params, sched.t, rounds)
     c_max = math.floor((sched.t + params.dwell_time) / sched.t) + 1
     sigma = c_max * math.sqrt(params.arrival_rate * (horizon + params.dwell_time))
@@ -445,8 +443,7 @@ def test_attempts_follow_the_upload_rule(params, sched, monkeypatch):
                                      substream(31, "delays")), rows)
     # at most 2 rows per table, in arrival chunks of 2
     monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
-    blocks = [table for _, _, table in mcsim.attempt_blocks(
-        params, sched, rounds, substream(31, "arrivals"), substream(31, "delays"))]
+    blocks = [table for _, _, table in mcsim.attempt_blocks(params, sched, rounds, 31)]
     assert_rows_equal([np.concatenate(column) for column in zip(*blocks)], rows)
 
 
