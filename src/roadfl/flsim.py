@@ -228,13 +228,14 @@ def run_fl(plan: RunPlan, task: LinearTask, cfg: FLConfig) -> np.ndarray:
     the rounds_total + 1 round boundaries, losses[k] at time k*t.
 
     The caller passes every schedule of a sweep the same task, so all
-    see the same data; arrivals, delays, each vehicle's data and batch
-    sampling get schedule-tagged streams so runs are independent yet
-    reproducible. Local training always restarts from the current global
-    model, and only the vehicles whose uploads would arrive in time are
-    trained, since no other model ever reaches the aggregator. A winner
-    redraws its data from its own stream, the same in every round it wins,
-    and draws its batches from a stream of its own and the round's.
+    see the same data. Every stream of a run is tagged with str(schedule),
+    h:t, as are its plan's arrivals and delays, which attempt_blocks opens,
+    so runs are independent yet reproducible. Local training always
+    restarts from the current global model, and only the vehicles whose
+    uploads would arrive in time are trained, since no other model ever
+    reaches the aggregator. A winner redraws its data from its own
+    stream, the same in every round it wins, and draws its batches from
+    a stream of its own and the round's.
     """
     sched, rounds_total, winners = plan.schedule, plan.rounds_total, plan.winner
     bounds = np.searchsorted(plan.winner_round, np.arange(rounds_total + 1))

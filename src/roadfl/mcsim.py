@@ -18,9 +18,8 @@ A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
 newly distributed global model, so its computing delay is redrawn.
 
-Sampling is inverse-CDF from Philox uniforms throughout (see rng.py).
-attempt_blocks opens a run's arrivals and delays streams from the seed
-and tags its caller passes, so every run replays from those alone.
+Sampling is inverse-CDF from Philox uniforms throughout (see rng.py), and
+attempt_blocks opens a run's streams, so it replays from its seed and tags.
 """
 
 from __future__ import annotations

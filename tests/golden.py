@@ -7,10 +7,10 @@ test_golden.py re-runs every case and compares. Bytes are compared only
 where numpy, its BLAS, the OpenBLAS core that runs its kernels and the
 SIMD features numpy found are those the files were written with (the
 fingerprint), since exp, log and BLAS kernels may round differently
-elsewhere. The parsed comparison always
-runs: line counts, integers and text exactly, other numbers at a
-relative 1e-8. A file over BIG_FILE bytes is kept only as its sha256
-and line count, so without the bytes only its line count is checked.
+elsewhere. The parsed comparison always runs: line counts, integers and
+text exactly, other numbers at a relative 1e-8. A file over BIG_FILE
+bytes is kept only as its sha256 and line count, so without the bytes
+only its line count is checked.
 """
 
 from __future__ import annotations
