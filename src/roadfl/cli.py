@@ -18,11 +18,14 @@ validate and fl compute in as many processes as the CPUs hold BLAS
 thread pools (see _processes); validate also uses at most one per
 ATTEMPTS_PER_PROCESS expected attempts, so a small replay stays in one
 process. Every cap is checked first, the attempt and arrival caps of
-both commands by mcsim.check_runs, once. Then _in_processes moves this
-process to the first allowed CPU, forks the workers, each of which
-starts on a CPU of its own (see _place), runs this process's share and
-gathers theirs. Every output byte is the one a single process writes. A
-profile of the parent shows only the parent's share.
+both commands by mcsim.check_runs, once. Then each makes one
+_in_processes call, which maps a function over items (fl's plans,
+validate's share numbers) whose works _split shares out: this process
+moves to the first allowed CPU and computes share 0, and each other
+share runs in a worker forked onto a CPU of its own (see _place), which
+sends its results back as one pickle. Every output byte is the one a
+single process writes. A profile of the parent shows only the parent's
+share.
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import itertools
 import math
 import os
@@ -79,7 +81,7 @@ from .types import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .flsim import LinearTask, RunPlan
+    from .flsim import RunPlan
     from .mcsim import PoissonFit
 
 EXIT_OK = 0
@@ -275,78 +277,70 @@ def _place(cpu: int, allowed: set[int]) -> None:
         pass
 
 
-def _fork(job: Callable[[], object], cpu: int, allowed: set[int],
-          inherited: Sequence[int]) -> tuple[int, int] | None:
-    """Fork a worker that moves to cpu (see _place), runs job() and writes
-    its result, or the exception it raised, to a pipe as one pickle.
-    inherited are the read ends of earlier workers' pipes, which the
-    worker closes. Returns the worker's pid and the pipe's read end, or
-    None if the fork failed."""
+def _in_processes(fn: Callable, items: Sequence, works: Sequence[int]) -> list:
+    """[fn(item) for item in items], computed in _processes(len(items))
+    processes, over which _split shares the items by their works. Share 0
+    runs here, after this process moves to the first allowed CPU, and
+    each other share in a worker forked onto an allowed CPU of its own
+    (see _place), or here if its fork fails. A worker writes its share's
+    results, or the exception it raised, to a pipe as one pickle, and
+    always exits with os._exit; its exception is raised here. Every
+    worker is reaped, its pipe closed first so that a blocked writer
+    exits, also when a share here raises."""
     import pickle
 
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    # the worker never returns into the caller, whatever happens
-    code = 1
-    try:
-        for fd in (read_end, *inherited):
-            os.close(fd)
-        _place(cpu, allowed)
-        try:
-            result = job()
-        except Exception as exc:
-            result = exc
-        with open(write_end, "wb") as fh:
-            pickle.dump(result, fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _in_processes(jobs: Sequence[Callable[[], object]]) -> list:
-    """Each job's result. jobs[0] runs here, and each other job in a
-    worker that _fork starts on an allowed CPU of its own, or here if its
-    fork fails; this process moves to the first allowed CPU first (see
-    _place). A worker's exception is raised here. Every worker is reaped,
-    its pipe closed first so that a blocked writer exits, also when a job
-    here raises."""
-    import pickle
-
-    if len(jobs) == 1:
-        return [jobs[0]()]
+    shares = _split(works, _processes(len(items)))
+    if len(shares) == 1:
+        return [fn(item) for item in items]
     allowed = os.sched_getaffinity(0)
     cpus = sorted(allowed)
     _place(cpus[0], allowed)
-    results: list = [None] * len(jobs)
-    here = [0]  # the jobs that run in this process
-    # each forked job's index, with its worker's pid and pipe
-    workers: list[tuple[int, int, int]] = []
+    results: list = [None] * len(items)
+    here = [shares[0]]  # the shares that run in this process
+    # each forked share, with its worker's pid and pipe
+    workers: list[tuple[list[int], int, int]] = []
     try:
-        for i in range(1, len(jobs)):
-            worker = _fork(jobs[i], cpus[i % len(cpus)], allowed,
-                           [fd for _, _, fd in workers])
-            if worker is None:
-                here.append(i)
-            else:
-                workers.append((i, *worker))
-        for i in here:
-            results[i] = jobs[i]()
-        for i, pid, fd in workers:
+        for p in range(1, len(shares)):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                here.append(shares[p])
+                continue
+            if pid == 0:
+                # the worker never returns into the caller, whatever happens
+                code = 1
+                try:
+                    # the read ends of this pipe and of earlier workers' pipes
+                    for fd in (read_end, *(fd for _, _, fd in workers)):
+                        os.close(fd)
+                    _place(cpus[p % len(cpus)], allowed)
+                    try:
+                        result = [fn(items[i]) for i in shares[p]]
+                    except Exception as exc:
+                        result = exc
+                    with open(write_end, "wb") as fh:
+                        pickle.dump(result, fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            workers.append((shares[p], pid, read_end))
+        for share in here:
+            for i in share:
+                results[i] = fn(items[i])
+        for share, pid, fd in workers:
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
             if not data:
                 raise RuntimeError(f"worker {pid} exited without its result")
-            results[i] = pickle.loads(data)
-            if isinstance(results[i], BaseException):
-                raise results[i]
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            for i, value in zip(share, result):
+                results[i] = value
     finally:
         for _, pid, fd in workers:
             os.close(fd)
@@ -375,10 +369,10 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 def validate(cfg: ExperimentConfig) -> PoissonFit:
     """The Poisson fit of cfg.schedule's simulated rounds, which validate
     renders. The fit's row cap and mcsim.check_runs' caps are checked
-    first; then the rounds' attempt blocks are split into _processes
-    contiguous shares, at most one per ATTEMPTS_PER_PROCESS expected
-    attempts, which _in_processes simulates and whose histograms add up
-    to the one of a single process."""
+    first; then the rounds' attempt blocks are split into n contiguous
+    shares, n from _processes and at most one per ATTEMPTS_PER_PROCESS
+    expected attempts, which _in_processes simulates as n items of equal
+    work and whose histograms add up to the one of a single process."""
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
     from . import analytic, mcsim
@@ -390,9 +384,9 @@ def validate(cfg: ExperimentConfig) -> PoissonFit:
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
     attempts = mcsim.check_runs(cfg.system, [(cfg.schedule, cfg.sim.num_rounds)])
     n = _processes(max(1, int(attempts // ATTEMPTS_PER_PROCESS)))
-    histograms = _in_processes([
-        functools.partial(mcsim.simulate_rounds, cfg.system, cfg.schedule, cfg.sim, share, n)
-        for share in range(n)])
+    histograms = _in_processes(
+        lambda share: mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim, share, n),
+        range(n), [1] * n)
     import numpy as np
 
     histogram = np.zeros(max(h.size for h in histograms), dtype=np.int64)
@@ -556,41 +550,25 @@ def _split(works: Sequence[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _train_share(plans: Sequence[RunPlan], task: LinearTask,
-                 fl_cfg: FLConfig) -> list[np.ndarray | DivergenceError]:
-    """Each plan's losses on task, or the DivergenceError its run raised."""
-    from . import flsim
-
-    outcomes: list[np.ndarray | DivergenceError] = []
-    for plan in plans:
-        try:
-            outcomes.append(flsim.run_fl(plan, task, fl_cfg))
-        except DivergenceError as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
 def train(cfg: ExperimentConfig,
           schedules: Sequence[Schedule]) -> list[np.ndarray | DivergenceError]:
     """Each schedule's losses, or the DivergenceError its run raised. All
     are planned, and every cap checked, before any trains, on one task
-    from the "task" stream of cfg.fl.seed. _split shares the plans over
-    _processes processes, which train them in _in_processes; the workers
-    inherit the task copy-on-write."""
+    from the "task" stream of cfg.fl.seed. _in_processes trains the plans,
+    shared over its processes by their work; the workers inherit the
+    task copy-on-write."""
     from . import flsim
 
     plans = flsim.plan_runs(cfg.system, schedules, cfg.fl)
     task = flsim.generate_task(cfg.fl)
-    shares = _split([plan.work for plan in plans], _processes(len(plans)))
-    results = _in_processes([
-        functools.partial(_train_share, [plans[i] for i in share], task, cfg.fl)
-        for share in shares])
-    # each plan's outcome, by schedule index
-    outcomes: list = [None] * len(plans)
-    for share, result in zip(shares, results):
-        for i, outcome in zip(share, result):
-            outcomes[i] = outcome
-    return outcomes
+
+    def outcome(plan: RunPlan) -> np.ndarray | DivergenceError:
+        try:
+            return flsim.run_fl(plan, task, cfg.fl)
+        except DivergenceError as exc:
+            return exc
+
+    return _in_processes(outcome, plans, [plan.work for plan in plans])
 
 
 def cmd_fl(cfg: ExperimentConfig, schedules_arg: str | None) -> int:

@@ -658,6 +658,27 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_in_processes_maps_each_share_to_one_process(monkeypatch):
+    """The items come back in order, each computed in the process of its
+    _split share, share 0 here; an exception a worker's fn returns is a
+    value, as a diverged fl run's is, not an error."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    works = [5, 1, 4, 3, 2]
+    results = cli._in_processes(lambda i: (i, os.getpid()), range(5), works)
+    assert_no_children()
+    assert [i for i, _ in results] == list(range(5))
+    shares = cli._split(works, 3)
+    pids = [{results[i][1] for i in share} for share in shares]
+    assert all(len(share_pids) == 1 for share_pids in pids)
+    assert len(set.union(*pids)) == 3 and pids[0] == {os.getpid()}
+
+    returned = cli._in_processes(lambda i: DivergenceError(f"run {i}"), range(5), works)
+    assert_no_children()
+    assert [type(value) for value in returned] == [DivergenceError] * 5
+    assert [str(value) for value in returned] == [f"run {i}" for i in range(5)]
+
+
 class TestFlProcesses:
     @pytest.mark.parametrize("blas,processes", [
         (None, 1), ("1", 4), ("2", 2), ("abc", 1), ("0", 1)])

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import golden
+import pytest
 
 
 def test_outputs_match_golden(tmp_path):
@@ -34,6 +38,25 @@ def test_fingerprint_names_the_openblas_core(monkeypatch):
     assert prints[0]["openblas_core"] == "Haswell"
     assert prints[1]["openblas_core"] not in (None, "Haswell")  # OpenBLAS 0.3.31 says Katmai
     assert prints[0] != prints[1]
+
+
+def test_fingerprint_leaves_out_numpy_simd_dispatch(monkeypatch):
+    """numpy with every SIMD feature above its baseline disabled, which
+    moves no golden byte, has the fingerprint of this process, so such a
+    machine compares bytes."""
+    import numpy as np
+
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    if not found:
+        pytest.skip("numpy found no SIMD feature above its baseline")
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(found))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, golden, numpy as np; print(json.dumps("
+         "[golden.fingerprint(), np.show_config(mode='dicts')['SIMD Extensions']]))"],
+        capture_output=True, text=True, check=True, cwd=Path(golden.__file__).parent)
+    disabled, simd = json.loads(proc.stdout)
+    assert sorted(simd["not found"]) == sorted(found)
+    assert disabled == golden.fingerprint()
 
 
 def test_evidence_snapshot_matches_golden_seed_1():
