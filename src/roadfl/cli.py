@@ -20,12 +20,12 @@ ATTEMPTS_PER_PROCESS expected attempts, so a small replay stays in one
 process. Every cap is checked first, the attempt and arrival caps of
 both commands by mcsim.check_runs, once. Then each makes one
 _in_processes call, which maps a function over items (fl's plans,
-validate's share numbers) whose works _split shares out: this process
-moves to the first allowed CPU and computes share 0, and each other
-share runs in a worker forked onto a CPU of its own (see _place), which
-sends its results back as one pickle. Every output byte is the one a
-single process writes. A profile of the parent shows only the parent's
-share.
+validate's contiguous ranges of rounds, which only it chooses) whose
+works _split shares out: this process moves to the first allowed CPU
+and computes share 0, and each other share runs in a worker forked onto
+a CPU of its own (see _place), which sends its results back as one
+pickle. Every output byte is the one a single process writes. A
+profile of the parent shows only the parent's share.
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is
@@ -296,7 +296,7 @@ def _in_processes(fn: Callable, items: Sequence, works: Sequence[int]) -> list:
     cpus = sorted(allowed)
     _place(cpus[0], allowed)
     results: list = [None] * len(items)
-    here = [shares[0]]  # the shares that run in this process
+    here = list(shares[0])  # the items computed in this process
     # each forked share, with its worker's pid and pipe
     workers: list[tuple[list[int], int, int]] = []
     try:
@@ -307,7 +307,7 @@ def _in_processes(fn: Callable, items: Sequence, works: Sequence[int]) -> list:
             except OSError:
                 os.close(read_end)
                 os.close(write_end)
-                here.append(shares[p])
+                here += shares[p]
                 continue
             if pid == 0:
                 # the worker never returns into the caller, whatever happens
@@ -328,9 +328,8 @@ def _in_processes(fn: Callable, items: Sequence, works: Sequence[int]) -> list:
                     os._exit(code)
             os.close(write_end)
             workers.append((shares[p], pid, read_end))
-        for share in here:
-            for i in share:
-                results[i] = fn(items[i])
+        for i in here:
+            results[i] = fn(items[i])
         for share, pid, fd in workers:
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -369,10 +368,10 @@ def cmd_optimize(cfg: ExperimentConfig) -> int:
 def validate(cfg: ExperimentConfig) -> PoissonFit:
     """The Poisson fit of cfg.schedule's simulated rounds, which validate
     renders. The fit's row cap and mcsim.check_runs' caps are checked
-    first; then the rounds' attempt blocks are split into n contiguous
-    shares, n from _processes and at most one per ATTEMPTS_PER_PROCESS
-    expected attempts, which _in_processes simulates as n items of equal
-    work and whose histograms add up to the one of a single process."""
+    first; then the rounds are split into n contiguous ranges, n from
+    _processes and at most one per ATTEMPTS_PER_PROCESS expected
+    attempts, which _in_processes simulates with their lengths as works
+    and whose histograms add up to the one of a single process."""
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
     from . import analytic, mcsim
@@ -384,9 +383,11 @@ def validate(cfg: ExperimentConfig) -> PoissonFit:
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
     attempts = mcsim.check_runs(cfg.system, [(cfg.schedule, cfg.sim.num_rounds)])
     n = _processes(max(1, int(attempts // ATTEMPTS_PER_PROCESS)))
+    k = cfg.sim.num_rounds
+    ranges = [range(k * i // n, k * (i + 1) // n) for i in range(n)]
     histograms = _in_processes(
-        lambda share: mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim, share, n),
-        range(n), [1] * n)
+        lambda rounds: mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim, rounds),
+        ranges, [len(rounds) for rounds in ranges])
     import numpy as np
 
     histogram = np.zeros(max(h.size for h in histograms), dtype=np.int64)
@@ -538,9 +539,9 @@ def _fl_rows(sched: Schedule, losses: np.ndarray | DivergenceError) -> Iterable[
 
 
 def _split(works: Sequence[int], n: int) -> list[list[int]]:
-    """Schedule indices in n shares: the largest work first, each to the
-    share with the least work so far, then the fewest schedules. Share 0
-    is the parent's."""
+    """The indices of items of the given works in n shares: the largest
+    work first, each to the share with the least work so far, then the
+    fewest items. Share 0 is the parent's."""
     shares: list[list[int]] = [[] for _ in range(n)]
     loads = [0] * n
     for i in sorted(range(len(works)), key=works.__getitem__, reverse=True):

@@ -8,11 +8,10 @@ in one round-major attempt table (attempts), built in blocks of rounds
 (attempt_blocks) as the run's arrivals are drawn a chunk at a time, which
 simulate_rounds folds into a histogram of per-round success counts and
 flsim reads for each round's winners. The histogram alone feeds a
-goodness-of-fit report against the analytic Poisson law. A contiguous
-share of the blocks can be simulated on its own, with the same draws,
-so that several processes can replay one run (see attempt_blocks).
-check_runs holds the caps on a run's expected attempts and arrivals;
-validate and fl call it once, before anything is drawn.
+goodness-of-fit report against the analytic Poisson law. Any range of
+a run's rounds replays alone, with the whole run's draws (see
+attempt_blocks). check_runs holds the caps on a run's expected attempts
+and arrivals; validate and fl call it once, before anything is drawn.
 
 A vehicle that fails in one round keeps attempting in later rounds
 while it is still inside the section; each attempt restarts from the
@@ -170,10 +169,11 @@ def attempts(params: SystemParams, sched: Schedule, arrivals: np.ndarray,
 
 
 def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int, seed: int, *tags,
-                   share: int = 0, shares: int = 1) -> Iterator[tuple[int, int, Attempts]]:
-    """The attempt table of rounds 0 <= k < k_end, in consecutive blocks
-    of rounds holding about ATTEMPTS_PER_BLOCK rows each, drawn from the
-    run's arrivals and delays streams, each keyed by seed, its name, tags.
+                   k_begin: int = 0) -> Iterator[tuple[int, int, Attempts]]:
+    """The attempt table of rounds k_begin <= k < k_end, in consecutive
+    blocks of rounds holding about ATTEMPTS_PER_BLOCK rows each, drawn
+    from the run's arrivals and delays streams, each keyed by seed, its
+    name, tags.
 
     The run's arrivals on (-t0, k_end*t), from a dwell time before round
     0 so that its participants are complete, are drawn as the blocks
@@ -186,25 +186,21 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int, seed: int,
     appended in one concatenation, so a round bigger than a block is
     copied once. The caller checks the run's caps with check_runs.
 
-    Only the share-th of shares contiguous runs of blocks, as equal in
-    count as they divide, is built; so no round is split between shares.
-    Arrivals are drawn up to its last block. The rows of the blocks
-    before its first are counted, not built, and the delay stream skips
-    their delays: Philox gives four doubles per counter step, so
-    advance(rows // 4) and then rows % 4 draws leave it where the whole
-    table's delays would. Each table is then the one the whole run
-    yields.
+    The rows of the rounds before k_begin are counted, block by block,
+    not built, and the delay stream skips their delays: Philox gives
+    four doubles per counter step, so advance(rows // 4) and then
+    rows % 4 draws leave it where the whole run's delays would. So each
+    round's rows are the ones the whole run yields for it.
     """
     t, t0 = sched.t, params.dwell_time
     block = max(1, int(ATTEMPTS_PER_BLOCK / max(expected_attempts(params, t, 1), 1.0)))
-    blocks = range(0, k_end, block)
-    first_built = len(blocks) * share // shares * block  # the share's first round
+    # the blocks' first rounds: counted blocks up to k_begin, then built ones
+    begins = [*range(0, k_begin, block), *range(k_begin, k_end, block)]
     chunks = _arrivals(params, k_end * t, substream(seed, "arrivals", *tags))
     delay_rng = substream(seed, "delays", *tags)
     window, offset, newest = np.empty(0), 0, -math.inf  # offset: stream index of window[0]
-    skipped = 0  # rows of the blocks before this share's
-    for begin in blocks[:len(blocks) * (share + 1) // shares]:
-        end = min(begin + block, k_end)
+    skipped = 0  # rows of the rounds before k_begin
+    for begin, end in zip(begins, [*begins[1:], k_end]):
         # the block's participants, arrivals in (begin*t - t0, end*t): read
         # chunks until one reaches end*t
         low, high = begin * t - t0, end * t
@@ -217,10 +213,10 @@ def attempt_blocks(params: SystemParams, sched: Schedule, k_end: int, seed: int,
         first = int(np.searchsorted(window, low, side="right"))
         window, offset = window[first:], offset + first
         part = window[:np.searchsorted(window, high)]
-        if begin < first_built:
+        if begin < k_begin:
             skipped += int(_participants(params, sched, part, np.arange(begin, end))[3].sum())
             continue
-        if begin == first_built:  # the share's first block: skip the rows before it
+        if begin == k_begin:  # the first block built: skip the rows before it
             delay_rng.bit_generator.advance(skipped // 4)
             delay_rng.random(skipped % 4)
         step = ATTEMPTS_PER_BLOCK if end - begin == 1 else max(part.size, 1)
@@ -244,21 +240,21 @@ def check_runs(params: SystemParams, runs: Sequence[tuple[Schedule, int]]) -> fl
 
 
 def simulate_rounds(params: SystemParams, sched: Schedule, cfg: SimConfig,
-                    share: int = 0, shares: int = 1) -> np.ndarray:
-    """Simulate rounds 0 <= k < num_rounds; return the success histogram.
+                    rounds: range | None = None) -> np.ndarray:
+    """Simulate a range of rounds, all of them by default; return the
+    success histogram.
 
     histogram[k] is the number of rounds with exactly k successes, as
     int64, counted block by block from attempt_blocks on the streams of
     cfg.seed. Round 0 needs no warm-up: arrivals start a dwell time
     before it, so its participants follow the same law as any later
-    round's. With shares > 1, only the share-th of shares runs of blocks
-    is counted: the histograms of shares 0 to shares - 1 sum to the
-    whole run's, once each is padded to the longest. The caller checks
+    round's. The histograms of consecutive ranges add up to the one of
+    their union, once each is padded to the longest. The caller checks
     the run's caps first, with check_runs.
     """
+    rounds = range(cfg.num_rounds) if rounds is None else rounds
     histogram = np.zeros(1, dtype=np.int64)
-    blocks = attempt_blocks(params, sched, cfg.num_rounds, cfg.seed, share=share,
-                            shares=shares)
+    blocks = attempt_blocks(params, sched, rounds.stop, cfg.seed, k_begin=rounds.start)
     # a round split over several tables is counted once, over all of them
     for (k_begin, k_end), tables in itertools.groupby(blocks, key=lambda b: b[:2]):
         m_suc = np.zeros(k_end - k_begin, dtype=np.int64)

@@ -36,16 +36,21 @@ REL_TOL = 1e-8
 # a number as the CLI prints it, and the text between numbers
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?inf|nan")
 INTEGER = re.compile(r"-?\d+")
+# a task small enough that fl runs in well under a second
+SMALL_TASK = ["--fl.horizon_s=120", "--fl.feature_dim=8", "--fl.global_pool_size=256",
+              "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
+              "--fl.batch_size=32"]
+# with eta=100, 24:11.8 and 40:20 diverge; in 3 processes the first is
+# the parent's and the second a worker's
+DIVERGING_GRID = ["--fl.eta=100", "--schedules",
+                  "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18,40:20,40:14"]
+
+sys.path.insert(0, str(REPO))
+from perfbench.workloads import COMMANDS, WORKLOADS  # noqa: E402
 
 
 def _cases() -> dict[str, list[str]]:
     """Case name -> CLI arguments, each run with --config baseline.cfg."""
-    sys.path.insert(0, str(REPO))
-    from perfbench.workloads import COMMANDS, WORKLOADS
-
-    small_task = ["--fl.horizon_s=120", "--fl.feature_dim=8", "--fl.global_pool_size=256",
-                  "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
-                  "--fl.batch_size=32"]
     cases = {
         # the commands of acceptance test C10
         "c10_optimize": ["optimize"],
@@ -53,9 +58,7 @@ def _cases() -> dict[str, list[str]]:
         "c10_sweep": ["sweep", "--h-list", "8,24", "--t-grid", "5:25:0.5"],
         "c10_fl": ["fl", "--fl.horizon_s=200",
                    "--schedules", "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18"],
-        # with eta=100, 24:11.8 and 40:20 diverge
-        "fl_diverging": ["fl", *small_task, "--fl.eta=100", "--schedules",
-                         "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18,40:20,40:14"],
+        "fl_diverging": ["fl", *SMALL_TASK, *DIVERGING_GRID],
         "config_error": ["fl", "--fl.eta=0"],
         # the first run would diverge, the second's plan fails
         "fl_plan_error": ["fl", "--fl.eta=100", "--system.alpha_s=1e-6",

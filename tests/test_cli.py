@@ -20,6 +20,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from golden import DIVERGING_GRID, SMALL_TASK, WORKLOADS
 from oracle import fl_work, format_csv_value, parse_t_grid_with_arange
 from roadfl import analytic, cli, flsim, mcsim, optimizer
 from roadfl.types import MAX_ROWS, DivergenceError, FLConfig, OptimizerConfig, Schedule, \
@@ -642,41 +643,137 @@ class TestFlCommand:
         assert not out.exists()
 
 
-# a task small enough that fl runs in well under a second
-SMALL_TASK = ["--fl.horizon_s=120", "--fl.feature_dim=8", "--fl.global_pool_size=256",
-              "--fl.validation_size=64", "--fl.samples_per_vehicle=128",
-              "--fl.batch_size=32"]
-# with eta=100, 24:11.8 and 40:20 diverge; in 3 processes the first is
-# the parent's and the second a worker's
-DIVERGING_GRID = ["--fl.eta=100", "--schedules",
-                  "8:4,8:5.5,8:8,16:6,16:8.5,24:8,24:11.8,24:18,40:20,40:14"]
-
-
 def assert_no_children():
     """This process has no child left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+# the process the tests run in; a forked worker has another pid
+PARENT = os.getpid()
+# the works of five items, which _split shares over 3 processes as
+# [[0], [1, 2], [3, 4]]
+WORKS = [5, 1, 4, 3, 2]
+
+
+def in_processes(monkeypatch, fn, items, works, cpus=3):
+    """cli._in_processes(fn, items, works) with one BLAS thread per
+    process on cpus mocked CPUs; a TimeoutError if it has not returned
+    after 30 s."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def hung(signum, frame):
+        raise TimeoutError("_in_processes has not returned after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        return cli._in_processes(fn, items, works)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_in_processes_maps_each_share_to_one_process(monkeypatch):
     """The items come back in order, each computed in the process of its
     _split share, share 0 here; an exception a worker's fn returns is a
     value, as a diverged fl run's is, not an error."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    works = [5, 1, 4, 3, 2]
-    results = cli._in_processes(lambda i: (i, os.getpid()), range(5), works)
-    assert_no_children()
+    results = in_processes(monkeypatch, lambda i: (i, os.getpid()), range(5), WORKS)
     assert [i for i, _ in results] == list(range(5))
-    shares = cli._split(works, 3)
+    shares = cli._split(WORKS, 3)
     pids = [{results[i][1] for i in share} for share in shares]
     assert all(len(share_pids) == 1 for share_pids in pids)
     assert len(set.union(*pids)) == 3 and pids[0] == {os.getpid()}
 
-    returned = cli._in_processes(lambda i: DivergenceError(f"run {i}"), range(5), works)
-    assert_no_children()
+    returned = in_processes(monkeypatch, lambda i: DivergenceError(f"run {i}"), range(5),
+                            WORKS)
     assert [type(value) for value in returned] == [DivergenceError] * 5
     assert [str(value) for value in returned] == [f"run {i}" for i in range(5)]
+
+
+def no_fork():
+    """A fork that fails for want of processes, and so starts none."""
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def test_in_processes_runs_a_failed_forks_share_here(monkeypatch):
+    monkeypatch.setattr(os, "fork", no_fork)
+    results = in_processes(monkeypatch, lambda i: (i, os.getpid()), range(5), WORKS)
+    assert results == [(i, os.getpid()) for i in range(5)]
+
+
+def raising_in_workers(i):
+    """i in the tests' process, and an ArithmeticError naming i in a
+    forked worker."""
+    if os.getpid() != PARENT:
+        raise ArithmeticError(f"item {i}")
+    return i
+
+
+def test_in_processes_raises_a_workers_exception_here(monkeypatch):
+    # the first worker's, whose share is items 1 and 2
+    with pytest.raises(ArithmeticError, match="^item 1$"):
+        in_processes(monkeypatch, raising_in_workers, range(5), WORKS)
+
+
+def test_in_processes_reaps_a_blocked_worker_when_the_parent_raises(monkeypatch):
+    # the worker's 8 MB result fills its pipe, which nothing reads: it
+    # exits only once the parent has closed the pipe
+    def fn(i):
+        if os.getpid() == PARENT:
+            raise ArithmeticError("parent")
+        return bytes(2**23)
+
+    with pytest.raises(ArithmeticError, match="^parent$"):
+        in_processes(monkeypatch, fn, range(2), [1, 1], cpus=2)
+    assert_no_children()
+
+
+def test_in_processes_starts_each_process_on_a_cpu_of_its_own(monkeypatch, tmp_path):
+    # the parent moves to the first CPU, each worker to the next, and
+    # each then gets every CPU back; calls are recorded in a file, so
+    # that a forked worker's count as well, and no process moves
+    path = tmp_path / "placed"
+
+    def record(pid, cpus):
+        with open(path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), sorted(cpus)]) + "\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    assert in_processes(monkeypatch, abs, range(3), [1, 1, 1]) == [0, 1, 2]
+    calls: dict[int, list] = {}
+    for line in path.read_text().splitlines():
+        pid, cpus = json.loads(line)
+        calls.setdefault(pid, []).append(cpus)
+    assert calls.pop(os.getpid()) == [[0], [0, 1, 2]]
+    assert sorted(calls.values()) == [[[1], [0, 1, 2]], [[2], [0, 1, 2]]]
+
+
+def test_in_processes_ignores_an_unusable_cpu(monkeypatch):
+    # a process that may not move to its CPU stays where it is
+    def refused(pid, cpus):
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    results = in_processes(monkeypatch, lambda i: (i, os.getpid()), range(3), [1, 1, 1])
+    assert [i for i, _ in results] == [0, 1, 2]
+    assert len({pid for _, pid in results}) == 3
+
+
+def test_in_processes_leaves_no_child(monkeypatch):
+    # whether it returns, with workers that finish after this process's
+    # share, or raises a worker's exception
+    def slow_in_workers(i):
+        if os.getpid() != PARENT:
+            time.sleep(0.1)
+        return i
+
+    assert in_processes(monkeypatch, slow_in_workers, range(5), WORKS) == list(range(5))
+    assert_no_children()
+    with pytest.raises(ArithmeticError):
+        in_processes(monkeypatch, raising_in_workers, range(5), WORKS)
+    assert_no_children()
 
 
 class TestFlProcesses:
@@ -698,7 +795,7 @@ class TestFlProcesses:
 
     def test_split_balances_work_largest_first(self):
         assert cli._split([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]
-        # schedules without work still spread over every process
+        # items without work still spread over every process
         assert cli._split([0, 0, 0, 7], 3) == [[3], [0, 2], [1]]
 
     def fl(self, tmp_path, monkeypatch, capsys, cpus, args):
@@ -706,7 +803,6 @@ class TestFlProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / str(cpus)
         rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(out), *args])
-        assert_no_children()
         captured = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         return rc, captured.out, captured.err, files
@@ -723,21 +819,6 @@ class TestFlProcesses:
         assert [line.split(" diverged")[0] for line in err.splitlines()] == [
             "warning: run h=24 t=11.8", "warning: run h=40 t=20"]
         assert sorted(files) == ["correlation.txt", "fl_runs.csv"]
-
-    def test_failed_fork_trains_its_share_here(self, tmp_path, monkeypatch, capsys):
-        # a fork that fails for want of processes starts none; the parent
-        # trains the share it was for, with the same outcome as one process
-        args = [*SMALL_TASK, *DIVERGING_GRID]
-        serial = self.fl(tmp_path, monkeypatch, capsys, 1, args)
-
-        def no_fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        unforked = self.fl(tmp_path, monkeypatch, capsys, 2, args)
-        assert cli._processes(10) == 2
-        assert unforked == serial
-        assert serial[0] == 0 and sorted(serial[3]) == ["correlation.txt", "fl_runs.csv"]
 
     def counter(self, monkeypatch, path, name):
         """Count the calls of flsim's name in the file at path, so that
@@ -775,53 +856,6 @@ class TestFlProcesses:
         assert rc == 0
         assert planned() == trained() == 10
 
-    def train_in_two(self, monkeypatch, run):
-        """cli.train of two small schedules in two processes, with run in
-        place of flsim.run_fl; a TimeoutError if it has not returned after 30 s."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(flsim, "run_fl", run)
-        cfg = cli.parse_config(BASELINE, [arg[2:] for arg in SMALL_TASK])
-        schedules = [Schedule(8, 4.0), Schedule(24, 11.8)]
-        assert cli._processes(len(schedules)) == 2
-
-        def hung(signum, frame):
-            raise TimeoutError("cli.train has not returned after 30 s")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
-        try:
-            return cli.train(cfg, schedules)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
-        parent, run_fl = os.getpid(), flsim.run_fl
-
-        def run(plan, task, fl_cfg):
-            if os.getpid() != parent:
-                raise ArithmeticError(f"worker {os.getpid()}")
-            return run_fl(plan, task, fl_cfg)
-
-        with pytest.raises(ArithmeticError, match="^worker "):
-            self.train_in_two(monkeypatch, run)
-        assert_no_children()
-
-    def test_parent_exception_reaps_a_writing_worker(self, monkeypatch):
-        # the worker's 8 MB of losses fill its pipe, which nothing reads:
-        # it exits only once the parent has closed the pipe
-        parent = os.getpid()
-
-        def run(plan, task, fl_cfg):
-            if os.getpid() == parent:
-                raise ArithmeticError("parent")
-            return np.zeros(2**20)
-
-        with pytest.raises(ArithmeticError, match="^parent$"):
-            self.train_in_two(monkeypatch, run)
-        assert_no_children()
-
     def test_piped_stdout_is_written_once(self, tmp_path):
         # an empty PYTHONUNBUFFERED leaves the piped stdout block-buffered
         proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
@@ -836,9 +870,8 @@ class TestFlProcesses:
 # them run in as many processes as there are CPUs
 VALIDATE_ARGS = ["--sim.num_rounds=20000", "--seed", "5"]
 # the long_section benchmark workload's validate
-LONG_SECTION_VALIDATE = ["system.length_m=2000", "system.speed_mps=5", "system.alpha_s=0.05",
-                         "system.beta_s=0.05", "sim.h=1463", "sim.t_s=83.56",
-                         "sim.num_rounds=100000"]
+LONG_SECTION_VALIDATE = [arg[2:] for arg in (*WORKLOADS["long_section"].overrides,
+                                             *WORKLOADS["long_section"].args["validate"])]
 
 
 class TestValidateProcesses:
@@ -857,7 +890,6 @@ class TestValidateProcesses:
         monkeypatch.setattr(os, "fork", counting_fork)
         out = tmp_path / str(cpus)
         rc = cli.main(["validate", "--config", str(BASELINE), "--out", str(out), *args])
-        assert_no_children()
         monkeypatch.setattr(os, "fork", fork)
         captured = capsys.readouterr()
         files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
@@ -878,83 +910,26 @@ class TestValidateProcesses:
     def test_one_process_per_2_20_expected_attempts(self, monkeypatch, overrides, cpus,
                                                     processes):
         # the benchmark's validate workloads, with 318,000 and 4.84M
-        # expected attempts; no fork starts, so every share runs here
+        # expected attempts; no fork starts, so every range runs here
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-        def no_fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
         monkeypatch.setattr(os, "fork", no_fork)
-        shares = []
+        replayed = []
 
-        def simulate(params, sched, cfg, share=0, shares_=1):
-            # one round, of share + 1 successes
-            shares.append((share, shares_))
-            return np.bincount([share + 1])
+        def simulate(params, sched, cfg, rounds):
+            # one round, of as many successes as ranges replayed so far
+            replayed.append(rounds)
+            return np.bincount([len(replayed)])
 
         monkeypatch.setattr(mcsim, "simulate_rounds", simulate)
-        fit = cli.validate(cli.parse_config(BASELINE, overrides))
-        assert shares == [(share, processes) for share in range(processes)]
-        # the shares' histograms of different lengths are summed
+        cfg = cli.parse_config(BASELINE, overrides)
+        fit = cli.validate(cfg)
+        # one contiguous range of the rounds per process, as equal as they divide
+        k = cfg.sim.num_rounds
+        assert replayed == [range(k * i // processes, k * (i + 1) // processes)
+                            for i in range(processes)]
+        # the ranges' histograms of different lengths are summed
         assert fit.mean_empirical == (processes + 1) / 2
-
-    def test_failed_fork_runs_its_share_here(self, tmp_path, monkeypatch, capsys):
-        serial, _ = self.validate(tmp_path, monkeypatch, capsys, 1)
-
-        def no_fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        unforked, _ = self.validate(tmp_path, monkeypatch, capsys, 3)
-        assert unforked == serial
-
-    def test_unusable_cpu_is_ignored(self, tmp_path, monkeypatch, capsys):
-        # a process that may not move to its CPU stays where it is
-        serial, _ = self.validate(tmp_path, monkeypatch, capsys, 1)
-
-        def refused(pid, cpus):
-            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
-
-        monkeypatch.setattr(os, "sched_setaffinity", refused)
-        assert self.validate(tmp_path, monkeypatch, capsys, 3) == (serial, 2)
-
-    def test_each_process_starts_on_a_cpu_of_its_own(self, tmp_path, monkeypatch, capsys):
-        # the parent moves to the first CPU, each worker to the next, and
-        # each then gets every CPU back; calls are recorded in a file, so
-        # that a forked worker's count as well, and no process moves
-        path = tmp_path / "placed"
-
-        def record(pid, cpus):
-            with open(path, "a") as fh:
-                fh.write(json.dumps([os.getpid(), sorted(cpus)]) + "\n")
-
-        monkeypatch.setattr(os, "sched_setaffinity", record)
-        parent = os.getpid()
-        self.validate(tmp_path, monkeypatch, capsys, 3)
-        calls: dict[int, list] = {}
-        for line in path.read_text().splitlines():
-            pid, cpus = json.loads(line)
-            calls.setdefault(pid, []).append(cpus)
-        assert calls.pop(parent) == [[0], [0, 1, 2]]
-        assert sorted(calls.values()) == [[[1], [0, 1, 2]], [[2], [0, 1, 2]]]
-
-    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
-        parent, simulate = os.getpid(), mcsim.simulate_rounds
-
-        def run(*args):
-            if os.getpid() != parent:
-                raise ArithmeticError(f"worker {os.getpid()}")
-            return simulate(*args)
-
-        monkeypatch.setattr(mcsim, "simulate_rounds", run)
-        cfg = cli.parse_config(BASELINE, ["sim.num_rounds=20000"])
-        with pytest.raises(ArithmeticError, match="^worker "):
-            cli.validate(cfg)
-        assert_no_children()
 
     @pytest.mark.parametrize("cap,value,message", [
         ("MAX_ATTEMPTS", 63_000, "6.36e+04 expected upload attempts, more than 63000"),
@@ -1298,11 +1273,9 @@ def test_winnerless_crowd_draws_no_data(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["reference", "long_section"])
-def test_default_grid_is_admitted(name, monkeypatch):
+def test_default_grid_is_admitted(name):
     """Each benchmark workload's default fl grid passes every cap of
     plan_runs at seeds 1, 2 and 703."""
-    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
-    from workloads import WORKLOADS
     workload = WORKLOADS[name]
     cfg = cli.parse_config(BASELINE, [arg[2:] for arg in (*workload.overrides,
                                                           *workload.args["fl"])])

@@ -408,14 +408,14 @@ class TestRunFl:
         for module in (mcsim, flsim):
             monkeypatch.setattr(module, "substream", recording(module))
         # 6,000 rounds of about 3.2 rows in blocks of about 2,600 rounds, so
-        # that share 1 of 2 builds blocks and skips the delays of share 0's
+        # that the second half builds blocks and skips the delays of the first
         sched, sim = Schedule(24, 11.8), SimConfig(seed=5, num_rounds=6000)
         histograms = []
-        for share in (0, 1):
+        for rounds in (range(3000), range(3000, 6000)):
             opened.clear()
-            histograms.append(mcsim.simulate_rounds(reference_params, sched, sim, share, 2))
+            histograms.append(mcsim.simulate_rounds(reference_params, sched, sim, rounds))
             assert opened == [("roadfl.mcsim", 5, "arrivals"), ("roadfl.mcsim", 5, "delays")]
-        assert all(0 < histogram.sum() < 6000 for histogram in histograms)
+        assert [int(histogram.sum()) for histogram in histograms] == [3000, 3000]
         cfg = small_cfg()
         opened.clear()
         flsim.plan_runs(reference_params, [Schedule(8, 7.0), Schedule(16, 9.0), sched], cfg)

@@ -168,6 +168,11 @@ def assert_rows_equal(table, rows):
         assert column.tobytes() == expected.tobytes()
 
 
+def joined(blocks):
+    """The rows of attempt_blocks' blocks, each column joined over its tables."""
+    return [np.concatenate(column) for column in zip(*(table for _, _, table in blocks))]
+
+
 def recorded_table(params, sched, cfg):
     """The attempt table simulate_rounds aggregates, built in one piece."""
     arrivals = arrival_times(params, cfg.num_rounds * sched.t,
@@ -276,11 +281,9 @@ class TestSimulateRounds:
         for rows, chunk in ((50, 50), (50, 7), (50, 1000)):
             monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", rows)
             small = mcsim.simulate_rounds(reference_params, sched, cfg)
-            blocks = [table for _, _, table in chunked_blocks(
-                reference_params, sched, cfg.num_rounds, cfg.seed, chunk)]
+            blocks = chunked_blocks(reference_params, sched, cfg.num_rounds, cfg.seed, chunk)
             assert len(blocks) > 100
-            for column, whole_column in zip(zip(*blocks), whole_table):
-                assert np.array_equal(np.concatenate(column), whole_column)
+            assert_rows_equal(joined(blocks), whole_table)
             assert np.array_equal(small, whole)
 
     def test_round_over_a_block_is_split(self, reference_params, monkeypatch):
@@ -296,9 +299,7 @@ class TestSimulateRounds:
             assert all(end == begin + 1 and table.round.size <= 2
                        for begin, end, table in blocks)
             assert len(blocks) > cfg.num_rounds
-            for column, whole_column in zip(zip(*(table for _, _, table in blocks)),
-                                            whole_table):
-                assert np.array_equal(np.concatenate(column), whole_column)
+            assert_rows_equal(joined(blocks), whole_table)
         assert np.array_equal(mcsim.simulate_rounds(reference_params, sched, cfg), whole)
 
     def test_peak_memory_follows_one_block(self):
@@ -336,27 +337,51 @@ class TestSimulateRounds:
         assert streams == []  # nothing drawn, no stream even made
 
 
-def shared(params, sched, cfg, shares):
-    """Each share's histogram, and its blocks, as simulate_rounds and
-    attempt_blocks give them for share of shares."""
-    histograms, blocks = [], []
-    for share in range(shares):
-        histograms.append(mcsim.simulate_rounds(params, sched, cfg, share, shares))
-        blocks.append(list(mcsim.attempt_blocks(params, sched, cfg.num_rounds, cfg.seed,
-                                                share=share, shares=shares)))
-    return histograms, blocks
-
-
 class TestShares:
+    """A run replayed in consecutive ranges of its rounds, as validate's
+    processes replay it."""
+
+    @pytest.mark.parametrize("sched,rounds,block_rows,ranges", [
+        # the reference schedule in blocks of about 2,600 rounds: from 0,
+        # from rounds inside a block and from the second block's first
+        # round (added below), and ranges of one round and empty ones
+        (Schedule(24, 11.8), 6000, None, [(0, 6000), (1234, 6000), (1234, 1235), (2600, 6000),
+                                          (2599, 2600), (5999, 6000), (3000, 3000), (6000, 6000)]),
+        # about 3 rows per round and at most 2 per table, as in
+        # test_round_over_a_block_is_split: every round is a block, and some
+        # come as several tables. From each round, to its end, through the
+        # next round and to the run's end
+        (Schedule(8, 10.0), 40, 2,
+         [(k, end) for k in range(41) for end in sorted({k, k + 1, 40}) if end <= 40]),
+    ], ids=["blocks_of_rounds", "round_over_a_block"])
+    def test_a_range_has_the_whole_runs_rows(self, monkeypatch, sched, rounds, block_rows,
+                                             ranges):
+        if block_rows is not None:
+            monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", block_rows)
+        whole = list(mcsim.attempt_blocks(REFERENCE, sched, rounds, 31))
+        begins = [begin for begin, _, _ in whole]
+        if block_rows is None:
+            assert not {1234, 2599, 2600} & set(begins)
+        else:
+            assert len(set(begins)) == rounds < len(begins)
+        rows = joined(whole)
+        for k_begin, k_end in [*ranges, (begins[1], rounds)]:
+            blocks = list(mcsim.attempt_blocks(REFERENCE, sched, k_end, 31, k_begin=k_begin))
+            assert all(k_begin <= begin < end <= k_end for begin, end, _ in blocks)
+            assert bool(blocks) == (k_begin < k_end)
+            if blocks:
+                in_range = (rows[1] >= k_begin) & (rows[1] < k_end)
+                assert_rows_equal(joined(blocks), [column[in_range] for column in rows])
+
     @pytest.mark.parametrize("params,sched,rounds,block_rows", [
         # the reference schedule, in 4 blocks of about 2,600 rounds
         (REFERENCE, Schedule(24, 11.8), 10_000, None),
         # the long_section schedule, in about 120 blocks of 170 rounds
         (LONG_SECTION, Schedule(1463, 83.56), 20_000, None),
-        # about 3 rows per round and at most 2 per table, as in
-        # test_round_over_a_block_is_split: a round comes as several tables
+        # about 3 rows per round and at most 2 per table: a round comes as
+        # several tables
         (REFERENCE, Schedule(8, 10.0), 1000, 2),
-        # 2 blocks of about 2,600 rounds, and one block: more shares than blocks
+        # 2 blocks of about 2,600 rounds, and one block
         (REFERENCE, Schedule(24, 11.8), 5000, None),
         (REFERENCE, Schedule(24, 11.8), 10, None),
     ], ids=["reference", "long_section", "round_over_a_block", "two_blocks", "one_block"])
@@ -365,28 +390,23 @@ class TestShares:
         if block_rows is not None:
             monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", block_rows)
         cfg = SimConfig(seed=31, num_rounds=rounds)
-        (whole,), (whole_blocks,) = shared(params, sched, cfg, 1)
+        whole = mcsim.simulate_rounds(params, sched, cfg)
         assert whole.sum() == rounds and whole.size > 2
-        for shares in (2, 3, 7):
-            histograms, blocks = shared(params, sched, cfg, shares)
+        # validate's n equal ranges, and 4 random cuts and an empty range
+        cuts = [[rounds * i // n for i in range(n + 1)] for n in (2, 3, 7)]
+        random_cuts = np.random.default_rng(rounds).integers(0, rounds, 4).tolist()
+        cuts.append(sorted([0, *random_cuts, rounds // 2, rounds // 2, rounds]))
+        for bounds in cuts:
+            histograms = [mcsim.simulate_rounds(params, sched, cfg, range(k_begin, k_end))
+                          for k_begin, k_end in zip(bounds, bounds[1:])]
+            assert [int(h.sum()) for h in histograms] == np.diff(bounds).tolist()
             total = np.zeros(max(h.size for h in histograms), dtype=np.int64)
             for histogram in histograms:
                 total[:histogram.size] += histogram
             assert total.dtype == whole.dtype
             assert total.tobytes() == whole.tobytes()
-            # the shares' blocks are the whole run's, in order, and each
-            # share counts the rounds of its blocks: no round is split
-            built = [block for share in blocks for block in share]
-            assert len(built) == len(whole_blocks)
-            for (begin, end, table), (whole_begin, whole_end, whole_table) in zip(
-                    built, whole_blocks):
-                assert (begin, end) == (whole_begin, whole_end)
-                assert_rows_equal(table, whole_table)
-            for histogram, share in zip(histograms, blocks):
-                assert histogram.sum() == sum(end - begin for begin, end in
-                                              dict.fromkeys(block[:2] for block in share))
         if rounds == 10:
-            assert len(whole_blocks) == 1
+            assert len(list(mcsim.attempt_blocks(params, sched, rounds, 31))) == 1
 
     @pytest.mark.parametrize("rest", range(4))
     def test_skip_rule_matches_drawing_every_double(self, rest):
@@ -443,8 +463,7 @@ def test_attempts_follow_the_upload_rule(params, sched, monkeypatch):
                                      substream(31, "delays")), rows)
     # at most 2 rows per table, in arrival chunks of 2
     monkeypatch.setattr(mcsim, "ATTEMPTS_PER_BLOCK", 2)
-    blocks = [table for _, _, table in mcsim.attempt_blocks(params, sched, rounds, 31)]
-    assert_rows_equal([np.concatenate(column) for column in zip(*blocks)], rows)
+    assert_rows_equal(joined(mcsim.attempt_blocks(params, sched, rounds, 31)), rows)
 
 
 def lag_covariances(params, sched, lags):
