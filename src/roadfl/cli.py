@@ -14,18 +14,18 @@ Subcommands:
 validate, default_fl_grid and train compute; cmd_validate and cmd_fl
 only render what they return, so any caller runs the commands' code.
 
-validate and fl compute in as many processes as the CPUs hold BLAS
-thread pools (see _processes); validate also uses at most one per
-ATTEMPTS_PER_PROCESS expected attempts, so a small replay stays in one
-process. Every cap is checked first, the attempt and arrival caps of
-both commands by mcsim.check_runs, once. Then each makes one
-_in_processes call, which maps a function over items (fl's plans,
-validate's contiguous ranges of rounds, which only it chooses) whose
-works _split shares out: this process moves to the first allowed CPU
-and computes share 0, and each other share runs in a worker forked onto
-a CPU of its own (see _place), which sends its results back as one
-pickle. Every output byte is the one a single process writes. A
-profile of the parent shows only the parent's share.
+validate and fl compute in one process per CPU this process may use
+(see _processes); validate also uses at most one per
+ATTEMPTS_PER_PROCESS expected attempts and one per round, so a small
+replay stays in one process. Every cap is checked first, the attempt
+and arrival caps of both commands by mcsim.check_runs, once. Then each
+makes one _in_processes call, which maps a function over items (fl's
+plans, validate's contiguous ranges of rounds, which only it chooses)
+whose works _split shares out: this process moves to the first allowed
+CPU and computes share 0, and each other share runs in a worker forked
+onto a CPU of its own (see _place), which sends its results back as one
+pickle. Every output byte is the one a single process writes. A profile
+of the parent shows only the parent's share.
 
 Configuration is an INI-style file (see baseline.cfg) with dotted-key
 command-line overrides, e.g. --system.speed_mps=25. All CSV output is
@@ -45,8 +45,10 @@ A process runs the CLI through entry, the console script's target and
 what python -m roadfl.cli calls. It keeps OpenSSL's _hashlib out of the
 process, so that hashlib and hmac, which numpy.random loads through
 secrets, fall back to the digests CPython builds in; roadfl hashes only
-with blake2s, one of them. Calling main in-process leaves the host's
-hashlib as it is.
+with blake2s, one of them. It also pins OpenBLAS to one thread before
+numpy loads, whatever the caller's environment asks for, so that
+validate and fl spend the CPUs on processes. Calling main in-process
+leaves the host's hashlib and BLAS thread pool as they are.
 
 Exit codes: 0 success, 1 a ConfigError (a config or usage error) or a
 stdout closed by its reader, 2 an InfeasibleError (an infeasible
@@ -97,8 +99,6 @@ ROW_CHUNK = 2**14
 # significant digits (nan and +-inf print as nan, inf and -inf)
 INT = "%d"
 FLOAT = "%.9g"
-# the variables OpenBLAS reads its thread count from, first match wins
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # validate adds a process per this many expected attempts. On a 2-vCPU
 # machine the reference replay, 318,000 attempts, was slower in two
 # processes than in one (benchmark validate_s 0.233 against 0.221 s in
@@ -243,24 +243,12 @@ def _stream(values: np.ndarray) -> Iterator:
 
 
 def _processes(most: int) -> int:
-    """How many processes a command computes in: as many BLAS thread
-    pools as fit on the CPUs this process may use, and at most most. The
-    pool size is the first positive integer among BLAS_THREAD_VARS, or
-    every CPU if none holds one. Without sched_getaffinity or fork it is 1.
+    """How many processes a command computes in: one per CPU this process
+    may use, and at most most. Without sched_getaffinity or fork it is 1.
     """
     if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    blas_threads = cpus
-    for var in BLAS_THREAD_VARS:
-        try:
-            value = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            blas_threads = value
-            break
-    return max(1, min(most, cpus // blas_threads))
+    return min(most, len(os.sched_getaffinity(0)))
 
 
 def _place(cpu: int, allowed: set[int]) -> None:
@@ -370,8 +358,9 @@ def validate(cfg: ExperimentConfig) -> PoissonFit:
     renders. The fit's row cap and mcsim.check_runs' caps are checked
     first; then the rounds are split into n contiguous ranges, n from
     _processes and at most one per ATTEMPTS_PER_PROCESS expected
-    attempts, which _in_processes simulates with their lengths as works
-    and whose histograms add up to the one of a single process."""
+    attempts and one per round, which _in_processes simulates with their
+    lengths as works and whose histograms add up to the one of a single
+    process."""
     if cfg.schedule is None:
         raise ConfigError("validate requires sim.h and sim.t_s")
     from . import analytic, mcsim
@@ -382,8 +371,8 @@ def validate(cfg: ExperimentConfig) -> PoissonFit:
         raise ConfigError(f"the Poisson fit of lambda={lam:.3g} needs {rows:.3g} "
                           f"poisson_fit.csv rows, more than {MAX_ROWS}")
     attempts = mcsim.check_runs(cfg.system, [(cfg.schedule, cfg.sim.num_rounds)])
-    n = _processes(max(1, int(attempts // ATTEMPTS_PER_PROCESS)))
     k = cfg.sim.num_rounds
+    n = _processes(max(1, min(k, int(attempts // ATTEMPTS_PER_PROCESS))))
     ranges = [range(k * i // n, k * (i + 1) // n) for i in range(n)]
     histograms = _in_processes(
         lambda rounds: mcsim.simulate_rounds(cfg.system, cfg.schedule, cfg.sim, rounds),
@@ -670,13 +659,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entry() -> NoReturn:
     """Run main on this process's arguments and exit with its code.
 
-    _hashlib is blocked first (see the module docstring). A stdout whose
-    reader has gone ends the process with exit 1 and no traceback, as the
-    Python docs' note on SIGPIPE does it: the final flush is made here,
-    also after --help's SystemExit, and stdout is pointed at devnull,
-    where the flush at exit succeeds.
+    _hashlib is blocked and BLAS pinned to one thread first (see the
+    module docstring). A stdout whose reader has gone ends the process
+    with exit 1 and no traceback, as the Python docs' note on SIGPIPE does
+    it: the final flush is made here, also after --help's SystemExit, and
+    stdout is pointed at devnull, where the flush at exit succeeds.
     """
     sys.modules.setdefault("_hashlib", None)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         try:
             code = main()

@@ -30,7 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-# one BLAS thread per process, so fl trains in as many processes as CPUs
+# cli runs in this process, not through cli.entry: one BLAS thread unless asked
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 REPO = Path(__file__).resolve().parents[1]

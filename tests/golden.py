@@ -105,7 +105,7 @@ def fingerprint() -> dict:
 def run_case(args: list[str], out: Path) -> dict[str, bytes]:
     """Every output of one case: its streams and the files it wrote into
     out, by name."""
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-m", "roadfl.cli", *args,
                            "--config", str(BASELINE), "--out", str(out)],
                           capture_output=True, env=env, cwd=REPO, timeout=120)

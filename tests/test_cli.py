@@ -562,7 +562,6 @@ class TestFlCommand:
 
     def test_default_grid_builds_the_task_once(self, tmp_path, monkeypatch):
         # in three processes, the workers inherit the parent's task
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         tasks = self.counting_tasks(monkeypatch, tmp_path / "built")
         overrides = ["--fl.horizon_s=60", "--fl.feature_dim=8", "--fl.global_pool_size=256",
@@ -657,10 +656,8 @@ WORKS = [5, 1, 4, 3, 2]
 
 
 def in_processes(monkeypatch, fn, items, works, cpus=3):
-    """cli._in_processes(fn, items, works) with one BLAS thread per
-    process on cpus mocked CPUs; a TimeoutError if it has not returned
-    after 30 s."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    """cli._in_processes(fn, items, works) on cpus mocked CPUs; a
+    TimeoutError if it has not returned after 30 s."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
     def hung(signum, frame):
@@ -777,21 +774,19 @@ def test_in_processes_leaves_no_child(monkeypatch):
 
 
 class TestFlProcesses:
-    @pytest.mark.parametrize("blas,processes", [
-        (None, 1), ("1", 4), ("2", 2), ("abc", 1), ("0", 1)])
-    def test_one_process_per_blas_thread_pool(self, monkeypatch, blas, processes):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        for var in cli.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if blas is not None:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        assert cli._processes(12) == processes
-        assert cli._processes(3) == min(3, processes)
-        # a value that is not a positive integer defers to the next variable
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        assert cli._processes(12) == (processes if blas in ("1", "2") else 1)
-        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
-        assert cli._processes(12) == (processes if blas in ("1", "2") else 2)
+    def test_one_process_per_allowed_cpu(self, monkeypatch):
+        # whatever the BLAS thread variables hold, which entry overrides
+        for blas in (None, "2", "abc", "0"):
+            monkeypatch.setattr(os, "environ", {} if blas is None else dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"), blas))
+            for cpus in (1, 3, 4):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                for most in (1, 3, 12):
+                    assert cli._processes(most) == min(most, cpus), (blas, cpus, most)
+        for name in ("sched_getaffinity", "fork"):
+            with monkeypatch.context() as patched:
+                patched.delattr(os, name)
+                assert cli._processes(12) == 1, name
 
     def test_split_balances_work_largest_first(self):
         assert cli._split([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]
@@ -799,7 +794,6 @@ class TestFlProcesses:
         assert cli._split([0, 0, 0, 7], 3) == [[3], [0, 2], [1]]
 
     def fl(self, tmp_path, monkeypatch, capsys, cpus, args):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / str(cpus)
         rc = cli.main(["fl", "--config", str(BASELINE), "--out", str(out), *args])
@@ -860,8 +854,7 @@ class TestFlProcesses:
         # an empty PYTHONUNBUFFERED leaves the piped stdout block-buffered
         proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
                         *SMALL_TASK, *DIVERGING_GRID],
-                       env={"OPENBLAS_NUM_THREADS": "1", "PYTHONUNBUFFERED": ""},
-                       timeout=60)
+                       env={"PYTHONUNBUFFERED": ""}, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("spearman_rho=") == 1
 
@@ -878,7 +871,6 @@ class TestValidateProcesses:
     def validate(self, tmp_path, monkeypatch, capsys, cpus, args=VALIDATE_ARGS):
         """validate on cpus mocked CPUs: its exit code, stdout, stderr,
         files and forks."""
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
         forks, fork = [], os.fork
@@ -904,6 +896,15 @@ class TestValidateProcesses:
         for cpus in (2, 3):
             assert self.validate(tmp_path, monkeypatch, capsys, cpus) == (serial, cpus - 1)
 
+    def test_one_process_per_round_at_most(self, tmp_path, monkeypatch, capsys):
+        # about 3,180 expected attempts a round, three processes' worth:
+        # one round runs here, and two in two processes
+        for rounds, forks in ((1, 0), (2, 1)):
+            args = ["--system.arrival_rate_per_s=100", f"--sim.num_rounds={rounds}"]
+            serial, _ = self.validate(tmp_path, monkeypatch, capsys, 1, args)
+            assert serial[0] == 0 and sorted(serial[3]) == ["fit_report.csv", "poisson_fit.csv"]
+            assert self.validate(tmp_path, monkeypatch, capsys, 3, args) == (serial, forks)
+
     @pytest.mark.parametrize("overrides,cpus,processes", [
         ([], 2, 1), ([], 8, 1), (LONG_SECTION_VALIDATE, 2, 2), (LONG_SECTION_VALIDATE, 8, 4)],
         ids=["reference-2", "reference-8", "long_section-2", "long_section-8"])
@@ -911,7 +912,6 @@ class TestValidateProcesses:
                                                     processes):
         # the benchmark's validate workloads, with 318,000 and 4.84M
         # expected attempts; no fork starts, so every range runs here
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(os, "fork", no_fork)
         replayed = []
@@ -949,7 +949,6 @@ class TestValidateProcesses:
             monkeypatch.setattr(module, "substream", lambda *tags: streams.append(tags))
         monkeypatch.setattr(mcsim, cap, value)
         monkeypatch.setattr(os, "fork", must_not_fork)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(cli, "ATTEMPTS_PER_PROCESS", 2**10)
         for args in (["validate", *VALIDATE_ARGS],
@@ -966,8 +965,7 @@ def run_into_closed_pipe(args, unbuffered):
     """Run the CLI with its stdout a pipe whose read end is closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONUNBUFFERED": unbuffered}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUNBUFFERED": unbuffered}
     try:
         return subprocess.run([sys.executable, "-m", "roadfl.cli", *args],
                               stdout=write_end, stderr=subprocess.PIPE, text=True,
@@ -1155,8 +1153,7 @@ def test_overflow_prints_no_numpy_warning(tmp_path, code, args):
     """An overflow to inf that the outputs or the caps already account for
     leaves stderr to the command's own lines."""
     proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
-                    "--fl.horizon_s=60", *args],
-                   timeout=60, env={"OPENBLAS_NUM_THREADS": "1"})
+                    "--fl.horizon_s=60", *args], timeout=60)
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == code, proc.stderr
 
@@ -1165,8 +1162,7 @@ def test_overflowing_targets_only_warn_of_divergence(tmp_path):
     """Label noise of 1e308 overflows the targets to inf, so every run
     with a winner diverges: stderr holds its divergence warnings alone."""
     proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
-                    "--fl.horizon_s=60", "--fl.noise_std=1e308"],
-                   timeout=60, env={"OPENBLAS_NUM_THREADS": "1"})
+                    "--fl.horizon_s=60", "--fl.noise_std=1e308"], timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     assert lines and all(line.startswith("warning: run h=") for line in lines), proc.stderr
@@ -1264,8 +1260,7 @@ def test_winnerless_crowd_draws_no_data(tmp_path):
     proc = run_cli(["fl", "--config", str(BASELINE), "--out", str(tmp_path),
                     "--system.arrival_rate_per_s=8000", "--fl.samples_per_vehicle=1",
                     "--fl.batch_size=1", "--fl.feature_dim=1", "--fl.horizon_s=2000",
-                    "--schedules", "1000:1000"],
-                   timeout=20, address_space=3 * 2**29, env={"OPENBLAS_NUM_THREADS": "1"})
+                    "--schedules", "1000:1000"], timeout=20, address_space=3 * 2**29)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert time.perf_counter() - started < 10
@@ -1293,8 +1288,7 @@ def test_one_round_of_many_attempts_is_built_in_blocks(tmp_path):
     succeed in the 20 s dwell time, so the fit is a point mass."""
     proc = run_cli(["validate", "--config", str(BASELINE), "--out", str(tmp_path),
                     "--system.arrival_rate_per_s=700000", "--sim.num_rounds=1",
-                    "--sim.h=1000"],
-                   timeout=20, address_space=3 * 2**29, env={"OPENBLAS_NUM_THREADS": "1"})
+                    "--sim.h=1000"], timeout=20, address_space=3 * 2**29)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert len(read_csv(tmp_path / "fit_report.csv")) == 1
@@ -1441,8 +1435,7 @@ def test_any_input_ends_in_exit_code(invocation):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         proc = run_cli([command, "--config", str(BASELINE), "--out", str(out),
-                        *args, *overrides],
-                       timeout=20, address_space=2**30, env={"OPENBLAS_NUM_THREADS": "1"})
+                        *args, *overrides], timeout=20, address_space=2**30)
         assert proc.returncode in (0, 1, 2), proc.stderr
         assert "Traceback" not in proc.stderr
         event(f"{command} exit {proc.returncode}")
@@ -1481,13 +1474,14 @@ def test_help_exits_0(capsys):
 def test_runtime_imports_no_scipy(tmp_path):
     """Each subcommand, run cold through cli.entry, loads only what it runs.
     None imports scipy, a test-only oracle, or multiprocessing and
-    concurrent, since fl forks its workers itself; fl runs in two
-    processes here, whatever the CPUs. None loads OpenSSL's _hashlib.
-    optimize and sweep load neither mcsim nor flsim, and draw no random
-    number, so they load no numpy.random either; validate loads neither
-    flsim nor optimizer. Each loads numpy, so the modules it does not load
-    are not missing for want of a run. cli.main run in-process leaves
-    _hashlib importable."""
+    concurrent, since fl forks its workers itself; fl runs in two processes
+    here, whatever the CPUs. None loads OpenSSL's _hashlib, and each runs
+    BLAS on one thread, whatever thread count the caller's environment asks
+    for. optimize and sweep load neither mcsim nor flsim, and draw no
+    random number, so they load no numpy.random either; validate loads
+    neither flsim nor optimizer. Each loads numpy, so the modules it does
+    not load are not missing for want of a run. cli.main run in-process
+    leaves _hashlib importable and OPENBLAS_NUM_THREADS as it was."""
     code = ("import json, os, sys, roadfl.cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "assert roadfl.cli._processes(2) == 2\n"
@@ -1495,8 +1489,10 @@ def test_runtime_imports_no_scipy(tmp_path):
             "    roadfl.cli.entry()\n"
             "except SystemExit as exit_:\n"
             "    assert exit_.code == 0, exit_.code\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
             "print(json.dumps(sorted(k for k, v in sys.modules.items() if v is not None)))")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": "4",
+           "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "4"}
     base = ["--config", str(BASELINE), "--out", str(tmp_path)]
     # command, its arguments, modules it loads and modules it does not
     without_draws = {"numpy.random", "roadfl.mcsim", "roadfl.flsim"}
@@ -1515,9 +1511,10 @@ def test_runtime_imports_no_scipy(tmp_path):
             & {"scipy", "multiprocessing", "concurrent"}, command
         assert not modules & {"_hashlib", *not_loaded}, command
 
-    in_process = ("import sys, roadfl.cli\n"
+    in_process = ("import os, sys, roadfl.cli\n"
                   "assert roadfl.cli.main(sys.argv[1:]) == 0\n"
                   "assert 'numpy.random' in sys.modules\n"
+                  "assert os.environ['OPENBLAS_NUM_THREADS'] == '4'\n"
                   "import _hashlib")
     proc = subprocess.run([sys.executable, "-c", in_process, "validate", *base,
                            "--sim.num_rounds=100"],
@@ -1574,7 +1571,6 @@ def test_benchmark_tracer_still_installs(tmp_path, monkeypatch):
     trains in two processes, as in the benchmark's runs, and the parent's
     share must show in its spans."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert cli._processes(8) == 2
     path = REPO / "perfbench" / "tracer.py"
     tracer = types.ModuleType("tracer")
