@@ -1,5 +1,6 @@
 import csv
 import errno
+import itertools
 import json
 import math
 import os
@@ -774,19 +775,21 @@ def test_in_processes_leaves_no_child(monkeypatch):
 
 
 class TestFlProcesses:
-    def test_one_process_per_allowed_cpu(self, monkeypatch):
-        # whatever the BLAS thread variables hold, which entry overrides
-        for blas in (None, "2", "abc", "0"):
-            monkeypatch.setattr(os, "environ", {} if blas is None else dict.fromkeys(
-                ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"), blas))
-            for cpus in (1, 3, 4):
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-                for most in (1, 3, 12):
-                    assert cli._processes(most) == min(most, cpus), (blas, cpus, most)
-        for name in ("sched_getaffinity", "fork"):
-            with monkeypatch.context() as patched:
-                patched.delattr(os, name)
-                assert cli._processes(12) == 1, name
+    @pytest.mark.parametrize("blas,cpus", [
+        *itertools.product((None, "2", "abc", "0"), (1, 3, 4)), ("1", 4), ("2", 2)])
+    def test_one_process_per_blas_thread_pool(self, monkeypatch, blas, cpus):
+        # entry gives each process one single-thread BLAS pool, so one
+        # process per allowed CPU, whatever the BLAS thread variables hold
+        monkeypatch.setattr(os, "environ", {} if blas is None else dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"), blas))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for most in (1, 3, 12):
+            assert cli._processes(most) == min(most, cpus), most
+
+    @pytest.mark.parametrize("name", ["sched_getaffinity", "fork"])
+    def test_one_process_without_affinity_or_fork(self, monkeypatch, name):
+        monkeypatch.delattr(os, name)
+        assert cli._processes(12) == 1
 
     def test_split_balances_work_largest_first(self):
         assert cli._split([5, 1, 4, 3, 2], 2) == [[0, 1, 4], [2, 3]]
